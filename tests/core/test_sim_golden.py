@@ -1,0 +1,89 @@
+"""Golden sim runs: the event schedule of every server-based algorithm.
+
+The values below were captured at commit 50787a0, *before* the worker
+cycle and the server dispatch were consolidated, so a refactor of either
+is proven against the old implementation rather than against itself.
+Orders and staleness sequences are one digit per update (ids and staleness
+are < 10 at these sizes).
+"""
+
+import pytest
+
+from repro.core import DistributedTrainer, TrainingConfig
+
+GOLDEN = {
+    "sgd": dict(
+        config=dict(algorithm="sgd", num_workers=1),
+        finishing_order="000000000000000000000000",
+        staleness="000000000000000000000000",
+        processed_events=96,
+        total_virtual_time=0.7208242370129496,
+        final_train_loss=1.140099287033081,
+    ),
+    "ssgd": dict(
+        config=dict(algorithm="ssgd", num_workers=4),
+        finishing_order="132012301230123012301320",
+        staleness="000000000000000000000000",
+        processed_events=102,
+        total_virtual_time=0.21400520914640064,
+        final_train_loss=1.9571062326431274,
+    ),
+    "asgd": dict(
+        config=dict(algorithm="asgd", num_workers=4),
+        finishing_order="132012301230123012310231",
+        staleness="012322333233333333324333",
+        processed_events=105,
+        total_virtual_time=0.203293061199704,
+        final_train_loss=1.1257407665252686,
+    ),
+    "dc-asgd": dict(
+        config=dict(algorithm="dc-asgd", num_workers=4),
+        finishing_order="132012301230123012310231",
+        staleness="012322333233333333324333",
+        processed_events=105,
+        total_virtual_time=0.203293061199704,
+        final_train_loss=1.126204490661621,
+    ),
+    "sa-asgd": dict(
+        config=dict(algorithm="sa-asgd", num_workers=4),
+        finishing_order="132012301230123012310231",
+        staleness="012322333233333333324333",
+        processed_events=105,
+        total_virtual_time=0.203293061199704,
+        final_train_loss=1.8552495241165161,
+    ),
+    "lc-asgd-damping": dict(
+        config=dict(algorithm="lc-asgd", num_workers=4, compensation="damping"),
+        finishing_order="132012301230123012310231",
+        staleness="012332333233333333324332",
+        processed_events=159,
+        total_virtual_time=0.21672486013085085,
+        final_train_loss=1.17388117313385,
+    ),
+    "lc-asgd-sensitivity": dict(
+        config=dict(algorithm="lc-asgd", num_workers=4, compensation="sensitivity"),
+        finishing_order="132012301230123012310231",
+        staleness="012332333233333333324332",
+        processed_events=159,
+        total_virtual_time=0.21672486013085085,
+        final_train_loss=1.148013710975647,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_sim_run_matches_the_pre_consolidation_schedule(name):
+    golden = GOLDEN[name]
+    trainer = DistributedTrainer(TrainingConfig.tiny(seed=5, **golden["config"]))
+    result = trainer.run()
+    updates = trainer.trace.of_kind("update")
+
+    assert "".join(str(w) for w in result.finishing_order) == golden["finishing_order"]
+    assert "".join(str(e.staleness) for e in updates) == golden["staleness"]
+    assert trainer.sim.processed_events == golden["processed_events"]
+    assert result.total_virtual_time == pytest.approx(
+        golden["total_virtual_time"], rel=1e-9
+    )
+    assert result.curve[-1].train_loss == pytest.approx(
+        golden["final_train_loss"], rel=1e-9
+    )
