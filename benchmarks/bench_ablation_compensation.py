@@ -1,8 +1,9 @@
 """Ablation (ours): the three Formula-5 couplings.
 
 Formula 5 (g = grad of l_m + lambda l_delay) does not pin down how the
-predicted loss couples into backward (DESIGN.md §2); this bench compares
-the three implemented interpretations on the LC-ASGD / M=16 workload.
+predicted loss couples into backward (see the docstring of
+``repro.core.algorithms.lcasgd``); this bench compares the three
+implemented interpretations on the LC-ASGD / M=16 workload.
 """
 
 from repro.bench import format_table

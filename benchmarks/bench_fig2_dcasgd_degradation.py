@@ -2,7 +2,7 @@
 
 Paper: ResNet-18 / CIFAR-10, DC-ASGD with 4/8/16 workers vs sequential SGD;
 the error rises visibly with the number of workers.  Here: the CIFAR
-stand-in workload (DESIGN.md substitution table).
+stand-in workload (``repro.data.synthetic`` gives the rationale).
 """
 
 from repro.bench import ascii_plot, format_table

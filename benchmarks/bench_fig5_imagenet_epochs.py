@@ -36,8 +36,7 @@ def test_fig5_error_vs_epoch(benchmark):
     for (algo, m), run in results.items():
         # everyone learned: clearly better than the 96% chance floor.  SSGD
         # at M=16 gets only 1/16 as many updates per epoch, so its bar is
-        # looser (the budget collapse is itself a paper-consistent result —
-        # see EXPERIMENTS.md).
+        # looser (the budget collapse is itself a paper-consistent result).
         margin = 0.1 if algo == "ssgd" and m == 16 else 0.2
         assert run.final_test_error < chance - margin, (algo, m)
     # compensation keeps M=16 competitive with plain ASGD (tolerance 2 pts)

@@ -4,7 +4,7 @@ Paper: loss predictor ~1.3 ms, step predictor ~1.4 ms per training
 iteration against a ~32-34 ms ResNet-18 V100 iteration => ~8% overhead,
 rising slightly with M.
 
-Measurement semantics here (documented in EXPERIMENTS.md): predictor costs
+Measurement semantics here: predictor costs
 are *real measured CPU milliseconds* of the online LSTMs; "total training"
 is the *simulated* per-batch time (30 ms — deliberately calibrated to the
 paper's V100 ResNet-18 iteration), because our worker is a stand-in MLP
@@ -49,6 +49,6 @@ def test_table2_overhead_cifar(benchmark):
         assert run.timers["loss_pred_ms"] > 0
         assert run.timers["step_pred_ms"] > 0
         # predictors must stay within a couple of paper-scale iterations even
-        # on a contended CPU (EXPERIMENTS.md discusses the CPU-vs-GPU gap)
+        # on a contended CPU (these LSTMs run on CPU, the paper's on a GPU)
         combined = run.timers["loss_pred_ms"] + run.timers["step_pred_ms"]
         assert combined < 60.0, f"predictor cost {combined:.1f} ms is implausibly high"

@@ -1,7 +1,7 @@
 """Benchmark harness regenerating the paper's tables and figures.
 
 * :mod:`repro.bench.workloads` — the named experiment configurations, one
-  per table/figure (scaled per DESIGN.md's substitution table).
+  per table/figure, scaled to laptop size.
 * :mod:`repro.bench.harness` — grid runners and result aggregation.
 * :mod:`repro.bench.plots` — terminal-friendly ASCII line charts and tables
   so every figure renders in CI logs without matplotlib.

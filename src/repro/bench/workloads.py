@@ -9,11 +9,10 @@ Two profiles are provided:
 * ``full`` — larger datasets/budgets (and the ResNet models for the paper
   configurations); hours of CPU.  Select with ``REPRO_BENCH_PROFILE=full``.
 
-The learning-rate/momentum regime is documented in DESIGN.md and
-EXPERIMENTS.md: the paper's lr=0.3 without momentum is replaced by
-lr=0.075 with server momentum 0.9 ("following [8]", which the paper's
-training recipe cites), because momentum is what makes gradient staleness
-damaging at laptop scale.
+The learning-rate/momentum regime: the paper's lr=0.3 without momentum is
+replaced by lr=0.075 with server momentum 0.9 ("following [8]", which the
+paper's training recipe cites), because momentum is what makes gradient
+staleness damaging at laptop scale.
 """
 
 from __future__ import annotations

@@ -650,6 +650,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _trace_summarize(meta: dict, records) -> int:
     """``repro trace summarize``: reconstruct attribution from the JSONL."""
     from repro.obs.hub import staleness_histogram
+    from repro.obs.recorder import phase_totals_ms
 
     print(f"trace: run_id={meta.get('run_id', '?')!r}  "
           f"version={meta.get('version', '?')}  "
@@ -659,13 +660,7 @@ def _trace_summarize(meta: dict, records) -> int:
         kinds[record.kind] = kinds.get(record.kind, 0) + 1
     print("events: " + "  ".join(f"{k}={n}" for k, n in sorted(kinds.items())))
 
-    totals: dict = {}
-    for record in records:
-        if record.kind == "span":
-            phase = str(record.fields["phase"])
-            totals[phase] = totals.get(phase, 0.0) + float(record.fields["dur_ms"])
-    for name, entry in (meta.get("timer") or {}).items():
-        totals[name] = totals.get(name, 0.0) + float(entry.get("total_s", 0.0)) * 1e3
+    totals = phase_totals_ms(records, meta.get("timer") or {})
     if totals:
         print("phase attribution (ms):")
         width = max(len(name) for name in totals)

@@ -6,7 +6,7 @@ virtual-time simulator.  What the algorithms under study actually consume
 is the *ordering* of compute/communication events — that ordering produces
 the gradient staleness ``k_m`` that DC-ASGD and LC-ASGD compensate — and the
 simulator reproduces it with controllable heterogeneity, jitter and
-straggler injection (see DESIGN.md substitution table).
+straggler injection.
 """
 
 from repro.cluster.event import Event, EventQueue

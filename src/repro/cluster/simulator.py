@@ -28,6 +28,10 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
+    def clock(self) -> float:
+        """:attr:`now` as a plain callable, for drivers that pass a clock."""
+        return self._now
+
     @property
     def processed_events(self) -> int:
         """Number of events executed so far."""

@@ -9,9 +9,9 @@ the step predictor (Formula 10).
 
 Formula 5 taken literally adds a constant to the loss, which does not
 change the gradient; real implementations must couple the compensation to
-the backward pass.  :func:`compensation_seed` implements the three couplings
-discussed in DESIGN.md §2 — the seed multiplies the backward pass, i.e. the
-worker backpropagates ``seed * l_m``:
+the backward pass.  :func:`compensation_seed` implements three couplings —
+the seed multiplies the backward pass, i.e. the worker backpropagates
+``seed * l_m``:
 
 * ``scale`` — paper-literal surrogate: the compensated loss rescales the
   true loss, seed ``(l_m + lambda l_delay) / l_m``.
@@ -48,7 +48,7 @@ def compensation_seed(
     Parameters
     ----------
     mode:
-        ``"scale"``, ``"sensitivity"`` or ``"damping"`` (DESIGN.md §2).
+        ``"scale"``, ``"sensitivity"`` or ``"damping"`` (module docstring).
     loss:
         The worker's own loss ``l_m``.
     l_delay:

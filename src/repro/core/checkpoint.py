@@ -12,9 +12,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.config import TrainingConfig
-from repro.core.trainer import DistributedTrainer, build_dataset, build_model
+from repro.core.trainer import DistributedTrainer
+from repro.data.registry import build_dataset
 from repro.nn.module import Module, set_flat_params
 from repro.nn.norm import bn_layers, load_bn_running_stats
+from repro.nn.registry import build_model
 from repro.utils.serialization import load_checkpoint, save_checkpoint
 
 

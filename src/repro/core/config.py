@@ -97,7 +97,7 @@ class TrainingConfig:
 
     # LC-ASGD specifics
     lc_lambda: float = 0.5  # the lambda of Formula 5
-    compensation: str = "damping"  # scale | sensitivity | damping (DESIGN.md §2)
+    compensation: str = "damping"  # scale | sensitivity | damping (core.algorithms.lcasgd)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
 
     # DC-ASGD specifics
@@ -211,8 +211,8 @@ class TrainingConfig:
     def small_cifar(cls, algorithm: str = "lc-asgd", num_workers: int = 4, **overrides) -> "TrainingConfig":
         """Laptop-scale CIFAR-10 stand-in: MLP+BN on 8x8 synthetic images.
 
-        This is the workhorse configuration of the benches (DESIGN.md
-        substitution table): same loss/staleness dynamics, minutes not days.
+        This is the workhorse configuration of the benches: same
+        loss/staleness dynamics, minutes not days.
         """
         defaults = dict(
             algorithm=algorithm,

@@ -1,71 +1,42 @@
-"""The DistributedTrainer: Algorithms 1-4 on the virtual-time simulator.
+"""The DistributedTrainer: the virtual-time (sim) driver of a plan.
 
-Execution model (DESIGN.md §5): real mathematics runs inside virtual-time
-event callbacks.  One worker cycle is
+Algorithm 1's worker cycle and Algorithm 2's dispatch are stated once, in
+:mod:`repro.runtime.cycle`; the experiment wiring lives in
+:class:`~repro.runtime.session.ExperimentPlan` and the trace/curve/result
+machinery in :class:`~repro.runtime.session.ExperimentSession`.  This
+module only decides what the cycle's effects *cost* under the simulator:
 
-1. **pull request** — worker -> server (small message up the link);
-2. **pull reply** — server -> worker (full model down the link);
-   ``t_comm`` = reply arrival minus request issue (Algorithm 1, line 3);
-3. **forward** — real forward pass; virtual duration is 1/3 of the
-   worker's sampled batch time;
-4. **state push** — ``state_m`` up the link (loss + BN stats + costs);
-5. *(LC-ASGD only)* **compensation reply** — the server's ``l_delay``
-   travels back down before backward can start (the extra round trip whose
-   cost appears in the wall-clock figures);
-6. **backward** — real backward pass (seeded with the compensation);
-   virtual duration is 2/3 of the batch time; the worker then immediately
-   begins its next cycle (it never waits for the server to apply);
-7. **gradient push** — gradient up the link; the server applies the
-   update rule, advancing the version.
+* ``compute`` advances the worker's pending virtual time by the sampled
+  duration (forward is 1/3 of a batch time, backward 2/3);
+* ``call`` / ``post`` put the message on the worker's uplink: it reaches
+  the shared dispatch after the pending compute plus the sampled transfer
+  time, and each reply the dispatch names travels back down the link
+  before the worker's cycle resumes.  A posting worker resumes when its
+  push is delivered — FIFO per connection: the next pull request leaves
+  with (and is processed after) the gradient push, so a worker always sees
+  its own update and sequential SGD is exactly staleness-0.
 
-For the non-LC algorithms, steps 4-6 fuse: state and gradient travel
-together and no reply is awaited.  SSGD additionally queues pulls at the
-server until the round's barrier closes.
-
-Backend split (``repro.runtime``): the experiment *wiring* — datasets,
-identically-initialized replicas, the server with its predictors and BN
-strategy, the cluster timing models — lives in
-:class:`repro.runtime.session.ExperimentPlan`, and the shared evaluation/
-trace/result machinery in :class:`repro.runtime.session.ExperimentSession`.
-This module is now only the **sim flavor** of executing a plan: it maps the
-seven arrows above onto :class:`~repro.cluster.simulator.Simulator` events.
-The thread flavor (:class:`repro.runtime.thread_backend.ThreadBackend`)
-runs the *same* plan on real threads with wall-clock staleness; both are
-selected by name through :func:`repro.runtime.run_experiment` or
-``repro run --backend {sim,thread}``.  ``build_dataset``/``build_model``
-are re-exported here for backward compatibility.
+Real mathematics runs inside the event callbacks; virtual timestamps decide
+the interleaving, so runs reproduce bit-for-bit.  The thread and proc
+flavors (:mod:`repro.runtime.thread_backend`,
+:mod:`repro.runtime.proc_worker`) drive the same cycle over real links.
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
-
-import numpy as np
+from functools import partial
+from typing import Generator, List, Optional
 
 from repro.cluster.simulator import Simulator
 from repro.core.config import TrainingConfig
-from repro.core.metrics import CurvePoint, RunResult
-from repro.core.state import CompensationReply, GradientPayload, WorkerState
+from repro.core.metrics import RunResult
+from repro.runtime.cycle import COMPUTE, POST, dispatch, worker_cycle
+from repro.runtime.messages import Message
+from repro.runtime.session import ExperimentPlan, ExperimentSession
 from repro.utils.logging import get_logger
 
 logger = get_logger("core.trainer")
-
-_REQUEST_BYTES = 256  # pull request / small control messages
-
-
-def build_dataset(config: TrainingConfig):
-    """Return (train, test, num_classes); see :mod:`repro.runtime.session`."""
-    from repro.runtime.session import build_dataset as _build_dataset
-
-    return _build_dataset(config)
-
-
-def build_model(config: TrainingConfig, input_shape: Tuple[int, ...], num_classes: int):
-    """Build one seeded model replica; see :mod:`repro.runtime.session`."""
-    from repro.runtime.session import build_model as _build_model
-
-    return _build_model(config, input_shape, num_classes)
 
 
 class DistributedTrainer:
@@ -78,9 +49,9 @@ class DistributedTrainer:
     (``workers``, ``server``, ``compute``, ...) for tests and tooling.
     """
 
-    def __init__(self, config: Optional[TrainingConfig] = None, plan=None) -> None:
-        from repro.runtime.session import ExperimentPlan, ExperimentSession
-
+    def __init__(
+        self, config: Optional[TrainingConfig] = None, plan: Optional[ExperimentPlan] = None
+    ) -> None:
         if plan is None:
             if config is None:
                 raise ValueError("DistributedTrainer needs a config or a plan")
@@ -117,119 +88,58 @@ class DistributedTrainer:
         self._eval_indices = self.session._eval_indices
 
         self.sim = Simulator()
+        #: virtual seconds of compute each worker has done since its last
+        #: link effect (its local clock runs ahead of the event clock by this)
+        self._pending = [0.0] * self.config.num_workers
+        #: the cycle of each worker parked on a call, awaiting its reply
+        self._parked: List[Optional[Generator]] = [None] * self.config.num_workers
 
     # ------------------------------------------------------------------ #
-    # event handlers (the cycle of the module docstring)
+    # the sim driver: cycle effects -> Simulator events
     # ------------------------------------------------------------------ #
-    def _begin_cycle(self, m: int) -> None:
+    def _start_cycle(self, m: int) -> None:
         if self.server.batches_processed >= self.total_updates:
             return
-        t0 = self.sim.now
-        up = self.network.transfer_time(m, _REQUEST_BYTES)
-        self.sim.schedule(up, lambda: self._server_pull(m, t0), label=f"pull-req-{m}")
+        # the worker's virtual now: the event clock plus its pending compute
+        now, pending = self.sim.clock, self._pending
+        cycle = worker_cycle(self.workers[m], self.plan, lambda: now() + pending[m])
+        self._resume(m, cycle, None)
 
-    def _server_pull(self, m: int, t0: float) -> None:
-        weights = self.server.handle_pull(m, request_time=t0)
-        self.trace.record(self.sim.now, "pull", m, version=self.server.version)
-        if weights is None:
-            return  # queued behind the SSGD barrier
-        self._send_weights(m, t0, weights)
-
-    def _send_weights(self, m: int, t0: float, weights: np.ndarray) -> None:
-        down = self.network.transfer_time(m, self.model_bytes)
-        version = self.server.pull_versions[m]
-        self.sim.schedule(
-            down, lambda: self._worker_weights(m, t0, weights, version), label=f"weights-{m}"
-        )
-
-    def _worker_weights(self, m: int, t0: float, weights: np.ndarray, version: int) -> None:
-        worker = self.workers[m]
-        t_comm = self.sim.now - t0
-        worker.load_params(weights, version, t_comm)
-        with self.timer.section("worker-compute"):
-            state = worker.forward()
-        dur_fwd = self.compute.duration(m, fraction=1.0 / 3.0)
-        if self.server.rule.requires_compensation:
-            up = self.network.transfer_time(m, self.state_bytes)
-            self.sim.schedule(
-                dur_fwd + up, lambda: self._server_state(m, state), label=f"state-{m}"
-            )
+    def _resume(self, m: int, cycle: Generator, answer) -> None:
+        """Run ``m``'s cycle up to its next link effect and schedule that."""
+        pending = self._pending
+        try:
+            effect = cycle.send(answer)
+            while effect[0] is COMPUTE:
+                # a virtual clock charges exactly the sampled duration
+                pending[m] += effect[1]
+                effect = cycle.send(effect[1])
+        except StopIteration:
+            self._start_cycle(m)
+            return
+        kind, message, nbytes = effect
+        delay = pending[m] + self.network.transfer_time(m, nbytes)
+        pending[m] = 0.0
+        self.sim.schedule(delay, partial(self._arrive, message))
+        if kind is POST:
+            # same delay, scheduled second: the worker resumes right after
+            # the server processed its push
+            self.sim.schedule(delay, partial(self._resume, m, cycle, None))
         else:
-            with self.timer.section("worker-compute"):
-                payload = worker.backward(reply=None, t_comp=0.0)
-            dur_bwd = self.compute.duration(m, fraction=2.0 / 3.0)
-            worker.last_t_comp = dur_bwd
-            up = self.network.transfer_time(m, self.model_bytes + self.state_bytes)
-            self.sim.schedule(
-                dur_fwd + dur_bwd + up,
-                lambda: self._server_combined(m, state, payload),
-                label=f"grad-{m}",
-            )
-            # FIFO per connection: the next pull request leaves with (and is
-            # processed after) the gradient push, so a worker always sees its
-            # own update — sequential SGD is exactly staleness-0.
-            self.sim.schedule(dur_fwd + dur_bwd + up, lambda: self._begin_cycle(m))
+            self._parked[m] = cycle
 
-    def _server_state(self, m: int, state: WorkerState) -> None:
-        reply = self.server.handle_state(state)
-        self.trace.record(self.sim.now, "state", m, version=self.server.version, value=state.loss)
-        down = self.network.transfer_time(m, _REQUEST_BYTES)
-        self.sim.schedule(down, lambda: self._worker_compensation(m, reply), label=f"comp-{m}")
-
-    def _worker_compensation(self, m: int, reply: Optional[CompensationReply]) -> None:
-        worker = self.workers[m]
-        dur_bwd = self.compute.duration(m, fraction=2.0 / 3.0)
-        with self.timer.section("worker-compute"):
-            payload = worker.backward(
-                reply=reply,
-                lc_lambda=self.config.lc_lambda,
-                compensation=self.config.compensation,
-                t_comp=dur_bwd,
-            )
-        up = self.network.transfer_time(m, self.model_bytes)
-        self.sim.schedule(
-            dur_bwd + up, lambda: self._server_gradient(m, payload), label=f"grad-{m}"
-        )
-        # FIFO per connection (see _worker_weights): pull follows the push.
-        self.sim.schedule(dur_bwd + up, lambda: self._begin_cycle(m))
-
-    def _server_combined(self, m: int, state: WorkerState, payload: GradientPayload) -> None:
-        """Fused state+gradient arrival for the non-LC algorithms."""
-        advanced, staleness = self.server.handle_combined(state, payload)
-        self._after_gradient(m, payload, advanced, staleness)
-
-    def _server_gradient(self, m: int, payload: GradientPayload) -> None:
-        self.trace.record(self.sim.now, "gradient", m, version=self.server.version)
-        advanced, staleness = self.server.handle_gradient(payload)
-        self._after_gradient(m, payload, advanced, staleness)
-
-    def _after_gradient(
-        self, m: int, payload: GradientPayload, advanced: bool, staleness: int
-    ) -> None:
-        self.trace.record(
-            self.sim.now,
-            "update",
-            m,
-            version=self.server.version,
-            staleness=staleness,
-            value=payload.loss,
-        )
-        # same site, same value as the ClusterTrace update event (and as the
-        # concurrent server actor's emission), so the trace's staleness
-        # histogram matches RunResult.staleness; t is *virtual* seconds,
-        # which is what makes sim traces bit-reproducible
-        recorder = self.plan.recorder
-        if recorder.enabled and staleness >= 0:
-            recorder.emit(
-                self.sim.now, "staleness", m,
-                value=float(int(staleness)), version=self.server.version,
-            )
-        if advanced:
-            for worker_id, t0 in self.server.drain_pending_pulls():
-                self._send_weights(worker_id, t0, self.server.params.copy())
-        self.session.maybe_evaluate(self.sim.now)
-        if self.server.batches_processed >= self.total_updates:
-            self.sim.stop()
+    def _arrive(self, message: Message) -> None:
+        """A message reached the server: dispatch it, send the replies down."""
+        now = self.sim.now
+        server = self.server
+        applied = server.batches_processed
+        for worker, reply, nbytes in dispatch(self.session, message, now):
+            down = self.network.transfer_time(worker, nbytes)
+            self.sim.schedule(down, partial(self._resume, worker, self._parked[worker], reply))
+        if server.batches_processed != applied:
+            self.session.maybe_evaluate(now)
+            if server.batches_processed >= self.total_updates:
+                self.sim.stop()
 
     # ------------------------------------------------------------------ #
     def run(self) -> RunResult:
@@ -240,7 +150,7 @@ class DistributedTrainer:
         start_jitter = self.rng_tree.child("start").generator("jitter")
         for m in range(self.config.num_workers):
             delay = float(start_jitter.uniform(0.0, 1e-4))
-            self.sim.schedule(delay, lambda m=m: self._begin_cycle(m))
+            self.sim.schedule(delay, partial(self._start_cycle, m))
         # generous event budget: each update takes a bounded handful of events
         self.sim.run(max_events=40 * self.total_updates + 10_000)
 
@@ -252,14 +162,3 @@ class DistributedTrainer:
             backend="sim",
             wall_time=time.perf_counter() - wall_start,  # lint-ok: determinism
         )
-
-    # backward-compat shims (pre-runtime callers/tests) ----------------------------------
-    @property
-    def _curve(self) -> List[CurvePoint]:
-        return self.session.curve
-
-    def _evaluate(self) -> CurvePoint:
-        return self.session.evaluate(self.sim.now)
-
-    def _sync_eval_model(self) -> None:
-        self.session.sync_eval_model()

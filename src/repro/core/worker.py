@@ -2,7 +2,7 @@
 
 Each worker owns a model replica and a mini-batch stream over the shared
 training set.  Its cycle (pull -> forward -> state push -> [compensation]
--> backward -> gradient push) is driven by the trainer's event handlers;
+-> backward -> gradient push) is :func:`repro.runtime.cycle.worker_cycle`;
 this class holds the *real* mathematics of each step.
 
 The compensation enters as a backward *seed* (Formula 5 couplings; see
@@ -41,10 +41,11 @@ class DistributedWorker:
         self.model = model
         self.loader = loader
         self.collect_bn = collect_bn
-        # Guards replica mutation for concurrent runtimes: the thread
-        # backend holds it during forward/backward, and local-BN-mode eval
+        # Guards replica mutation for concurrent runtimes: the worker cycle
+        # holds it during forward/backward, and local-BN-mode eval
         # acquires it to snapshot this replica's running statistics
-        # consistently.  Uncontended (and thus free) under the simulator.
+        # consistently.  Uncontended (and thus free) under the simulator
+        # and in a proc child.
         self.model_lock = make_lock("DistributedWorker.model_lock")
         self.pull_version = -1
         self.last_t_comm = 0.0

@@ -3,7 +3,7 @@
 The paper evaluates on CIFAR-10 and ImageNet; neither is available offline,
 so :mod:`repro.data.synthetic` generates procedurally structured image
 classification tasks with the same role (learnable, non-trivial, with
-paper-matching class counts).  See DESIGN.md's substitution table.
+paper-matching class counts); its docstring gives the rationale.
 """
 
 from repro.data.dataset import ArrayDataset, Dataset, train_test_split

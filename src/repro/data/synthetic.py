@@ -1,6 +1,6 @@
 """Procedural datasets standing in for CIFAR-10 and ImageNet.
 
-Substitution rationale (DESIGN.md): the paper's evaluation compares the
+Substitution rationale: the paper's evaluation compares the
 *relative* error of five distributed algorithms on image classification.
 What matters for the reproduction is a task that (a) a small CNN/MLP can
 learn well but not trivially, (b) has enough intra-class variation that

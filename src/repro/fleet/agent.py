@@ -61,6 +61,11 @@ HEARTBEAT_INTERVAL = 2.0
 #: a scheduler host that vanished without FIN) before abandoning it
 SESSION_SILENCE_FACTOR = 5.0
 
+#: seconds a newcomer waits for the session slot before it is told ``busy``:
+#: a scheduler that has just hung up is still being torn down on its session
+#: thread, and the same driver's next campaign must not lose that race
+SESSION_HANDOFF_GRACE = 0.5
+
 
 class FleetAgent:
     """One job-running daemon; embeddable (tests) or CLI-run (deployment)."""
@@ -182,7 +187,7 @@ class FleetAgent:
             ).start()
 
     def _handle_conn(self, conn: FrameConnection, peer) -> None:
-        if not self._session_lock.acquire(blocking=False):
+        if not self._session_lock.acquire(timeout=SESSION_HANDOFF_GRACE):
             # a scheduler is already attached; don't leave the newcomer
             # hanging in the backlog wondering if we are dead
             try:

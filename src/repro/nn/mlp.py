@@ -3,7 +3,7 @@
 The benches that sweep 5 algorithms x 3 worker counts x 2 BN modes use an
 MLP (optionally with BatchNorm1d, so Async-BN is still exercised) because a
 scaled ResNet would take hours in pure NumPy; the examples also run the
-ResNets directly.  See DESIGN.md's substitution table.
+ResNets directly.
 """
 
 from __future__ import annotations

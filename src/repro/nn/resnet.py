@@ -3,7 +3,7 @@
 The paper trains ResNet-18 on CIFAR-10 and ResNet-50(V2) on ImageNet.  We
 implement faithful BasicBlock / Bottleneck residual architectures with a
 ``base_width`` scale knob so the same topology runs at laptop scale in pure
-NumPy (see DESIGN.md substitution table).  ``resnet18()`` / ``resnet50()``
+NumPy.  ``resnet18()`` / ``resnet50()``
 give the paper's depths; ``resnet_tiny()`` is the narrow variant used by
 fast tests and the example scripts.
 

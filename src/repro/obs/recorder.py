@@ -43,6 +43,36 @@ from repro.obs.events import TRACE_VERSION, TraceRecord, decode_record, encode_r
 DEFAULT_MAX_RECORDS = 200_000
 
 
+#: Timer section -> the span phase that measures the same interval.  Every
+#: driver of the worker cycle both times ``worker-compute`` and emits
+#: ``compute`` spans; attribution counts the interval once, from the spans.
+TIMER_SECTION_SPAN_PHASE = {"worker-compute": "compute"}
+
+
+def phase_totals_ms(
+    records: Iterable[TraceRecord], timer_totals: Dict[str, Dict[str, float]]
+) -> Dict[str, float]:
+    """Per-phase time attribution: span ``dur_ms`` totals + Timer totals.
+
+    Trace spans (compute/encode/wire, from the worker cycle) and Timer
+    sections (loss-pred/step-pred, from the server) merge into one
+    mapping.  A Timer section whose interval a recorded span phase covers
+    (:data:`TIMER_SECTION_SPAN_PHASE`) is skipped, so cost appears exactly
+    once; it still counts when the trace carries no such spans.
+    """
+    totals: Dict[str, float] = {}
+    for record in records:
+        if record.kind == "span":
+            phase = str(record.fields["phase"])
+            totals[phase] = totals.get(phase, 0.0) + float(record.fields["dur_ms"])
+    spanned = set(totals)
+    for name, entry in timer_totals.items():
+        if TIMER_SECTION_SPAN_PHASE.get(name) in spanned:
+            continue
+        totals[name] = totals.get(name, 0.0) + float(entry.get("total_s", 0.0)) * 1e3
+    return totals
+
+
 class NullRecorder:
     """The ``obs off`` recorder: every operation is a no-op."""
 
@@ -163,23 +193,16 @@ class TraceRecorder:
     def phase_totals_ms(
         self, records: Optional[List[TraceRecord]] = None
     ) -> Dict[str, float]:
-        """Per-phase time attribution: span dur_ms totals + Timer totals.
+        """:func:`phase_totals_ms` over this recorder's events and Timer totals.
 
-        Trace spans (compute/encode/wire/decode/apply, from instrumented
-        sites) and Timer sections (loss-pred/step-pred/worker-compute)
-        merge into one mapping — a phase measured by both systems is summed
-        from whichever recorded it, so cost appears exactly once.  Pass a
-        pre-decoded snapshot via ``records`` to avoid a second decode pass.
+        Pass a pre-decoded snapshot via ``records`` to avoid a second decode
+        pass.
         """
-        totals: Dict[str, float] = {}
-        for record in self.records() if records is None else records:
-            if record.kind == "span":
-                phase = str(record.fields["phase"])
-                totals[phase] = totals.get(phase, 0.0) + float(record.fields["dur_ms"])
         with self._lock:
-            for name, entry in self._timer_totals.items():
-                totals[name] = totals.get(name, 0.0) + entry.get("total_s", 0.0) * 1e3
-        return totals
+            timer_totals = dict(self._timer_totals)
+        return phase_totals_ms(
+            self.records() if records is None else records, timer_totals
+        )
 
     def staleness_values(self) -> List[float]:
         """Every recorded staleness sample, in emission order."""

@@ -29,8 +29,12 @@ ways from one experiment specification:
   :class:`CommStats` byte accounting, the zero-copy socket framing, and
   the pluggable gradient codecs (raw32/fp16/topk) every byte-moving
   backend negotiates via ``TrainingConfig.comm_codec``.
-* :mod:`repro.runtime.server_actor` — the Algorithm-2 dispatch loop both
-  concurrent backends share.
+* :mod:`repro.runtime.cycle` — Algorithm 1's worker cycle and Algorithm
+  2's per-message dispatch, each written once; sim, thread and proc are
+  drivers over them.
+* :mod:`repro.runtime.server_actor` — the server actor loop both
+  concurrent backends share (inbox draining, evaluation cadence, the
+  done/Shutdown protocol).
 
 Quickstart::
 

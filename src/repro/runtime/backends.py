@@ -51,10 +51,10 @@ class ExecutionBackend:
 class SimBackend(ExecutionBackend):
     """The virtual-time event-loop executor, wrapped as a backend.
 
-    Delegates to :class:`~repro.core.trainer.DistributedTrainer`, which owns
-    the event-scheduling flavor of the worker cycle.  Imported lazily to
-    keep ``repro.runtime`` importable without dragging in the trainer (and
-    to avoid a cycle: the trainer itself builds plans from this package).
+    Delegates to :class:`~repro.core.trainer.DistributedTrainer`, the sim
+    driver of the worker cycle.  Imported lazily to keep ``repro.runtime``
+    importable without dragging in the trainer (and to avoid a cycle: the
+    trainer itself builds plans from this package).
     """
 
     name = "sim"

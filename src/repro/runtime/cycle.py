@@ -1,0 +1,243 @@
+"""Algorithm 1's worker cycle and Algorithm 2's dispatch, each stated once.
+
+**The cycle** (:func:`worker_cycle`) is a generator that does the real
+mathematics of one pull -> forward -> [state push -> compensation] ->
+backward -> push round and *yields* everything that takes time or touches
+a link, so it never reads a transport and never sleeps:
+
+* ``(CALL, message, nbytes)`` — send ``message`` to the server and resume
+  with the server's reply;
+* ``(POST, message, nbytes)`` — send ``message``; resume once delivered;
+* ``(COMPUTE, seconds)`` — ``seconds`` of *virtual* work was just done;
+  resume with the duration the driver charged for it (the sampled value
+  itself under a virtual clock, measured wall seconds otherwise).
+
+The compensation round trip is the only branch: LC-ASGD calls with
+``state_m`` and waits for ``l_delay`` before backward; every other rule
+posts state and gradient fused and awaits nothing.
+
+**The dispatch** (:func:`dispatch`) maps one arrived message to the
+server handler, records the trace, and names the replies to send.
+
+Drivers decide what an effect costs.  The sim driver
+(:class:`~repro.core.trainer.DistributedTrainer`) turns effects into
+:class:`~repro.cluster.simulator.Simulator` events; :class:`BlockingDriver`
+runs them over blocking ``send``/``recv`` callables for worker threads
+(:mod:`~repro.runtime.thread_backend`) and worker processes
+(:mod:`~repro.runtime.proc_worker`); the server side of both is
+:func:`~repro.runtime.server_actor.server_actor_loop`.  The serverless
+AD-PSGD loop (:mod:`~repro.runtime.gossip_backend`) is the one run family
+with a different cycle.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Callable, Generator, Optional, Sequence, Tuple
+
+from repro.core.worker import DistributedWorker
+from repro.runtime.messages import (
+    CombinedPush,
+    CompensationMessage,
+    GradientPush,
+    Message,
+    PullReply,
+    PullRequest,
+    Shutdown,
+    StatePush,
+)
+from repro.runtime.session import REQUEST_BYTES, ExperimentSession
+
+CALL, POST, COMPUTE = "call", "post", "compute"
+
+#: ``(worker, reply, logical bytes)`` — one message the server owes a worker
+Reply = Tuple[int, Message, int]
+
+
+def worker_cycle(
+    worker: DistributedWorker, wiring, clock: Callable[[], float]
+) -> Generator[tuple, object, None]:
+    """One Algorithm-1 round for ``worker``, as effects for a driver.
+
+    ``wiring`` is the :class:`~repro.runtime.session.ExperimentPlan` or the
+    child-side :class:`~repro.runtime.session.WorkerRuntime` (both carry
+    ``config``/``compute``/``timer``/``recorder``/``requires_compensation``
+    and the byte budgets); ``clock`` is the driver's notion of now.
+    ``model_lock`` spans only the mutating math, never a wait — holding it
+    across the compensation wait would deadlock against an evaluating
+    server actor in local-BN mode.  Spans (``wire``/``compute``/``encode``)
+    are emitted on the driver's clock when the recorder is enabled.
+    """
+    m = worker.worker_id
+    config = wiring.config
+    compute = wiring.compute
+    timer = wiring.timer
+    recorder = wiring.recorder
+    obs = recorder.enabled
+
+    t0 = clock()
+    pulled = yield CALL, PullRequest(m, sent_at=t0), REQUEST_BYTES
+    now = clock()
+    if obs:
+        recorder.emit(now, "span", m, phase="wire", dur_ms=(now - t0) * 1e3)
+    worker.load_params(pulled.weights, pulled.version, now - pulled.request_sent_at)
+    del pulled
+
+    with worker.model_lock, timer.section("worker-compute"):
+        state = worker.forward()
+    spent = yield COMPUTE, compute.duration(m, fraction=1.0 / 3.0)
+    if obs:
+        recorder.emit(clock(), "span", m, phase="compute", dur_ms=spent * 1e3)
+
+    reply = None
+    compensated = wiring.requires_compensation
+    if compensated:
+        t0 = clock() if obs else 0.0
+        reply = (yield CALL, StatePush(m, state=state), wiring.state_bytes).reply
+        if obs:
+            now = clock()
+            recorder.emit(now, "span", m, phase="wire", dur_ms=(now - t0) * 1e3)
+
+    with worker.model_lock, timer.section("worker-compute"):
+        payload = worker.backward(
+            reply=reply, lc_lambda=config.lc_lambda, compensation=config.compensation
+        )
+    # the next state push's t_comp feature is what the driver charged
+    worker.last_t_comp = spent = yield COMPUTE, compute.duration(m, fraction=2.0 / 3.0)
+    if obs:
+        recorder.emit(clock(), "span", m, phase="compute", dur_ms=spent * 1e3)
+
+    if compensated:
+        push, nbytes = GradientPush(m, payload=payload), wiring.model_bytes
+    else:
+        push = CombinedPush(m, state=state, payload=payload)
+        nbytes = wiring.model_bytes + wiring.state_bytes
+    del state, payload
+    t0 = clock() if obs else 0.0
+    yield POST, push, nbytes
+    if obs:
+        now = clock()
+        recorder.emit(now, "span", m, phase="encode", dur_ms=(now - t0) * 1e3)
+
+
+def dispatch(session: ExperimentSession, message: Message, now: float) -> Sequence[Reply]:
+    """Algorithm 2 for one arrived ``message``; returns the replies owed.
+
+    A pull is answered with the weights (or nothing while the SSGD barrier
+    holds it), a state push with the compensation, and a gradient with the
+    pull replies its barrier round released, if any.
+    """
+    plan = session.plan
+    server = plan.server
+    m = message.worker
+    kind = type(message)
+    if kind is PullRequest:
+        weights = server.handle_pull(m, request_time=message.sent_at)
+        session.trace.record(now, "pull", m, version=server.version)
+        if weights is None:
+            return ()
+        return [(m, _pull_reply(server, m, weights, message.sent_at), plan.model_bytes)]
+    if kind is StatePush:
+        reply = server.handle_state(message.state)
+        session.trace.record(
+            now, "state", m, version=server.version, value=message.state.loss
+        )
+        return [(m, CompensationMessage(m, reply=reply), REQUEST_BYTES)]
+    if kind is CombinedPush:
+        advanced, staleness = server.handle_combined(message.state, message.payload)
+    elif kind is GradientPush:
+        session.trace.record(now, "gradient", m, version=server.version)
+        advanced, staleness = server.handle_gradient(message.payload)
+    else:
+        raise TypeError(f"server received {kind.__name__}")
+    session.record_update(now, m, staleness, message.payload.loss)
+    if not advanced:
+        return ()
+    return [
+        (w, _pull_reply(server, w, server.params.copy(), sent_at), plan.model_bytes)
+        for w, sent_at in server.drain_pending_pulls()
+    ]
+
+
+def _pull_reply(server, worker: int, weights, sent_at: float) -> PullReply:
+    return PullReply(
+        worker, weights=weights, version=server.pull_versions[worker], request_sent_at=sent_at
+    )
+
+
+class BlockingDriver:
+    """Runs one worker's cycles over blocking ``send`` / ``recv`` callables.
+
+    ``send(message, nbytes)`` delivers to the server (sleeping out any
+    emulated uplink itself) and ``recv()`` blocks for the next message to
+    this worker.  With a ``clock`` the driver is free-running: compute
+    effects sleep ``compute_scale`` real seconds per virtual second and
+    are answered with the wall seconds since the cycle last resumed (the
+    real math plus that sleep).  With ``clock=None`` it is deterministic:
+    a per-worker virtual clock advances by each sampled compute duration
+    and each link leg's modelled transfer time, nothing sleeps, and two
+    runs see identical timing features.
+    """
+
+    def __init__(
+        self,
+        worker: DistributedWorker,
+        wiring,
+        send: Callable[[Message, int], None],
+        recv: Callable[[], Message],
+        clock: Optional[Callable[[], float]] = None,
+        compute_scale: float = 0.0,
+    ) -> None:
+        self.worker = worker
+        self.wiring = wiring
+        self.send = send
+        self.recv = recv
+        self.virtual = clock is None
+        self.clock = self._virtual_now if clock is None else clock
+        self.compute_scale = float(compute_scale)
+        self._vnow = 0.0
+
+    def _virtual_now(self) -> float:
+        return self._vnow
+
+    def _link(self, nbytes: int) -> None:
+        """One link leg: only the virtual clock is charged here (a real
+        uplink is slept out by ``send``, a real downlink by ``recv``)."""
+        if self.virtual:
+            self._vnow += self.wiring.network.transfer_time(self.worker.worker_id, nbytes)
+
+    def _computed(self, seconds: float, resumed: float) -> float:
+        """What ``seconds`` of virtual work cost on this driver's clock."""
+        if self.virtual:
+            self._vnow += seconds
+            return seconds
+        if self.compute_scale > 0:
+            time.sleep(self.compute_scale * seconds)
+        return time.perf_counter() - resumed
+
+    def run_cycle(self) -> bool:
+        """One full cycle; False when a Shutdown ended it mid-way."""
+        cycle = worker_cycle(self.worker, self.wiring, self.clock)
+        answer: object = None
+        resumed = time.perf_counter()
+        while True:
+            try:
+                effect = cycle.send(answer)
+            except StopIteration:
+                return True
+            if effect[0] is COMPUTE:
+                answer = self._computed(effect[1], resumed)
+            else:
+                kind, message, nbytes = effect
+                self.send(message, nbytes)
+                self._link(nbytes)
+                answer = None
+                if kind is CALL:
+                    answer = self.recv()
+                    if isinstance(answer, Shutdown):
+                        cycle.close()
+                        return False
+                    self._link(
+                        self.wiring.model_bytes if type(answer) is PullReply else REQUEST_BYTES
+                    )
+            resumed = time.perf_counter()

@@ -52,7 +52,7 @@ from repro.nn.module import get_flat_params, set_flat_params
 from repro.nn.norm import bn_layers, load_bn_running_stats
 from repro.obs.recorder import NULL_RECORDER
 from repro.runtime.messages import GossipReport, Shutdown, WeightExchange
-from repro.runtime.server_actor import RunControl
+from repro.runtime.server_actor import RunControl, run_actor_threads
 from repro.runtime.session import REQUEST_BYTES, ExperimentPlan, ExperimentSession
 from repro.runtime.transport import CommStats, GossipTransport
 from repro.utils.logging import get_logger
@@ -245,22 +245,11 @@ class GossipBackend:
                 clocks[m] += duration
                 server.batches_processed += 1
                 server.version += 1
-                staleness = gossip_staleness(steps[m], last_avg[m])
-                session.trace.record(
-                    clocks[m],
-                    "update",
-                    m,
-                    version=server.version,
-                    staleness=staleness,
-                    value=payload.loss,
-                )
                 # virtual-time events only in sim mode: the trace stays
                 # bit-reproducible run to run
-                if plan.recorder.enabled and staleness >= 0:
-                    plan.recorder.emit(
-                        clocks[m], "staleness", m,
-                        value=float(int(staleness)), version=server.version,
-                    )
+                session.record_update(
+                    clocks[m], m, gossip_staleness(steps[m], last_avg[m]), payload.loss
+                )
                 session.maybe_evaluate(max(clocks))
 
             # gossip: a conflict-free matching over the topology
@@ -338,25 +327,19 @@ class GossipBackend:
             for m in range(n)
         ]
 
-        ctl.start_clock()
-        coordinator.start()
-        for t in workers:
-            t.start()
+        def wake_workers() -> None:
+            board.shutdown()
+            transport.wake_all_workers(Shutdown())
 
-        if not ctl.done.wait(timeout=self.timeout):
-            ctl.fail(RuntimeError(f"gossip backend exceeded timeout={self.timeout}s"))
-        board.shutdown()
-        transport.wake_all_workers(Shutdown())
-        for t in workers:
-            t.join(timeout=30.0)
-        transport.coordinator_inbox.put(Shutdown())
-        coordinator.join(timeout=30.0)
-        elapsed = ctl.clock()
-
-        ctl.raise_if_failed()
-        stuck = [t.name for t in (*workers, coordinator) if t.is_alive()]
-        if stuck:
-            raise RuntimeError(f"gossip backend failed to join threads: {stuck}")
+        elapsed = run_actor_threads(
+            ctl,
+            coordinator,
+            transport.coordinator_inbox,
+            workers,
+            wake_workers=wake_workers,
+            timeout=self.timeout,
+            name="gossip",
+        )
 
         session.ensure_final_eval(elapsed)
         logger.info(
@@ -392,19 +375,7 @@ class GossipBackend:
                 now = ctl.clock()
                 server.batches_processed += 1
                 server.version += 1
-                session.trace.record(
-                    now,
-                    "update",
-                    msg.worker,
-                    version=server.version,
-                    staleness=msg.staleness,
-                    value=msg.loss,
-                )
-                if plan.recorder.enabled and msg.staleness >= 0:
-                    plan.recorder.emit(
-                        now, "staleness", msg.worker,
-                        value=float(int(msg.staleness)), version=server.version,
-                    )
+                session.record_update(now, msg.worker, msg.staleness, msg.loss)
                 session.maybe_evaluate(now)
                 if server.batches_processed >= plan.total_updates:
                     ctl.done.set()

@@ -1,15 +1,16 @@
-"""Typed message envelopes exchanged over a runtime Transport.
+"""Typed message envelopes: the protocol every backend speaks.
 
-These mirror the seven arrows of the worker cycle documented in
-:mod:`repro.core.trainer`: pull request, pull reply (weights down),
-``state_m`` push, compensation reply, gradient push — plus the fused
-state+gradient arrival the non-LC algorithms use, and a Shutdown sentinel
-that wakes any thread blocked on a mailbox.
+:func:`repro.runtime.cycle.worker_cycle` is the one place the worker-side
+envelopes are built and :func:`repro.runtime.cycle.dispatch` the one place
+the server answers them, so the simulator, the thread runtime and the proc
+runtime exchange exactly these types.  Beside the cycle's messages there
+are shutdown-time sidebands (BN statistics, trace rows), the gossip
+runtime's peer messages, and a Shutdown sentinel that wakes any thread
+blocked on a mailbox.
 
 Envelope fields carry only what crosses the wire; the mathematics stays in
 :class:`~repro.core.state.WorkerState` / :class:`~repro.core.state.
-GradientPayload` / :class:`~repro.core.state.CompensationReply`, shared
-verbatim with the simulator so both backends speak one protocol.
+GradientPayload` / :class:`~repro.core.state.CompensationReply`.
 """
 
 from __future__ import annotations

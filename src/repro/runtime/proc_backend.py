@@ -61,7 +61,7 @@ from repro.obs.recorder import NULL_RECORDER
 from repro.runtime.messages import BnStatsPush, Message, Shutdown, TracePush
 from repro.runtime.server_actor import RunControl, server_actor_loop
 from repro.runtime.session import ExperimentPlan, ExperimentSession
-from repro.runtime.transport import CommStats, Mailbox
+from repro.runtime.transport import CommStats, Mailbox, link_delay
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
     ControlFrame,
@@ -188,12 +188,6 @@ class SocketTransport:
                 self.on_worker_failure(worker, exc)
 
     # ------------------------------------------------------------------ #
-    def _link_delay(self, worker: int, nbytes: int) -> float:
-        """Real seconds of emulated link occupancy for this message."""
-        if self.network is None or self.time_scale == 0.0 or nbytes <= 0:
-            return 0.0
-        return self.time_scale * self.network.transfer_time(worker, nbytes)
-
     def to_server(self, worker: int, message: Message, nbytes: int = 0) -> None:
         """Worker -> server send; the emulated uplink delays the caller.
 
@@ -201,7 +195,7 @@ class SocketTransport:
         live worker traffic arrives through the reader threads, with the
         uplink delay slept in the child (same contract, other process).
         """
-        delay = self._link_delay(worker, nbytes)
+        delay = link_delay(self.network, self.time_scale, worker, nbytes)
         if delay > 0:
             time.sleep(delay)
         self.stats.count(worker, nbytes)
@@ -212,7 +206,7 @@ class SocketTransport:
         conn = self._conns[worker]
         if conn is None:
             raise RuntimeError(f"worker {worker} is not attached")
-        delay = self._link_delay(worker, nbytes)
+        delay = link_delay(self.network, self.time_scale, worker, nbytes)
         with self._send_locks[worker]:
             wire_nbytes = conn.send_message(message, delay=delay, nbytes=nbytes)
         self.stats.count(worker, nbytes, wire_nbytes)

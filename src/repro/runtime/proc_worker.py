@@ -12,10 +12,10 @@ never by hand.  The child:
    WorkerRuntime` — initialization is re-derived from the seed, so only
    weights travel over the wire after this point — and arms the
    negotiated gradient codec (``comm_codec``) on its uplink;
-3. runs the paper's cycle — pull -> forward -> state push ->
-   [compensation reply] -> backward -> push — free-running against the
-   parent's server actor, sleeping out emulated uplink (``time_scale``)
-   and compute (``compute_scale``) delays locally;
+3. drives the one worker cycle (:func:`repro.runtime.cycle.worker_cycle`,
+   through a :class:`~repro.runtime.cycle.BlockingDriver`) free-running
+   against the parent's server actor, sleeping out emulated uplink
+   (``time_scale``) and compute (``compute_scale``) delays locally;
 4. exits 0 on :class:`~repro.runtime.messages.Shutdown` (or on parent
    EOF — an orphaned child never lingers), nonzero on any failure.
    Under ``bn_mode="local"`` worker 0 first streams its BN running
@@ -40,21 +40,13 @@ from typing import List, Optional
 
 from repro.core.config import TrainingConfig
 from repro.nn.norm import bn_layers
-from repro.obs.recorder import NULL_RECORDER, make_recorder
+from repro.obs.recorder import make_recorder
 from repro.runtime.codecs import make_codec
+from repro.runtime.cycle import BlockingDriver
 from repro.runtime.proc_backend import TOKEN_ENV
-from repro.runtime.messages import (
-    BnStatsPush,
-    CombinedPush,
-    GradientPush,
-    Message,
-    PullRequest,
-    Shutdown,
-    StatePush,
-    TracePush,
-)
-from repro.runtime.session import REQUEST_BYTES, WorkerRuntime
-from repro.runtime.transport import Mailbox
+from repro.runtime.messages import BnStatsPush, Message, Shutdown, TracePush
+from repro.runtime.session import WorkerRuntime
+from repro.runtime.transport import Mailbox, link_delay
 from repro.runtime.wire import (
     PROTOCOL_VERSION,
     ConnectionClosed,
@@ -120,103 +112,36 @@ class WorkerChannel:
         so the parent's :class:`~repro.runtime.transport.CommStats` charges
         logical and wire bytes from the same receive.
         """
-        if self.network is not None and self.time_scale > 0 and nbytes > 0:
-            time.sleep(self.time_scale * self.network.transfer_time(self.worker_id, nbytes))
+        delay = link_delay(self.network, self.time_scale, self.worker_id, nbytes)
+        if delay > 0:
+            time.sleep(delay)
         self._conn.send_message(message, nbytes=nbytes)
 
 
-def run_worker(
-    channel: WorkerChannel,
-    runtime: WorkerRuntime,
-    compute_scale: float,
-    recorder=NULL_RECORDER,
-) -> None:
-    """The paper's cycle, free-running until the server says Shutdown.
+def run_worker(channel: WorkerChannel, runtime: WorkerRuntime, compute_scale: float) -> None:
+    """Drive the worker cycle free-running until the server says Shutdown.
 
-    With an obs recorder attached, each cycle emits per-phase ``span``
-    events — wire (pull/compensation waits), compute (forward/backward),
-    encode (uplink serialization + send) — on the child's own clock
-    (seconds since its first cycle).  Span *durations* are what the
-    parent-side attribution sums, so the clock skew between parent and
-    child timebases never matters.
+    The clock is the child's own (seconds since its first cycle): with an
+    obs recorder on ``runtime``, span *durations* are what the parent-side
+    attribution sums, so the skew between parent and child timebases never
+    matters.
     """
-    m = runtime.worker_id
-    worker = runtime.worker
-    config = runtime.config
-    crash_after = _crash_after(m)
+    crash_after = _crash_after(runtime.worker_id)
     start = time.perf_counter()
-    obs = recorder.enabled
-
-    def now() -> float:
-        return time.perf_counter() - start
-
+    driver = BlockingDriver(
+        runtime.worker,
+        runtime,
+        send=channel.to_server,
+        recv=channel.inbox.get,
+        clock=lambda: time.perf_counter() - start,
+        compute_scale=compute_scale,
+    )
     cycles = 0
     while True:
         if crash_after is not None and cycles >= crash_after:
             os._exit(EXIT_CRASH_INJECTED)  # simulate a SIGKILLed/crashed node
-        t0 = now()
-        channel.to_server(PullRequest(m, sent_at=t0), nbytes=REQUEST_BYTES)
-        msg = channel.inbox.get()
-        if isinstance(msg, Shutdown):
+        if not driver.run_cycle():
             return
-        if obs:
-            recorder.emit(now(), "span", m, phase="wire", dur_ms=(now() - t0) * 1e3)
-        # virtual durations drive emulation sleeps only; features are real
-        dur_fwd = runtime.compute.duration(m, fraction=1.0 / 3.0)
-        dur_bwd = runtime.compute.duration(m, fraction=2.0 / 3.0)
-        t_comm = now() - msg.request_sent_at
-        worker.load_params(msg.weights, msg.version, t_comm)
-
-        fwd_start = now()
-        state = worker.forward()
-        if compute_scale > 0:
-            time.sleep(compute_scale * dur_fwd)
-        if obs:
-            recorder.emit(
-                now(), "span", m, phase="compute", dur_ms=(now() - fwd_start) * 1e3
-            )
-
-        reply = None
-        if runtime.requires_compensation:
-            t0 = now()
-            channel.to_server(StatePush(m, state=state), nbytes=runtime.state_bytes)
-            msg = channel.inbox.get()
-            if isinstance(msg, Shutdown):
-                return
-            reply = msg.reply
-            if obs:
-                recorder.emit(
-                    now(), "span", m, phase="wire", dur_ms=(now() - t0) * 1e3
-                )
-
-        bwd_start = time.perf_counter()
-        payload = worker.backward(
-            reply=reply,
-            lc_lambda=config.lc_lambda,
-            compensation=config.compensation,
-            t_comp=0.0,
-        )
-        if compute_scale > 0:
-            time.sleep(compute_scale * dur_bwd)
-        worker.last_t_comp = time.perf_counter() - bwd_start
-        if obs:
-            recorder.emit(
-                now(), "span", m, phase="compute",
-                dur_ms=(time.perf_counter() - bwd_start) * 1e3,
-            )
-
-        push_start = now()
-        if runtime.requires_compensation:
-            channel.to_server(GradientPush(m, payload=payload), nbytes=runtime.model_bytes)
-        else:
-            channel.to_server(
-                CombinedPush(m, state=state, payload=payload),
-                nbytes=runtime.model_bytes + runtime.state_bytes,
-            )
-        if obs:
-            recorder.emit(
-                now(), "span", m, phase="encode", dur_ms=(now() - push_start) * 1e3
-            )
         cycles += 1
 
 
@@ -323,7 +248,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         time_scale = float(body.get("time_scale", 0.0))
         compute_scale = float(body.get("compute_scale", 0.0))
-        recorder = make_recorder(
+        runtime.recorder = recorder = make_recorder(
             bool(body.get("obs", False)), run_id=f"proc-worker-{worker_id}"
         )
         channel = WorkerChannel(
@@ -332,7 +257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             network=runtime.network if time_scale > 0 else None,
             time_scale=time_scale,
         )
-        run_worker(channel, runtime, compute_scale, recorder=recorder)
+        run_worker(channel, runtime, compute_scale)
         _stream_local_bn_stats(conn, runtime)
         _stream_trace(conn, worker_id, recorder)
         return 0

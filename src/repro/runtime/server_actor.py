@@ -1,31 +1,29 @@
-"""The server actor loop shared by every concurrent backend.
+"""The server actor: the concurrent backends' driver of Algorithm 2.
 
 One thread owns the :class:`~repro.core.server.ParameterServer` and is the
 only thread that ever calls its handlers — the math needs no locks because
-the actor loop serializes every message.  The loop is transport-agnostic:
-anything exposing the :class:`~repro.runtime.transport.InProcTransport`
-surface (``server_inbox`` / ``to_worker`` / ``wake_all_workers``) can feed
-it, which is how the thread backend (in-process mailboxes) and the proc
-backend (real sockets) execute the identical Algorithm-2 dispatch.
+the actor loop serializes every message.  What each message *means* is
+:func:`repro.runtime.cycle.dispatch`, shared with the simulator; this
+module keeps what is particular to a real, concurrent run: draining the
+inbox, the queue-depth gauge, the evaluation cadence, and the
+done/Shutdown protocol (:class:`RunControl`, :func:`run_actor_threads`).
+The loop is transport-agnostic: anything exposing the
+:class:`~repro.runtime.transport.InProcTransport` surface
+(``server_inbox`` / ``to_worker`` / ``wake_all_workers``) can feed it —
+in-process mailboxes for the thread backend, sockets for proc.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from repro.analysis.lockorder import make_lock
-from repro.runtime.messages import (
-    CombinedPush,
-    CompensationMessage,
-    GradientPush,
-    PullReply,
-    PullRequest,
-    Shutdown,
-    StatePush,
-)
-from repro.runtime.session import REQUEST_BYTES, ExperimentSession
+from repro.runtime.cycle import dispatch
+from repro.runtime.messages import Shutdown
+from repro.runtime.session import ExperimentSession
+from repro.runtime.transport import Mailbox
 
 
 class RunControl:
@@ -68,8 +66,48 @@ class RunControl:
             raise error.with_traceback(error.__traceback__)
 
 
+def run_actor_threads(
+    ctl: RunControl,
+    hub: threading.Thread,
+    hub_inbox: Mailbox,
+    workers: Sequence[threading.Thread],
+    wake_workers: Callable[[], None],
+    timeout: float,
+    name: str,
+) -> float:
+    """Run one hub actor plus its worker threads to completion.
+
+    Starts the clock and every thread, waits for ``ctl.done`` (failing the
+    run after ``timeout`` real seconds), wakes and joins the workers, then
+    shuts the hub down through its inbox.  The first recorded failure is
+    re-raised; a thread that would not join is an error.  Returns the
+    elapsed run seconds.
+    """
+    ctl.start_clock()
+    hub.start()
+    for t in workers:
+        t.start()
+
+    if not ctl.done.wait(timeout=timeout):
+        ctl.fail(RuntimeError(f"{name} backend exceeded timeout={timeout}s"))
+    # wake any worker still blocked on its mailbox (normal completion
+    # already sent Shutdowns; duplicates are harmless)
+    wake_workers()
+    for t in workers:
+        t.join(timeout=30.0)
+    hub_inbox.put(Shutdown())
+    hub.join(timeout=30.0)
+    elapsed = ctl.clock()
+
+    ctl.raise_if_failed()
+    stuck = [t.name for t in (*workers, hub) if t.is_alive()]
+    if stuck:
+        raise RuntimeError(f"{name} backend failed to join threads: {stuck}")
+    return elapsed
+
+
 def server_actor_loop(session: ExperimentSession, transport, ctl: RunControl) -> None:
-    """Drain the server inbox, dispatching Algorithm 2 until Shutdown.
+    """Drain the server inbox through the shared dispatch until Shutdown.
 
     ``transport`` is anything with the InProcTransport surface.  Failures
     propagate to the backend through ``ctl``; workers are woken so nobody
@@ -77,11 +115,11 @@ def server_actor_loop(session: ExperimentSession, transport, ctl: RunControl) ->
     """
     plan = session.plan
     server = plan.server
-    trace = session.trace
     recorder = plan.recorder
+    inbox = transport.server_inbox
     try:
         while True:
-            msg = transport.server_inbox.get()
+            msg = inbox.get()
             if isinstance(msg, Shutdown):
                 return
             if ctl.done.is_set():
@@ -90,63 +128,16 @@ def server_actor_loop(session: ExperimentSession, transport, ctl: RunControl) ->
             if recorder.enabled:
                 recorder.emit(
                     now, "queue_depth", msg.worker,
-                    queue="server_inbox", depth=transport.server_inbox.approx_len(),
+                    queue="server_inbox", depth=inbox.approx_len(),
                 )
-            if isinstance(msg, PullRequest):
-                weights = server.handle_pull(msg.worker, request_time=msg.sent_at)
-                trace.record(now, "pull", msg.worker, version=server.version)
-                if weights is not None:  # None: queued behind the SSGD barrier
-                    transport.to_worker(
-                        msg.worker,
-                        PullReply(
-                            msg.worker,
-                            weights=weights,
-                            version=server.pull_versions[msg.worker],
-                            request_sent_at=msg.sent_at,
-                        ),
-                        nbytes=plan.model_bytes,
-                    )
-            elif isinstance(msg, StatePush):
-                reply = server.handle_state(msg.state)
-                trace.record(now, "state", msg.worker, version=server.version, value=msg.state.loss)
-                transport.to_worker(
-                    msg.worker, CompensationMessage(msg.worker, reply=reply), nbytes=REQUEST_BYTES
-                )
-            elif isinstance(msg, (GradientPush, CombinedPush)):
-                if isinstance(msg, CombinedPush):
-                    advanced, staleness = server.handle_combined(msg.state, msg.payload)
-                else:
-                    trace.record(now, "gradient", msg.worker, version=server.version)
-                    advanced, staleness = server.handle_gradient(msg.payload)
-                trace.record(
-                    now, "update", msg.worker,
-                    version=server.version, staleness=staleness, value=msg.payload.loss,
-                )
-                # same site, same value as the ClusterTrace update event, so
-                # the trace's staleness histogram matches RunResult.staleness
-                if recorder.enabled and staleness >= 0:
-                    recorder.emit(
-                        now, "staleness", msg.worker,
-                        value=float(int(staleness)), version=server.version,
-                    )
-                if advanced:
-                    for worker_id, t0 in server.drain_pending_pulls():
-                        transport.to_worker(
-                            worker_id,
-                            PullReply(
-                                worker_id,
-                                weights=server.params.copy(),
-                                version=server.pull_versions[worker_id],
-                                request_sent_at=t0,
-                            ),
-                            nbytes=plan.model_bytes,
-                        )
+            applied = server.batches_processed
+            for worker, reply, nbytes in dispatch(session, msg, now):
+                transport.to_worker(worker, reply, nbytes=nbytes)
+            if server.batches_processed != applied:
                 session.maybe_evaluate(ctl.clock())
                 if server.batches_processed >= plan.total_updates:
                     ctl.done.set()
                     transport.wake_all_workers(Shutdown())
-            else:
-                raise TypeError(f"server actor received {type(msg).__name__}")
     except BaseException as exc:  # propagate to the caller via ctl
         ctl.fail(exc)
         transport.wake_all_workers(Shutdown())

@@ -174,6 +174,11 @@ class ExperimentPlan:
     #: execution wiring, not run identity, so it never enters spec keys.
     recorder: object = field(default=NULL_RECORDER, compare=False)
 
+    @property
+    def requires_compensation(self) -> bool:
+        """Whether the rule runs the state push -> compensation round trip."""
+        return self.server.rule.requires_compensation
+
     @classmethod
     def from_config(
         cls, config: TrainingConfig, build_workers: bool = True
@@ -297,6 +302,10 @@ class WorkerRuntime:
     state_bytes: int
     #: whether the algorithm runs the state push -> compensation round trip
     requires_compensation: bool
+    #: the child's own ``worker-compute`` sections and trace sink — the
+    #: same two names the cycle reads off an :class:`ExperimentPlan`
+    timer: Timer = field(default_factory=Timer, compare=False)
+    recorder: object = field(default=NULL_RECORDER, compare=False)
 
     @classmethod
     def from_config(cls, config: TrainingConfig, worker_id: int) -> "WorkerRuntime":
@@ -383,6 +392,25 @@ class ExperimentSession:
                 source_layers = bn_layers(plan.workers[0].model)
                 stats = [(l.running_mean.copy(), l.running_var.copy()) for l in source_layers]
             load_bn_running_stats(plan.eval_model, stats)
+
+    def record_update(self, now: float, worker: int, staleness: int, loss: float) -> None:
+        """The one place an applied gradient enters both trace streams.
+
+        The ``ClusterTrace`` ``"update"`` event feeds ``RunResult.staleness``
+        and the recorder's ``"staleness"`` event feeds the obs histogram;
+        writing both here is what keeps the two equal.  ``now`` is the
+        backend's clock — virtual seconds under the simulator, which is
+        what keeps sim traces bit-reproducible.
+        """
+        version = self.plan.server.version
+        self.trace.record(
+            now, "update", worker, version=version, staleness=staleness, value=loss
+        )
+        recorder = self.plan.recorder
+        if recorder.enabled and staleness >= 0:
+            recorder.emit(
+                now, "staleness", worker, value=float(int(staleness)), version=version
+            )
 
     def evaluate(self, now: float) -> CurvePoint:
         """One evaluation snapshot stamped with the backend's clock."""

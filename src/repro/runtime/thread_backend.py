@@ -1,14 +1,12 @@
 """Real concurrent execution: a thread-based parameter-server runtime.
 
-Topology: one *server actor* thread owns the :class:`~repro.core.server.
-ParameterServer` and is the only thread that ever calls its handlers (the
-math needs no locks because the actor loop serializes every message), plus
-``M`` worker threads each running the paper's cycle —
-
-    pull -> forward -> state push -> [compensation reply] -> backward -> push
-
-over an :class:`~repro.runtime.transport.InProcTransport`.  Staleness here
-is *real*: it is however many gradients the server actor applied between a
+Topology: one *server actor* thread
+(:func:`~repro.runtime.server_actor.server_actor_loop`) owns the
+:class:`~repro.core.server.ParameterServer`, plus ``M`` worker threads each
+driving the one worker cycle (:func:`repro.runtime.cycle.worker_cycle`,
+through a :class:`~repro.runtime.cycle.BlockingDriver`) over an
+:class:`~repro.runtime.transport.InProcTransport`.  Staleness here is
+*real*: it is however many gradients the server actor applied between a
 worker's pull and its push, as decided by genuine thread interleaving (and,
 optionally, by emulated link/compute delays).
 
@@ -19,34 +17,26 @@ Two scheduling modes:
   the same seed will differ, exactly like a real cluster.
 * **deterministic** — a round-robin turnstile serializes worker cycles
   (worker ``m`` runs one full pull-to-push cycle, then hands the turn to
-  ``m+1``), and timing features are sampled from the plan's virtual
-  compute/network models instead of the clock.  Message order at the server
-  is then a pure function of the seed, so two runs produce bit-identical
-  parameters — this is what the parity and reproducibility tests rely on.
-  The cost is that the serialized schedule pins observed staleness to 0.
+  ``m+1``), and each worker's clock is virtual: it advances by the plan's
+  sampled compute durations and link transfer times, never by the wall
+  clock.  Message order at the server is then a pure function of the
+  seed, so two runs produce bit-identical parameters — this is what the
+  parity and reproducibility tests rely on.  The cost is that the
+  serialized schedule pins observed staleness to 0.
 """
 
 from __future__ import annotations
 
 import threading
-import time
+from functools import partial
 from typing import Optional
 
 from repro.analysis.lockorder import make_condition
 from repro.core.metrics import RunResult
-from repro.runtime.messages import (
-    CombinedPush,
-    GradientPush,
-    PullRequest,
-    Shutdown,
-    StatePush,
-)
-from repro.runtime.server_actor import RunControl, server_actor_loop
-from repro.runtime.session import (
-    REQUEST_BYTES,
-    ExperimentPlan,
-    ExperimentSession,
-)
+from repro.runtime.cycle import BlockingDriver
+from repro.runtime.messages import Shutdown
+from repro.runtime.server_actor import RunControl, run_actor_threads, server_actor_loop
+from repro.runtime.session import ExperimentPlan, ExperimentSession
 from repro.runtime.transport import InProcTransport
 from repro.utils.logging import get_logger
 
@@ -179,26 +169,15 @@ class ThreadBackend:
             for m in range(num_workers)
         ]
 
-        ctl.start_clock()
-        server_thread.start()
-        for t in worker_threads:
-            t.start()
-
-        if not ctl.done.wait(timeout=self.timeout):
-            ctl.fail(RuntimeError(f"thread backend exceeded timeout={self.timeout}s"))
-        # wake any worker still blocked on its mailbox (normal completion
-        # already sent Shutdowns; duplicates are harmless)
-        transport.wake_all_workers(Shutdown())
-        for t in worker_threads:
-            t.join(timeout=30.0)
-        transport.server_inbox.put(Shutdown())
-        server_thread.join(timeout=30.0)
-        elapsed = ctl.clock()
-
-        ctl.raise_if_failed()
-        stuck = [t.name for t in (*worker_threads, server_thread) if t.is_alive()]
-        if stuck:
-            raise RuntimeError(f"thread backend failed to join threads: {stuck}")
+        elapsed = run_actor_threads(
+            ctl,
+            server_thread,
+            transport.server_inbox,
+            worker_threads,
+            wake_workers=partial(transport.wake_all_workers, Shutdown()),
+            timeout=self.timeout,
+            name="thread",
+        )
 
         session.ensure_final_eval(elapsed)
         logger.info(
@@ -214,9 +193,6 @@ class ThreadBackend:
         )
 
     # ------------------------------------------------------------------ #
-    # worker threads (the server actor loop lives in runtime.server_actor,
-    # shared verbatim with the proc backend)
-    # ------------------------------------------------------------------ #
     def _worker_loop(
         self,
         m: int,
@@ -225,12 +201,21 @@ class ThreadBackend:
         ctl: RunControl,
         turnstile: Optional[RoundRobinTurnstile],
     ) -> None:
+        plan = session.plan
         try:
+            driver = BlockingDriver(
+                plan.workers[m],
+                plan,
+                send=partial(transport.to_server, m),
+                recv=transport.worker_inboxes[m].get,
+                clock=None if self.deterministic else ctl.clock,
+                compute_scale=self.compute_scale,
+            )
             while not ctl.done.is_set():
                 if turnstile is not None and not turnstile.acquire(m, ctl.done):
                     break
                 try:
-                    if ctl.done.is_set() or not self._one_cycle(m, session, transport, ctl):
+                    if ctl.done.is_set() or not driver.run_cycle():
                         break
                 finally:
                     if turnstile is not None:
@@ -240,77 +225,3 @@ class ThreadBackend:
         finally:
             if turnstile is not None:
                 turnstile.retire(m)
-
-    def _one_cycle(
-        self, m: int, session: ExperimentSession, transport: InProcTransport, ctl: RunControl
-    ) -> bool:
-        """One pull -> forward -> [state/comp] -> backward -> push cycle.
-
-        Returns False when a Shutdown arrived mid-cycle.
-        """
-        plan = session.plan
-        cfg = plan.config
-        worker = plan.workers[m]
-        inbox = transport.worker_inboxes[m]
-
-        t0 = ctl.clock()
-        transport.to_server(m, PullRequest(m, sent_at=t0), nbytes=REQUEST_BYTES)
-        msg = inbox.get()
-        if isinstance(msg, Shutdown):
-            return False
-
-        # Virtual durations: consumed in deterministic per-worker RNG order,
-        # used as predictor features in deterministic mode and as emulation
-        # sleep budgets in free-running mode.
-        dur_fwd = plan.compute.duration(m, fraction=1.0 / 3.0)
-        dur_bwd = plan.compute.duration(m, fraction=2.0 / 3.0)
-        if self.deterministic:
-            t_comm = plan.network.transfer_time(m, REQUEST_BYTES) + plan.network.transfer_time(
-                m, plan.model_bytes
-            )
-        else:
-            t_comm = ctl.clock() - msg.request_sent_at
-        worker.load_params(msg.weights, msg.version, t_comm)
-
-        # model_lock spans only the mutating math, never a mailbox wait
-        # (holding it across the compensation wait would deadlock against
-        # an evaluating server actor in local-BN mode)
-        with worker.model_lock, plan.timer.section("worker-compute"):
-            state = worker.forward()
-        self._emulate_compute(dur_fwd)
-
-        reply = None
-        if plan.server.rule.requires_compensation:
-            transport.to_server(m, StatePush(m, state=state), nbytes=plan.state_bytes)
-            msg = inbox.get()
-            if isinstance(msg, Shutdown):
-                return False
-            reply = msg.reply
-
-        bwd_start = time.perf_counter()
-        with worker.model_lock, plan.timer.section("worker-compute"):
-            payload = worker.backward(
-                reply=reply,
-                lc_lambda=cfg.lc_lambda,
-                compensation=cfg.compensation,
-                t_comp=0.0,
-            )
-        self._emulate_compute(dur_bwd)
-        worker.last_t_comp = (
-            dur_bwd if self.deterministic else time.perf_counter() - bwd_start
-        )
-
-        if plan.server.rule.requires_compensation:
-            transport.to_server(m, GradientPush(m, payload=payload), nbytes=plan.model_bytes)
-        else:
-            transport.to_server(
-                m,
-                CombinedPush(m, state=state, payload=payload),
-                nbytes=plan.model_bytes + plan.state_bytes,
-            )
-        return True
-
-    def _emulate_compute(self, virtual_seconds: float) -> None:
-        """Sleep out scaled virtual compute time (free-running mode only)."""
-        if self.compute_scale > 0:
-            time.sleep(self.compute_scale * virtual_seconds)

@@ -34,6 +34,15 @@ if TYPE_CHECKING:  # avoid a hard import cycle with repro.cluster.topology
     from repro.cluster.topology import TopologyModel
 
 
+def link_delay(
+    network: Optional[NetworkModel], time_scale: float, worker: int, nbytes: int
+) -> float:
+    """Real seconds of emulated link occupancy for one message."""
+    if network is None or time_scale == 0.0 or nbytes <= 0:
+        return 0.0
+    return time_scale * network.transfer_time(worker, nbytes)
+
+
 class CommStats:
     """Unified byte accounting shared by every transport.
 
@@ -208,12 +217,6 @@ class InProcTransport:
         return self.stats.summary()
 
     # ------------------------------------------------------------------ #
-    def _link_delay(self, worker: int, nbytes: int) -> float:
-        """Real seconds of emulated link occupancy for this message."""
-        if self.network is None or self.time_scale == 0.0 or nbytes <= 0:
-            return 0.0
-        return self.time_scale * self.network.transfer_time(worker, nbytes)
-
     def to_server(self, worker: int, message: Message, nbytes: int = 0) -> None:
         """Worker -> server send; the emulated uplink delays the caller."""
         wire = nbytes
@@ -231,7 +234,7 @@ class InProcTransport:
             )
         # a compressed message occupies the emulated uplink for its wire
         # footprint, not its logical one — that is the ablation's point
-        delay = self._link_delay(worker, wire)
+        delay = link_delay(self.network, self.time_scale, worker, wire)
         if delay > 0:
             time.sleep(delay)
         self.server_inbox.put(message)
@@ -253,7 +256,7 @@ class InProcTransport:
                 self.clock(), "wire_bytes", worker,
                 direction="down", logical=int(nbytes), wire=int(wire),
             )
-        delay = self._link_delay(worker, wire)
+        delay = link_delay(self.network, self.time_scale, worker, wire)
         not_before = time.monotonic() + delay if delay > 0 else 0.0
         self.worker_inboxes[worker].put(message, not_before=not_before)
 

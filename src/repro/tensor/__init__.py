@@ -1,7 +1,7 @@
 """A reverse-mode automatic-differentiation engine over NumPy arrays.
 
 This subpackage replaces the role PyTorch plays in the paper's original
-implementation (see DESIGN.md, substitution table).  It provides a
+implementation.  It provides a
 :class:`~repro.tensor.tensor.Tensor` type that records a dynamic computation
 graph and computes exact gradients via reverse-mode AD, plus the
 neural-network primitives (:mod:`repro.tensor.functional`) needed by

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import DistributedTrainer, TrainingConfig
 from repro.core.metrics import degradation
-from repro.core.trainer import build_dataset, build_model
+from repro.data.registry import build_dataset
+from repro.nn.registry import build_model
 
 
 @pytest.mark.parametrize("algorithm", ["sgd", "ssgd", "asgd", "dc-asgd", "lc-asgd"])

@@ -5,7 +5,7 @@ import pytest
 
 from repro import nn
 from repro.core.config import TrainingConfig
-from repro.core.trainer import build_model
+from repro.nn.registry import build_model
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 

@@ -104,3 +104,14 @@ def test_phase_totals_merge_spans_and_timer():
     assert totals["loss-pred"] == pytest.approx(4.0)
     recorder.emit(0.4, "staleness", 0, value=2.0, version=1)
     assert recorder.staleness_values() == [2.0]
+
+
+def test_phase_totals_count_a_spanned_timer_section_once():
+    recorder = TraceRecorder(run_id="once")
+    timer = {"worker-compute": {"total_s": 0.007, "count": 2}}
+    recorder.set_timer_totals(timer)
+    # no compute spans in the trace: the Timer section is all there is
+    assert recorder.phase_totals_ms() == {"worker-compute": pytest.approx(7.0)}
+    # with compute spans the same interval must not be added a second time
+    recorder.emit(0.1, "span", 0, phase="compute", dur_ms=6.5)
+    assert recorder.phase_totals_ms() == {"compute": pytest.approx(6.5)}

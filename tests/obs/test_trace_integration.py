@@ -60,6 +60,28 @@ def test_sim_trace_is_bit_reproducible(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
+# span parity: one worker cycle, so every driver emits the same phases
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "backend,options",
+    [("sim", {}), ("thread", {}), ("thread", {"deterministic": True})],
+)
+def test_every_driver_emits_compute_wire_and_encode_spans(tmp_path, backend, options):
+    cfg = TrainingConfig.tiny(algorithm="lc-asgd", num_workers=2, epochs=1, seed=2)
+    path = str(tmp_path / "run.jsonl")
+    result = run_experiment(cfg, backend=backend, obs=True, trace_path=path, **options)
+
+    _, records = load_trace(path)
+    phases = {r.fields["phase"] for r in records if r.kind == "span"}
+    assert {"compute", "wire", "encode"} <= phases
+    assert result.obs["spans_ms"]["compute"] > 0
+    # the compute interval is attributed once: from its spans, not again
+    # from the worker-compute Timer section covering the same math
+    assert "worker-compute" not in result.obs["spans_ms"]
+    assert result.timers["worker_compute_ms"] > 0
+
+
+# ---------------------------------------------------------------------- #
 # the reconstruction criterion (proc backend, real processes + sockets)
 # ---------------------------------------------------------------------- #
 def test_proc_trace_reconstructs_attribution_and_staleness(tmp_path):

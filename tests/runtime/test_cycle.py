@@ -1,0 +1,136 @@
+"""The worker cycle and the server dispatch exist once: structural guards.
+
+An AST walk over ``src/repro`` fails as soon as a second copy of
+Algorithm 1's cycle or Algorithm 2's dispatch appears beside
+:mod:`repro.runtime.cycle` — a second construction site for a protocol
+message, or a second caller of a server handler or of the worker's
+forward/backward.
+"""
+
+import ast
+import functools
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent
+
+
+@functools.lru_cache(maxsize=None)
+def _call_index():
+    """``{called name: {(file, enclosing function)}}`` over ``src/repro``."""
+    index = {}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text())
+        enclosing = {}
+        for node in ast.walk(tree):  # outermost first, so the innermost def wins
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for child in ast.walk(node):
+                    enclosing[child] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                index.setdefault(called, set()).add((rel, enclosing.get(node, "<module>")))
+    return index
+
+
+def _callers(name, exclude=()):
+    """``{(file, enclosing function)}`` of every call to ``name`` / ``x.name``.
+
+    ``exclude`` lists files and directories (relative to ``src/repro``)
+    that are not searched.
+    """
+    return {
+        (rel, function)
+        for rel, function in _call_index().get(name, ())
+        if not any(rel == skip or rel.startswith(skip + "/") for skip in exclude)
+    }
+
+
+@pytest.mark.parametrize("message", ["PullRequest", "StatePush", "GradientPush", "CombinedPush"])
+def test_each_protocol_message_is_constructed_at_one_site(message):
+    # wire.py is the decoder: it rebuilds messages that arrived as bytes
+    assert _callers(message, exclude=["runtime/wire.py"]) == {
+        ("runtime/cycle.py", "worker_cycle")
+    }
+
+
+@pytest.mark.parametrize(
+    "handler", ["handle_pull", "handle_state", "handle_gradient", "handle_combined"]
+)
+def test_each_server_handler_is_called_from_one_function(handler):
+    assert _callers(handler, exclude=["core/server.py"]) == {("runtime/cycle.py", "dispatch")}
+
+
+@pytest.mark.parametrize("step", ["forward", "backward"])
+def test_worker_forward_and_backward_are_called_from_one_function(step):
+    # nn/, tensor/ and the predictors call Module.forward / Tensor.backward,
+    # which share the method names; nothing there knows a DistributedWorker
+    # (gossip's fused ``forward_backward`` is a different name and stays)
+    not_worker_code = ["core/worker.py", "nn", "tensor", "core/predictors"]
+    assert _callers(step, exclude=not_worker_code) == {("runtime/cycle.py", "worker_cycle")}
+
+
+# ---------------------------------------------------------------------- #
+# the contract between the cycle, the dispatch and a driver
+# ---------------------------------------------------------------------- #
+def _drive_one_cycle(algorithm):
+    """A minimal driver: answer calls through the real dispatch, instantly."""
+    from repro.core import TrainingConfig
+    from repro.runtime import ExperimentPlan, ExperimentSession
+    from repro.runtime.cycle import CALL, COMPUTE, dispatch, worker_cycle
+
+    plan = ExperimentPlan.from_config(TrainingConfig.tiny(algorithm=algorithm, seed=1))
+    session = ExperimentSession(plan)
+    cycle = worker_cycle(plan.workers[0], plan, clock=lambda: 0.0)
+    seen, answer = [], None
+    while True:
+        try:
+            effect = cycle.send(answer)
+        except StopIteration:
+            return plan, session, seen
+        if effect[0] is COMPUTE:
+            seen.append(COMPUTE)
+            answer = 7.0  # the driver decides what the work cost
+            continue
+        kind, message, nbytes = effect
+        assert nbytes > 0
+        seen.append((kind, type(message).__name__))
+        replies = dispatch(session, message, now=0.0)
+        answer = None
+        if kind is CALL:
+            ((worker, answer, reply_nbytes),) = replies
+            assert worker == 0 and reply_nbytes > 0
+
+
+def test_uncompensated_cycle_posts_state_and_gradient_fused():
+    plan, session, seen = _drive_one_cycle("asgd")
+    assert seen == [("call", "PullRequest"), "compute", "compute", ("post", "CombinedPush")]
+    assert plan.workers[0].last_t_comp == 7.0
+    assert plan.server.batches_processed == 1
+    assert [e.kind for e in session.trace.events] == ["pull", "update"]
+
+
+def test_compensated_cycle_waits_for_the_reply_before_backward():
+    plan, session, seen = _drive_one_cycle("lc-asgd")
+    assert seen == [
+        ("call", "PullRequest"), "compute", ("call", "StatePush"), "compute",
+        ("post", "GradientPush"),
+    ]
+    assert plan.workers[0].last_t_comp == 7.0
+    assert [e.kind for e in session.trace.events] == ["pull", "state", "gradient", "update"]
+
+
+def test_dispatch_rejects_a_message_the_server_does_not_handle():
+    from repro.core import TrainingConfig
+    from repro.runtime import ExperimentPlan, ExperimentSession
+    from repro.runtime.cycle import dispatch
+    from repro.runtime.messages import PullReply
+
+    session = ExperimentSession(ExperimentPlan.from_config(TrainingConfig.tiny(seed=1)))
+    with pytest.raises(TypeError, match="PullReply"):
+        dispatch(session, PullReply(0), now=0.0)

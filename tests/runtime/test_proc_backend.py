@@ -19,6 +19,7 @@ from repro.runtime.proc_worker import (
     CRASH_WORKER_ENV,
     EXIT_CRASH_INJECTED,
 )
+from repro.runtime.transport import link_delay
 
 TIMEOUT = 120.0
 
@@ -238,5 +239,6 @@ class TestSocketTransport:
             TrainingConfig.tiny(algorithm="asgd", num_workers=2, seed=0)
         )
         transport = SocketTransport(2, network=plan.network, time_scale=0.5)
-        assert transport._link_delay(0, 10_000) > 0
-        assert SocketTransport(2)._link_delay(0, 10_000) == 0.0
+        assert link_delay(transport.network, transport.time_scale, 0, 10_000) > 0
+        bare = SocketTransport(2)
+        assert link_delay(bare.network, bare.time_scale, 0, 10_000) == 0.0

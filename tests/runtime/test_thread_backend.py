@@ -15,6 +15,7 @@ from repro.runtime import (
     run_experiment,
 )
 from repro.runtime.messages import PullRequest, Shutdown
+from repro.runtime.transport import link_delay
 
 TIMEOUT = 120.0
 
@@ -143,7 +144,7 @@ def test_worker_failure_preserves_original_traceback(monkeypatch):
         ThreadBackend(timeout=30.0).run(plan)
     frames = {f.name for f in traceback.extract_tb(excinfo.value.__traceback__)}
     assert "exploding_forward" in frames  # the crash site survived the hop
-    assert "_one_cycle" in frames  # and so did the worker-loop context
+    assert "worker_cycle" in frames  # and so did the worker-cycle context
 
 
 class TestTransport:
@@ -192,11 +193,13 @@ class TestTransport:
             TrainingConfig.tiny(algorithm="asgd", num_workers=2, seed=0)
         )
         transport = InProcTransport(2, network=plan.network, time_scale=0.5)
-        delay = transport._link_delay(0, 10_000)
+        delay = link_delay(transport.network, transport.time_scale, 0, 10_000)
         assert delay > 0
         # no network or zero scale disables emulation entirely
-        assert InProcTransport(2)._link_delay(0, 10_000) == 0.0
-        assert InProcTransport(2, network=plan.network, time_scale=0.0)._link_delay(0, 10_000) == 0.0
+        bare = InProcTransport(2)
+        assert link_delay(bare.network, bare.time_scale, 0, 10_000) == 0.0
+        unscaled = InProcTransport(2, network=plan.network, time_scale=0.0)
+        assert link_delay(unscaled.network, unscaled.time_scale, 0, 10_000) == 0.0
 
     def test_transport_validates_arguments(self):
         with pytest.raises(ValueError, match=">= 1"):
