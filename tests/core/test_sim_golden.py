@@ -5,7 +5,15 @@ cycle and the server dispatch were consolidated, so a refactor of either
 is proven against the old implementation rather than against itself.
 Orders and staleness sequences are one digit per update (ids and staleness
 are < 10 at these sizes).
+
+The two ``lc-asgd`` entries also pin what the predictors said: the step
+predictor's forecast ``k`` per landed gradient and the Figure-7 mean
+absolute error of the loss predictor's one-step forecasts.  Those were
+captured at commit 94f6289, while the predictors still ran on the autograd
+``nn.LSTM``.
 """
+
+import numpy as np
 
 import pytest
 
@@ -59,6 +67,8 @@ GOLDEN = {
         processed_events=159,
         total_virtual_time=0.21672486013085085,
         final_train_loss=1.17388117313385,
+        predicted_k="000022222222233333333333",
+        loss_mae=0.24367198714735167,
     ),
     "lc-asgd-sensitivity": dict(
         config=dict(algorithm="lc-asgd", num_workers=4, compensation="sensitivity"),
@@ -67,6 +77,8 @@ GOLDEN = {
         processed_events=159,
         total_virtual_time=0.21672486013085085,
         final_train_loss=1.148013710975647,
+        predicted_k="000022222222233333333333",
+        loss_mae=0.24354584584888037,
     ),
 }
 
@@ -87,3 +99,9 @@ def test_sim_run_matches_the_pre_consolidation_schedule(name):
     assert result.curve[-1].train_loss == pytest.approx(
         golden["final_train_loss"], rel=1e-9
     )
+    if "predicted_k" in golden:
+        server = trainer.server
+        predicted = "".join(str(k) for _, k in server.step_prediction_pairs)
+        assert predicted == golden["predicted_k"]
+        mae = np.mean([abs(actual - forecast) for actual, forecast in server.loss_prediction_pairs])
+        assert mae == pytest.approx(golden["loss_mae"], rel=1e-9)
