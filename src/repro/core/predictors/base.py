@@ -7,9 +7,8 @@ workers' progress" (Section 4.3).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+import math
+from typing import Optional
 
 
 class _RunningNorm:
@@ -32,7 +31,7 @@ class _RunningNorm:
         """Running standard deviation (>= 1e-6 floor)."""
         if self.count < 2:
             return 1.0
-        return max(np.sqrt(self._m2 / (self.count - 1)), 1e-6)
+        return max(math.sqrt(self._m2 / (self.count - 1)), 1e-6)
 
     def normalize(self, value: float) -> float:
         """Map ``value`` to z-score under the running statistics."""
@@ -101,4 +100,4 @@ class StepPredictorBase:
     @staticmethod
     def _clip_step(value: float, max_step: int) -> int:
         """Round and clamp a raw forecast into ``[0, max_step]``."""
-        return int(np.clip(round(value), 0, max_step))
+        return min(max(round(value), 0), max_step)

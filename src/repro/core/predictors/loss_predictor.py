@@ -14,52 +14,13 @@ un-normalized LSTM tracks poorly.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Optional
 
 import numpy as np
 
 from repro.core.predictors.base import LossPredictorBase, _RunningNorm
-from repro.nn.linear import Linear
-from repro.nn.module import Module
-from repro.nn.rnn import LSTM
-from repro.optim.sgd import SGD
-from repro.tensor import functional as F
-from repro.tensor import no_grad
-from repro.tensor.tensor import Tensor
+from repro.core.predictors.series_lstm import SeriesLSTM, State
 from repro.utils.rng import SeedLike, as_generator
-
-
-class _SeriesModel(Module):
-    """Two LSTM layers + linear head over scalar series (shared by Alg. 3/4)."""
-
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator) -> None:
-        super().__init__()
-        self.lstm = LSTM(input_size, hidden_size, num_layers=2, rng=rng)
-        self.head = Linear(hidden_size, 1, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Map (N, T, input_size) to (N, T, 1) per-step forecasts."""
-        outs, _ = self.lstm(x)
-        n, t, h = outs.data.shape
-        flat = outs.reshape(n * t, h)
-        return self.head(flat).reshape(n, t, 1)
-
-    def rollout(self, window: np.ndarray, k: int) -> List[float]:
-        """Autoregressive ``k``-step forecast from a (T,) normalized window."""
-        with no_grad():
-            state = None
-            seq = Tensor(window.reshape(1, -1, 1).astype(np.float32))
-            outs, state = self.lstm(seq)
-            last_hidden = outs[:, -1, :]
-            preds: List[float] = []
-            next_in = self.head(last_hidden)
-            preds.append(float(next_in.data[0, 0]))
-            for _ in range(k - 1):
-                step_in = next_in.reshape(1, 1, 1)
-                outs, state = self.lstm(step_in, state)
-                next_in = self.head(outs[:, -1, :])
-                preds.append(float(next_in.data[0, 0]))
-        return preds
 
 
 class LSTMLossPredictor(LossPredictorBase):
@@ -97,39 +58,37 @@ class LSTMLossPredictor(LossPredictorBase):
         if train_every < 1 or rollout_cap < 1:
             raise ValueError("train_every and rollout_cap must be >= 1")
         rng = as_generator(seed, "loss-predictor")
-        self.model = _SeriesModel(1, hidden_size, rng)
-        self.optimizer = SGD(self.model.parameters(), lr=lr, momentum=momentum, max_grad_norm=1.0)
+        self.model = SeriesLSTM(1, hidden_size, rng, max_steps=window, lr=lr, momentum=momentum)
         self.window = int(window)
         self.train_every = int(train_every)
         self.rollout_cap = int(rollout_cap)
         self._history: Deque[float] = deque(maxlen=window + 1)
         self._norm = _RunningNorm()
         self._observed = 0
+        # (h, c) after the history every ``predict_delay`` window starts with;
+        # ``observe`` is the only thing that changes history or weights
+        self._delay_prefix: Optional[State] = None
 
     # ------------------------------------------------------------------ #
     def observe(self, loss: float) -> None:
         """Algorithm 3, line 1: one online step with (prev window -> loss)."""
         loss = float(loss)
+        self._delay_prefix = None
         self._norm.update(loss)
         self._history.append(self._norm.normalize(loss))
         self._observed += 1
         if len(self._history) < 3 or self._observed % self.train_every:
             return
         series = np.array(self._history, dtype=np.float32)
-        inputs = series[:-1].reshape(1, -1, 1)
-        targets = series[1:].reshape(1, -1, 1)
-        pred = self.model(Tensor(inputs))
-        loss_t = F.mse_loss(pred, targets)
-        self.optimizer.zero_grad()
-        loss_t.backward()
-        self.optimizer.step()
+        pred = self.model.forward(series[:-1, None])
+        self.model.backward((pred - series[1:]) * (2.0 / len(pred)))  # d MSE / d pred
+        self.model.step()
 
     def predict_next(self) -> Optional[float]:
         """One-step forecast in raw loss units (None before warm-up)."""
         if len(self._history) < 2:
             return None
-        window = np.array(self._history, dtype=np.float64)
-        z = self.model.rollout(window, 1)[0]
+        z = self.model.rollout(np.array(self._history, dtype=np.float32), 1)[0]
         return self._norm.denormalize(z)
 
     def predict_delay(self, loss: float, k: int) -> float:
@@ -139,6 +98,11 @@ class LSTMLossPredictor(LossPredictorBase):
         the rollout length); beyond the cap the tail is extrapolated at the
         last predicted level, which is also where autoregressive LSTM
         forecasts flatten anyway.
+
+        The window is the last ``window - 1`` observed losses followed by
+        ``loss``; the prefix is encoded once per :meth:`observe`, so the
+        three calls of the "sensitivity" coupling (``loss``, ``loss ± eps``)
+        share it and each run only their own tail.
         """
         if k <= 0:
             return 0.0
@@ -146,8 +110,10 @@ class LSTMLossPredictor(LossPredictorBase):
             # Cold start: flat forecast, as good as any before data arrives.
             return float(loss) * k
         steps = min(int(k), self.rollout_cap)
-        window = list(self._history)[-(self.window - 1) :] + [self._norm.normalize(float(loss))]
-        preds = self.model.rollout(np.array(window, dtype=np.float64), steps)
+        if self._delay_prefix is None:
+            prefix = np.array(self._history, dtype=np.float32)[-(self.window - 1) :]
+            self._delay_prefix = self.model.encode(prefix[:, None])
+        preds = self.model.rollout_from(self._delay_prefix, self._norm.normalize(float(loss)), steps)
         values = [self._norm.denormalize(z) for z in preds]
         total = float(sum(values))
         if k > steps:

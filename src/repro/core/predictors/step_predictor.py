@@ -19,12 +19,7 @@ from typing import Deque, Dict, Tuple
 import numpy as np
 
 from repro.core.predictors.base import StepPredictorBase, _RunningNorm
-from repro.core.predictors.loss_predictor import _SeriesModel
-from repro.nn.module import Module
-from repro.optim.sgd import SGD
-from repro.tensor import functional as F
-from repro.tensor import no_grad
-from repro.tensor.tensor import Tensor
+from repro.core.predictors.series_lstm import SeriesLSTM
 from repro.utils.rng import SeedLike, as_generator
 
 
@@ -61,8 +56,7 @@ class LSTMStepPredictor(StepPredictorBase):
         if train_every < 1:
             raise ValueError("train_every must be >= 1")
         rng = as_generator(seed, "step-predictor")
-        self.model = _SeriesModel(3, hidden_size, rng)
-        self.optimizer = SGD(self.model.parameters(), lr=lr, momentum=momentum, max_grad_norm=1.0)
+        self.model = SeriesLSTM(3, hidden_size, rng, max_steps=window, lr=lr, momentum=momentum)
         self.window = int(window)
         self.max_step = int(max_step)
         self.train_every = int(train_every)
@@ -93,14 +87,11 @@ class LSTMStepPredictor(StepPredictorBase):
         history = self._window_of(worker)
         self._observed += 1
         if len(history) >= 2 and self._observed % self.train_every == 0:
-            inputs = np.array(history, dtype=np.float32).reshape(1, -1, 3)
-            target = np.array([[self._step_norm.normalize(float(step))]], dtype=np.float32)
-            pred_seq = self.model(Tensor(inputs))
-            pred_last = pred_seq[:, -1, :]
-            loss_t = F.mse_loss(pred_last, target)
-            self.optimizer.zero_grad()
-            loss_t.backward()
-            self.optimizer.step()
+            pred = self.model.forward(np.array(history, dtype=np.float32))
+            dy = np.zeros(len(pred), dtype=np.float32)  # MSE on the last step only
+            dy[-1] = 2.0 * (pred[-1] - self._step_norm.normalize(float(step)))
+            self.model.backward(dy)
+            self.model.step()
         history.append(self._features(float(step), float(t_comm), float(t_comp)))
 
     def predict(self, worker: int, t_comm: float, t_comp: float) -> int:
@@ -116,8 +107,5 @@ class LSTMStepPredictor(StepPredictorBase):
         window = list(history)[1:] + [
             (last_step_feature, self._comm_norm.normalize(float(t_comm)), self._comp_norm.normalize(float(t_comp)))
         ]
-        inputs = np.array(window, dtype=np.float32).reshape(1, -1, 3)
-        with no_grad():
-            pred = self.model(Tensor(inputs))
-        z = float(pred.data[0, -1, 0])
+        z = float(self.model.forward(np.array(window, dtype=np.float32))[-1])
         return self._clip_step(self._step_norm.denormalize(z), self.max_step)

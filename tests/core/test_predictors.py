@@ -183,3 +183,75 @@ class TestFactories:
             make_loss_predictor("bogus")
         with pytest.raises(ValueError):
             make_step_predictor("bogus")
+
+
+class TestFusedKernelIsTheOnlyPath:
+    """The predictors run on ``SeriesLSTM`` alone: no autograd fallback."""
+
+    @pytest.mark.parametrize("compensation", ["damping", "sensitivity"])
+    def test_lc_asgd_never_reaches_the_autograd_lstm(self, monkeypatch, compensation):
+        from repro.core import DistributedTrainer, TrainingConfig
+        from repro.nn.rnn import LSTM
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("the predictors fell back to the autograd nn.LSTM")
+
+        monkeypatch.setattr(LSTM, "forward", forbidden)
+        config = TrainingConfig.tiny(
+            seed=2, algorithm="lc-asgd", num_workers=3, compensation=compensation
+        )
+        trainer = DistributedTrainer(config)
+        result = trainer.run()
+        assert result.total_updates > 0
+        assert trainer.server.loss_prediction_pairs and trainer.server.step_prediction_pairs
+
+    def test_predictor_modules_import_no_autograd(self):
+        import ast
+        from pathlib import Path
+
+        import repro.core.predictors as package
+
+        forbidden = ("repro.tensor", "repro.optim", "repro.nn.rnn")
+        imported = set()
+        for path in sorted(Path(package.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    # ``from repro.nn import rnn`` names the module in the alias
+                    imported.update({node.module} | {f"{node.module}.{a.name}" for a in node.names})
+                elif isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+        offending = {
+            name for name in imported if any(name == f or name.startswith(f + ".") for f in forbidden)
+        }
+        assert not offending
+
+    def test_running_norm_hands_out_python_floats(self):
+        p = LSTMLossPredictor(hidden_size=4, window=4, seed=0)
+        for v in (3.0, 2.5, 2.2, 2.0):
+            p.observe(v)
+        assert type(p._norm.std) is float
+        assert type(p.predict_next()) is float
+        assert type(p.predict_delay(2.0, 3)) is float
+
+    def test_sensitivity_shares_one_encoded_prefix(self, monkeypatch):
+        """``predict_delay`` at ``loss`` and ``loss ± eps`` encode the history once."""
+        p = LSTMLossPredictor(hidden_size=4, window=6, seed=0)
+        for v in np.linspace(3.0, 2.0, 12):
+            p.observe(v)
+        fresh = LSTMLossPredictor(hidden_size=4, window=6, seed=0)
+        for v in np.linspace(3.0, 2.0, 12):
+            fresh.observe(v)
+        encodes = []
+        original = p.model.encode
+        monkeypatch.setattr(p.model, "encode", lambda x: encodes.append(len(x)) or original(x))
+
+        delay = p.predict_delay(2.0, 3)
+        sensitivity = p.delay_sensitivity(2.0, 3)
+        assert encodes == [5]  # window - 1 steps, once for all three tails
+        # the cached prefix changes no number: a predictor that never cached agrees
+        assert sensitivity == fresh.delay_sensitivity(2.0, 3)
+        assert delay == fresh.predict_delay(2.0, 3)
+
+        p.observe(1.9)  # new history and new weights: the prefix is re-encoded
+        p.predict_delay(1.9, 3)
+        assert encodes == [5, 5]
