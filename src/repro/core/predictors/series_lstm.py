@@ -116,6 +116,7 @@ class SeriesLSTM:
         self._dc_dh = np.empty((steps, hs), dtype=np.float32)
         self._vec = [np.empty(hs, dtype=np.float32) for _ in range(4)]
         self._wide = np.empty(4 * hs, dtype=np.float32)
+        self._zero = np.zeros(hs, dtype=np.float32)  # h and c before the first step
         self._steps = 0
 
     def _carve(self, flat: np.ndarray) -> List[np.ndarray]:
@@ -150,34 +151,39 @@ class SeriesLSTM:
 
     def _forward_layer(self, layer: int, inputs: np.ndarray) -> np.ndarray:
         w_ih, w_hh, bias = self.params[3 * layer : 3 * layer + 3]
-        hs = self.hidden_size
         steps = len(inputs)
         gates = self._gates[layer][:steps]
         np.dot(inputs, w_ih.T, out=gates)
         gates += bias
         cells, tanh_cells, hidden = self._c[layer], self._tanh_c[layer], self._h[layer]
-        scale, shift, recurrent, tmp = self._scale, self._shift, self._wide, self._vec[0]
-        h_prev = c_prev = None
+        recurrent, cell = self._wide, self._cell
+        h_prev = c_prev = self._zero
         for t in range(steps):
             z = gates[t]
-            if t:
-                np.dot(w_hh, h_prev, out=recurrent)
-                z += recurrent
-            z *= scale
-            np.tanh(z, out=z)
-            z *= scale
-            z += shift
-            c = cells[t]
-            np.multiply(z[:hs], z[2 * hs : 3 * hs], out=c)
-            if t:
-                np.multiply(z[hs : 2 * hs], c_prev, out=tmp)
-                c += tmp
-            tanh_c = tanh_cells[t]
-            np.tanh(c, out=tanh_c)
-            h_prev = hidden[t]
-            np.multiply(z[3 * hs :], tanh_c, out=h_prev)
-            c_prev = c
+            np.dot(w_hh, h_prev, out=recurrent)
+            z += recurrent
+            c, h = cells[t], hidden[t]
+            cell(z, c_prev, c, tanh_cells[t], h)
+            c_prev, h_prev = c, h
         return hidden[:steps]
+
+    def _cell(self, z, c_prev, c, tanh_c, h) -> None:
+        """One cell step from gate pre-activations ``z`` (overwritten in place).
+
+        Writes the new cell state, its tanh and the new hidden state into
+        ``c``, ``tanh_c`` and ``h``; ``c`` may be ``c_prev`` itself.
+        """
+        hs = self.hidden_size
+        scale, tmp = self._scale, self._vec[0]
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z += self._shift
+        np.multiply(z[:hs], z[2 * hs : 3 * hs], out=tmp)
+        np.multiply(z[hs : 2 * hs], c_prev, out=c)
+        c += tmp
+        np.tanh(c, out=tanh_c)
+        np.multiply(z[3 * hs :], tanh_c, out=h)
 
     # ------------------------------------------------------------------ #
     # backward + optimiser
@@ -283,15 +289,14 @@ class SeriesLSTM:
         An empty prefix gives the zero state.
         """
         if len(x) == 0:
-            return [np.zeros(self.hidden_size, dtype=np.float32) for _ in range(4)]
+            return [self._zero.copy() for _ in range(4)]
         self.forward(x)
         last = self._steps - 1
         return [buf[layer][last].copy() for layer in range(2) for buf in (self._h, self._c)]
 
     def advance(self, state: State, x: Sequence[float]) -> float:
         """Feed one ``(input_size,)`` step, updating ``state`` in place; returns the output."""
-        hs = self.hidden_size
-        z, tmp = self._wide, self._vec[0]
+        z, tanh_c = self._wide, self._vec[1]
         inp = np.asarray(x, dtype=np.float32)
         for layer in range(2):
             w_ih, w_hh, bias = self.params[3 * layer : 3 * layer + 3]
@@ -299,15 +304,7 @@ class SeriesLSTM:
             np.dot(w_ih, inp, out=z)
             z += bias
             z += np.dot(w_hh, h)
-            z *= self._scale
-            np.tanh(z, out=z)
-            z *= self._scale
-            z += self._shift
-            c *= z[hs : 2 * hs]
-            np.multiply(z[:hs], z[2 * hs : 3 * hs], out=tmp)
-            c += tmp
-            np.tanh(c, out=tmp)
-            np.multiply(z[3 * hs :], tmp, out=h)
+            self._cell(z, c, c, tanh_c, h)
             inp = h
         return float(np.dot(self.params[6][0], inp) + self.params[7][0])
 

@@ -1,7 +1,8 @@
 """Stochastic gradient descent with momentum / Nesterov / weight decay.
 
-Used both by the sequential-SGD baseline and by the server-side online
-training of the loss and step predictors (Algorithms 3-4).
+Used by the sequential-SGD baseline.  The predictors' fused kernel
+(:mod:`repro.core.predictors.series_lstm`) applies the same momentum update
+and global norm clip inline and is tested against this class.
 """
 
 from __future__ import annotations
