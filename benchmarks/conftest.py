@@ -23,11 +23,12 @@ CIFAR_ALGOS = ("sgd", "ssgd", "asgd", "dc-asgd", "lc-asgd")
 IMAGENET_ALGOS = ("ssgd", "asgd", "dc-asgd", "lc-asgd")  # paper Fig. 5 omits SGD
 WORKER_COUNTS = (4, 8, 16)
 #: Tables 2-3: bound on lc-asgd's loss + step predictor milliseconds per
-#: update, 2x what the CIFAR grid measured once the predictors ran on the fused
-#: ``SeriesLSTM`` kernel: 1.11 / 1.31 / 1.26 ms at M = 4 / 8 / 16 (hidden 16, one
-#: BLAS thread; 11.5 ms at M = 4 on the autograd LSTM before).  The paper's
-#: 1.28 + 1.37 ms is at hidden 64/128 on a GPU and is printed, not asserted.
-PREDICTOR_BUDGET_MS = 2.4
+#: update, 2x the worst cell the CIFAR grid measured once the predictors ran on
+#: the fused ``SeriesLSTM`` kernel: 1.11 / 1.31 / 1.26 ms at M = 4 / 8 / 16
+#: (hidden 16, one BLAS thread; 11.5 ms at M = 4 on the autograd LSTM before).
+#: These are ~1 ms of NumPy calls on a shared CPU, so the full 2x is kept.  The
+#: paper's 1.28 + 1.37 ms is at hidden 64/128 on a GPU and is printed, not asserted.
+PREDICTOR_BUDGET_MS = 2.6
 
 
 def cached(key: str, factory: Callable[[], object]):

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 
 class _RunningNorm:
     """Streaming mean/std normalizer (Welford), used to stabilize the LSTMs."""
@@ -100,4 +102,4 @@ class StepPredictorBase:
     @staticmethod
     def _clip_step(value: float, max_step: int) -> int:
         """Round and clamp a raw forecast into ``[0, max_step]``."""
-        return min(max(round(value), 0), max_step)
+        return int(np.clip(round(value), 0, max_step))

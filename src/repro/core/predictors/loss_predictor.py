@@ -65,15 +65,22 @@ class LSTMLossPredictor(LossPredictorBase):
         self._history: Deque[float] = deque(maxlen=window + 1)
         self._norm = _RunningNorm()
         self._observed = 0
-        # (h, c) after the history every ``predict_delay`` window starts with;
-        # ``observe`` is the only thing that changes history or weights
+        # (h, c) after the history every ``predict_delay`` window starts with
         self._delay_prefix: Optional[State] = None
+
+    def _invalidate(self) -> None:
+        """Drop what was derived from history, normaliser and weights.
+
+        Every method that changes any of the three calls this first; today
+        that is :meth:`observe` alone.
+        """
+        self._delay_prefix = None
 
     # ------------------------------------------------------------------ #
     def observe(self, loss: float) -> None:
         """Algorithm 3, line 1: one online step with (prev window -> loss)."""
         loss = float(loss)
-        self._delay_prefix = None
+        self._invalidate()
         self._norm.update(loss)
         self._history.append(self._norm.normalize(loss))
         self._observed += 1

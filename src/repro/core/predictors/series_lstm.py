@@ -34,6 +34,9 @@ from repro.nn import init
 #: ``[h, c]`` of the lower layer, then of the upper layer, each ``(hidden,)``
 State = List[np.ndarray]
 
+#: global gradient-norm clip of :meth:`SeriesLSTM.step`
+_MAX_GRAD_NORM = 1.0
+
 
 class SeriesLSTM:
     """Two LSTM layers + linear head mapping ``(T, input_size)`` to ``(T,)``.
@@ -48,7 +51,7 @@ class SeriesLSTM:
         by ``nn.Linear(hidden_size, 1, rng=rng)``.
     max_steps:
         Longest window :meth:`forward` accepts (sizes the scratch buffers).
-    lr, momentum, max_grad_norm:
+    lr, momentum:
         Hyper-parameters of :meth:`step`, as in ``optim.SGD``.
     """
 
@@ -59,8 +62,7 @@ class SeriesLSTM:
         rng: np.random.Generator,
         max_steps: int,
         lr: float,
-        momentum: float = 0.9,
-        max_grad_norm: float = 1.0,
+        momentum: float,
     ) -> None:
         if input_size <= 0 or hidden_size <= 0 or max_steps <= 0:
             raise ValueError("input_size, hidden_size and max_steps must be positive")
@@ -72,7 +74,6 @@ class SeriesLSTM:
         self.max_steps = max_steps
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.max_grad_norm = float(max_grad_norm)
 
         drawn = []
         for in_size in (input_size, hs):
@@ -272,8 +273,8 @@ class SeriesLSTM:
         grad = self._grad
         grad64 = grad.astype(np.float64)
         norm = math.sqrt(float(np.dot(grad64, grad64)))
-        if norm > self.max_grad_norm and norm > 0:
-            grad *= self.max_grad_norm / norm
+        if norm > _MAX_GRAD_NORM:
+            grad *= _MAX_GRAD_NORM / norm
         velocity = self._velocity
         velocity *= self.momentum
         velocity += grad

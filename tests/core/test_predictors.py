@@ -253,5 +253,7 @@ class TestFusedKernelIsTheOnlyPath:
         assert delay == fresh.predict_delay(2.0, 3)
 
         p.observe(1.9)  # new history and new weights: the prefix is re-encoded
-        p.predict_delay(1.9, 3)
+        fresh.observe(1.9)
+        fresh._delay_prefix = None  # whatever observe did, this one encodes anew
+        assert p.predict_delay(1.9, 3) == fresh.predict_delay(1.9, 3)
         assert encodes == [5, 5]

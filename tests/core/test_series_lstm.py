@@ -54,7 +54,8 @@ class Oracle(nn.Module):
 
 
 def make_pair(hidden, input_size, seed, lr=0.05):
-    kernel = SeriesLSTM(input_size, hidden, np.random.default_rng(seed), max_steps=16, lr=lr)
+    rng = np.random.default_rng(seed)
+    kernel = SeriesLSTM(input_size, hidden, rng, max_steps=16, lr=lr, momentum=0.9)
     oracle = Oracle(kernel)
     optimizer = SGD(oracle.parameters(), lr=lr, momentum=0.9, max_grad_norm=1.0)
     return kernel, oracle, optimizer
@@ -87,7 +88,7 @@ shapes = dict(
 
 
 def test_initial_weights_are_the_autograd_models_for_a_seed():
-    kernel = SeriesLSTM(3, 8, np.random.default_rng(11), max_steps=4, lr=0.1)
+    kernel = SeriesLSTM(3, 8, np.random.default_rng(11), max_steps=4, lr=0.1, momentum=0.9)
     rng = np.random.default_rng(11)
     lstm = nn.LSTM(3, 8, num_layers=2, rng=rng)
     head = nn.Linear(8, 1, rng=rng)
@@ -183,8 +184,8 @@ def test_instances_do_not_share_scratch():
 
 def test_validation():
     with pytest.raises(ValueError):
-        SeriesLSTM(0, 4, np.random.default_rng(0), max_steps=4, lr=0.1)
-    kernel = SeriesLSTM(3, 4, np.random.default_rng(0), max_steps=4, lr=0.1)
+        SeriesLSTM(0, 4, np.random.default_rng(0), max_steps=4, lr=0.1, momentum=0.9)
+    kernel = SeriesLSTM(3, 4, np.random.default_rng(0), max_steps=4, lr=0.1, momentum=0.9)
     with pytest.raises(ValueError):
         kernel.forward(np.zeros((5, 3), dtype=np.float32))
     with pytest.raises(ValueError):
