@@ -48,10 +48,34 @@ __all__ = [
 # dense / losses
 # ---------------------------------------------------------------------- #
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` (PyTorch weight layout)."""
-    out = x @ weight.transpose()
+    """Affine map ``x @ weight.T + bias`` (PyTorch weight layout).
+
+    One autograd node doing the floating-point operations of the composed
+    transpose -> matmul -> add chain in the same order, so results are
+    bit-identical to it for vector and matrix ``x``.  The weight gradient
+    is ``(x.T @ g).T``, not ``g.T @ x``: BLAS may sum the latter in another
+    order.  Leading axes of a higher-rank ``x`` are flattened into the
+    batch for the weight and bias gradients.
+    """
+    w = weight.data
+    if w.ndim != 2 or (bias is not None and bias.data.shape != w.shape[:1]):
+        raise ValueError("linear expects an (out, in) weight and an (out,) bias")
+    out_data = x.data @ w.T
     if bias is not None:
-        out = out + bias
+        out_data = out_data + bias.data
+
+    def _backward() -> None:
+        g = out.grad
+        if x.requires_grad or x._parents:
+            x._accumulate(g @ w)
+        rows = g.reshape(-1, w.shape[0])
+        if weight.requires_grad or weight._parents:
+            weight._accumulate((x.data.reshape(-1, w.shape[1]).T @ rows).T)
+        if bias is not None and (bias.requires_grad or bias._parents):
+            bias._accumulate(rows.sum(axis=0))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = Tensor._make(out_data, parents, _backward)
     return out
 
 
