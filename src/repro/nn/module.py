@@ -5,6 +5,18 @@ The parameter server ships the global model as one flat float64 vector
 the same way (:func:`get_flat_grads`).  Flattening order is the deterministic
 ``named_parameters()`` traversal order, so every replica agrees on the
 layout.
+
+Every module caches that traversal — one flat list of its parameters and one
+of its submodules — because the worker reads both several times per update.
+Invalidation rule: any registration or unregistration on *any* module
+(assigning or deleting a ``Parameter``/``Module`` attribute, overwriting one
+with something else, ``register_buffer`` over one) starts a new registration
+epoch, and a cache built in an earlier epoch is rebuilt on its next read.
+The epoch is process-wide on purpose: a module does not know its parents, so
+a change in a nested child could not otherwise reach the caches above it.
+Rebinding ``param.data`` or a buffer does not touch the lists and starts no
+epoch.  A cache is built completely before it is published with a single
+attribute store, so a concurrent reader sees the old cache or the new one.
 """
 
 from __future__ import annotations
@@ -15,6 +27,15 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.tensor.tensor import Tensor
+
+# The current registration epoch.  Replaced, never mutated: stores are atomic
+# and a cache stamped with any earlier object can never compare identical.
+_epoch = object()
+
+
+def _new_epoch() -> None:
+    global _epoch
+    _epoch = object()
 
 
 class Parameter(Tensor):
@@ -37,6 +58,7 @@ class Module:
         object.__setattr__(self, "_modules", OrderedDict())
         object.__setattr__(self, "_buffers", OrderedDict())
         object.__setattr__(self, "training", True)
+        object.__setattr__(self, "_flat", None)
 
     # -------------------------------------------------------------- #
     # registration
@@ -46,15 +68,34 @@ class Module:
             self._parameters[name] = value
             self._modules.pop(name, None)
             self._buffers.pop(name, None)
+            _new_epoch()
         elif isinstance(value, Module):
             self._modules[name] = value
             self._parameters.pop(name, None)
             self._buffers.pop(name, None)
+            _new_epoch()
+        elif name in self._parameters or name in self._modules:
+            # overwritten by a plain value (``layer.bias = None``): the
+            # attribute is no longer part of the flat layout
+            self._parameters.pop(name, None)
+            self._modules.pop(name, None)
+            _new_epoch()
         object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        object.__delattr__(self, name)
+        self._parameters.pop(name, None)
+        self._modules.pop(name, None)
+        self._buffers.pop(name, None)
+        _new_epoch()
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register a non-trainable persistent array (e.g. BN running stats)."""
         self._buffers[name] = np.asarray(value)
+        if name in self._parameters or name in self._modules:
+            self._parameters.pop(name, None)
+            self._modules.pop(name, None)
+            _new_epoch()
         object.__setattr__(self, name, self._buffers[name])
 
     def set_buffer(self, name: str, value: np.ndarray) -> None:
@@ -74,9 +115,24 @@ class Module:
         for name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{name}.")
 
+    def _flat_lists(self) -> Tuple[List[Parameter], List["Module"]]:
+        """The cached ``(parameters, modules)`` traversals; do not mutate."""
+        cached = self._flat
+        if cached is None or cached[0] is not _epoch:
+            # stamp with the epoch read *before* walking: a registration
+            # racing with the walk leaves a cache that is already stale
+            epoch = _epoch
+            cached = (
+                epoch,
+                [p for _, p in self.named_parameters()],
+                [m for _, m in self.named_modules()],
+            )
+            object.__setattr__(self, "_flat", cached)
+        return cached[1], cached[2]
+
     def parameters(self) -> List[Parameter]:
-        """All parameters in deterministic order."""
-        return [p for _, p in self.named_parameters()]
+        """All parameters in deterministic order (a fresh list each call)."""
+        return list(self._flat_lists()[0])
 
     def named_buffers(self, prefix: str = "") -> Iterator[Tuple[str, np.ndarray]]:
         """Yield ``(dotted_name, buffer)`` in deterministic order."""
@@ -92,16 +148,15 @@ class Module:
             yield from module.named_modules(prefix=f"{prefix}{name}.")
 
     def modules(self) -> Iterator["Module"]:
-        """Yield all submodules including self."""
-        for _, module in self.named_modules():
-            yield module
+        """Iterate over all submodules including self."""
+        return iter(self._flat_lists()[1])
 
     # -------------------------------------------------------------- #
     # train / eval / grads
     # -------------------------------------------------------------- #
     def train(self, mode: bool = True) -> "Module":
         """Switch the module tree into training (or eval) mode."""
-        for module in self.modules():
+        for module in self._flat_lists()[1]:
             object.__setattr__(module, "training", mode)
         return self
 
@@ -111,12 +166,12 @@ class Module:
 
     def zero_grad(self) -> None:
         """Clear accumulated gradients on every parameter."""
-        for param in self.parameters():
+        for param in self._flat_lists()[0]:
             param.grad = None
 
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
-        return sum(p.size for p in self.parameters())
+        return sum(p.size for p in self._flat_lists()[0])
 
     # -------------------------------------------------------------- #
     # state dict
@@ -181,19 +236,29 @@ class Module:
 # ---------------------------------------------------------------------- #
 # flat parameter-vector exchange (server <-> worker payloads)
 # ---------------------------------------------------------------------- #
+def _fill_flat(module: Module, dtype, pick) -> np.ndarray:
+    """One new vector holding ``pick(param)`` (``None``: zeros) per parameter."""
+    params = module._flat_lists()[0]
+    flat = np.empty(sum(p.data.size for p in params), dtype=dtype)
+    offset = 0
+    for param in params:
+        stop = offset + param.data.size
+        values = pick(param)
+        flat[offset:stop] = 0.0 if values is None else values.reshape(-1)
+        offset = stop
+    return flat
+
+
 def get_flat_params(module: Module, dtype=np.float64) -> np.ndarray:
     """Concatenate all parameters into one 1-D vector (deterministic order)."""
-    params = module.parameters()
-    if not params:
-        return np.zeros(0, dtype=dtype)
-    return np.concatenate([p.data.ravel().astype(dtype) for p in params])
+    return _fill_flat(module, dtype, lambda param: param.data)
 
 
 def set_flat_params(module: Module, flat: np.ndarray) -> None:
     """Write a flat vector produced by :func:`get_flat_params` back in place."""
     flat = np.asarray(flat).ravel()
     offset = 0
-    for param in module.parameters():
+    for param in module._flat_lists()[0]:
         size = param.data.size
         if offset + size > flat.size:
             raise ValueError("flat vector too short for this module")
@@ -206,12 +271,4 @@ def set_flat_params(module: Module, flat: np.ndarray) -> None:
 
 def get_flat_grads(module: Module, dtype=np.float64) -> np.ndarray:
     """Concatenate parameter gradients (zeros where ``grad is None``)."""
-    chunks: List[np.ndarray] = []
-    for param in module.parameters():
-        if param.grad is None:
-            chunks.append(np.zeros(param.data.size, dtype=dtype))
-        else:
-            chunks.append(param.grad.ravel().astype(dtype))
-    if not chunks:
-        return np.zeros(0, dtype=dtype)
-    return np.concatenate(chunks)
+    return _fill_flat(module, dtype, lambda param: param.grad)
