@@ -17,8 +17,8 @@ class Sequential(Module):
         self._length = len(modules)
 
     def forward(self, x):
-        for i in range(self._length):
-            x = getattr(self, str(i))(x)
+        for module in self._modules.values():
+            x = module(x)
         return x
 
     def __len__(self) -> int:

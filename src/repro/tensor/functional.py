@@ -374,19 +374,25 @@ def batch_norm(
     else:
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got shape {x.shape}")
 
+    count = x.data.size // x.data.shape[1]
     if training:
-        mean = x.data.mean(axis=axes, dtype=np.float64)
-        var = x.data.var(axis=axes, dtype=np.float64)
+        # One centred array serves the variance and ``x_hat``.  These are
+        # ``ndarray.mean`` and ``ndarray.var`` with ``dtype=float64`` step
+        # for step (sum / n; sum of squared deviations from that mean / n),
+        # minus the second centring pass ``var`` would make on its own.
+        mean = np.add.reduce(x.data, axis=axes, dtype=np.float64) / count
+        centred = x.data - mean.reshape(view)
+        var = np.add.reduce(centred * centred, axis=axes) / count
     else:
         if running_mean is None or running_var is None:
             raise ValueError("eval-mode batch_norm requires running statistics")
         mean = np.asarray(running_mean, dtype=np.float64)
         var = np.asarray(running_var, dtype=np.float64)
+        centred = x.data - mean.reshape(view)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean.reshape(view)) * inv_std.reshape(view)
+    x_hat = centred * inv_std.reshape(view)
     out_data = (gamma.data.reshape(view) * x_hat + beta.data.reshape(view)).astype(x.data.dtype)
-    count = int(np.prod([x.data.shape[a] for a in axes]))
 
     def _backward() -> None:
         g = out.grad.astype(np.float64)

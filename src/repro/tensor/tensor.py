@@ -178,11 +178,24 @@ class Tensor:
         parents: Tuple["Tensor", ...],
         backward: Callable[[], None],
     ) -> "Tensor":
-        """Build an op result, recording the graph only when useful."""
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-        if requires:
-            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
-        return Tensor(data, requires_grad=False)
+        """Build an op result, recording the graph only when useful.
+
+        ``data`` is an op's own output, so none of ``__init__``'s input
+        coercion applies: the slots are filled directly.
+        """
+        out = Tensor.__new__(Tensor)
+        out.data = data if isinstance(data, np.ndarray) else np.asarray(data)
+        out.grad = None
+        out.name = None
+        if is_grad_enabled() and any(p.requires_grad for p in parents):
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+        else:
+            out.requires_grad = False
+            out._parents = ()
+            out._backward = None
+        return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` into ``self.grad`` (allocating on first use)."""
@@ -434,7 +447,7 @@ class Tensor:
     def relu(self) -> "Tensor":
         """Elementwise rectified linear unit."""
         mask = self.data > 0
-        out_data = np.where(mask, self.data, 0.0).astype(self.data.dtype)
+        out_data = np.where(mask, self.data, 0.0).astype(self.data.dtype, copy=False)
 
         def _backward() -> None:
             self._accumulate(out.grad * mask)
