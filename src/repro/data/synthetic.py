@@ -76,13 +76,19 @@ def make_image_classification(
     labels = rng.integers(0, num_classes, size=num_samples)
     images = np.empty((num_samples, channels, side, side), dtype=np.float32)
     gains = 1.0 + 0.25 * rng.standard_normal(num_samples)
-    for i, label in enumerate(labels):
-        img = prototypes[label] * gains[i]
+    # A circular shift permutes pixels, so shifting commutes with the gain:
+    # roll each (class, dy, dx) prototype once and scale the rolled copy.  The
+    # per-sample draws keep their order (shift pair, then noise field).
+    shifted = {}
+    dx = dy = 0
+    for i, (label, gain) in enumerate(zip(labels.tolist(), gains.tolist())):
         if shift > 0:
-            dx, dy = rng.integers(-shift, shift + 1, size=2)
-            img = np.roll(np.roll(img, dy, axis=1), dx, axis=2)
-        img = img + noise * rng.standard_normal(img.shape)
-        images[i] = img.astype(np.float32)
+            dx, dy = rng.integers(-shift, shift + 1, size=2).tolist()
+        key = (label, dy % side, dx % side)
+        proto = shifted.get(key)
+        if proto is None:
+            proto = shifted[key] = np.roll(np.roll(prototypes[label], dy, axis=1), dx, axis=2)
+        images[i] = proto * gain + noise * rng.standard_normal(proto.shape)
 
     # standardize globally (what torchvision-style normalization would do)
     images -= images.mean()

@@ -135,7 +135,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logsumexp
-    losses = -logp[np.arange(n), targets]
+    rows = np.arange(n)
+    losses = -logp[rows, targets]
 
     if reduction == "mean":
         value = losses.mean()
@@ -151,14 +152,14 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
     def _backward() -> None:
         g = out.grad
         base = probs.copy()
-        base[np.arange(n), targets] -= 1.0
+        base[rows, targets] -= 1.0
         if reduction == "mean":
             grad = base * (np.asarray(g).reshape(()) / n)
         elif reduction == "sum":
             grad = base * np.asarray(g).reshape(())
         else:
             grad = base * np.asarray(g).reshape(n, 1)
-        logits._accumulate(grad.astype(logits.data.dtype))
+        logits._accumulate(grad.astype(logits.data.dtype, copy=False))
 
     out = Tensor._make(np.asarray(value, dtype=logits.data.dtype), (logits,), _backward)
     return out
@@ -392,7 +393,9 @@ def batch_norm(
 
     inv_std = 1.0 / np.sqrt(var + eps)
     x_hat = centred * inv_std.reshape(view)
-    out_data = (gamma.data.reshape(view) * x_hat + beta.data.reshape(view)).astype(x.data.dtype)
+    out_data = gamma.data.reshape(view) * x_hat
+    out_data += beta.data.reshape(view)
+    out_data = out_data.astype(x.data.dtype)
 
     def _backward() -> None:
         g = out.grad.astype(np.float64)
@@ -402,18 +405,21 @@ def batch_norm(
         if beta.requires_grad or beta._parents:
             beta._accumulate(g.sum(axis=axes).astype(beta.data.dtype))
         if x.requires_grad or x._parents:
+            # dx is built in place in ``gxh`` and one scratch array; the
+            # operations and their order are those of
+            # inv_std * (gxh - sum_gxh / count - xh * sum_gxh_xh / count)
             gxh = g * gamma.data.reshape(view).astype(np.float64)
             if training:
                 # d/dx of normalization with batch statistics
                 sum_gxh = gxh.sum(axis=axes, keepdims=True)
-                sum_gxh_xh = (gxh * xh).sum(axis=axes, keepdims=True)
-                dx = (
-                    inv_std.reshape(view)
-                    * (gxh - sum_gxh / count - xh * sum_gxh_xh / count)
-                )
-            else:
-                dx = gxh * inv_std.reshape(view)
-            x._accumulate(dx.astype(x.data.dtype))
+                scratch = gxh * xh
+                sum_gxh_xh = scratch.sum(axis=axes, keepdims=True)
+                gxh -= sum_gxh / count
+                np.multiply(xh, sum_gxh_xh, out=scratch)
+                scratch /= count
+                gxh -= scratch
+            gxh *= inv_std.reshape(view)
+            x._accumulate(gxh.astype(x.data.dtype, copy=False))
 
     out = Tensor._make(out_data, (x, gamma, beta), _backward)
     return out, mean, var

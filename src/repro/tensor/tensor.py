@@ -187,7 +187,13 @@ class Tensor:
         out.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         out.grad = None
         out.name = None
-        if is_grad_enabled() and any(p.requires_grad for p in parents):
+        requires = False
+        if is_grad_enabled():
+            for parent in parents:
+                if parent.requires_grad:
+                    requires = True
+                    break
+        if requires:
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
