@@ -84,7 +84,7 @@ def make_image_classification(
     for i, (label, gain) in enumerate(zip(labels.tolist(), gains.tolist())):
         if shift > 0:
             dx, dy = rng.integers(-shift, shift + 1, size=2).tolist()
-        key = (label, dy % side, dx % side)
+        key = (label, dy, dx)
         proto = shifted.get(key)
         if proto is None:
             proto = shifted[key] = np.roll(np.roll(prototypes[label], dy, axis=1), dx, axis=2)

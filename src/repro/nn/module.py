@@ -9,9 +9,9 @@ layout.
 Every module caches that traversal — one flat list of its parameters and one
 of its submodules — because the worker reads both several times per update.
 Invalidation rule: any registration or unregistration on *any* module
-(assigning or deleting a ``Parameter``/``Module`` attribute, overwriting one
-with something else, ``register_buffer`` over one) starts a new registration
-epoch, and a cache built in an earlier epoch is rebuilt on its next read.
+(assigning a ``Parameter``/``Module`` attribute, overwriting one with
+something else, deleting an attribute, ``register_buffer``) starts a new
+registration epoch, and a cache built in an earlier epoch is rebuilt on its next read.
 The epoch is process-wide on purpose: a module does not know its parents, so
 a change in a nested child could not otherwise reach the caches above it.
 Rebinding ``param.data`` or a buffer does not touch the lists and starts no
@@ -63,39 +63,37 @@ class Module:
     # -------------------------------------------------------------- #
     # registration
     # -------------------------------------------------------------- #
+    def _register(self, registry: Optional[OrderedDict], name: str, value) -> None:
+        """Make ``registry`` (``None``: no registry) the only one holding ``name``.
+
+        Re-registering a name in the registry it is already in keeps its
+        position, and with it the flat layout.
+        """
+        for other in (self._parameters, self._modules, self._buffers):
+            if other is registry:
+                other[name] = value
+            else:
+                other.pop(name, None)
+        _new_epoch()
+
     def __setattr__(self, name: str, value) -> None:
         if isinstance(value, Parameter):
-            self._parameters[name] = value
-            self._modules.pop(name, None)
-            self._buffers.pop(name, None)
-            _new_epoch()
+            self._register(self._parameters, name, value)
         elif isinstance(value, Module):
-            self._modules[name] = value
-            self._parameters.pop(name, None)
-            self._buffers.pop(name, None)
-            _new_epoch()
+            self._register(self._modules, name, value)
         elif name in self._parameters or name in self._modules:
             # overwritten by a plain value (``layer.bias = None``): the
             # attribute is no longer part of the flat layout
-            self._parameters.pop(name, None)
-            self._modules.pop(name, None)
-            _new_epoch()
+            self._register(None, name, None)
         object.__setattr__(self, name, value)
 
     def __delattr__(self, name: str) -> None:
         object.__delattr__(self, name)
-        self._parameters.pop(name, None)
-        self._modules.pop(name, None)
-        self._buffers.pop(name, None)
-        _new_epoch()
+        self._register(None, name, None)
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         """Register a non-trainable persistent array (e.g. BN running stats)."""
-        self._buffers[name] = np.asarray(value)
-        if name in self._parameters or name in self._modules:
-            self._parameters.pop(name, None)
-            self._modules.pop(name, None)
-            _new_epoch()
+        self._register(self._buffers, name, np.asarray(value))
         object.__setattr__(self, name, self._buffers[name])
 
     def set_buffer(self, name: str, value: np.ndarray) -> None:

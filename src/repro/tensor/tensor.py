@@ -183,24 +183,14 @@ class Tensor:
         ``data`` is an op's own output, so none of ``__init__``'s input
         coercion applies: the slots are filled directly.
         """
+        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
         out = Tensor.__new__(Tensor)
         out.data = data if isinstance(data, np.ndarray) else np.asarray(data)
         out.grad = None
         out.name = None
-        requires = False
-        if is_grad_enabled():
-            for parent in parents:
-                if parent.requires_grad:
-                    requires = True
-                    break
-        if requires:
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward = None
+        out.requires_grad = requires
+        out._parents = parents if requires else ()
+        out._backward = backward if requires else None
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
