@@ -20,7 +20,16 @@ class Dataset:
 
 
 class ArrayDataset(Dataset):
-    """In-memory ``(inputs, targets)`` dataset backed by NumPy arrays."""
+    """In-memory ``(inputs, targets)`` dataset backed by NumPy arrays.
+
+    A dataset from :func:`repro.data.registry.build_dataset` is shared by
+    every plan in the process that asked for the same data, so its arrays are
+    read-only (:meth:`freeze`): an in-place write raises ``ValueError``.
+    Nothing in this repo writes to a dataset's arrays; code that needs to
+    takes a copy — :meth:`subset`, ``dataset[index_array]`` (what
+    ``DataLoader.next_batch`` draws) and :func:`train_test_split` all return
+    fresh, writable arrays.
+    """
 
     def __init__(self, inputs: np.ndarray, targets: np.ndarray) -> None:
         inputs = np.asarray(inputs)
@@ -47,6 +56,11 @@ class ArrayDataset(Dataset):
         """Return a copy restricted to ``indices``."""
         indices = np.asarray(indices)
         return ArrayDataset(self.inputs[indices], self.targets[indices])
+
+    def freeze(self) -> None:
+        """Make ``inputs`` and ``targets`` read-only, in place."""
+        self.inputs.flags.writeable = False
+        self.targets.flags.writeable = False
 
 
 def train_test_split(

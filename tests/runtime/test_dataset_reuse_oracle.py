@@ -10,7 +10,11 @@ the cell runs
 
 (i)   alone in a fresh subprocess (the reference),
 (ii)  after another cell with the same dataset key,
-(iii) after a cell with a different dataset key.
+(iii) after a cell with a different dataset key,
+(iv)  after its dataset was built, shared and then evicted from the table.
+
+(i)-(iii) were committed before ``build_dataset`` shared anything and passed
+unchanged at that commit; (iv) came with the table.
 
 Run as a script (``python test_dataset_reuse_oracle.py <cell>``) it prints one
 cell's fingerprint; that is how (i) gets its fresh process.
@@ -32,6 +36,7 @@ for _entry in (REPO / "src", REPO / "benchmarks" / "perf"):
 
 from perfbench.workloads import config  # noqa: E402  (the benchmark's pinned shape)
 
+from repro.data import registry  # noqa: E402
 from repro.runtime.backends import run_experiment  # noqa: E402
 from repro.runtime.session import ExperimentSession  # noqa: E402
 
@@ -123,6 +128,19 @@ def test_same_result_after_a_cell_with_the_same_dataset_key(name, alone):
 def test_same_result_after_a_cell_with_a_different_dataset_key(name, alone):
     run_cell(SEED + 1)
     run_cell(SEED, noise=0.8)
+    assert fingerprint(name) == alone(name)
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_same_result_after_its_dataset_was_evicted(name, alone, monkeypatch):
+    table = registry._DatasetTable(4 * 2**20)  # one 3.5 MB benchmark set at a time
+    monkeypatch.setattr(registry, "_TABLE", table)
+    run_cell(SEED)
+    shared = registry.build_dataset(config("asgd", 1, 1, SEED))
+    run_cell(SEED + 1)  # pushes SEED's set out
+    assert len(table) == 1
+    assert registry.build_dataset(config("asgd", 1, 1, SEED)) is not shared
+    run_cell(SEED + 1)
     assert fingerprint(name) == alone(name)
 
 
