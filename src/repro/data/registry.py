@@ -66,7 +66,6 @@ class _DatasetTable:
         self._lock = make_lock("DatasetTable._lock")
         # key -> (built, bytes), oldest use first
         self._entries: "OrderedDict[tuple, Tuple[BuiltDataset, int]]" = OrderedDict()  # guarded-by: _lock
-        self._bytes = 0  # guarded-by: _lock
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -74,7 +73,8 @@ class _DatasetTable:
     @property
     def retained_bytes(self) -> int:
         """Sum of ``nbytes`` over the four arrays of every entry."""
-        return self._bytes
+        with self._lock:
+            return sum(size for _, size in self._entries.values())
 
     def get(self, key: tuple) -> Optional[BuiltDataset]:
         """The entry under ``key``, now the most recently used; None on a miss."""
@@ -101,10 +101,10 @@ class _DatasetTable:
                 return entry[0]
             if size <= self.budget_bytes:
                 self._entries[key] = (built, size)
-                self._bytes += size
-                while self._bytes > self.budget_bytes:
+                excess = sum(kept for _, kept in self._entries.values()) - self.budget_bytes
+                while excess > 0:
                     _, (_, evicted) = self._entries.popitem(last=False)
-                    self._bytes -= evicted
+                    excess -= evicted
         return built
 
 

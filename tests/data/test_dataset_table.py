@@ -210,17 +210,20 @@ def test_two_threads_asking_for_one_cold_key_share_one_entry(table, scratch_name
     assert results[0][0].inputs[0, 0] == 4.0
 
 
-def test_many_threads_over_a_table_that_keeps_evicting(small_table):
-    configs = [tiny(noise=0.5 + 0.01 * i) for i in range(5)]
-    expected = [build_dataset(c)[0].inputs.copy() for c in configs]
+def test_many_threads_over_a_table_that_keeps_evicting(monkeypatch, scratch_name):
+    register_dataset(scratch_name, lambda config: constant_builder(float(config.seed))(config))
+    configs = [tiny().with_overrides(dataset=scratch_name, seed=seed) for seed in range(5)]
+    one = nbytes(build_dataset(configs[0]))
+    table = registry._DatasetTable(2 * one + one // 2)  # room for two sets and not three
+    monkeypatch.setattr(registry, "_TABLE", table)
     failures = []
 
     def hammer(offset: int) -> None:
         try:
-            for step in range(40):
-                i = (offset + step) % len(configs)
-                if not np.array_equal(build_dataset(configs[i])[0].inputs, expected[i]):
-                    failures.append(i)
+            for step in range(300):
+                seed = (offset + step) % len(configs)
+                if build_dataset(configs[seed])[0].inputs[0, 0] != seed:
+                    failures.append(seed)
         except Exception as exc:  # a thread's failure must reach the assertion below
             failures.append(exc)
 
@@ -236,10 +239,9 @@ def test_many_threads_over_a_table_that_keeps_evicting(small_table):
     finally:
         sys.setswitchinterval(interval)
     assert failures == []
-    # a lost update to the byte count would break this
-    retained = sum(size for _, size in small_table._entries.values())
-    assert small_table.retained_bytes == retained <= small_table.budget_bytes
-    assert 1 <= len(small_table) <= 2
+    # an insertion that raced past the eviction loop would break this
+    assert table.retained_bytes <= table.budget_bytes
+    assert 1 <= len(table) <= 2
 
 
 # ---------------------------------------------------------------------- #

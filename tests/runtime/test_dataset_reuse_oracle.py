@@ -135,12 +135,10 @@ def test_same_result_after_a_cell_with_a_different_dataset_key(name, alone):
 def test_same_result_after_its_dataset_was_evicted(name, alone, monkeypatch):
     table = registry._DatasetTable(4 * 2**20)  # one 3.5 MB benchmark set at a time
     monkeypatch.setattr(registry, "_TABLE", table)
-    run_cell(SEED)
-    shared = registry.build_dataset(config("asgd", 1, 1, SEED))
-    run_cell(SEED + 1)  # pushes SEED's set out
+    run_cell(SEED)  # builds and shares SEED's set
+    other = registry.build_dataset(config("asgd", 1, 1, SEED + 1))  # pushes it out
     assert len(table) == 1
-    assert registry.build_dataset(config("asgd", 1, 1, SEED)) is not shared
-    run_cell(SEED + 1)
+    assert registry.build_dataset(config("asgd", 1, 1, SEED + 1)) is other
     assert fingerprint(name) == alone(name)
 
 
