@@ -8,49 +8,75 @@ TCP socket speaking the :mod:`repro.runtime.wire` protocol.  Unlike the
 thread backend there is no shared GIL: staleness and wall-clock numbers
 come from genuinely independent compute plus real kernel socket queues.
 
-Startup handshake (typed :class:`~repro.runtime.wire.ControlFrame`
-documents, protocol v2)::
+Children outlive a run.  A run checks out up to ``M`` idle children from a
+process-wide pool, spawns only the shortfall, and configures every one of
+them afresh; after a run that succeeds they go back to the pool.  Control
+documents (typed :class:`~repro.runtime.wire.ControlFrame`, protocol v2)::
 
-    child  -> parent   hello   {"worker": id, "token": ...}
-    parent -> child    config  {"config": ..., "codec": ..., scales...}
+    child  -> parent   hello   {"worker": id, "token": ...}      once, on connect
+    parent -> child    config  {"worker": id, "config": ..., "codec": ..., scales...}
     child  -> parent   ready   {"worker": id}   (or error {"traceback"})
     parent -> child    start   {}
+                       ... the run: message frames both ways ...
+    child  -> parent   done    {"worker": id, "timers": ...}    after its sidebands
+                       ... idle in the pool until the next config ...
 
-The config frame names the negotiated gradient codec
-(``TrainingConfig.comm_codec``); both directions then run it on every
-array payload.  A peer speaking another protocol version is rejected on
-its first frame with a reason (best-effort ``reject`` control frame back)
-and the run fails fast instead of hanging.
+``done`` is the run boundary: the parent's reader for that child stops on
+it, and the child skips any message frame of the finished run still in
+flight (the parent sends Shutdown twice) before reading the next
+``config``, so no frame of one run is ever read as part of the next.  The
+config frame names the run's worker id and gradient codec
+(``TrainingConfig.comm_codec``); both ends arm a fresh codec on every
+config, so no codec state (topk's residual) crosses a run.  A peer
+speaking another protocol version is rejected on its first frame with a
+reason (best-effort ``reject`` control frame back) and the run fails fast
+instead of hanging.
 
-No weights travel at startup: the child rebuilds its replica + loader from
-``(TrainingConfig, worker_id)`` via :class:`~repro.runtime.session.
-WorkerRuntime` — identical initialization is re-derived from the seed, and
-only weights/gradients/BN stats cross the wire afterwards.
+No weights travel at startup: on every config the child rebuilds its
+replica + loader from ``(TrainingConfig, worker_id)`` via
+:class:`~repro.runtime.session.WorkerRuntime` — identical initialization
+is re-derived from the seed (a reused child's dataset table already holds
+the set), and only weights/gradients/BN stats cross the wire afterwards.
 
-Failure containment: a child that dies (crash, OOM-kill, nonzero exit)
-surfaces as a run failure within seconds — its socket EOF and its exit
-code are both watched — and every child is reaped (terminate, then kill)
-before ``run`` returns, so a crashed run can never leave orphan processes
-or a hung parent behind.
+The pool hands a child only to a run whose *spawn signature* — the
+interpreter, the source root, the protocol version and the environment the
+child was given, token aside — equals the one it was spawned under; it
+retires idle children of any other signature at checkout and keeps at
+most :data:`MAX_IDLE_CHILDREN`.  Failure containment: a child
+that dies (crash, OOM-kill, nonzero exit) surfaces as a run failure within
+seconds — its socket EOF and its exit code are both watched — and a
+failed, timed-out or interrupted run reaps every one of its children
+(terminate, then kill) before ``run`` returns, so it can never leave orphan
+processes or a hung parent behind; only a child that ended a successful
+run with ``done`` is kept, and one found dead at checkout is replaced.
+Idle children end with the parent: an ``atexit`` hook closes and reaps
+them, and a parent that dies without running it leaves them an EOF, on
+which they exit.  A forked process starts with an empty pool.
 
 ``bn_mode="local"`` evaluation borrows worker 0's running BN statistics,
 which live in a child's address space here; the child streams them back
-at shutdown (:class:`~repro.runtime.messages.BnStatsPush`) and the final
-evaluation installs them.  Mid-run curve points in this mode use the
-parent eval model's own (initial) running statistics — if you need a
-faithful local-BN *curve*, use the sim or thread backend.
+at the end of the run (:class:`~repro.runtime.messages.BnStatsPush`) and
+the final evaluation installs them.  Mid-run curve points in this mode use
+the parent eval model's own (initial) running statistics — if you need a
+faithful local-BN *curve*, use the sim or thread backend.  The ``done``
+frame carries the child's Timer totals, which the parent folds into the
+plan's timer, so ``RunResult.timers["worker_compute_ms"]`` is measured
+here as on the in-process backends.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import secrets
+import select
 import socket
 import subprocess
 import sys
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.lockorder import make_lock
 from repro.cluster.network import NetworkModel
@@ -73,9 +99,15 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("runtime.proc")
 
-#: env var carrying the per-run handshake token to children (env, not argv:
-#: command lines are world-readable in ``ps``)
+#: env var carrying the per-spawn handshake token to children (env, not
+#: argv: command lines are world-readable in ``ps``)
 TOKEN_ENV = "REPRO_PROC_TOKEN"
+
+#: Idle children one process keeps between runs.  16 is the largest M in the
+#: paper's grid (Table 1), so a sweep of M=16 cells spawns for its first cell
+#: only; an idle child holds about 51 MB RSS and one thread, so a full pool
+#: costs about 0.8 GB until the parent exits.
+MAX_IDLE_CHILDREN = 16
 
 
 class SocketTransport:
@@ -91,9 +123,11 @@ class SocketTransport:
     emulated downlink.
 
     One reader thread per attached worker drains its socket into
-    ``server_inbox``; an unexpected EOF or garbled frame is reported
-    through ``on_worker_failure`` so the backend can fail the run instead
-    of hanging on a mailbox that will never fill.
+    ``server_inbox`` until the child's ``done`` frame; an unexpected EOF
+    or garbled frame is reported through ``on_worker_failure`` so the
+    backend can fail the run instead of hanging on a mailbox that will
+    never fill.  ``readers_done`` is set once all ``num_workers`` readers
+    have stopped, for either reason.
     """
 
     def __init__(
@@ -123,17 +157,17 @@ class SocketTransport:
         #: called as (worker, exception) when a link dies mid-run
         self.on_worker_failure: Optional[Callable[[int, Exception], None]] = None
         self._bn_lock = make_lock("SocketTransport._bn_lock")
-        #: worker -> BN running stats streamed at shutdown (bn_mode="local");
-        #: written by per-worker reader threads, read after bn_stats_ready
+        #: worker -> BN running stats streamed at run end (bn_mode="local");
+        #: written by per-worker reader threads, read after readers_done
         self.bn_stats: Dict[int, tuple] = {}  # guarded-by: _bn_lock
-        self.bn_stats_ready = threading.Event()
         #: the plan's recorder; obs children stream their trace rows here
-        #: at shutdown (TracePush — same sideband contract as BN stats)
+        #: at run end (TracePush — same sideband contract as BN stats)
         self.recorder = recorder
-        self._trace_lock = make_lock("SocketTransport._trace_lock")
-        self._trace_seen = 0  # guarded-by: _trace_lock
-        #: set once every worker's TracePush landed (obs runs only)
-        self.trace_ready = threading.Event()
+        self._end_lock = make_lock("SocketTransport._end_lock")
+        #: worker -> the child's Timer totals, from its ``done`` frame
+        self._ended: Dict[int, dict] = {}  # guarded-by: _end_lock
+        self._running_readers = self.num_workers  # guarded-by: _end_lock
+        self.readers_done = threading.Event()
 
     # ------------------------------------------------------------------ #
     def attach(self, worker: int, conn: FrameConnection) -> None:
@@ -155,26 +189,28 @@ class SocketTransport:
             while True:
                 message, _, nbytes, wire_nbytes = conn.recv_info()
                 if not isinstance(message, Message):
-                    raise WireError(
-                        f"worker {worker} sent a control frame mid-run: {message!r}"
-                    )
+                    end = ControlFrame.from_doc(message, expect_version=PROTOCOL_VERSION)
+                    if end.kind != "done":
+                        raise WireError(
+                            f"worker {worker} sent a control frame mid-run: {message!r}"
+                        )
+                    # the child's last frame of this run: stop reading, so
+                    # nothing after it is taken for part of this run
+                    with self._end_lock:
+                        self._ended[worker] = dict(end.body.get("timers") or {})
+                    return
                 self.stats.count(worker, nbytes, wire_nbytes)
                 if isinstance(message, BnStatsPush):
-                    # shutdown-time sideband, not Algorithm-2 traffic: the
-                    # server actor has already drained by the time it lands
+                    # run-end sideband, not Algorithm-2 traffic: the server
+                    # actor has already drained by the time it lands
                     with self._bn_lock:
                         self.bn_stats[worker] = message.stats
-                    self.bn_stats_ready.set()
                     continue
                 if isinstance(message, TracePush):
                     # same sideband: merge the child's trace rows (each one
                     # re-validated against the event registry on ingestion)
                     if self.recorder.enabled:
                         self.recorder.ingest_rows(message.rows)
-                    with self._trace_lock:
-                        self._trace_seen += 1
-                        if self._trace_seen >= self.num_workers:
-                            self.trace_ready.set()
                     continue
                 self.server_inbox.put(message)
         except Exception as exc:
@@ -186,6 +222,16 @@ class SocketTransport:
                 return  # expected teardown
             if self.on_worker_failure is not None:
                 self.on_worker_failure(worker, exc)
+        finally:
+            with self._end_lock:
+                self._running_readers -= 1
+                if self._running_readers == 0:
+                    self.readers_done.set()
+
+    def ended(self) -> Dict[int, dict]:
+        """worker -> Timer totals, for every child that sent ``done``."""
+        with self._end_lock:
+            return dict(self._ended)
 
     # ------------------------------------------------------------------ #
     def to_server(self, worker: int, message: Message, nbytes: int = 0) -> None:
@@ -226,16 +272,164 @@ class SocketTransport:
             except (OSError, WireError):
                 pass  # a dying child already surfaced through its reader
 
-    def close(self) -> None:
-        """Tear down every link; reader EOFs after this are expected."""
+    def close(self, keep: Sequence[FrameConnection] = ()) -> None:
+        """Tear down every link but ``keep``; reader EOFs after this are expected."""
         self._closed.set()
         for conn in self._conns:
-            if conn is not None:
+            if conn is not None and not any(conn is kept for kept in keep):
                 conn.close()
         for reader in self._readers:
             reader.join(timeout=5.0)
 
 
+# ---------------------------------------------------------------------- #
+# the idle pool
+# ---------------------------------------------------------------------- #
+@dataclass(eq=False)
+class _Child:
+    """One worker child: its process, its authenticated link, how it was spawned."""
+
+    proc: subprocess.Popen
+    sock: socket.socket
+    conn: FrameConnection
+    signature: tuple
+
+    def idle_and_alive(self) -> bool:
+        """Running and silent: an idle child sends nothing, so a readable
+        socket means EOF (or garbage) is waiting."""
+        if self.proc.poll() is not None:
+            return False
+        readable, _, _ = select.select([self.sock], [], [], 0)
+        return not readable
+
+
+def _reap(procs: Sequence[subprocess.Popen], force: bool = False) -> None:
+    """Collect every child; escalate to SIGKILL rather than leak one."""
+    for proc in procs:
+        if proc.poll() is not None:
+            continue
+        if force:
+            proc.kill()
+        else:
+            try:
+                proc.wait(timeout=10.0)
+                continue
+            except subprocess.TimeoutExpired:
+                proc.kill()
+        try:
+            proc.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:  # pragma: no cover - kernel refusal
+            logger.error("worker pid %d survived SIGKILL", proc.pid)
+
+
+def _close_and_reap(children: Sequence[_Child], force: bool = False) -> None:
+    """Close every link (the child sees EOF and exits), then reap."""
+    for child in children:
+        child.conn.close()
+    _reap([child.proc for child in children], force=force)
+
+
+class _IdlePool:
+    """Worker children between runs, oldest first."""
+
+    def __init__(self) -> None:
+        self._lock = make_lock("IdlePool._lock")
+        self._idle: List[_Child] = []  # guarded-by: _lock
+
+    def checkout(self, signature: tuple, count: int) -> List[_Child]:
+        """Up to ``count`` live idle children spawned under ``signature``.
+
+        Dead ones met on the way are reaped, not returned.  Idle children
+        spawned under another signature are retired: the environment they
+        were given is no longer this process's, so no run would take them.
+        """
+        with self._lock:
+            matching = [c for c in self._idle if c.signature == signature]
+            retired = [c for c in self._idle if c.signature != signature]
+            taken, self._idle = matching[:count], matching[count:]
+        live = []
+        for child in taken:
+            (live if child.idle_and_alive() else retired).append(child)
+        _close_and_reap(retired, force=True)
+        return live
+
+    def checkin(self, children: Sequence[_Child]) -> None:
+        """Keep ``children`` for later runs; the oldest beyond the bound end."""
+        with self._lock:
+            self._idle.extend(children)
+            excess = self._idle[: max(0, len(self._idle) - MAX_IDLE_CHILDREN)]
+            del self._idle[: len(excess)]
+        _close_and_reap(excess)
+
+    def drain(self) -> List[_Child]:
+        """Remove and return every idle child."""
+        with self._lock:
+            children, self._idle = self._idle, []
+        return children
+
+    def pids(self) -> List[int]:
+        with self._lock:
+            return sorted(child.proc.pid for child in self._idle)
+
+    def close_fds_after_fork(self) -> None:
+        """In a forked process: drop this process's copies of the links.
+
+        ``socket.close`` releases the inherited descriptor only;
+        ``FrameConnection.close`` would ``shutdown`` the parent's live
+        connection.  No lock: only the forking thread exists here.
+        """
+        for child in self._idle:
+            child.sock.close()
+
+
+_POOL = _IdlePool()
+#: pools a forked process inherited: their children belong to the process
+#: that spawned them, which alone can wait on them, so their handles are
+#: kept here rather than finalized
+_INHERITED: List[_IdlePool] = []
+
+
+def _forget_pool_after_fork() -> None:
+    global _POOL
+    _POOL.close_fds_after_fork()
+    _INHERITED.append(_POOL)
+    _POOL = _IdlePool()
+
+
+def _close_idle_children() -> None:
+    _close_and_reap(_POOL.drain())
+
+
+def idle_pids() -> List[int]:
+    """Pids of this process's idle worker children, sorted."""
+    return _POOL.pids()
+
+
+# an idle child must not outlive the parent (it would exit on EOF anyway;
+# reaping here leaves no zombie and no "still running" warning), and a
+# forked child (the pool executor's default start method) must neither use
+# nor inherit a lock another thread held at the fork
+atexit.register(_close_idle_children)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
+
+
+def _spawn_env() -> Tuple[Dict[str, str], tuple]:
+    """The environment new children get, token aside, and its spawn signature."""
+    import repro
+
+    env = dict(os.environ)
+    env.pop(TOKEN_ENV, None)
+    # children must import the same repro the parent runs, installed or not
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    existing = env.get("PYTHONPATH", "")
+    if src_root not in existing.split(os.pathsep):
+        env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
+    signature = (sys.executable, src_root, PROTOCOL_VERSION, tuple(sorted(env.items())))
+    return env, signature
+
+
+# ---------------------------------------------------------------------- #
 class ProcBackend:
     """Execute an :class:`ExperimentPlan` on real OS-process workers.
 
@@ -251,7 +445,8 @@ class ProcBackend:
         Hard cap in real seconds on the training phase before the run is
         declared hung (crashed children fail faster, via EOF/exit-code).
     startup_timeout:
-        Cap on spawn + import + dataset/replica rebuild + handshake.
+        Cap on spawning the shortfall (process start, imports, hello) plus
+        every child's replica rebuild and ``ready``.
     """
 
     name = "proc"
@@ -284,10 +479,10 @@ class ProcBackend:
                 "on the gossip backend (or sim/thread, which delegate to it)"
             )
         # bn_mode="local" evaluation borrows worker 0's running BN stats,
-        # which live in a child here: the child streams them back at
-        # shutdown (BnStatsPush) and the final evaluation below uses them.
-        # Mid-run curve points see the eval model's own (initial) running
-        # stats — only the final point is faithful in this mode.
+        # which live in a child here: the child streams them back at the
+        # end of the run (BnStatsPush) and the final evaluation below uses
+        # them.  Mid-run curve points see the eval model's own (initial)
+        # running stats — only the final point is faithful in this mode.
         needs_local_bn = config.bn_mode == "local" and bool(bn_layers(plan.eval_model))
         session = ExperimentSession(plan)
         num_workers = config.num_workers
@@ -298,18 +493,12 @@ class ProcBackend:
             recorder=plan.recorder,
         )
         ctl = RunControl()
-        procs: List[subprocess.Popen] = []
-        listener: Optional[socket.socket] = None
-        server_thread: Optional[threading.Thread] = None
+        children: List[_Child] = []
+        # the children that closed a successful run with `done`: the pool's
+        kept: List[_Child] = []
         try:
-            listener = socket.create_server(("127.0.0.1", 0))
-            listener.settimeout(0.2)
-            port = listener.getsockname()[1]
-            token = secrets.token_hex(16)
-            procs = self._spawn_children(num_workers, port, token)
-            conns = self._handshake(
-                listener, procs, token, config,
-                obs=bool(getattr(plan.recorder, "enabled", False)),
+            children = self._handshake(
+                num_workers, config, obs=bool(getattr(plan.recorder, "enabled", False))
             )
 
             def worker_link_failed(worker: int, exc: Exception) -> None:
@@ -324,10 +513,10 @@ class ProcBackend:
             transport.on_worker_failure = worker_link_failed
             # start everyone: frames a child sends before its reader attaches
             # simply buffer in the socket
-            for worker, conn in conns.items():
-                conn.send_control(ControlFrame("start", {}).to_doc())
-            for worker, conn in conns.items():
-                transport.attach(worker, conn)
+            for child in children:
+                child.conn.send_control(ControlFrame("start", {}).to_doc())
+            for worker, child in enumerate(children):
+                transport.attach(worker, child.conn)
 
             ctl.start_clock()
             server_thread = threading.Thread(
@@ -338,31 +527,30 @@ class ProcBackend:
             )
             server_thread.start()
 
-            self._supervise(ctl, procs)
+            self._supervise(ctl, [child.proc for child in children])
 
             transport.wake_all_workers(Shutdown())
             transport.server_inbox.put(Shutdown())
             server_thread.join(timeout=30.0)
             elapsed = ctl.clock()
-            self._reap(procs)
 
             ctl.raise_if_failed()
             if server_thread.is_alive():
                 raise RuntimeError("proc backend failed to join its server actor")
 
-            if plan.recorder.enabled and not transport.trace_ready.wait(timeout=10.0):
-                # children are reaped, so a missing push can only mean a
-                # crashed-then-restarted run path: degrade, don't fail
-                logger.warning(
-                    "obs: not every worker child streamed its trace rows"
-                )
+            # each child ends its run with `done`, right after its sidebands;
+            # one that has not by then is reaped below instead of kept
+            transport.readers_done.wait(timeout=10.0)
+            ended = transport.ended()
+            for totals in ended.values():
+                plan.timer.merge(totals)
+            if plan.recorder.enabled and len(ended) < num_workers:
+                logger.warning("obs: not every worker child streamed its trace rows")
 
             if needs_local_bn:
-                # children have exited (reaped above), so the stats frame is
-                # at worst still in the reader thread's hands — wait for it
-                if not transport.bn_stats_ready.wait(timeout=30.0) or 0 not in transport.bn_stats:
+                if 0 not in transport.bn_stats:
                     raise RuntimeError(
-                        "bn_mode='local': worker child 0 exited without "
+                        "bn_mode='local': worker child 0 ended its run without "
                         "streaming its BN running statistics"
                     )
                 load_bn_running_stats(plan.eval_model, list(transport.bn_stats[0]))
@@ -372,130 +560,138 @@ class ProcBackend:
                 "proc backend finished: algo=%s M=%d updates=%d wall=%.2fs",
                 config.algorithm, num_workers, plan.server.batches_processed, elapsed,
             )
-            return session.build_result(
+            result = session.build_result(
                 elapsed,
                 backend=self.name,
                 wall_time=elapsed,
                 comm=transport.comm_summary(),
                 codec=config.comm_codec,
             )
+            kept = [children[worker] for worker in sorted(ended)]
+            return result
         finally:
-            transport.close()
-            if listener is not None:
-                listener.close()
-            self._reap(procs, force=True)
+            transport.close(keep=[child.conn for child in kept])
+            _close_and_reap(
+                [c for c in children if not any(c is k for k in kept)], force=True
+            )
+            _POOL.checkin(kept)
 
     # ------------------------------------------------------------------ #
-    def _spawn_children(
-        self, num_workers: int, port: int, token: str
-    ) -> List[subprocess.Popen]:
-        """Launch one ``python -m repro.runtime.proc_worker`` per worker."""
-        import repro
+    def _handshake(self, num_workers: int, config, obs: bool = False) -> List[_Child]:
+        """The run's children, index = worker id, each configured and ready.
 
-        env = dict(os.environ)
-        env[TOKEN_ENV] = token
-        # children must import the same repro the parent runs, installed or not
-        src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        existing = env.get("PYTHONPATH", "")
-        if src_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
-        procs = []
-        for worker in range(num_workers):
-            procs.append(
-                subprocess.Popen(
-                    [
-                        sys.executable, "-m", "repro.runtime.proc_worker",
-                        "--host", "127.0.0.1",
-                        "--port", str(port),
-                        "--worker-id", str(worker),
-                    ],
-                    env=env,
-                )
-            )
-        return procs
-
-    def _handshake(
-        self,
-        listener: socket.socket,
-        procs: List[subprocess.Popen],
-        token: str,
-        config,
-        obs: bool = False,
-    ) -> Dict[int, FrameConnection]:
-        """Accept, authenticate, configure and confirm every worker child."""
-        num_workers = len(procs)
+        Idle children spawned under this run's signature come first; the
+        shortfall is spawned.  On any failure every child is reaped.
+        """
         deadline = time.monotonic() + self.startup_timeout
-        conns: Dict[int, FrameConnection] = {}
+        env, signature = _spawn_env()
+        children = _POOL.checkout(signature, num_workers)
         try:
-            while len(conns) < num_workers:
-                self._check_startup(procs, deadline, phase="connect")
-                try:
-                    sock, _ = listener.accept()
-                except socket.timeout:
-                    continue
-                sock.settimeout(self.startup_timeout)
-                conn = FrameConnection(sock)
-                try:
-                    doc, _ = conn.recv()
-                    hello = ControlFrame.from_doc(doc, expect_version=PROTOCOL_VERSION)
-                except ProtocolMismatch as exc:
-                    # a version-skewed child: tell it why (best effort — it
-                    # may not parse our frames either), then fail the run
-                    # fast rather than time the handshake out
-                    self._reject(conn, str(exc))
-                    raise RuntimeError(f"proc handshake rejected a peer: {exc}") from exc
-                except WireError:
-                    logger.warning("rejecting stray connection during handshake")
-                    conn.close()
-                    continue
-                worker_id = hello.body.get("worker")
-                if (
-                    hello.kind != "hello"
-                    or not secrets.compare_digest(
-                        str(hello.body.get("token", "")), token
-                    )
-                    or not isinstance(worker_id, int)
-                    or not 0 <= worker_id < num_workers
-                    or worker_id in conns
-                ):
-                    logger.warning("rejecting stray connection during handshake")
-                    conn.close()
-                    continue
-                conns[worker_id] = conn
-            frame = ControlFrame(
-                "config",
-                {
-                    "config": config.to_dict(),
-                    "codec": config.comm_codec,
-                    "time_scale": self.time_scale,
-                    "compute_scale": self.compute_scale,
-                    "obs": bool(obs),
-                },
-            )
-            for worker, conn in conns.items():
-                conn.send_control(frame.to_doc())
-            for worker, conn in conns.items():
-                self._check_startup(procs, deadline, phase="initialize")
-                doc, _ = conn.recv()
-                ready = ControlFrame.from_doc(doc, expect_version=PROTOCOL_VERSION)
-                if ready.kind == "error":
-                    raise RuntimeError(
-                        f"worker child {worker} failed to initialize:\n"
-                        f"{ready.body.get('traceback', '')}"
-                    )
-                if ready.kind != "ready" or ready.body.get("worker") != worker:
-                    raise RuntimeError(
-                        f"worker child {worker} broke the handshake: {doc!r}"
-                    )
-                # the negotiated downlink codec (per connection: topk keeps
-                # per-receiver state, and decode is stateless anyway)
-                conn.codec = make_codec(config.comm_codec)
-                conn.settimeout(None)  # back to blocking for the run
+            if len(children) < num_workers:
+                children += self._spawn(
+                    range(len(children), num_workers), env, signature, deadline
+                )
+            self._configure(children, config, obs, deadline)
         except BaseException:
-            for conn in conns.values():
-                conn.close()
+            _close_and_reap(children, force=True)
             raise
-        return conns
+        return children
+
+    def _spawn(
+        self, worker_ids: range, env: Dict[str, str], signature: tuple, deadline: float
+    ) -> List[_Child]:
+        """Launch one ``python -m repro.runtime.proc_worker`` per id and
+        accept each one's authenticated ``hello``."""
+        token = secrets.token_hex(16)
+        procs: Dict[int, subprocess.Popen] = {}
+        links: Dict[int, Tuple[socket.socket, FrameConnection]] = {}
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(0.2)
+            port = listener.getsockname()[1]
+            try:
+                for worker in worker_ids:
+                    procs[worker] = subprocess.Popen(
+                        [
+                            sys.executable, "-m", "repro.runtime.proc_worker",
+                            "--host", "127.0.0.1",
+                            "--port", str(port),
+                            "--worker-id", str(worker),
+                        ],
+                        env=dict(env, **{TOKEN_ENV: token}),
+                    )
+                while len(links) < len(procs):
+                    self._check_startup(procs, deadline, phase="connect")
+                    try:
+                        sock, _ = listener.accept()
+                    except socket.timeout:
+                        continue
+                    sock.settimeout(self.startup_timeout)
+                    conn = FrameConnection(sock)
+                    try:
+                        doc, _ = conn.recv()
+                        hello = ControlFrame.from_doc(doc, expect_version=PROTOCOL_VERSION)
+                    except ProtocolMismatch as exc:
+                        # a version-skewed child: tell it why (best effort —
+                        # it may not parse our frames either), then fail the
+                        # run fast rather than time the handshake out
+                        self._reject(conn, str(exc))
+                        raise RuntimeError(f"proc handshake rejected a peer: {exc}") from exc
+                    except WireError:
+                        logger.warning("rejecting stray connection during handshake")
+                        conn.close()
+                        continue
+                    worker_id = hello.body.get("worker")
+                    if (
+                        hello.kind != "hello"
+                        or not secrets.compare_digest(
+                            str(hello.body.get("token", "")), token
+                        )
+                        or worker_id not in procs
+                        or worker_id in links
+                    ):
+                        logger.warning("rejecting stray connection during handshake")
+                        conn.close()
+                        continue
+                    links[worker_id] = (sock, conn)
+            except BaseException:
+                for _, conn in links.values():
+                    conn.close()
+                _reap(list(procs.values()), force=True)
+                raise
+        return [_Child(procs[w], *links[w], signature) for w in worker_ids]
+
+    def _configure(
+        self, children: List[_Child], config, obs: bool, deadline: float
+    ) -> None:
+        """Send each child this run's ``config`` and confirm its ``ready``."""
+        body = {
+            "config": config.to_dict(),
+            "codec": config.comm_codec,
+            "time_scale": self.time_scale,
+            "compute_scale": self.compute_scale,
+            "obs": bool(obs),
+        }
+        for worker, child in enumerate(children):
+            child.conn.settimeout(self.startup_timeout)
+            child.conn.send_control(ControlFrame("config", dict(body, worker=worker)).to_doc())
+        procs = {worker: child.proc for worker, child in enumerate(children)}
+        for worker, child in enumerate(children):
+            self._check_startup(procs, deadline, phase="initialize")
+            doc, _ = child.conn.recv()
+            ready = ControlFrame.from_doc(doc, expect_version=PROTOCOL_VERSION)
+            if ready.kind == "error":
+                raise RuntimeError(
+                    f"worker child {worker} failed to initialize:\n"
+                    f"{ready.body.get('traceback', '')}"
+                )
+            if ready.kind != "ready" or ready.body.get("worker") != worker:
+                raise RuntimeError(
+                    f"worker child {worker} broke the handshake: {doc!r}"
+                )
+            # the negotiated downlink codec, fresh per run and per
+            # connection: topk keeps per-receiver state (decode is stateless)
+            child.conn.codec = make_codec(config.comm_codec)
+            child.conn.settimeout(None)  # back to blocking for the run
 
     @staticmethod
     def _reject(conn: FrameConnection, reason: str) -> None:
@@ -507,14 +703,14 @@ class ProcBackend:
         conn.close()
 
     def _check_startup(
-        self, procs: List[subprocess.Popen], deadline: float, phase: str
+        self, procs: Dict[int, subprocess.Popen], deadline: float, phase: str
     ) -> None:
         if time.monotonic() > deadline:
             raise RuntimeError(
                 f"proc backend startup ({phase}) exceeded "
                 f"startup_timeout={self.startup_timeout}s"
             )
-        for worker, proc in enumerate(procs):
+        for worker, proc in procs.items():
             code = proc.poll()
             if code is not None:
                 raise RuntimeError(
@@ -532,8 +728,8 @@ class ProcBackend:
             for worker, proc in enumerate(procs):
                 code = proc.poll()
                 if code is not None and not ctl.done.is_set():
-                    # children only exit after a Shutdown, which is only
-                    # sent once done is set: any earlier exit is a crash
+                    # children only exit on EOF, which a run only causes
+                    # after done is set: any earlier exit is a crash
                     ctl.fail(
                         RuntimeError(
                             f"worker child {worker} exited with code {code} "
@@ -541,21 +737,3 @@ class ProcBackend:
                         )
                     )
                     return
-
-    def _reap(self, procs: List[subprocess.Popen], force: bool = False) -> None:
-        """Collect every child; escalate to SIGKILL rather than leak one."""
-        for proc in procs:
-            if proc.poll() is not None:
-                continue
-            if force:
-                proc.kill()
-            else:
-                try:
-                    proc.wait(timeout=10.0)
-                    continue
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-            try:
-                proc.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover - kernel refusal
-                logger.error("worker pid %d survived SIGKILL", proc.pid)

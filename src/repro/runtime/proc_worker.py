@@ -2,25 +2,31 @@
 
 Run as ``python -m repro.runtime.proc_worker --host H --port P
 --worker-id M`` by :class:`~repro.runtime.proc_backend.ProcBackend` —
-never by hand.  The child:
+never by hand.  The child connects to the parent and authenticates once,
+with ``hello`` and the token from the ``REPRO_PROC_TOKEN`` environment
+variable (``--worker-id`` names it in that hello only), then serves one
+run per ``config`` frame until the parent closes the link.  Per run it:
 
-1. connects to the parent and authenticates with the token from the
-   ``REPRO_PROC_TOKEN`` environment variable;
-2. receives the :class:`~repro.core.config.TrainingConfig` as JSON and
-   rebuilds *its own* replica, loader and timing models from
-   ``(config, worker_id)`` via :class:`~repro.runtime.session.
-   WorkerRuntime` — initialization is re-derived from the seed, so only
-   weights travel over the wire after this point — and arms the
-   negotiated gradient codec (``comm_codec``) on its uplink;
-3. drives the one worker cycle (:func:`repro.runtime.cycle.worker_cycle`,
+1. takes the run's worker id and :class:`~repro.core.config.
+   TrainingConfig` from ``config`` and rebuilds its replica, loader and
+   timing models from ``(config, worker_id)`` via :class:`~repro.runtime.
+   session.WorkerRuntime` — initialization is re-derived from the seed, so
+   only weights travel over the wire after this point — with a new Timer
+   and trace recorder and a freshly armed gradient codec (``comm_codec``)
+   on its uplink;
+2. drives the one worker cycle (:func:`repro.runtime.cycle.worker_cycle`,
    through a :class:`~repro.runtime.cycle.BlockingDriver`) free-running
    against the parent's server actor, sleeping out emulated uplink
-   (``time_scale``) and compute (``compute_scale``) delays locally;
-4. exits 0 on :class:`~repro.runtime.messages.Shutdown` (or on parent
-   EOF — an orphaned child never lingers), nonzero on any failure.
-   Under ``bn_mode="local"`` worker 0 first streams its BN running
-   statistics back (:class:`~repro.runtime.messages.BnStatsPush`) so the
-   parent can evaluate with them.
+   (``time_scale``) and compute (``compute_scale``) delays locally, until
+   :class:`~repro.runtime.messages.Shutdown`;
+3. streams its sidebands — worker 0's BN running statistics under
+   ``bn_mode="local"`` (:class:`~repro.runtime.messages.BnStatsPush`), its
+   trace rows under obs (:class:`~repro.runtime.messages.TracePush`) — then
+   ``done`` with its Timer totals, and waits for the next ``config``,
+   skipping the message frames of the finished run still in flight.
+
+It exits 0 on parent EOF (an orphaned or released child never lingers),
+nonzero on any failure.
 
 Fault injection (tests only): ``REPRO_PROC_CRASH_WORKER`` /
 ``REPRO_PROC_CRASH_AFTER`` make the named worker die mid-run with
@@ -101,7 +107,7 @@ class WorkerChannel:
                 not_before = time.monotonic() + delay if delay > 0 else 0.0
                 self.inbox.put(message, not_before=not_before)
                 if isinstance(message, Shutdown):
-                    return
+                    return  # the run is over: the link is main()'s again
         except (ConnectionClosed, WireError, OSError):
             self.inbox.put(Shutdown())  # parent gone: end the loop, don't hang
 
@@ -149,8 +155,8 @@ def _stream_local_bn_stats(conn: FrameConnection, runtime: WorkerRuntime) -> Non
     """After Shutdown: ship worker 0's BN running statistics to the parent.
 
     Under ``bn_mode="local"`` evaluation borrows worker 0's running
-    statistics, which live here, in the child.  Streaming them once at
-    shutdown is what lets the proc backend evaluate local-BN configs at
+    statistics, which live here, in the child.  Streaming them once per
+    run is what lets the proc backend evaluate local-BN configs at
     all (it used to reject them up front).  A vanished parent just means
     nobody is evaluating — exit quietly.
     """
@@ -171,11 +177,11 @@ def _stream_local_bn_stats(conn: FrameConnection, runtime: WorkerRuntime) -> Non
 def _stream_trace(conn: FrameConnection, worker_id: int, recorder) -> None:
     """After Shutdown: ship this child's trace rows to the parent.
 
-    An obs child *always* sends exactly one :class:`TracePush` — even with
-    zero retained rows — so the parent can wait for all ``M`` pushes
-    instead of guessing.  Row timestamps are child-clock seconds; only the
-    span durations feed cross-process attribution.  A vanished parent just
-    means nobody is aggregating — exit quietly.
+    An obs child sends exactly one :class:`TracePush` per run — even with
+    zero retained rows — ahead of its ``done`` frame.  Row timestamps are
+    child-clock seconds; only the span durations feed cross-process
+    attribution.  A vanished parent just means nobody is aggregating —
+    exit quietly.
     """
     if not recorder.enabled:
         return
@@ -191,6 +197,59 @@ def _crash_after(worker_id: int) -> Optional[int]:
     if target is None or int(target) != worker_id:
         return None
     return int(os.environ.get(CRASH_AFTER_ENV, "1"))
+
+
+def serve_run(conn: FrameConnection, body: dict) -> int:
+    """One run, from its ``config`` body to ``done``; 0 or an exit code."""
+    worker_id = body.get("worker")
+    try:
+        config = TrainingConfig.from_dict(body["config"])
+        runtime = WorkerRuntime.from_config(config, worker_id)
+        # the negotiated uplink codec: gradients (and, under fp16,
+        # everything else) leave this child already compressed
+        conn.codec = make_codec(body.get("codec", config.comm_codec))
+    except Exception:
+        # report the build failure to the parent, then exit nonzero
+        conn.send_control(
+            ControlFrame("error", {"traceback": traceback.format_exc()}).to_doc()
+        )
+        return EXIT_INIT_FAILURE
+    conn.send_control(ControlFrame("ready", {"worker": worker_id}).to_doc())
+
+    start_doc, _ = conn.recv()
+    start = ControlFrame.from_doc(start_doc, expect_version=PROTOCOL_VERSION)
+    if start.kind != "start":
+        print(f"worker {worker_id}: expected start, got {start_doc!r}", file=sys.stderr)
+        return EXIT_INIT_FAILURE
+    conn.settimeout(None)
+
+    time_scale = float(body.get("time_scale", 0.0))
+    compute_scale = float(body.get("compute_scale", 0.0))
+    runtime.recorder = recorder = make_recorder(
+        bool(body.get("obs", False)), run_id=f"proc-worker-{worker_id}"
+    )
+    channel = WorkerChannel(
+        conn,
+        worker_id,
+        network=runtime.network if time_scale > 0 else None,
+        time_scale=time_scale,
+    )
+    run_worker(channel, runtime, compute_scale)
+    _stream_local_bn_stats(conn, runtime)
+    _stream_trace(conn, worker_id, recorder)
+    conn.send_control(
+        ControlFrame("done", {"worker": worker_id, "timers": runtime.timer.totals()}).to_doc()
+    )
+    return 0
+
+
+def _next_control(conn: FrameConnection) -> ControlFrame:
+    """The next control frame; message frames before it belong to the run
+    that just ended (the parent sends its Shutdown twice) and are skipped."""
+    while True:
+        obj, _ = conn.recv()
+        if not isinstance(obj, Message):
+            return ControlFrame.from_doc(obj, expect_version=PROTOCOL_VERSION)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -212,57 +271,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "hello", {"worker": worker_id, "token": os.environ.get(TOKEN_ENV, "")}
             ).to_doc()
         )
-        doc, _ = conn.recv()
-        frame = ControlFrame.from_doc(doc, expect_version=PROTOCOL_VERSION)
-        if frame.kind == "reject":
-            print(
-                f"worker {worker_id}: parent rejected the handshake: "
-                f"{frame.body.get('reason', '')}",
-                file=sys.stderr,
-            )
-            return EXIT_INIT_FAILURE
-        if frame.kind != "config" or "config" not in frame.body:
-            print(f"worker {worker_id}: bad config frame {doc!r}", file=sys.stderr)
-            return EXIT_INIT_FAILURE
-        body = frame.body
-        try:
-            config = TrainingConfig.from_dict(body["config"])
-            runtime = WorkerRuntime.from_config(config, worker_id)
-            # the negotiated uplink codec: gradients (and, under fp16,
-            # everything else) leave this child already compressed
-            conn.codec = make_codec(body.get("codec", config.comm_codec))
-        except BaseException:
-            # report the build failure to the parent, then exit nonzero
-            conn.send_control(
-                ControlFrame("error", {"traceback": traceback.format_exc()}).to_doc()
-            )
-            return EXIT_INIT_FAILURE
-        conn.send_control(ControlFrame("ready", {"worker": worker_id}).to_doc())
-
-        start_doc, _ = conn.recv()
-        start = ControlFrame.from_doc(start_doc, expect_version=PROTOCOL_VERSION)
-        if start.kind != "start":
-            print(f"worker {worker_id}: expected start, got {start_doc!r}", file=sys.stderr)
-            return EXIT_INIT_FAILURE
-        conn.settimeout(None)
-
-        time_scale = float(body.get("time_scale", 0.0))
-        compute_scale = float(body.get("compute_scale", 0.0))
-        runtime.recorder = recorder = make_recorder(
-            bool(body.get("obs", False)), run_id=f"proc-worker-{worker_id}"
-        )
-        channel = WorkerChannel(
-            conn,
-            worker_id,
-            network=runtime.network if time_scale > 0 else None,
-            time_scale=time_scale,
-        )
-        run_worker(channel, runtime, compute_scale)
-        _stream_local_bn_stats(conn, runtime)
-        _stream_trace(conn, worker_id, recorder)
-        return 0
+        while True:
+            frame = _next_control(conn)
+            if frame.kind == "reject":
+                print(
+                    f"worker {worker_id}: parent rejected the handshake: "
+                    f"{frame.body.get('reason', '')}",
+                    file=sys.stderr,
+                )
+                return EXIT_INIT_FAILURE
+            if frame.kind != "config" or "config" not in frame.body:
+                print(f"worker {worker_id}: bad config frame {frame!r}", file=sys.stderr)
+                return EXIT_INIT_FAILURE
+            code = serve_run(conn, frame.body)
+            if code:
+                return code
     except (ConnectionClosed, BrokenPipeError, ConnectionResetError):
-        # the parent vanished (crash or SIGKILL): exit quietly, never linger
+        # the parent let go (exit, crash, SIGKILL): exit quietly, never linger
         return 0
     except BaseException:
         traceback.print_exc()

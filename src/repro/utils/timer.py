@@ -82,6 +82,14 @@ class Timer:
             if len(samples) < self.max_samples:
                 samples.append(seconds)
 
+    def merge(self, totals: Dict[str, Dict[str, float]]) -> None:
+        """Add another timer's :meth:`totals` (e.g. a child process's) to
+        this one's totals and counts; its samples are not retained."""
+        with self._lock:
+            for name, entry in totals.items():
+                self._totals[name] = self._totals.get(name, 0.0) + float(entry["total_s"])
+                self._counts[name] = self._counts.get(name, 0) + int(entry["count"])
+
     def samples(self, name: str) -> List[float]:
         """The retained samples for ``name`` (capped at ``max_samples``)."""
         with self._lock:

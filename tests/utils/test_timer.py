@@ -45,3 +45,15 @@ def test_timer_reset():
     t.reset()
     assert t.names() == []
     assert t.total("x") == 0.0
+
+
+def test_timer_merge_adds_another_timers_totals_and_counts():
+    child = Timer()
+    child.add("worker-compute", 0.5)
+    child.add("worker-compute", 0.25)
+    t = Timer()
+    t.add("worker-compute", 1.0)
+    t.merge(child.totals())
+    assert t.total("worker-compute") == 1.75
+    assert t.count("worker-compute") == 3
+    assert t.samples("worker-compute") == [1.0]  # the child's samples stay there
