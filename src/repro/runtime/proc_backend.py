@@ -69,7 +69,6 @@ from __future__ import annotations
 import atexit
 import os
 import secrets
-import select
 import socket
 import subprocess
 import sys
@@ -126,8 +125,7 @@ class SocketTransport:
     ``server_inbox`` until the child's ``done`` frame; an unexpected EOF
     or garbled frame is reported through ``on_worker_failure`` so the
     backend can fail the run instead of hanging on a mailbox that will
-    never fill.  ``readers_done`` is set once all ``num_workers`` readers
-    have stopped, for either reason.
+    never fill.
     """
 
     def __init__(
@@ -158,7 +156,7 @@ class SocketTransport:
         self.on_worker_failure: Optional[Callable[[int, Exception], None]] = None
         self._bn_lock = make_lock("SocketTransport._bn_lock")
         #: worker -> BN running stats streamed at run end (bn_mode="local");
-        #: written by per-worker reader threads, read after readers_done
+        #: written by per-worker reader threads, read after join_readers
         self.bn_stats: Dict[int, tuple] = {}  # guarded-by: _bn_lock
         #: the plan's recorder; obs children stream their trace rows here
         #: at run end (TracePush — same sideband contract as BN stats)
@@ -166,8 +164,6 @@ class SocketTransport:
         self._end_lock = make_lock("SocketTransport._end_lock")
         #: worker -> the child's Timer totals, from its ``done`` frame
         self._ended: Dict[int, dict] = {}  # guarded-by: _end_lock
-        self._running_readers = self.num_workers  # guarded-by: _end_lock
-        self.readers_done = threading.Event()
 
     # ------------------------------------------------------------------ #
     def attach(self, worker: int, conn: FrameConnection) -> None:
@@ -222,11 +218,12 @@ class SocketTransport:
                 return  # expected teardown
             if self.on_worker_failure is not None:
                 self.on_worker_failure(worker, exc)
-        finally:
-            with self._end_lock:
-                self._running_readers -= 1
-                if self._running_readers == 0:
-                    self.readers_done.set()
+
+    def join_readers(self, timeout: float) -> None:
+        """Wait up to ``timeout`` seconds in all for every reader to stop."""
+        deadline = time.monotonic() + timeout
+        for reader in self._readers:
+            reader.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def ended(self) -> Dict[int, dict]:
         """worker -> Timer totals, for every child that sent ``done``."""
@@ -294,14 +291,6 @@ class _Child:
     conn: FrameConnection
     signature: tuple
 
-    def idle_and_alive(self) -> bool:
-        """Running and silent: an idle child sends nothing, so a readable
-        socket means EOF (or garbage) is waiting."""
-        if self.proc.poll() is not None:
-            return False
-        readable, _, _ = select.select([self.sock], [], [], 0)
-        return not readable
-
 
 def _reap(procs: Sequence[subprocess.Popen], force: bool = False) -> None:
     """Collect every child; escalate to SIGKILL rather than leak one."""
@@ -349,7 +338,7 @@ class _IdlePool:
             taken, self._idle = matching[:count], matching[count:]
         live = []
         for child in taken:
-            (live if child.idle_and_alive() else retired).append(child)
+            (live if child.proc.poll() is None else retired).append(child)
         _close_and_reap(retired, force=True)
         return live
 
@@ -385,7 +374,7 @@ class _IdlePool:
 _POOL = _IdlePool()
 #: pools a forked process inherited: their children belong to the process
 #: that spawned them, which alone can wait on them, so their handles are
-#: kept here rather than finalized
+#: kept here (finalizing one warns that the subprocess "is still running")
 _INHERITED: List[_IdlePool] = []
 
 
@@ -494,7 +483,8 @@ class ProcBackend:
         )
         ctl = RunControl()
         children: List[_Child] = []
-        # the children that closed a successful run with `done`: the pool's
+        # the children that ended a successful run with `done`: only these
+        # go back to the pool
         kept: List[_Child] = []
         try:
             children = self._handshake(
@@ -540,7 +530,7 @@ class ProcBackend:
 
             # each child ends its run with `done`, right after its sidebands;
             # one that has not by then is reaped below instead of kept
-            transport.readers_done.wait(timeout=10.0)
+            transport.join_readers(timeout=10.0)
             ended = transport.ended()
             for totals in ended.values():
                 plan.timer.merge(totals)

@@ -189,7 +189,9 @@ def test_a_pool_worker_starts_with_an_empty_pool(method, empty_pool, spawned):
 
 def test_idle_children_end_with_their_interpreter():
     # the script's own exit hook is registered first, so it runs last: by
-    # then the children must be reaped, not merely told to go
+    # then the children must be reaped, not merely told to go.  A forked
+    # pool worker in between must not finalize (and warn about) handles
+    # to children that are not its own.
     script = (
         "import atexit, os\n"
         "pids = []\n"
@@ -210,6 +212,9 @@ def test_idle_children_end_with_their_interpreter():
         "    cfg = TrainingConfig.tiny(algorithm='asgd', num_workers=2, epochs=1, seed=seed)\n"
         "    run_experiment(cfg, backend='proc', timeout=120.0)\n"
         "pids.extend(idle_pids())\n"
+        "import multiprocessing\n"
+        "with multiprocessing.get_context('fork').Pool(1) as pool:\n"
+        "    assert pool.apply(idle_pids) == []\n"
         "print(*pids)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
