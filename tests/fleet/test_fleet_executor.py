@@ -115,8 +115,10 @@ def test_agent_death_requeues_and_campaign_completes(tmp_path, agents):
 
 def test_all_agents_dead_raises_instead_of_hanging(tmp_path):
     agent = FleetAgent(port=0, slots=1).start()
+    # cells of ~0.5 s each: the kill at 0.3 s must land mid-campaign (at 8
+    # epochs all four cells could finish first on a fast host)
     specs = Grid(seed=list(range(4))).specs(
-        lambda **kw: spirals_factory(num_workers=4, epochs=8, **kw)
+        lambda **kw: spirals_factory(num_workers=4, epochs=64, **kw)
     )
     threading.Timer(0.3, agent.kill).start()
     executor = FleetExecutor([agent.address], heartbeat_timeout=5.0)
