@@ -13,7 +13,7 @@ backpropagates ``seed * l_m`` instead of ``l_m``.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -21,10 +21,8 @@ from repro.analysis.lockorder import make_lock
 from repro.core.algorithms.lcasgd import compensation_seed
 from repro.core.state import CompensationReply, GradientPayload, WorkerState
 from repro.data.loader import DataLoader
-from repro.nn.module import Module, get_flat_grads, set_flat_params
+from repro.nn.module import Module, set_flat_params
 from repro.nn.norm import collect_bn_stats
-from repro.tensor import functional as F
-from repro.tensor.tensor import Tensor
 
 
 class DistributedWorker:
@@ -50,7 +48,7 @@ class DistributedWorker:
         self.pull_version = -1
         self.last_t_comm = 0.0
         self.last_t_comp = 0.0
-        self._pending_loss: Optional[Tensor] = None
+        self._pending: Any = None
         self._pending_loss_value = 0.0
 
     # ------------------------------------------------------------------ #
@@ -63,15 +61,12 @@ class DistributedWorker:
     def forward(self) -> WorkerState:
         """Algorithm 1, lines 4-8: one forward pass; returns ``state_m``.
 
-        The loss tensor (with its autograd graph) is retained so backward
-        can run later, after the compensation reply arrives.
+        The model's ``pending`` state (see :meth:`Module.train_forward`) is
+        retained so backward can run later, after the compensation reply
+        arrives.
         """
-        self.model.train()
         inputs, targets = self.loader.next_batch()
-        logits = self.model(Tensor(inputs))
-        loss = F.cross_entropy(logits, targets)
-        self._pending_loss = loss
-        self._pending_loss_value = float(loss.data)
+        self._pending_loss_value, self._pending = self.model.train_forward(inputs, targets)
         bn_stats = collect_bn_stats(self.model) if self.collect_bn else []
         return WorkerState(
             worker=self.worker_id,
@@ -102,7 +97,7 @@ class DistributedWorker:
             The (virtual) duration of this computation, recorded as the
             worker's ``t_comp`` feature for the next state push.
         """
-        if self._pending_loss is None:
+        if self._pending is None:
             raise RuntimeError("backward() called before forward()")
         seed = 1.0
         if reply is not None:
@@ -114,16 +109,13 @@ class DistributedWorker:
                 lc_lambda,
                 sensitivity=getattr(reply, "sensitivity", 0.0),
             )
-        self.model.zero_grad()
-        self._pending_loss.backward(np.asarray(seed, dtype=self._pending_loss.data.dtype))
-        grad = get_flat_grads(self.model)
+        pending, self._pending = self._pending, None
         payload = GradientPayload(
             worker=self.worker_id,
-            grad=grad,
+            grad=self.model.train_backward(pending, seed),
             pull_version=self.pull_version,
             loss=self._pending_loss_value,
         )
-        self._pending_loss = None
         self.last_t_comp = float(t_comp)
         return payload
 

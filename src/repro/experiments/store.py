@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.metrics import RunResult
 from repro.experiments.spec import ExperimentSpec
+from repro.utils.serialization import to_jsonable
 
 #: schema version stamped into every record
 STORE_VERSION = 1
@@ -36,15 +37,6 @@ STORE_VERSION = 1
 #: a ``*.tmp`` file older than this is an orphan from a killed writer; a
 #: younger one may be a concurrent writer mid-``put`` and must be left alone
 STALE_TMP_SECONDS = 600.0
-
-
-def _to_builtin(value: Any) -> Any:
-    """JSON default hook: numpy scalars/arrays -> native Python."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +110,7 @@ class ResultStore:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=2, default=_to_builtin)
+                json.dump(to_jsonable(payload), fh, indent=2)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

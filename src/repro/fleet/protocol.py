@@ -40,11 +40,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-import numpy as np
-
 from repro.core.metrics import RunResult
 from repro.experiments.spec import ExperimentSpec
 from repro.runtime.wire import ControlFrame
+from repro.utils.serialization import to_jsonable
 
 #: bumped whenever the fleet frame schema changes incompatibly; every
 #: frame carries it and either side refuses a mismatch.  v2 = frames are
@@ -54,24 +53,6 @@ FLEET_VERSION = 2
 
 class FleetProtocolError(RuntimeError):
     """A peer sent a frame outside the fleet vocabulary (or a bad version)."""
-
-
-def to_jsonable(value: Any) -> Any:
-    """Recursively convert numpy scalars/arrays so a doc survives json.dumps.
-
-    Control frames are encoded with a strict ``json.dumps`` (no default
-    hook), but ``RunResult.to_dict`` may carry numpy float64 staleness
-    statistics — sanitize at the protocol boundary, once.
-    """
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    return value
 
 
 # ---------------------------------------------------------------------- #

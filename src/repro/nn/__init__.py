@@ -36,7 +36,6 @@ from repro.nn.resnet import (
     resnet50,
     resnet_tiny,
 )
-from repro.nn.gru import GRU, GRUCell
 from repro.nn.regularization import Dropout, LayerNorm
 from repro.nn.registry import MODELS, build_model, model_names, register_model
 from repro.nn.rnn import LSTM, LSTMCell
@@ -67,8 +66,6 @@ __all__ = [
     "ModuleList",
     "LSTM",
     "LSTMCell",
-    "GRU",
-    "GRUCell",
     "Dropout",
     "LayerNorm",
     "CrossEntropyLoss",

@@ -8,15 +8,16 @@ ResNets directly.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.activations import ReLU
 from repro.nn.container import Sequential
 from repro.nn.linear import Linear
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 from repro.nn.norm import BatchNorm1d
+from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 from repro.utils.rng import fallback_rng
 
@@ -50,14 +51,15 @@ class MLP(Module):
         self.sizes = sizes
         self.batch_norm = batch_norm
         gen = rng if rng is not None else fallback_rng()
-        layers = []
+        layers, hidden = [], []
         for i in range(len(sizes) - 2):
-            layers.append(Linear(sizes[i], sizes[i + 1], bias=not batch_norm, rng=gen))
-            if batch_norm:
-                layers.append(BatchNorm1d(sizes[i + 1]))
-            layers.append(ReLU())
-        layers.append(Linear(sizes[-2], sizes[-1], rng=gen))
-        self.body = Sequential(*layers)
+            linear = Linear(sizes[i], sizes[i + 1], bias=not batch_norm, rng=gen)
+            norm = BatchNorm1d(sizes[i + 1]) if batch_norm else None
+            layers += [linear] + ([norm] if batch_norm else []) + [ReLU()]
+            hidden.append((linear, norm))
+        self.body = Sequential(*layers, Linear(sizes[-2], sizes[-1], rng=gen))
+        # the kernel's walk over ``body``: (linear, batch norm or None) per hidden layer
+        self._hidden = tuple(hidden)
 
     def forward(self, x: Tensor) -> Tensor:
         """Classify flattened input; accepts (N, D) or (N, C, H, W)."""
@@ -65,5 +67,90 @@ class MLP(Module):
             x = x.reshape(x.data.shape[0], -1)
         return self.body(x)
 
+    # ------------------------------------------------------------------ #
+    # fused training kernel: the worker's step with no autograd graph
+    # ------------------------------------------------------------------ #
+    def train_forward(self, inputs: np.ndarray, targets: np.ndarray) -> Tuple[float, object]:
+        """:meth:`Module.train_forward` as one NumPy pass, bit-identical to it.
+
+        The floating-point operations and their order are those of
+        ``F.linear``, ``F.batch_norm``, ``relu`` and ``F.cross_entropy``;
+        only the graph objects are gone.  Each BN layer records its batch
+        statistics (and its EMA, unless external) exactly as in ``forward``.
+        """
+        self.train()
+        x = np.asarray(inputs)
+        if x.ndim > 2:
+            x = x.reshape(x.shape[0], -1)
+        saved = []
+        for linear, norm in self._hidden:
+            h = x @ linear.weight.data.T
+            if linear.bias is not None:
+                h = h + linear.bias.data
+            bn_saved = None
+            if norm is not None:
+                count = h.shape[0]
+                mean, var, centred = F.batch_stats(h, _AXES, _VIEW, count)
+                h, x_hat, inv_std = F.batch_norm_affine(
+                    centred, var, norm.gamma.data, norm.beta.data, _VIEW, norm.eps, h.dtype
+                )
+                norm.record_batch_stats(mean, var)
+                bn_saved = (x_hat, inv_std, count)
+            mask = h > 0
+            saved.append((x, bn_saved, mask))
+            x = np.where(mask, h, 0.0).astype(h.dtype, copy=False)
+        head = self.body[-1]
+        logits = x @ head.weight.data.T + head.bias.data
+        targets, logp = F.class_log_probs(logits, targets)
+        rows = np.arange(targets.shape[0])
+        loss = np.asarray((-logp[rows, targets]).mean(), dtype=logits.dtype)
+        return float(loss), (saved, x, logp, rows, targets)
+
+    def train_backward(self, pending, seed: float) -> np.ndarray:
+        """:meth:`Module.train_backward` for :meth:`train_forward`'s ``pending``.
+
+        Gradients go straight into one float64 vector in ``named_parameters``
+        order, filled from the last parameter back.
+        """
+        saved, x, logp, rows, targets = pending
+        # cross_entropy's backward: (softmax - onehot) * (seed / n)
+        base = np.exp(logp)
+        base[rows, targets] -= 1.0
+        g = (base * (np.asarray(seed, dtype=logp.dtype) / rows.shape[0])).astype(logp.dtype, copy=False)
+        flat = np.empty(self.num_parameters(), dtype=np.float64)
+        head = self.body[-1]
+        end = _put_linear_grads(flat, flat.size, head, x, g)
+        w = head.weight.data
+        for (linear, norm), (x, bn_saved, mask) in zip(reversed(self._hidden), reversed(saved)):
+            g = (g @ w) * mask
+            if norm is not None:
+                x_hat, inv_std, count = bn_saved
+                g64 = g.astype(np.float64)
+                end = _put(flat, end, norm.beta, g64.sum(axis=_AXES))
+                end = _put(flat, end, norm.gamma, (g64 * x_hat).sum(axis=_AXES))
+                dx = F.batch_norm_input_grad(g64, x_hat, inv_std, norm.gamma.data, _AXES, _VIEW, count, True)
+                g = dx.astype(g.dtype, copy=False)
+            end = _put_linear_grads(flat, end, linear, x, g)
+            w = linear.weight.data
+        return flat
+
     def extra_repr(self) -> str:
         return f"sizes={self.sizes}, batch_norm={self.batch_norm}"
+
+
+_AXES, _VIEW = (0,), (1, -1)
+
+
+def _put(flat: np.ndarray, end: int, param: Parameter, grad: np.ndarray) -> int:
+    """Write ``param``'s gradient (cast to its dtype) just before ``end``."""
+    start = end - param.data.size
+    # through a view: a transposed weight gradient is not copied to be flattened
+    flat[start:end].reshape(grad.shape)[...] = grad.astype(param.data.dtype, copy=False)
+    return start
+
+
+def _put_linear_grads(flat: np.ndarray, end: int, linear: Linear, x: np.ndarray, g: np.ndarray) -> int:
+    """``F.linear``'s bias and weight gradients for input ``x``, output gradient ``g``."""
+    if linear.bias is not None:
+        end = _put(flat, end, linear.bias, g.sum(axis=0))
+    return _put(flat, end, linear.weight, (x.T @ g).T)

@@ -26,6 +26,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 
 # The current registration epoch.  Replaced, never mutated: stores are atomic
@@ -170,6 +171,31 @@ class Module:
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
         return sum(p.size for p in self._flat_lists()[0])
+
+    # -------------------------------------------------------------- #
+    # the worker's training step (Algorithm 1, lines 4-12)
+    # -------------------------------------------------------------- #
+    def train_forward(self, inputs: np.ndarray, targets: np.ndarray) -> Tuple[float, object]:
+        """Training-mode forward to the mean cross-entropy: ``(loss, pending)``.
+
+        ``pending`` is what :meth:`train_backward` needs; here it is the loss
+        tensor with its autograd graph.  A subclass may override the pair
+        with a fused kernel, as :class:`repro.nn.mlp.MLP` does, provided the
+        results are bit-identical to this default.
+        """
+        self.train()
+        loss = F.cross_entropy(self(Tensor(inputs)), targets)
+        return float(loss.data), loss
+
+    def train_backward(self, pending, seed: float) -> np.ndarray:
+        """Backpropagate ``seed * loss`` from one :meth:`train_forward`.
+
+        Returns the flat float64 gradient in ``named_parameters`` order.
+        ``pending`` is consumed.
+        """
+        self.zero_grad()
+        pending.backward(np.asarray(seed, dtype=pending.data.dtype))
+        return get_flat_grads(self)
 
     # -------------------------------------------------------------- #
     # state dict

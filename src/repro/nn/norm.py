@@ -63,13 +63,17 @@ class _BatchNorm(Module):
             eps=self.eps,
         )
         if self.training:
-            self.last_batch_mean = mean
-            self.last_batch_var = var
-            if not self.external_stats:
-                m = self.momentum
-                self.set_buffer("running_mean", (1 - m) * self.running_mean + m * mean)
-                self.set_buffer("running_var", (1 - m) * self.running_var + m * var)
+            self.record_batch_stats(mean, var)
         return out
+
+    def record_batch_stats(self, mean: np.ndarray, var: np.ndarray) -> None:
+        """Keep a training batch's statistics; fold them into the EMA unless external."""
+        self.last_batch_mean = mean
+        self.last_batch_var = var
+        if not self.external_stats:
+            m = self.momentum
+            self.set_buffer("running_mean", (1 - m) * self.running_mean + m * mean)
+            self.set_buffer("running_var", (1 - m) * self.running_var + m * var)
 
     def extra_repr(self) -> str:
         return f"features={self.num_features}, eps={self.eps}, momentum={self.momentum}"

@@ -409,6 +409,9 @@ def _spawn_env() -> Tuple[Dict[str, str], tuple]:
 
     env = dict(os.environ)
     env.pop(TOKEN_ENV, None)
+    # pytest rewrites this one per test; no child reads it, and keeping it
+    # would make every test's children unreusable by the next test
+    env.pop("PYTEST_CURRENT_TEST", None)
     # children must import the same repro the parent runs, installed or not
     src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     existing = env.get("PYTHONPATH", "")

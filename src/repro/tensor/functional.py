@@ -109,6 +109,25 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+def class_log_probs(logits: np.ndarray, targets) -> Tuple[np.ndarray, np.ndarray]:
+    """``(targets, logp)``: checked int64 labels and the row log-softmax of ``logits``.
+
+    The array-level front half of :func:`cross_entropy`, shared with the
+    fused MLP training kernel (:meth:`repro.nn.mlp.MLP.train_forward`).
+    """
+    targets = np.asarray(targets).astype(np.int64).reshape(-1)
+    if logits.ndim != 2:
+        raise ValueError(f"cross_entropy expects 2-D logits, got shape {logits.shape}")
+    n, num_classes = logits.shape
+    if targets.shape[0] != n:
+        raise ValueError(f"targets length {targets.shape[0]} != batch size {n}")
+    if targets.min() < 0 or targets.max() >= num_classes:
+        raise ValueError("targets out of range for the logit width")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return targets, shifted - logsumexp
+
+
 def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
     """Softmax cross-entropy against integer class ``targets``.
 
@@ -123,18 +142,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
     """
     if isinstance(targets, Tensor):
         targets = targets.data
-    targets = np.asarray(targets).astype(np.int64).reshape(-1)
-    if logits.data.ndim != 2:
-        raise ValueError(f"cross_entropy expects 2-D logits, got shape {logits.shape}")
-    n, num_classes = logits.data.shape
-    if targets.shape[0] != n:
-        raise ValueError(f"targets length {targets.shape[0]} != batch size {n}")
-    if targets.min() < 0 or targets.max() >= num_classes:
-        raise ValueError("targets out of range for the logit width")
-
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logsumexp
+    targets, logp = class_log_probs(logits.data, targets)
+    n = targets.shape[0]
     rows = np.arange(n)
     losses = -logp[rows, targets]
 
@@ -344,6 +353,52 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------- #
 # batch normalization
 # ---------------------------------------------------------------------- #
+# The array-level pieces of :func:`batch_norm`, shared with the fused MLP
+# training kernel (:meth:`repro.nn.mlp.MLP.train_forward`).
+def batch_stats(x: np.ndarray, axes, view, count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(mean, var, x - mean)`` over ``axes``, in float64.
+
+    One centred array serves the variance and ``x_hat``.  These are
+    ``ndarray.mean`` and ``ndarray.var`` with ``dtype=float64`` step for
+    step (sum / n; sum of squared deviations from that mean / n), minus the
+    second centring pass ``var`` would make on its own.
+    """
+    mean = np.add.reduce(x, axis=axes, dtype=np.float64) / count
+    centred = x - mean.reshape(view)
+    var = np.add.reduce(centred * centred, axis=axes) / count
+    return mean, var, centred
+
+
+def batch_norm_affine(centred, var, gamma, beta, view, eps: float, dtype) -> Tuple[np.ndarray, ...]:
+    """``(gamma * x_hat + beta as dtype, x_hat, inv_std)`` from centred input."""
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = centred * inv_std.reshape(view)
+    out = gamma.reshape(view) * x_hat
+    out += beta.reshape(view)
+    return out.astype(dtype), x_hat, inv_std
+
+
+def batch_norm_input_grad(g, x_hat, inv_std, gamma, axes, view, count: int, training: bool) -> np.ndarray:
+    """The float64 input gradient for float64 upstream gradient ``g``.
+
+    Built in place in one product and one scratch array; the operations and
+    their order are those of
+    ``inv_std * (gxh - sum_gxh / count - x_hat * sum_gxh_xh / count)``.
+    """
+    gxh = g * gamma.reshape(view).astype(np.float64)
+    if training:
+        # d/dx of normalization with batch statistics
+        sum_gxh = gxh.sum(axis=axes, keepdims=True)
+        scratch = gxh * x_hat
+        sum_gxh_xh = scratch.sum(axis=axes, keepdims=True)
+        gxh -= sum_gxh / count
+        np.multiply(x_hat, sum_gxh_xh, out=scratch)
+        scratch /= count
+        gxh -= scratch
+    gxh *= inv_std.reshape(view)
+    return gxh
+
+
 def batch_norm(
     x: Tensor,
     gamma: Tensor,
@@ -377,49 +432,24 @@ def batch_norm(
 
     count = x.data.size // x.data.shape[1]
     if training:
-        # One centred array serves the variance and ``x_hat``.  These are
-        # ``ndarray.mean`` and ``ndarray.var`` with ``dtype=float64`` step
-        # for step (sum / n; sum of squared deviations from that mean / n),
-        # minus the second centring pass ``var`` would make on its own.
-        mean = np.add.reduce(x.data, axis=axes, dtype=np.float64) / count
-        centred = x.data - mean.reshape(view)
-        var = np.add.reduce(centred * centred, axis=axes) / count
+        mean, var, centred = batch_stats(x.data, axes, view, count)
     else:
         if running_mean is None or running_var is None:
             raise ValueError("eval-mode batch_norm requires running statistics")
         mean = np.asarray(running_mean, dtype=np.float64)
         var = np.asarray(running_var, dtype=np.float64)
         centred = x.data - mean.reshape(view)
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centred * inv_std.reshape(view)
-    out_data = gamma.data.reshape(view) * x_hat
-    out_data += beta.data.reshape(view)
-    out_data = out_data.astype(x.data.dtype)
+    out_data, x_hat, inv_std = batch_norm_affine(centred, var, gamma.data, beta.data, view, eps, x.data.dtype)
 
     def _backward() -> None:
         g = out.grad.astype(np.float64)
-        xh = x_hat
         if gamma.requires_grad or gamma._parents:
-            gamma._accumulate((g * xh).sum(axis=axes).astype(gamma.data.dtype))
+            gamma._accumulate((g * x_hat).sum(axis=axes).astype(gamma.data.dtype))
         if beta.requires_grad or beta._parents:
             beta._accumulate(g.sum(axis=axes).astype(beta.data.dtype))
         if x.requires_grad or x._parents:
-            # dx is built in place in ``gxh`` and one scratch array; the
-            # operations and their order are those of
-            # inv_std * (gxh - sum_gxh / count - xh * sum_gxh_xh / count)
-            gxh = g * gamma.data.reshape(view).astype(np.float64)
-            if training:
-                # d/dx of normalization with batch statistics
-                sum_gxh = gxh.sum(axis=axes, keepdims=True)
-                scratch = gxh * xh
-                sum_gxh_xh = scratch.sum(axis=axes, keepdims=True)
-                gxh -= sum_gxh / count
-                np.multiply(xh, sum_gxh_xh, out=scratch)
-                scratch /= count
-                gxh -= scratch
-            gxh *= inv_std.reshape(view)
-            x._accumulate(gxh.astype(x.data.dtype, copy=False))
+            dx = batch_norm_input_grad(g, x_hat, inv_std, gamma.data, axes, view, count, training)
+            x._accumulate(dx.astype(x.data.dtype, copy=False))
 
     out = Tensor._make(out_data, (x, gamma, beta), _backward)
     return out, mean, var

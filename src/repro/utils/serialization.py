@@ -1,4 +1,4 @@
-"""Parameter-vector (de)serialization and checkpointing.
+"""Parameter-vector (de)serialization, checkpointing and numpy-to-JSON.
 
 The parameter server stores the global model as one flat ``float64`` vector;
 workers reconstruct structured arrays from it.  ``flatten/unflatten`` are
@@ -8,7 +8,7 @@ exact inverses — this is property-tested in ``tests/utils``.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +52,24 @@ def unflatten_arrays(flat: np.ndarray, spec: ShapeSpec) -> List[np.ndarray]:
         out.append(flat[offset : offset + size].reshape(shape).astype(dtype, copy=True))
         offset += size
     return out
+
+
+def to_jsonable(value: Any) -> Any:
+    """Recursively convert numpy scalars/arrays so a doc survives ``json.dumps``.
+
+    The one numpy-to-JSON walk: fleet control frames are encoded with a
+    strict ``json.dumps``, and result-store records are written from its
+    output, yet ``RunResult.to_dict`` may carry numpy staleness statistics.
+    """
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
+    return value
 
 
 def save_checkpoint(path: str, tensors: Dict[str, np.ndarray], **metadata) -> None:

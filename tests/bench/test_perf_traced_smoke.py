@@ -3,7 +3,8 @@
 ``benchmarks/perf/`` is frozen by ``BENCHMARK.json``; its own
 ``test_traced_smoke_run_prints_exactly_the_declared_per_layer_metrics``
 requires the autograd ``nn.LSTM`` to spend time on ``lc_sim``, which stopped
-being true when the predictors moved to the fused ``SeriesLSTM`` kernel.
+being true when the predictors moved to the fused ``SeriesLSTM`` kernel
+(and the workers' MLP now trains without ``Tensor.backward`` too).
 ``pytest.ini`` deselects it and this is the same test with that assertion
 turned around: every declared per-layer name still resolves, and the
 autograd LSTM is reached by ``layer_ops`` only.
@@ -41,10 +42,10 @@ def test_traced_smoke_run_prints_the_declared_per_layer_metrics(run_module, caps
     values = {k: v["value"] for k, v in result["metrics"].items()}
     assert values["core.predictors.loss.observe.calls"] > 0
     assert values["core.predictors.loss.observe.self_us_per_update"] > 0
-    # the predictors build no autograd graph: the only backward is the worker's,
+    # neither the predictors nor the workers' MLP kernel build an autograd graph,
     # and nn.LSTM.forward (still a resolvable span target) is driven by layer_ops alone
     assert values["nn.rnn.lstm_forward.calls"] == 0
-    assert values["tensor.backward.calls"] == values["core.worker.backward.calls"] > 0
+    assert values["tensor.backward.calls"] == 0 < values["core.worker.backward.calls"]
     assert values["nn.lstm_step_h16_us"] > 0
     assert values["runtime.wire.encode.calls"] == 0  # sim moves no bytes
     assert values["tensor.mlp_train_step_us"] > 0

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.config import ClusterConfig, TrainingConfig
@@ -158,3 +159,25 @@ class TestResultStore:
 
     def test_format_summary_empty(self):
         assert "no runs" in format_summary([])
+
+
+def test_stored_record_bytes_match_the_default_hook_encoding(tmp_path):
+    """A record holding numpy values is written byte for byte as
+    ``json.dump(..., default=hook)`` with the numpy scalar/array hook wrote it."""
+    import numpy as np
+
+    def hook(value):
+        if isinstance(value, np.generic):
+            return value.item()
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        raise TypeError(type(value).__name__)
+
+    result = fake_result()
+    result.staleness = {"mean": np.float64(1.0 / 3.0), "max": np.int64(7), "p": np.float32(0.1)}
+    result.timers = {"loss_pred_ms": np.float32(2.5), "hist": np.arange(3)}
+    result.finishing_order = [np.int64(1), 0]
+    spec = tiny_spec(seed=9)
+    path = ResultStore(tmp_path).put(spec, result)
+    payload = {"version": 1, "spec": spec.to_dict(), "result": result.to_dict()}
+    assert path.read_bytes() == json.dumps(payload, indent=2, default=hook).encode()

@@ -1,4 +1,4 @@
-"""GRU, Dropout and LayerNorm layers."""
+"""Dropout and LayerNorm layers."""
 
 import numpy as np
 import pytest
@@ -13,53 +13,6 @@ def _f64(module):
     for p in module.parameters():
         p.data = p.data.astype(np.float64)
     return module
-
-
-class TestGRU:
-    def test_cell_shapes(self, rng):
-        cell = nn.GRUCell(3, 5, rng=rng)
-        h = cell.initial_state(4)
-        h2 = cell(Tensor(rng.standard_normal((4, 3)).astype(np.float32)), h)
-        assert h2.shape == (4, 5)
-
-    def test_cell_validation(self):
-        with pytest.raises(ValueError):
-            nn.GRUCell(0, 5)
-
-    def test_stack_shapes(self, rng):
-        gru = nn.GRU(3, 6, num_layers=2, rng=rng)
-        out, states = gru(Tensor(rng.standard_normal((4, 7, 3)).astype(np.float32)))
-        assert out.shape == (4, 7, 6)
-        assert len(states) == 2
-        assert states[0].shape == (4, 6)
-
-    def test_state_threading(self, rng):
-        gru = nn.GRU(2, 4, rng=rng)
-        x = Tensor(rng.standard_normal((1, 6, 2)).astype(np.float32))
-        full, _ = gru(x)
-        first, state = gru(x[:, :3, :])
-        second, _ = gru(x[:, 3:, :], state)
-        np.testing.assert_allclose(second.data, full.data[:, 3:, :], rtol=1e-5, atol=1e-6)
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            nn.GRU(2, 3, num_layers=0)
-        gru = nn.GRU(2, 3, rng=rng)
-        with pytest.raises(ValueError, match=r"\(N, T, D\)"):
-            gru(Tensor(rng.standard_normal((4, 2)).astype(np.float32)))
-        with pytest.raises(ValueError, match="state has"):
-            gru(Tensor(rng.standard_normal((1, 2, 2)).astype(np.float32)), state=[])
-
-    def test_gradcheck(self, rng):
-        gru = _f64(nn.GRU(2, 3, num_layers=1, rng=rng))
-        x = Tensor(rng.standard_normal((2, 3, 2)), requires_grad=True)
-        params = [x] + list(gru.parameters())
-        assert_gradcheck(lambda: (gru(x)[0] ** 2).sum(), params, atol=1e-5, rtol=1e-3)
-
-    def test_fewer_parameters_than_lstm(self, rng):
-        gru = nn.GRU(4, 16, rng=np.random.default_rng(0))
-        lstm = nn.LSTM(4, 16, rng=np.random.default_rng(0))
-        assert gru.num_parameters() < lstm.num_parameters()
 
 
 class TestDropout:
