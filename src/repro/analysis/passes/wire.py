@@ -1,118 +1,23 @@
-"""wire-completeness: every Message crosses the wire, both directions.
+"""wire-completeness: every ControlFrame kind is both built and consumed.
 
-Three families of checks, all cross-file:
-
-1. **codec coverage** — every concrete :class:`~repro.runtime.messages.
-   Message` dataclass must appear in ``runtime/wire.py``'s ``_CODECS``
-   table with a defined encoder *and* decoder, and every table entry must
-   point back at a real message class.  (This is what turns "we added a
-   message type and forgot the proc backend" into a red lint line instead
-   of a mid-run ``WireError``.)
-2. **field wire-safety** — message fields must have annotations the wire
-   format can carry: JSON scalars, ``tuple`` (BN stat pairs), arrays, or
-   the three structured payloads that already have field-level encoders.
-3. **ControlFrame symmetry** — the proc handshake's kind literals must be
-   consumed by the peer that receives them (worker->parent and
-   parent->worker checked separately), and ``fleet/protocol.py``'s frame
-   builders must agree exactly with its ``_FRAME_KINDS`` parser
-   vocabulary.
+The proc handshake's kind literals must be consumed by the peer that
+receives them (worker->parent and parent->worker checked separately), and
+``fleet/protocol.py``'s frame builders must agree exactly with its
+``_FRAME_KINDS`` parser vocabulary.  Message codecs need no check here:
+:mod:`repro.runtime.wire` derives them from the message dataclasses, so
+there is no table to fall out of sync.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.analysis.base import AnalysisPass, Finding, SourceFile, SourceTree, register_pass
 
-MESSAGES_PATH = "runtime/messages.py"
-WIRE_PATH = "runtime/wire.py"
 FLEET_PROTOCOL_PATH = "fleet/protocol.py"
 PROC_WORKER_PATH = "runtime/proc_worker.py"
 PROC_BACKEND_PATH = "runtime/proc_backend.py"
-
-#: annotations the wire header/payload can carry directly
-_SCALAR_TYPES = {"int", "float", "str", "bool", "bytes", "tuple"}
-#: structured payloads with dedicated field-level encoders in wire.py
-_STRUCTURED_TYPES = {
-    "np.ndarray",
-    "numpy.ndarray",
-    "WorkerState",
-    "GradientPayload",
-    "CompensationReply",
-}
-_OPTIONAL_RE = re.compile(r"^Optional\[(.+)\]$")
-
-
-def _wire_safe(annotation: str) -> bool:
-    ann = annotation.strip()
-    match = _OPTIONAL_RE.match(ann)
-    if match:
-        ann = match.group(1).strip()
-    return ann in _SCALAR_TYPES or ann in _STRUCTURED_TYPES
-
-
-def _message_classes(source: SourceFile) -> Dict[str, Tuple[int, List[Tuple[str, str, int]]]]:
-    """Concrete Message subclasses: name -> (lineno, [(field, ann, lineno)])."""
-    class_defs: Dict[str, ast.ClassDef] = {}
-    bases: Dict[str, List[str]] = {}
-    for node in source.tree.body:
-        if isinstance(node, ast.ClassDef):
-            class_defs[node.name] = node
-            bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
-
-    def derives_from_message(name: str, seen: Tuple[str, ...] = ()) -> bool:
-        if name == "Message":
-            return True
-        return any(
-            base not in seen and derives_from_message(base, seen + (name,))
-            for base in bases.get(name, [])
-        )
-
-    out: Dict[str, Tuple[int, List[Tuple[str, str, int]]]] = {}
-    for name, node in class_defs.items():
-        if name == "Message" or not derives_from_message(name):
-            continue
-        fields = [
-            (stmt.target.id, ast.unparse(stmt.annotation), stmt.lineno)
-            for stmt in node.body
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-        ]
-        out[name] = (node.lineno, fields)
-    return out
-
-
-def _codec_table(
-    source: SourceFile,
-) -> Tuple[List[Tuple[str, str, str, str, int]], Set[str], Optional[int]]:
-    """``_CODECS`` entries as (kind, cls, enc, dec, lineno), the module's
-    function names, and the table's line (None when the table is absent)."""
-    functions = {
-        node.name
-        for node in source.tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    entries: List[Tuple[str, str, str, str, int]] = []
-    table_line: Optional[int] = None
-    for node in source.tree.body:
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-            continue
-        target = node.targets[0]
-        if not (isinstance(target, ast.Name) and target.id == "_CODECS"):
-            continue
-        if not isinstance(node.value, ast.Dict):
-            continue
-        table_line = node.lineno
-        for key, value in zip(node.value.keys, node.value.values):
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                continue
-            if not (isinstance(value, ast.Tuple) and len(value.elts) == 3):
-                entries.append((key.value, "", "", "", key.lineno))
-                continue
-            names = [e.id if isinstance(e, ast.Name) else "" for e in value.elts]
-            entries.append((key.value, names[0], names[1], names[2], key.lineno))
-    return entries, functions, table_line
 
 
 def _built_control_kinds(
@@ -177,75 +82,13 @@ def _frame_kinds_vocabulary(source: SourceFile) -> Tuple[Set[str], Optional[int]
 class WireCompletenessPass(AnalysisPass):
     name = "wire"
     description = (
-        "every Message has a registered encoder+decoder, fields are "
-        "wire-safe, and ControlFrame kinds encode/decode symmetrically"
+        "ControlFrame kinds encode/decode symmetrically; message codecs are derived"
     )
 
     def run(self, tree: SourceTree) -> List[Finding]:
         findings: List[Finding] = []
-        findings.extend(self._check_codecs(tree))
         findings.extend(self._check_fleet_symmetry(tree))
         findings.extend(self._check_proc_symmetry(tree))
-        return findings
-
-    # -------------------------------------------------------------- #
-    def _check_codecs(self, tree: SourceTree) -> List[Finding]:
-        messages = tree.find(MESSAGES_PATH)
-        wire = tree.find(WIRE_PATH)
-        if messages is None or wire is None:
-            return []
-        findings: List[Finding] = []
-        classes = _message_classes(messages)
-        entries, functions, table_line = _codec_table(wire)
-        if table_line is None:
-            return [
-                Finding(self.name, WIRE_PATH, 1, "no _CODECS table found in the wire module")
-            ]
-        covered = {cls for _, cls, _, _, _ in entries}
-        for cls_name, (lineno, fields) in sorted(classes.items()):
-            if cls_name not in covered:
-                findings.append(
-                    Finding(
-                        self.name,
-                        MESSAGES_PATH,
-                        lineno,
-                        f"message class {cls_name} has no codec registered in "
-                        f"runtime/wire.py _CODECS",
-                    )
-                )
-            for field_name, annotation, field_line in fields:
-                if not _wire_safe(annotation):
-                    findings.append(
-                        Finding(
-                            self.name,
-                            MESSAGES_PATH,
-                            field_line,
-                            f"{cls_name}.{field_name} has non-wire-safe type "
-                            f"{annotation!r}",
-                        )
-                    )
-        for kind, cls, enc, dec, lineno in entries:
-            if cls not in classes and cls != "Message":
-                findings.append(
-                    Finding(
-                        self.name,
-                        WIRE_PATH,
-                        lineno,
-                        f"_CODECS entry {kind!r} names {cls or '<non-class>'}, which is "
-                        f"not a Message subclass in runtime/messages.py",
-                    )
-                )
-            for role, func_name in (("encoder", enc), ("decoder", dec)):
-                if func_name not in functions:
-                    findings.append(
-                        Finding(
-                            self.name,
-                            WIRE_PATH,
-                            lineno,
-                            f"_CODECS entry {kind!r} has no {role} "
-                            f"({func_name or '<missing>'} is not defined in the module)",
-                        )
-                    )
         return findings
 
     # -------------------------------------------------------------- #

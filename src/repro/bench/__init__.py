@@ -2,19 +2,12 @@
 
 * :mod:`repro.bench.workloads` — the named experiment configurations, one
   per table/figure, scaled to laptop size.
-* :mod:`repro.bench.harness` — grid runners and result aggregation.
+* :mod:`repro.bench.harness` — table formatting and the perf trajectory.
 * :mod:`repro.bench.plots` — terminal-friendly ASCII line charts and tables
   so every figure renders in CI logs without matplotlib.
 """
 
-from repro.bench.harness import (
-    ExperimentGrid,
-    GridResult,
-    format_table,
-    record_trajectory,
-    run_curves,
-    run_grid,
-)
+from repro.bench.harness import format_table, record_trajectory
 from repro.bench.plots import ascii_plot, ascii_scatter
 from repro.bench.workloads import (
     bench_profile,
@@ -24,10 +17,6 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "ExperimentGrid",
-    "GridResult",
-    "run_grid",
-    "run_curves",
     "format_table",
     "record_trajectory",
     "ascii_plot",

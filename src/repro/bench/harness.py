@@ -1,18 +1,13 @@
-"""Grid runners, result aggregation, and the perf trajectory for the benches."""
+"""Table formatting and the perf trajectory for the benches."""
 
 from __future__ import annotations
 
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from repro.core.config import TrainingConfig
-from repro.core.metrics import RunResult, degradation
 from repro.utils.logging import get_logger
 
 logger = get_logger("bench.harness")
@@ -46,115 +41,6 @@ def record_trajectory(
     path.write_text(json.dumps(history, indent=2, sort_keys=True) + "\n")
     logger.info("recorded bench trajectory entry: %s", path)
     return str(path)
-
-
-@dataclass
-class GridResult:
-    """Results of a (algorithm x workers) grid, averaged over seeds."""
-
-    cells: Dict[Tuple[str, int], List[RunResult]] = field(default_factory=dict)
-
-    def add(self, result: RunResult) -> None:
-        """File one run under its (algorithm, workers) cell."""
-        self.cells.setdefault((result.algorithm, result.num_workers), []).append(result)
-
-    def mean_test_error(self, algorithm: str, workers: int) -> float:
-        """Seed-averaged final test error of a cell."""
-        runs = self.cells[(algorithm, workers)]
-        return float(np.mean([r.final_test_error for r in runs]))
-
-    def mean_degradation(self, algorithm: str, workers: int, baseline: float) -> float:
-        """Seed-averaged Table-1 degradation (%) against ``baseline`` error."""
-        return degradation(self.mean_test_error(algorithm, workers), baseline)
-
-    def runs(self, algorithm: str, workers: int) -> List[RunResult]:
-        """All seed runs of a cell."""
-        return self.cells[(algorithm, workers)]
-
-
-class ExperimentGrid:
-    """Declarative (algorithm x workers x seeds) sweep over a workload factory.
-
-    A bench-flavored veneer over the campaign layer: the grid expands into
-    :class:`~repro.experiments.spec.ExperimentSpec` objects and runs through
-    a :class:`~repro.experiments.campaign.Campaign` (which also dedupes the
-    sgd cells that normalize to one worker).  Pass ``executor`` to
-    parallelize sim grids across processes, or ``store`` to make a long
-    bench resumable.
-    """
-
-    def __init__(
-        self,
-        workload: Callable[..., TrainingConfig],
-        algorithms: Sequence[str],
-        worker_counts: Sequence[int],
-        seeds: Sequence[int] = (7,),
-        executor=None,
-        store=None,
-        **workload_kwargs,
-    ) -> None:
-        self.workload = workload
-        self.algorithms = tuple(algorithms)
-        self.worker_counts = tuple(worker_counts)
-        self.seeds = tuple(seeds)
-        self.executor = executor
-        self.store = store
-        self.workload_kwargs = workload_kwargs
-
-    def specs(self):
-        """The grid's ExperimentSpecs, in deterministic cell order."""
-        from repro.experiments import ExperimentSpec
-
-        # sgd configs normalize to one worker and the Campaign dedupes the
-        # identical specs, so no special-casing here
-        return [
-            ExperimentSpec(
-                self.workload(algorithm, workers, seed=seed, **self.workload_kwargs)
-            )
-            for algorithm in self.algorithms
-            for workers in self.worker_counts
-            for seed in self.seeds
-        ]
-
-    def run(self) -> GridResult:
-        """Execute every cell (deduplicated, resumable) and aggregate."""
-        from repro.experiments import Campaign
-
-        report = Campaign(self.specs(), executor=self.executor, store=self.store).run()
-        grid = GridResult()
-        for result in report.results:
-            grid.add(result)
-        return grid
-
-
-def run_grid(
-    workload: Callable[..., TrainingConfig],
-    algorithms: Sequence[str],
-    worker_counts: Sequence[int],
-    seeds: Sequence[int] = (7,),
-    **kwargs,
-) -> GridResult:
-    """One-shot helper around :class:`ExperimentGrid`."""
-    return ExperimentGrid(workload, algorithms, worker_counts, seeds, **kwargs).run()
-
-
-def run_curves(
-    workload: Callable[..., TrainingConfig],
-    algorithms: Sequence[str],
-    workers: int,
-    seed: int = 7,
-    **kwargs,
-) -> Dict[str, RunResult]:
-    """Run one seed per algorithm and return results keyed by algorithm."""
-    from repro.runtime import run_experiment
-
-    out: Dict[str, RunResult] = {}
-    for algorithm in algorithms:
-        config = workload(algorithm, workers, seed=seed, **kwargs)
-        # through the backend registry (not DistributedTrainer directly) so
-        # serverless algorithms dispatch to the gossip runtime
-        out[algorithm] = run_experiment(config, backend="sim")
-    return out
 
 
 def format_table(

@@ -19,7 +19,6 @@ Components map one-to-one onto the paper:
   runtime in :mod:`repro.runtime` executes the same plan concurrently.
 """
 
-from repro.core.checkpoint import load_model_from_checkpoint, save_run_checkpoint
 from repro.core.config import ClusterConfig, PredictorConfig, TrainingConfig
 from repro.core.metrics import CurvePoint, RunResult, evaluate_model
 from repro.core.trainer import DistributedTrainer
@@ -32,6 +31,4 @@ __all__ = [
     "RunResult",
     "CurvePoint",
     "evaluate_model",
-    "save_run_checkpoint",
-    "load_model_from_checkpoint",
 ]

@@ -66,7 +66,7 @@ from repro.runtime.session import (
     build_model,
 )
 from repro.runtime.thread_backend import RoundRobinTurnstile, ThreadBackend
-from repro.runtime.transport import CommStats, GossipTransport, InProcTransport, Mailbox
+from repro.runtime.transport import CommStats, InProcTransport, Mailbox
 
 __all__ = [
     "CommStats",
@@ -79,7 +79,6 @@ __all__ = [
     "ProcBackend",
     "GossipBackend",
     "PairingBoard",
-    "GossipTransport",
     "SocketTransport",
     "RoundRobinTurnstile",
     "RunControl",

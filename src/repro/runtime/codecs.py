@@ -61,6 +61,11 @@ def _shape_size(shape: Sequence[int]) -> int:
     return size
 
 
+def _topk_count(size: int) -> int:
+    """Coordinates the topk codec ships for a ``size``-element gradient."""
+    return 0 if size == 0 else max(1, math.ceil(size * TOPK_RATIO))
+
+
 def _flat(array: np.ndarray, dtype) -> np.ndarray:
     """Contiguous 1-D wire buffer (handles non-contiguous/scalar inputs)."""
     return np.ascontiguousarray(array, dtype=dtype).reshape(-1)
@@ -131,7 +136,7 @@ class TopKCodec(GradientCodec):
         if self._residual is None or self._residual.size != size:
             self._residual = np.zeros(size, dtype=np.float64)
         acc = self._residual + flat
-        k = 0 if size == 0 else max(1, math.ceil(size * TOPK_RATIO))
+        k = _topk_count(size)
         if k >= size:
             idx = np.arange(size, dtype=np.int32)
         else:
@@ -190,8 +195,13 @@ def decode_array(
     if enc == "f16":
         return buffers[0].astype(np.float32).reshape(shape), True
     if enc == "topk":
-        out = np.zeros(_shape_size(shape), dtype=np.float32)
         idx, vals = buffers[0], buffers[1]
+        size = _shape_size(shape)
+        # a peer-chosen shape must not size the allocation freely: the
+        # encoder always ships exactly _topk_count(size) coordinates
+        if idx.size != _topk_count(size) or vals.size != idx.size:
+            raise CodecError(f"topk entry ships {idx.size} coordinates for shape {shape}")
+        out = np.zeros(size, dtype=np.float32)
         if idx.size:
             if int(idx.min()) < 0 or int(idx.max()) >= out.size:
                 raise CodecError("topk index out of range for shape")

@@ -19,8 +19,10 @@ Two execution modes, selected by ``mode=``:
   exchanges weights over per-edge links.  Everything derives from
   ``config.seed`` via name-keyed RNG streams, so two runs produce
   bit-identical curves.
-* ``thread`` — genuinely concurrent workers over a
-  :class:`~repro.runtime.transport.GossipTransport`.  Pairing goes through
+* ``thread`` — genuinely concurrent workers over an
+  :class:`~repro.runtime.transport.InProcTransport`: the coordinator reads
+  its server mailbox, matched peers exchange weights through
+  :meth:`~repro.runtime.transport.InProcTransport.to_peer`.  Pairing goes through
   the :class:`PairingBoard`, an atomic matchmaker: a worker is either
   *waiting* on the board or *committed* to exactly one partner, never
   holding one partner while waiting for another — which is what makes the
@@ -54,7 +56,7 @@ from repro.obs.recorder import NULL_RECORDER
 from repro.runtime.messages import GossipReport, Shutdown, WeightExchange
 from repro.runtime.server_actor import RunControl, run_actor_threads
 from repro.runtime.session import REQUEST_BYTES, ExperimentPlan, ExperimentSession
-from repro.runtime.transport import CommStats, GossipTransport
+from repro.runtime.transport import CommStats, InProcTransport
 from repro.utils.logging import get_logger
 
 logger = get_logger("runtime.gossip")
@@ -302,13 +304,9 @@ class GossipBackend:
         config = plan.config
         n = config.num_workers
         ctl = RunControl()
-        transport = GossipTransport(
-            n,
-            topology=topology if self.time_scale > 0 else None,
-            time_scale=self.time_scale,
-            recorder=plan.recorder,
-            clock=ctl.clock,
-        )
+        # no network model: reports move at memory speed, and each peer
+        # exchange's per-edge delay is computed by the sending worker
+        transport = InProcTransport(n, recorder=plan.recorder, clock=ctl.clock)
         board = PairingBoard(topology, recorder=plan.recorder, clock=ctl.clock)
 
         coordinator = threading.Thread(
@@ -334,7 +332,7 @@ class GossipBackend:
         elapsed = run_actor_threads(
             ctl,
             coordinator,
-            transport.coordinator_inbox,
+            transport.server_inbox,
             workers,
             wake_workers=wake_workers,
             timeout=self.timeout,
@@ -354,7 +352,7 @@ class GossipBackend:
     def _coordinator_loop(
         self,
         session: ExperimentSession,
-        transport: GossipTransport,
+        transport: InProcTransport,
         ctl: RunControl,
         board: PairingBoard,
     ) -> None:
@@ -367,7 +365,7 @@ class GossipBackend:
         server = plan.server
         try:
             while True:
-                msg = transport.coordinator_inbox.get()
+                msg = transport.server_inbox.get()
                 if isinstance(msg, Shutdown):
                     return
                 if ctl.done.is_set():
@@ -390,7 +388,7 @@ class GossipBackend:
         self,
         m: int,
         session: ExperimentSession,
-        transport: GossipTransport,
+        transport: InProcTransport,
         ctl: RunControl,
         board: PairingBoard,
         topology: TopologyModel,
@@ -399,7 +397,7 @@ class GossipBackend:
         plan = session.plan
         config = plan.config
         worker = plan.workers[m]
-        inbox = transport.peer_inboxes[m]
+        inbox = transport.worker_inboxes[m]
         params = local_params[m]
         rule = make_update_rule(
             "ad-psgd", num_workers=config.num_workers, momentum=config.momentum
@@ -420,7 +418,7 @@ class GossipBackend:
                 step += 1
                 if self.compute_scale > 0:
                     time.sleep(self.compute_scale * duration)
-                transport.to_coordinator(
+                transport.to_server(
                     m,
                     GossipReport(
                         m,
@@ -441,11 +439,17 @@ class GossipBackend:
                 with worker.model_lock:
                     snapshot = params.copy()
                     bn_stats = _snapshot_bn(worker.model)
+                delay = 0.0
+                if self.time_scale > 0:
+                    delay = self.time_scale * topology.transfer_time(
+                        m, partner, plan.model_bytes
+                    )
                 transport.to_peer(
                     m,
                     partner,
                     WeightExchange(m, weights=snapshot, bn_stats=bn_stats, step=step),
                     nbytes=plan.model_bytes,
+                    delay=delay,
                 )
                 theirs = self._receive_exchange(inbox, ctl)
                 if theirs is None:

@@ -11,16 +11,29 @@ blocked on a mailbox.
 Envelope fields carry only what crosses the wire; the mathematics stays in
 :class:`~repro.core.state.WorkerState` / :class:`~repro.core.state.
 GradientPayload` / :class:`~repro.core.state.CompensationReply`.
+
+These dataclasses are the only definition of the wire format:
+:mod:`repro.runtime.wire` derives its encoder and its strict decoder from
+their fields and annotations, so adding a message means adding a dataclass
+here.  Annotations are therefore the schema the decoder enforces, and
+fields travel positionally: reordering or inserting a field changes the
+protocol and needs a ``PROTOCOL_VERSION`` bump.  An
+array in a field named ``grad`` (here or in a payload a message carries)
+travels under the gradient codec role, one named ``weights`` under the
+weights role, and every other array as BN statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.state import CompensationReply, GradientPayload, WorkerState
+
+#: one ``(mean, var)`` pair per BN layer, in :func:`~repro.nn.norm.bn_layers` order
+BnPairs = Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -93,7 +106,7 @@ class BnStatsPush(Message):
     :func:`~repro.nn.norm.bn_layers` order.
     """
 
-    stats: tuple = ()
+    stats: BnPairs = ()
 
 
 @dataclass(frozen=True)
@@ -111,7 +124,7 @@ class TracePush(Message):
     wait for all ``M`` of them deterministically.
     """
 
-    rows: tuple = ()
+    rows: Tuple[list, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -127,7 +140,7 @@ class WeightExchange(Message):
     """
 
     weights: Optional[np.ndarray] = None
-    bn_stats: tuple = ()
+    bn_stats: BnPairs = ()
     step: int = 0
 
 

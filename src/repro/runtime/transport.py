@@ -1,10 +1,13 @@
-"""In-process transport for the thread runtime.
+"""In-process transport for the thread and gossip runtimes.
 
 One :class:`InProcTransport` owns a server mailbox plus one mailbox per
 worker.  Mailboxes are FIFO queues, which gives the same per-connection
 ordering guarantee the simulator relies on (a worker's next pull request is
 processed after its own gradient push, because the worker enqueues them
-from one thread in that order).
+from one thread in that order).  The gossip runtime uses the same fabric:
+its coordinator reads the server mailbox, and matched peers exchange
+weights through :meth:`InProcTransport.to_peer` into each other's worker
+mailboxes.
 
 Link emulation: when built with a :class:`~repro.cluster.network.
 NetworkModel` and a nonzero ``time_scale``, each message is charged
@@ -19,19 +22,15 @@ speed.
 from __future__ import annotations
 
 import queue
-import threading
 import time
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.lockorder import make_condition, make_lock
 from repro.cluster.network import NetworkModel
 from repro.obs.recorder import NULL_RECORDER
 from repro.runtime.codecs import make_codec
 from repro.runtime.messages import Message
-
-if TYPE_CHECKING:  # avoid a hard import cycle with repro.cluster.topology
-    from repro.cluster.topology import TopologyModel
 
 
 def link_delay(
@@ -260,75 +259,22 @@ class InProcTransport:
         not_before = time.monotonic() + delay if delay > 0 else 0.0
         self.worker_inboxes[worker].put(message, not_before=not_before)
 
-    def wake_all_workers(self, message: Message) -> None:
-        """Deliver ``message`` to every worker mailbox immediately."""
-        for inbox in self.worker_inboxes:
-            inbox.put(message)
-
-
-class GossipTransport:
-    """Peer-to-peer message fabric for the decentralized (gossip) runtime.
-
-    Same mailbox machinery as :class:`InProcTransport`, different wiring:
-    there is no server endpoint.  Each worker owns a *peer* inbox (where a
-    matched partner's :class:`~repro.runtime.messages.WeightExchange`
-    lands) and a lightweight *coordinator* inbox collects per-step
-    :class:`~repro.runtime.messages.GossipReport` control messages — the
-    coordinator does bookkeeping only (trace/curve/eval), no parameters
-    ever flow through it, which is the architectural point the scaling
-    bench measures.
-
-    Link emulation charges ``time_scale * edge transfer_time`` of real
-    delay in the *sender* for peer sends (its uplink is busy shipping the
-    weights), using the topology's per-edge link models.
-    """
-
-    def __init__(
-        self,
-        num_workers: int,
-        topology: Optional["TopologyModel"] = None,
-        time_scale: float = 0.0,
-        recorder=NULL_RECORDER,
-        clock=None,
+    def to_peer(
+        self, sender: int, receiver: int, message: Message, nbytes: int = 0, delay: float = 0.0
     ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if time_scale < 0:
-            raise ValueError("time_scale must be >= 0")
-        self.num_workers = int(num_workers)
-        self.topology = topology
-        self.time_scale = float(time_scale)
-        self.recorder = recorder
-        self.clock = clock if clock is not None else (lambda: 0.0)
-        self.coordinator_inbox = Mailbox()
-        self.peer_inboxes: List[Mailbox] = [Mailbox() for _ in range(self.num_workers)]
-        # the coordinator is this architecture's hub endpoint: CommStats'
-        # server_bytes counts its (control-only) traffic
-        self.stats = CommStats(self.num_workers)
-
-    # ------------------------------------------------------------------ #
-    def to_peer(self, sender: int, receiver: int, message: Message, nbytes: int = 0) -> None:
-        """Worker -> worker send; the emulated uplink delays the caller."""
+        """Worker -> worker send (gossip); ``delay`` real seconds of emulated
+        per-edge occupancy are slept out in the sender, whose uplink is busy."""
         self.stats.count_peer(sender, receiver, nbytes)
         if self.recorder.enabled and nbytes > 0:
             self.recorder.emit(
                 self.clock(), "wire_bytes", sender,
                 direction="peer", logical=int(nbytes), wire=int(nbytes),
             )
-        if self.topology is not None and self.time_scale > 0 and nbytes > 0:
-            time.sleep(self.time_scale * self.topology.transfer_time(sender, receiver, nbytes))
-        self.peer_inboxes[receiver].put(message)
-
-    def to_coordinator(self, worker: int, message: Message, nbytes: int = 0) -> None:
-        """Worker -> coordinator control send (reports, never parameters)."""
-        self.stats.count(worker, nbytes)
-        self.coordinator_inbox.put(message)
+        if delay > 0:
+            time.sleep(delay)
+        self.worker_inboxes[receiver].put(message)
 
     def wake_all_workers(self, message: Message) -> None:
-        """Deliver ``message`` to every peer mailbox immediately."""
-        for inbox in self.peer_inboxes:
+        """Deliver ``message`` to every worker mailbox immediately."""
+        for inbox in self.worker_inboxes:
             inbox.put(message)
-
-    def comm_summary(self) -> Dict[str, float]:
-        """The unified :class:`CommStats` keys (busiest endpoint is a worker)."""
-        return self.stats.summary()

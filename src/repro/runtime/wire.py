@@ -1,17 +1,40 @@
-"""Wire layer for the process backend: zero-copy framing + codec plumbing.
+"""Wire layer for the process backend: zero-copy framing + the derived codec.
 
 Every frame on a worker socket is::
 
     [u32 frame length][u32 header length][header JSON][array part buffers]
 
-The header is a small JSON document carrying the message kind, its scalar
-fields, an optional delivery ``delay`` (the emulated downlink occupancy
-the receiver sleeps out — the :class:`~repro.runtime.transport.Mailbox`
-contract), the sender's *logical* byte count (``nbytes`` — what the run's
-accounting charges, independent of compression), and one self-describing
-codec entry per array payload (:mod:`repro.runtime.codecs`).  Array data
-travels as raw buffers appended after the header in entry order; nothing
-is ever pickled.
+The header is a small JSON document carrying the message kind (its class
+name), its fields, an optional delivery ``delay`` (the emulated downlink
+occupancy the receiver sleeps out — the :class:`~repro.runtime.transport.
+Mailbox` contract), the sender's *logical* byte count (``nbytes`` — what
+the run's accounting charges, independent of compression), and one
+self-describing codec entry per array payload (:mod:`repro.runtime.codecs`).
+Array data travels as raw buffers appended after the header in entry
+order; nothing is ever pickled.
+
+The codec is derived from the :mod:`repro.runtime.messages` dataclasses,
+so adding a message means adding a dataclass; there is no per-kind encoder.
+A message's fields travel as a JSON list in :func:`dataclasses.fields`
+order (so field order is part of the protocol), each written by its
+annotation:
+
+* ``int``/``float`` scalars and ``None`` ride the header as they are;
+* each ``np.ndarray`` becomes the index ``i`` of its codec entry.  Its
+  role is ``grad`` for a field named ``grad``, ``weights`` for one named
+  ``weights`` and BN statistics otherwise, so ``topk`` sparsifies
+  gradients only;
+* tuples and lists are JSON lists, and decode back to the type their
+  annotation names;
+* a nested payload dataclass (:class:`~repro.core.state.WorkerState`,
+  :class:`~repro.core.state.GradientPayload`, :class:`~repro.core.state.
+  CompensationReply`) becomes ``{name: [...fields]}``.
+
+Decoding is strict.  It accepts only the message class names and, in each
+payload slot, only the dataclass the annotation names; it refuses extra
+fields and missing required ones, and checks every value against its
+field's annotation.  Anything malformed raises :class:`WireError`, never another
+exception, so a reader can treat that one type as "this peer is broken".
 
 The data plane is zero-copy in both directions:
 
@@ -22,36 +45,37 @@ The data plane is zero-copy in both directions:
 * **receive** — :meth:`FrameConnection.read_frame` fills a reusable
   per-connection buffer via ``recv_into`` and returns a read-only view
   of it (valid until the next read); :func:`decode` builds arrays as
-  ``np.frombuffer`` views with ``copy=False``.  Decoders own anything
-  that outlives the frame (BN statistics, weights, gradients — the
-  float64 math cast copies), so a decoded message never aliases the
+  ``np.frombuffer`` views with ``copy=False`` and copies each one the
+  codec does not already own, so a decoded message never aliases the
   receive buffer.
 
 Two frame flavors share the transport:
 
 * **message frames** — one :mod:`repro.runtime.messages` envelope each;
   :func:`encode_message` / :func:`decode` are exact inverses for every
-  type (property-tested in ``tests/runtime/test_wire.py``).
+  type (``tests/runtime/test_wire.py`` round-trips each one and fuzzes
+  the decoder).
 * **control frames** — :class:`ControlFrame` documents for handshakes
   (proc hello/config/ready/start/error and the fleet protocol both ride
   this one typed helper); :func:`decode` returns the doc dict itself.
 
 Version negotiation: the header carries ``v`` and :func:`decode` runs the
-single :func:`check_protocol_version` path, so a v1 peer is rejected with
-a reason on its first frame rather than failing opaquely mid-run.
+single :func:`check_protocol_version` path, so an older peer is rejected
+with a reason on its first frame rather than failing opaquely mid-run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+import typing
+from dataclasses import MISSING, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.state import CompensationReply, GradientPayload, WorkerState
 from repro.runtime import codecs as codecs_mod
 from repro.runtime.codecs import (
     GradientCodec,
@@ -62,28 +86,12 @@ from repro.runtime.codecs import (
     decode_array,
     entry_nbytes,
 )
-from repro.runtime.messages import (
-    BnStatsPush,
-    CombinedPush,
-    CompensationMessage,
-    GossipReport,
-    GradientPush,
-    Message,
-    PullReply,
-    PullRequest,
-    Shutdown,
-    StatePush,
-    TracePush,
-    WeightExchange,
-)
+from repro.runtime.messages import Message
 
 #: bumped whenever the header schema or codec tables change incompatibly;
-#: v2 = codec-entry array metadata + logical ``nbytes`` in the header
-PROTOCOL_VERSION = 2
-
-#: dtype the raw32 codec casts float payloads to (matches the
-#: ``model_bytes = params * 4`` accounting in repro.runtime.session)
-WIRE_DTYPE = np.float32
+#: v2 = codec-entry array metadata + logical ``nbytes`` in the header;
+#: v3 = fields derived structurally from the message dataclasses
+PROTOCOL_VERSION = 3
 
 #: refuse frames beyond this size — enforced on *both* ends: a corrupt
 #: length prefix must not trigger a gigabyte allocation, and an oversized
@@ -157,270 +165,133 @@ class ControlFrame:
 
 
 # ---------------------------------------------------------------------- #
-# per-kind codecs: message -> (fields, [(role, array), ...]) and back.
-# Decoders receive (fields, arrays, owned); any array that outlives the
-# frame must be owned (copied when the flag says it is borrowed).
+# the derived codec: one (encode, decode) pair per field annotation, built
+# once at import.  Encoders append (role, array) to ``arrays``; decoders
+# read ``arrays`` and copy each one whose ``owned`` flag says it is a view
+# of the receive buffer.
 # ---------------------------------------------------------------------- #
-def _owned(array: np.ndarray, owned: bool) -> np.ndarray:
-    return array if owned else np.array(array)
+#: array roles by field name; every other array is BN statistics
+_ROLES = {"grad": ROLE_GRAD, "weights": ROLE_WEIGHTS}
 
 
-def _state_fields(state: WorkerState) -> Dict[str, Any]:
-    return {
-        "worker": state.worker,
-        "loss": float(state.loss),
-        "t_comm": float(state.t_comm),
-        "t_comp": float(state.t_comp),
-        "pull_version": int(state.pull_version),
-        "bn_layers": len(state.bn_stats),
-    }
+def _expect(kind: type, node: Any) -> Any:
+    if type(node) is not kind:  # exact: a bool is not an int on the wire
+        raise WireError(f"expected {kind.__name__}, got {node!r}")
+    return node
 
 
-def _state_arrays(state: WorkerState) -> List[Tuple[str, np.ndarray]]:
-    arrays: List[Tuple[str, np.ndarray]] = []
-    for mean, var in state.bn_stats:
-        arrays.append((ROLE_BN, mean))
-        arrays.append((ROLE_BN, var))
-    return arrays
+def _dec_int(node: Any, *_) -> int:
+    return _expect(int, node)
 
 
-def _state_from(fields: Dict[str, Any], arrays, owned) -> WorkerState:
-    layers = int(fields["bn_layers"])
-    bn_stats = [
-        (_owned(arrays[2 * i], owned[2 * i]), _owned(arrays[2 * i + 1], owned[2 * i + 1]))
-        for i in range(layers)
-    ]
-    return WorkerState(
-        worker=int(fields["worker"]),
-        loss=float(fields["loss"]),
-        bn_stats=bn_stats,
-        t_comm=float(fields["t_comm"]),
-        t_comp=float(fields["t_comp"]),
-        pull_version=int(fields["pull_version"]),
-    )
+def _dec_float(node: Any, *_) -> float:
+    # the sender held an int, as float(...) accepted; a huge one overflows
+    if type(node) is int and abs(node) < 1e308:
+        return float(node)
+    return _expect(float, node)
 
 
-def _payload_fields(payload: GradientPayload) -> Dict[str, Any]:
-    return {
-        "worker": payload.worker,
-        "pull_version": int(payload.pull_version),
-        "loss": float(payload.loss),
-    }
+def _dec_array(index: Any, arrays: List[np.ndarray], owned: List[bool]) -> np.ndarray:
+    if type(index) is not int or not 0 <= index < len(arrays):
+        raise WireError(f"expected an array index, got {index!r}")
+    # a borrowed array is a view of the receive buffer: copy it
+    return arrays[index] if owned[index] else np.array(arrays[index])
 
 
-def _payload_from(fields: Dict[str, Any], grad: np.ndarray) -> GradientPayload:
-    # GradientPayload.__post_init__ casts to float64 math precision (a
-    # copy — safe even from a borrowed frombuffer view) and recomputes
-    # nbytes from the float32 wire size
-    return GradientPayload(
-        worker=int(fields["worker"]),
-        grad=grad,
-        pull_version=int(fields["pull_version"]),
-        loss=float(fields["loss"]),
-    )
+def _field_codec(annotation: Any, role: str) -> Tuple[Callable, Callable]:
+    """(encode, decode) for one annotation; ``role`` tags its arrays."""
+    if annotation is int:
+        return (lambda value, arrays: int(value)), _dec_int
+    if annotation is float:
+        return (lambda value, arrays: float(value)), _dec_float
+    if annotation is list:  # JSON scalars (trace rows)
+        return (lambda value, arrays: list(value)), (lambda node, *_: _expect(list, node))
+    if annotation is np.ndarray:
 
+        def enc_array(value, arrays):
+            arrays.append((role, value))
+            return len(arrays) - 1
 
-def _enc_pull_request(msg: PullRequest):
-    return {"worker": msg.worker, "sent_at": float(msg.sent_at)}, []
-
-
-def _dec_pull_request(fields, arrays, owned):
-    return PullRequest(int(fields["worker"]), sent_at=float(fields["sent_at"]))
-
-
-def _enc_pull_reply(msg: PullReply):
-    fields = {
-        "worker": msg.worker,
-        "version": int(msg.version),
-        "request_sent_at": float(msg.request_sent_at),
-        "has_weights": msg.weights is not None,
-    }
-    arrays = [] if msg.weights is None else [(ROLE_WEIGHTS, msg.weights)]
-    return fields, arrays
-
-
-def _dec_pull_reply(fields, arrays, owned):
-    weights = _owned(arrays[0], owned[0]) if fields["has_weights"] else None
-    return PullReply(
-        int(fields["worker"]),
-        weights=weights,
-        version=int(fields["version"]),
-        request_sent_at=float(fields["request_sent_at"]),
-    )
-
-
-def _enc_state_push(msg: StatePush):
-    return {"worker": msg.worker, "state": _state_fields(msg.state)}, _state_arrays(msg.state)
-
-
-def _dec_state_push(fields, arrays, owned):
-    return StatePush(
-        int(fields["worker"]), state=_state_from(fields["state"], arrays, owned)
-    )
-
-
-def _enc_compensation(msg: CompensationMessage):
-    reply = None
-    if msg.reply is not None:
-        reply = {
-            "worker": msg.reply.worker,
-            "l_delay": float(msg.reply.l_delay),
-            "predicted_step": int(msg.reply.predicted_step),
-            "sensitivity": float(msg.reply.sensitivity),
-        }
-    return {"worker": msg.worker, "reply": reply}, []
-
-
-def _dec_compensation(fields, arrays, owned):
-    reply = None
-    if fields["reply"] is not None:
-        r = fields["reply"]
-        reply = CompensationReply(
-            worker=int(r["worker"]),
-            l_delay=float(r["l_delay"]),
-            predicted_step=int(r["predicted_step"]),
-            sensitivity=float(r["sensitivity"]),
+        return enc_array, _dec_array
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is Union and len(args) == 2 and args[1] is type(None):
+        enc, dec = _field_codec(args[0], role)
+        return (
+            lambda value, arrays: None if value is None else enc(value, arrays),
+            lambda node, arrays, owned: None if node is None else dec(node, arrays, owned),
         )
-    return CompensationMessage(int(fields["worker"]), reply=reply)
-
-
-def _enc_gradient_push(msg: GradientPush):
-    return (
-        {"worker": msg.worker, "payload": _payload_fields(msg.payload)},
-        [(ROLE_GRAD, msg.payload.grad)],
-    )
-
-
-def _dec_gradient_push(fields, arrays, owned):
-    return GradientPush(
-        int(fields["worker"]), payload=_payload_from(fields["payload"], arrays[0])
-    )
-
-
-def _enc_combined_push(msg: CombinedPush):
-    fields = {
-        "worker": msg.worker,
-        "state": _state_fields(msg.state),
-        "payload": _payload_fields(msg.payload),
-    }
-    return fields, _state_arrays(msg.state) + [(ROLE_GRAD, msg.payload.grad)]
-
-
-def _dec_combined_push(fields, arrays, owned):
-    return CombinedPush(
-        int(fields["worker"]),
-        state=_state_from(fields["state"], arrays[:-1], owned[:-1]),
-        payload=_payload_from(fields["payload"], arrays[-1]),
-    )
-
-
-def _enc_shutdown(msg: Shutdown):
-    return {"worker": msg.worker}, []
-
-
-def _dec_shutdown(fields, arrays, owned):
-    return Shutdown(int(fields["worker"]))
-
-
-def _enc_bn_stats(msg: BnStatsPush):
-    arrays: List[Tuple[str, np.ndarray]] = []
-    for mean, var in msg.stats:
-        arrays.append((ROLE_BN, mean))
-        arrays.append((ROLE_BN, var))
-    return {"worker": msg.worker, "bn_layers": len(msg.stats)}, arrays
-
-
-def _dec_bn_stats(fields, arrays, owned):
-    layers = int(fields["bn_layers"])
-    stats = tuple(
-        (_owned(arrays[2 * i], owned[2 * i]), _owned(arrays[2 * i + 1], owned[2 * i + 1]))
-        for i in range(layers)
-    )
-    return BnStatsPush(int(fields["worker"]), stats=stats)
-
-
-def _enc_trace_push(msg: TracePush):
-    # trace rows are small JSON-safe scalars ([t, kind, worker, *fields]):
-    # they ride the header, no array part — the data plane stays untouched
-    return {"worker": msg.worker, "rows": [list(row) for row in msg.rows]}, []
-
-
-def _dec_trace_push(fields, arrays, owned):
-    return TracePush(
-        int(fields["worker"]), rows=tuple(list(row) for row in fields["rows"])
-    )
-
-
-def _enc_weight_exchange(msg: WeightExchange):
-    fields = {
-        "worker": msg.worker,
-        "step": int(msg.step),
-        "has_weights": msg.weights is not None,
-        "bn_layers": len(msg.bn_stats),
-    }
-    arrays: List[Tuple[str, np.ndarray]] = []
-    if msg.weights is not None:
-        arrays.append((ROLE_WEIGHTS, msg.weights))
-    for mean, var in msg.bn_stats:
-        arrays.append((ROLE_BN, mean))
-        arrays.append((ROLE_BN, var))
-    return fields, arrays
-
-
-def _dec_weight_exchange(fields, arrays, owned):
-    base = 0
-    weights = None
-    if fields["has_weights"]:
-        weights = _owned(arrays[0], owned[0])
-        base = 1
-    layers = int(fields["bn_layers"])
-    bn_stats = tuple(
-        (
-            _owned(arrays[base + 2 * i], owned[base + 2 * i]),
-            _owned(arrays[base + 2 * i + 1], owned[base + 2 * i + 1]),
+    if origin is list or (origin is tuple and args[-1:] == (Ellipsis,)):
+        enc, dec = _field_codec(args[0], role)
+        return (
+            lambda value, arrays: [enc(v, arrays) for v in value],
+            lambda node, arrays, owned: origin(
+                [dec(v, arrays, owned) for v in _expect(list, node)]
+            ),
         )
-        for i in range(layers)
-    )
-    return WeightExchange(
-        int(fields["worker"]),
-        weights=weights,
-        bn_stats=bn_stats,
-        step=int(fields["step"]),
-    )
+    if origin is tuple:  # fixed length, e.g. one BN layer's (mean, var)
+        items = [_field_codec(arg, role) for arg in args]
+
+        def enc_fixed(value, arrays):
+            return [enc(v, arrays) for (enc, _), v in zip(items, value)]
+
+        def dec_fixed(node, arrays, owned):
+            if len(_expect(list, node)) != len(items):
+                raise WireError(f"expected {len(items)} items, got {node!r}")
+            return tuple([dec(v, arrays, owned) for (_, dec), v in zip(items, node)])
+
+        return enc_fixed, dec_fixed
+    if dataclasses.is_dataclass(annotation):
+        spec = _Spec(annotation)
+
+        def enc_payload(value, arrays):
+            return {spec.name: spec.encode(value, arrays)}
+
+        def dec_payload(node, arrays, owned):
+            if type(node) is not dict or len(node) != 1 or spec.name not in node:
+                raise WireError(f"expected a {spec.name} payload, got {node!r}")
+            return spec.decode(node[spec.name], arrays, owned)
+
+        return enc_payload, dec_payload
+    raise TypeError(f"no wire form for annotation {annotation!r}")
 
 
-def _enc_gossip_report(msg: GossipReport):
-    return {
-        "worker": msg.worker,
-        "loss": float(msg.loss),
-        "staleness": int(msg.staleness),
-        "local_step": int(msg.local_step),
-    }, []
+class _Spec:
+    """One dataclass's wire schema: a codec per field, in field order.
+
+    Fields travel positionally, as a JSON list in :func:`dataclasses.fields`
+    order.  Fields without a default lead (dataclasses require it), so a
+    frame may omit only a tail of defaulted fields.
+    """
+
+    def __init__(self, cls: type) -> None:
+        hints = typing.get_type_hints(cls)
+        fields = dataclasses.fields(cls)
+        self.cls = cls
+        self.name = cls.__name__
+        codecs = [_field_codec(hints[f.name], _ROLES.get(f.name, ROLE_BN)) for f in fields]
+        self.encoders = [(f.name, enc) for f, (enc, _) in zip(fields, codecs)]
+        self.decoders = [dec for _, dec in codecs]
+        self.required = sum(f.default is f.default_factory is MISSING for f in fields)
+
+    def encode(self, obj: Any, arrays: List[Tuple[str, np.ndarray]]) -> List[Any]:
+        return [enc(getattr(obj, name), arrays) for name, enc in self.encoders]
+
+    def decode(self, values: Any, arrays: List[np.ndarray], owned: List[bool]) -> Any:
+        if not self.required <= len(_expect(list, values)) <= len(self.decoders):
+            raise WireError(
+                f"{self.name} takes {self.required} to {len(self.decoders)} fields, "
+                f"got {len(values)}"
+            )
+        args = [dec(v, arrays, owned) for dec, v in zip(self.decoders, values)]
+        try:
+            return self.cls(*args)
+        except (TypeError, ValueError) as exc:  # __post_init__ checks, e.g. a NaN loss
+            raise WireError(f"invalid {self.name}: {exc}")
 
 
-def _dec_gossip_report(fields, arrays, owned):
-    return GossipReport(
-        int(fields["worker"]),
-        loss=float(fields["loss"]),
-        staleness=int(fields["staleness"]),
-        local_step=int(fields["local_step"]),
-    )
-
-
-_CODECS = {
-    "PullRequest": (PullRequest, _enc_pull_request, _dec_pull_request),
-    "PullReply": (PullReply, _enc_pull_reply, _dec_pull_reply),
-    "StatePush": (StatePush, _enc_state_push, _dec_state_push),
-    "CompensationMessage": (CompensationMessage, _enc_compensation, _dec_compensation),
-    "GradientPush": (GradientPush, _enc_gradient_push, _dec_gradient_push),
-    "CombinedPush": (CombinedPush, _enc_combined_push, _dec_combined_push),
-    "Shutdown": (Shutdown, _enc_shutdown, _dec_shutdown),
-    "BnStatsPush": (BnStatsPush, _enc_bn_stats, _dec_bn_stats),
-    "TracePush": (TracePush, _enc_trace_push, _dec_trace_push),
-    "WeightExchange": (WeightExchange, _enc_weight_exchange, _dec_weight_exchange),
-    "GossipReport": (GossipReport, _enc_gossip_report, _dec_gossip_report),
-}
-_ENCODERS = {cls: (kind, enc) for kind, (cls, enc, _) in _CODECS.items()}
+#: every message, by kind (its class name)
+_MESSAGES = {cls.__name__: _Spec(cls) for cls in Message.__subclasses__()}
+_BY_CLASS = {spec.cls: spec for spec in _MESSAGES.values()}
 
 
 # ---------------------------------------------------------------------- #
@@ -428,11 +299,11 @@ _ENCODERS = {cls: (kind, enc) for kind, (cls, enc, _) in _CODECS.items()}
 # ---------------------------------------------------------------------- #
 def _message_parts(message: Message, codec: Optional[GradientCodec]):
     """(kind, fields, entries, buffers) for one envelope."""
-    try:
-        kind, encoder = _ENCODERS[type(message)]
-    except KeyError:
+    spec = _BY_CLASS.get(type(message))
+    if spec is None:
         raise WireError(f"no wire codec for {type(message).__name__}")
-    fields, role_arrays = encoder(message)
+    role_arrays: List[Tuple[str, np.ndarray]] = []
+    fields = spec.encode(message, role_arrays)
     codec = codec or RAW32
     entries: List[Dict[str, Any]] = []
     buffers: List[np.ndarray] = []
@@ -440,7 +311,7 @@ def _message_parts(message: Message, codec: Optional[GradientCodec]):
         entry, bufs = codec.encode(role, array)
         entries.append(entry)
         buffers.extend(bufs)
-    return kind, fields, entries, buffers
+    return spec.name, fields, entries, buffers
 
 
 def encode_message_into(
@@ -457,14 +328,8 @@ def encode_message_into(
     count, carried in the header so both ends account identically.
     """
     kind, fields, entries, buffers = _message_parts(message, codec)
-    header = {
-        "v": PROTOCOL_VERSION,
-        "kind": kind,
-        "delay": float(delay),
-        "nbytes": int(nbytes),
-        "fields": fields,
-        "arrays": entries,
-    }
+    header = {"v": PROTOCOL_VERSION, "kind": kind, "delay": float(delay),
+              "nbytes": int(nbytes), "fields": fields, "arrays": entries}
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     return _LEN.pack(len(header_bytes)) + header_bytes, buffers
 
@@ -491,38 +356,36 @@ def encode_control(doc: Dict[str, Any]) -> bytes:
 
 
 def _decode_arrays(
-    view: memoryview, entries: List[Dict[str, Any]], copy: bool
+    view: memoryview, entries: Any, copy: bool
 ) -> Tuple[List[np.ndarray], List[bool]]:
     """Split the payload region into per-entry arrays (views when
     ``copy=False``) and decode each entry's encoding."""
     arrays: List[np.ndarray] = []
     owned: List[bool] = []
     offset = 0
-    total = view.nbytes
-    for entry in entries:
-        parts: List[np.ndarray] = []
-        for part in entry.get("parts", ()):
-            dtype_name = part.get("dtype") if isinstance(part, dict) else None
-            if dtype_name not in codecs_mod.PART_DTYPES:
-                raise WireError(f"disallowed array part dtype {dtype_name!r}")
-            dtype = np.dtype(dtype_name)
-            n = int(part.get("n", 0))
-            nbytes = n * dtype.itemsize
-            if n < 0 or offset + nbytes > total:
-                raise WireError(
-                    f"array payload truncated: expected {nbytes} bytes, "
-                    f"got {total - offset}"
-                )
-            parts.append(np.frombuffer(view, dtype=dtype, count=n, offset=offset))
-            offset += nbytes
-        try:
+    try:
+        for entry in entries:
+            parts: List[np.ndarray] = []
+            for part in entry["parts"]:
+                if part["dtype"] not in codecs_mod.PART_DTYPES:
+                    raise WireError(f"disallowed array part dtype {part['dtype']!r}")
+                dtype = np.dtype(part["dtype"])
+                nbytes = _dec_int(part["n"]) * dtype.itemsize
+                if not 0 <= nbytes <= view.nbytes - offset:
+                    raise WireError(
+                        f"array payload truncated: expected {nbytes} bytes, "
+                        f"got {view.nbytes - offset}"
+                    )
+                parts.append(np.frombuffer(view, dtype=dtype, count=part["n"], offset=offset))
+                offset += nbytes
             array, own = decode_array(entry, parts, copy=copy)
-        except codecs_mod.CodecError as exc:
-            raise WireError(str(exc))
-        arrays.append(array)
-        owned.append(own)
-    if offset != total:
-        raise WireError(f"frame carries {total - offset} unclaimed payload byte(s)")
+            arrays.append(array)
+            owned.append(own)
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        # metadata of the wrong shape; CodecError is a ValueError
+        raise WireError(f"malformed array entry: {exc!r}")
+    if offset != view.nbytes:
+        raise WireError(f"frame carries {view.nbytes - offset} unclaimed payload byte(s)")
     return arrays, owned
 
 
@@ -533,9 +396,9 @@ def decode_frame(
 
     Returns ``(message, delay, logical_nbytes)`` for message frames and
     ``(doc, 0.0, 0)`` for control frames.  With ``copy=False`` array data
-    is read straight out of ``payload`` with no intermediate copy; the
-    per-kind decoders still own everything a message retains, so decoded
-    messages never alias the buffer.
+    is read straight out of ``payload`` with no intermediate copy; every
+    array a message retains is still owned, so decoded messages never
+    alias the buffer.  Any malformed frame raises :class:`WireError`.
     """
     view = memoryview(payload)
     if view.nbytes < _LEN.size:
@@ -545,22 +408,26 @@ def decode_frame(
         raise WireError(f"header length {header_len} exceeds frame size {view.nbytes}")
     try:
         header = json.loads(bytes(view[_LEN.size : _LEN.size + header_len]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
         raise WireError(f"unparseable frame header: {exc}")
+    if type(header) is not dict:
+        raise WireError(f"frame header must be an object, got {type(header).__name__}")
     check_protocol_version(header.get("v"), PROTOCOL_VERSION)
     kind = header.get("kind")
-    delay = float(header.get("delay", 0.0))
-    nbytes = int(header.get("nbytes", 0))
     if kind == "control":
-        return dict(header.get("fields", {})), 0.0, 0
-    try:
-        _, _, decoder = _CODECS[kind]
-    except KeyError:
+        doc = header.get("fields", {})
+        if type(doc) is not dict:
+            raise WireError(f"control frame fields must be an object, got {doc!r}")
+        return dict(doc), 0.0, 0
+    spec = _MESSAGES.get(kind) if type(kind) is str else None
+    if spec is None:
         raise WireError(f"unknown message kind {kind!r}")
+    delay = _dec_float(header.get("delay", 0.0))
+    nbytes = _dec_int(header.get("nbytes", 0))
     arrays, owned = _decode_arrays(
         view[_LEN.size + header_len :], header.get("arrays", []), copy
     )
-    return decoder(header["fields"], arrays, owned), delay, nbytes
+    return spec.decode(header.get("fields"), arrays, owned), delay, nbytes
 
 
 def decode(
@@ -582,7 +449,6 @@ def codec_roundtrip_message(
     footprint swapped for its encoded footprint).
     """
     kind, fields, entries, buffers = _message_parts(message, codec)
-    _, _, decoder = _CODECS[kind]
     arrays: List[np.ndarray] = []
     wire_nbytes = int(nbytes)
     cursor = 0
@@ -594,7 +460,7 @@ def codec_roundtrip_message(
         # logical accounting charges float32 per element; swap that for
         # the encoded footprint to get what a socket would carry
         wire_nbytes += entry_nbytes(entry) - 4 * codecs_mod._shape_size(entry["shape"])
-    decoded = decoder(fields, arrays, [True] * len(arrays))
+    decoded = _MESSAGES[kind].decode(fields, arrays, [True] * len(arrays))
     return decoded, max(0, wire_nbytes)
 
 

@@ -2,12 +2,7 @@
 
 from repro.utils.logging import get_logger, set_log_level
 from repro.utils.rng import RngTree, as_generator
-from repro.utils.serialization import (
-    flatten_arrays,
-    load_checkpoint,
-    save_checkpoint,
-    unflatten_arrays,
-)
+from repro.utils.serialization import flatten_arrays, unflatten_arrays
 from repro.utils.timer import Timer, WallTimer
 from repro.utils.validation import (
     check_in,
@@ -25,8 +20,6 @@ __all__ = [
     "set_log_level",
     "flatten_arrays",
     "unflatten_arrays",
-    "save_checkpoint",
-    "load_checkpoint",
     "check_positive",
     "check_probability",
     "check_in",

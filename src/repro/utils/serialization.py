@@ -1,4 +1,4 @@
-"""Parameter-vector (de)serialization, checkpointing and numpy-to-JSON.
+"""Parameter-vector (de)serialization and numpy-to-JSON.
 
 The parameter server stores the global model as one flat ``float64`` vector;
 workers reconstruct structured arrays from it.  ``flatten/unflatten`` are
@@ -7,8 +7,7 @@ exact inverses — this is property-tested in ``tests/utils``.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,28 +69,3 @@ def to_jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
     return value
-
-
-def save_checkpoint(path: str, tensors: Dict[str, np.ndarray], **metadata) -> None:
-    """Save named arrays plus scalar metadata to an ``.npz`` file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    meta = {f"__meta_{k}": np.asarray(v) for k, v in metadata.items()}
-    np.savez(path, **tensors, **meta)
-
-
-def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
-    """Load a checkpoint written by :func:`save_checkpoint`.
-
-    Returns ``(tensors, metadata)``.
-    """
-    with np.load(path, allow_pickle=False) as archive:
-        tensors: Dict[str, np.ndarray] = {}
-        metadata: Dict[str, object] = {}
-        for key in archive.files:
-            if key.startswith("__meta_"):
-                value = archive[key]
-                metadata[key[len("__meta_") :]] = value.item() if value.ndim == 0 else value
-            else:
-                tensors[key] = archive[key]
-    return tensors, metadata

@@ -2,8 +2,8 @@
 
 The self-check is the tier-1 gate the ISSUE asks for: ``repro lint`` must
 be clean over ``src/repro`` modulo the committed baseline.  The mutation
-tests then prove the gate has teeth — deleting a wire codec registration
-or reintroducing an unseeded ``default_rng()`` must produce a finding.
+tests then prove the gate has teeth — a proc handshake kind that nobody
+examines, or a reintroduced unseeded ``default_rng()``, must produce a finding.
 """
 
 from __future__ import annotations
@@ -42,17 +42,16 @@ def package_copy(tmp_path):
     return dest
 
 
-def test_deleting_a_wire_codec_registration_is_caught(package_copy):
-    wire = package_copy / "runtime" / "wire.py"
-    text = wire.read_text()
-    target = '"GossipReport": (GossipReport, _enc_gossip_report, _dec_gossip_report),'
+def test_dropping_a_handshake_kind_examination_is_caught(package_copy):
+    backend = package_copy / "runtime" / "proc_backend.py"
+    text = backend.read_text()
+    target = 'if end.kind != "done":'
     assert target in text, "mutation target moved; update this test"
-    wire.write_text(text.replace(target, ""))
+    backend.write_text(text.replace(target, "if end is None:"))
 
     findings = run_passes(package_copy, rules=["wire"])
     assert any(
-        "GossipReport has no codec" in f.message and f.path == "runtime/messages.py"
-        for f in findings
+        "'done'" in f.message and f.path == "runtime/proc_worker.py" for f in findings
     ), [str(f) for f in findings]
     # findings carry a real path:line location
     assert all(f.line >= 1 for f in findings)

@@ -1,112 +1,8 @@
-"""wire-completeness pass on synthetic message/wire/protocol fixtures."""
+"""wire-completeness pass on synthetic handshake/protocol fixtures."""
 
 from __future__ import annotations
 
 from repro.analysis import run_passes
-
-GOOD_MESSAGES = """\
-class Message:
-    expedite = False
-
-
-class Ping(Message):
-    worker: int
-    tag: str
-
-
-class Blob(Message):
-    worker: int
-    payload: GradientPayload
-"""
-
-GOOD_WIRE = """\
-def _enc_ping(msg):
-    return {}, []
-
-
-def _dec_ping(fields, arrays, owned):
-    return None
-
-
-def _enc_blob(msg):
-    return {}, []
-
-
-def _dec_blob(fields, arrays, owned):
-    return None
-
-
-_CODECS = {
-    "Ping": (Ping, _enc_ping, _dec_ping),
-    "Blob": (Blob, _enc_blob, _dec_blob),
-}
-"""
-
-
-def test_clean_fixture_has_no_findings(make_fixture_tree):
-    root = make_fixture_tree(
-        {"runtime/messages.py": GOOD_MESSAGES, "runtime/wire.py": GOOD_WIRE}
-    )
-    assert run_passes(root, rules=["wire"]) == []
-
-
-def test_message_without_codec_is_flagged(make_fixture_tree):
-    root = make_fixture_tree(
-        {
-            "runtime/messages.py": GOOD_MESSAGES + "\n\nclass Orphan(Message):\n    worker: int\n",
-            "runtime/wire.py": GOOD_WIRE,
-        }
-    )
-    findings = run_passes(root, rules=["wire"])
-    assert len(findings) == 1
-    assert findings[0].path == "runtime/messages.py"
-    assert "Orphan has no codec" in findings[0].message
-
-
-def test_missing_decoder_function_is_flagged(make_fixture_tree):
-    wire = GOOD_WIRE.replace(
-        '"Blob": (Blob, _enc_blob, _dec_blob),', '"Blob": (Blob, _enc_blob, _dec_missing),'
-    )
-    root = make_fixture_tree({"runtime/messages.py": GOOD_MESSAGES, "runtime/wire.py": wire})
-    findings = run_passes(root, rules=["wire"])
-    assert len(findings) == 1
-    assert findings[0].path == "runtime/wire.py"
-    assert "no decoder" in findings[0].message
-
-
-def test_codec_entry_for_unknown_class_is_flagged(make_fixture_tree):
-    wire = GOOD_WIRE + "\n\ndef _enc_x(m):\n    return {}, []\n\n\ndef _dec_x(f, a, o):\n    return None\n\n\n_CODECS.update({})\n"
-    wire = wire.replace(
-        '"Blob": (Blob, _enc_blob, _dec_blob),',
-        '"Blob": (Blob, _enc_blob, _dec_blob),\n    "Ghost": (Ghost, _enc_x, _dec_x),',
-    )
-    root = make_fixture_tree({"runtime/messages.py": GOOD_MESSAGES, "runtime/wire.py": wire})
-    findings = run_passes(root, rules=["wire"])
-    assert len(findings) == 1
-    assert "not a Message subclass" in findings[0].message
-
-
-def test_non_wire_safe_field_is_flagged(make_fixture_tree):
-    messages = GOOD_MESSAGES + "\n\nclass Weird(Message):\n    worker: int\n    junk: dict\n"
-    wire = GOOD_WIRE.replace(
-        '"Blob": (Blob, _enc_blob, _dec_blob),',
-        '"Blob": (Blob, _enc_blob, _dec_blob),\n    "Weird": (Weird, _enc_blob, _dec_blob),',
-    )
-    root = make_fixture_tree({"runtime/messages.py": messages, "runtime/wire.py": wire})
-    findings = run_passes(root, rules=["wire"])
-    assert len(findings) == 1
-    assert "Weird.junk" in findings[0].message
-    assert "'dict'" in findings[0].message
-
-
-def test_optional_scalar_fields_are_wire_safe(make_fixture_tree):
-    messages = GOOD_MESSAGES + "\n\nclass Opt(Message):\n    step: Optional[int]\n"
-    wire = GOOD_WIRE.replace(
-        '"Blob": (Blob, _enc_blob, _dec_blob),',
-        '"Blob": (Blob, _enc_blob, _dec_blob),\n    "Opt": (Opt, _enc_blob, _dec_blob),',
-    )
-    root = make_fixture_tree({"runtime/messages.py": messages, "runtime/wire.py": wire})
-    assert run_passes(root, rules=["wire"]) == []
 
 
 def test_fleet_kind_built_but_not_parseable(make_fixture_tree):

@@ -1,10 +1,8 @@
-"""Bench harness: grids, tables, plots, workloads."""
+"""Bench harness: tables, plots, workloads."""
 
-import numpy as np
 import pytest
 
 from repro.bench import (
-    ExperimentGrid,
     ascii_plot,
     ascii_scatter,
     bench_profile,
@@ -12,44 +10,8 @@ from repro.bench import (
     format_table,
     imagenet_workload,
     paper_reference,
-    run_curves,
-    run_grid,
 )
 from repro.bench.workloads import PAPER_OVERHEAD, PAPER_TABLE1
-from repro.core.config import TrainingConfig
-
-
-def tiny_workload(algorithm, num_workers, seed=0, **kw):
-    return TrainingConfig.tiny(algorithm=algorithm, num_workers=num_workers, seed=seed, epochs=2, **kw)
-
-
-class TestHarness:
-    def test_run_grid_cells(self):
-        grid = run_grid(tiny_workload, ["asgd", "sgd"], [2], seeds=(0,))
-        assert ("asgd", 2) in grid.cells
-        assert ("sgd", 1) in grid.cells  # sgd collapses to one worker
-        assert grid.mean_test_error("asgd", 2) <= 1.0
-
-    def test_grid_multiple_seeds_averaged(self):
-        grid = run_grid(tiny_workload, ["asgd"], [2], seeds=(0, 1))
-        assert len(grid.runs("asgd", 2)) == 2
-        errs = [r.final_test_error for r in grid.runs("asgd", 2)]
-        assert grid.mean_test_error("asgd", 2) == pytest.approx(np.mean(errs))
-
-    def test_mean_degradation(self):
-        grid = run_grid(tiny_workload, ["asgd"], [2], seeds=(0,))
-        deg = grid.mean_degradation("asgd", 2, baseline=0.5)
-        measured = grid.mean_test_error("asgd", 2)
-        assert deg == pytest.approx(100 * (measured - 0.5) / 0.5)
-
-    def test_run_curves(self):
-        results = run_curves(tiny_workload, ["asgd", "ssgd"], workers=2, seed=0)
-        assert set(results) == {"asgd", "ssgd"}
-        assert len(results["asgd"].curve) >= 1
-
-    def test_experiment_grid_object(self):
-        grid = ExperimentGrid(tiny_workload, ["asgd"], [2], seeds=(0,))
-        assert grid.run().mean_test_error("asgd", 2) >= 0.0
 
 
 class TestFormatting:

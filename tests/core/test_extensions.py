@@ -1,4 +1,4 @@
-"""Extensions beyond the paper: SA-ASGD baseline, checkpointing, CLI."""
+"""Extensions beyond the paper: SA-ASGD baseline, CLI."""
 
 import json
 
@@ -8,8 +8,6 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import DistributedTrainer, TrainingConfig
 from repro.core.algorithms import StalenessAwareASGDRule, make_update_rule
-from repro.core.checkpoint import load_model_from_checkpoint, save_run_checkpoint
-from repro.core.metrics import evaluate_model
 from repro.core.state import GradientPayload
 
 
@@ -43,33 +41,6 @@ class TestStalenessAwareASGD:
         cfg = TrainingConfig.tiny(algorithm="sa-asgd", num_workers=2, epochs=2, seed=0)
         result = DistributedTrainer(cfg).run()
         assert result.final_test_error < 0.9
-
-
-class TestCheckpoint:
-    def test_roundtrip_preserves_eval_error(self, tmp_path):
-        cfg = TrainingConfig.tiny(algorithm="asgd", num_workers=2, epochs=2, seed=4)
-        trainer = DistributedTrainer(cfg)
-        result = trainer.run()
-        path = str(tmp_path / "model.npz")
-        save_run_checkpoint(trainer, path)
-
-        model, meta = load_model_from_checkpoint(cfg, path)
-        assert meta["algorithm"] == "asgd"
-        assert meta["batches"] == result.total_updates
-        train_idx, test_idx = trainer._eval_indices
-        err, _ = evaluate_model(
-            model, trainer.test_set.inputs[test_idx], trainer.test_set.targets[test_idx]
-        )
-        assert err == pytest.approx(result.final_test_error, abs=1e-9)
-
-    def test_local_bn_checkpoint(self, tmp_path):
-        cfg = TrainingConfig.tiny(algorithm="sgd", num_workers=1, epochs=2, seed=4)
-        trainer = DistributedTrainer(cfg)
-        trainer.run()
-        path = str(tmp_path / "sgd.npz")
-        save_run_checkpoint(trainer, path)
-        model, meta = load_model_from_checkpoint(cfg, path)
-        assert int(meta["bn_layers"]) >= 1
 
 
 class TestCLI:

@@ -140,14 +140,16 @@ def test_crashed_child_fails_the_run_quickly(monkeypatch):
 def test_protocol_version_skew_rejected_with_reason(monkeypatch):
     """A parent speaking a different protocol version must fail the run
     fast with both versions named, not hang until the handshake times out:
-    the children are real v2 processes, the patched parent expects v1."""
+    the children are real current-version processes, the patched parent
+    expects v1."""
     from repro.runtime import proc_backend
+    from repro.runtime.wire import PROTOCOL_VERSION
 
     monkeypatch.setattr(proc_backend, "PROTOCOL_VERSION", 1)
     cfg = TrainingConfig.tiny(algorithm="asgd", num_workers=1, epochs=1, seed=0)
     start = time.perf_counter()
     with pytest.raises(
-        RuntimeError, match=r"rejected a peer.*peer speaks v2, we speak v1"
+        RuntimeError, match=rf"rejected a peer.*peer speaks v{PROTOCOL_VERSION}, we speak v1"
     ):
         run_proc(cfg, timeout=60.0)
     assert time.perf_counter() - start < 50.0  # reject, not timeout

@@ -1,24 +1,32 @@
-"""Wire layer: every Message round-trips exactly; framing survives sockets."""
+"""Wire layer: every Message round-trips exactly; framing survives sockets;
+malformed frames raise WireError and nothing else."""
 
+import dataclasses
 import json
 import socket
 import threading
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.state import CompensationReply, GradientPayload, WorkerState
 from repro.runtime.codecs import make_codec
+from repro.runtime import messages as messages_mod
 from repro.runtime.messages import (
     BnStatsPush,
     CombinedPush,
     CompensationMessage,
     GossipReport,
     GradientPush,
+    Message,
     PullReply,
     PullRequest,
     Shutdown,
     StatePush,
+    TracePush,
     WeightExchange,
 )
 from repro.runtime import wire
@@ -85,6 +93,7 @@ def _messages():
         ),
         WeightExchange(3, weights=None, bn_stats=(), step=0),  # handshake shape
         GossipReport(1, loss=0.42, staleness=3, local_step=17),
+        TracePush(1, rows=([0.5, "span", 1, "compute", 0.25], [0.75, "mark", 1, "end"])),
     ]
 
 
@@ -135,6 +144,8 @@ def _assert_equal(original, decoded):
             original.staleness,
             original.local_step,
         )
+    if isinstance(original, TracePush):
+        assert decoded.rows == original.rows
     if isinstance(original, BnStatsPush):
         assert len(decoded.stats) == len(original.stats)
         for (m0, v0), (m1, v1) in zip(original.stats, decoded.stats):
@@ -147,6 +158,69 @@ def test_every_message_type_round_trips(message):
     decoded, delay = decode(encode_message(message, delay=0.125))
     assert delay == 0.125
     _assert_equal(message, decoded)
+
+
+def test_every_message_type_has_a_round_trip_case():
+    # the codec is derived from the dataclasses, so this is what catches a
+    # new message type that nobody round-tripped
+    concrete = {
+        cls
+        for cls in vars(messages_mod).values()
+        if isinstance(cls, type) and issubclass(cls, Message) and cls is not Message
+    }
+    assert concrete == {type(m) for m in _messages()}
+
+
+def _split(frame):
+    """(header dict, array payload bytes) of an encoded message frame."""
+    end = wire._LEN.size + wire._LEN.unpack_from(frame)[0]
+    return json.loads(frame[wire._LEN.size : end]), frame[end:]
+
+
+def _header(frame):
+    return _split(frame)[0]
+
+
+def _position(cls, name):
+    return [f.name for f in dataclasses.fields(cls)].index(name)
+
+
+@pytest.mark.parametrize("message", _messages(), ids=lambda m: type(m).__name__)
+def test_topk_compresses_the_grad_field_only(message):
+    header = _header(encode_message(message, codec=make_codec("topk")))
+    grads = set()
+    if hasattr(message, "payload"):
+        payload = header["fields"][_position(type(message), "payload")]["GradientPayload"]
+        grads.add(payload[_position(GradientPayload, "grad")])
+    encodings = [entry["enc"] for entry in header["arrays"]]
+    assert encodings == ["topk" if i in grads else "raw" for i in range(len(encodings))]
+    assert bool(grads) == isinstance(message, (GradientPush, CombinedPush))
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ([0, 1.0, 1], "PullRequest takes 1 to 2 fields, got 3"),  # an unknown field
+        ([], "PullRequest takes 1 to 2 fields, got 0"),  # worker is required
+        ([0, "soon"], "expected float"),
+        ([True], "expected int"),
+        ({"worker": 0}, "expected list"),
+    ],
+)
+def test_decode_is_strict_about_fields(fields, match):
+    frame = encode_message(PullRequest(0, sent_at=1.0))
+    header = _header(frame)
+    header["fields"] = fields
+    with pytest.raises(WireError, match=match):
+        decode(_frame(header))
+
+
+def test_decode_accepts_only_whitelisted_payload_types():
+    header = _header(encode_message(StatePush(1, state=_state(bn_layers=0))))
+    state = header["fields"][_position(StatePush, "state")]
+    state["PullRequest"] = state.pop("WorkerState")  # a real class, not this payload
+    with pytest.raises(WireError, match="expected a WorkerState payload"):
+        decode(_frame(header))
 
 
 def test_control_frames_round_trip():
@@ -163,9 +237,134 @@ def test_decode_rejects_garbage():
     with pytest.raises(WireError):
         decode(encode_message(PullRequest(0))[:-1] + b"")  # fine, full...
     # wrong protocol version
-    bad = encode_control({"x": 1}).replace(b'"v":2', b'"v":9')
+    version = f'"v":{wire.PROTOCOL_VERSION}'.encode()
+    bad = encode_control({"x": 1}).replace(version, b'"v":9')
     with pytest.raises(WireError, match="protocol mismatch"):
         decode(bad)
+
+
+def _frame(header, body=b""):
+    raw = json.dumps(header).encode("utf-8")
+    return wire._LEN.pack(len(raw)) + raw + body
+
+
+def _with_header(message, **changes):
+    header, body = _split(encode_message(message))
+    header.update(changes)
+    return _frame(header, body)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        _with_header(PullRequest(0), fields=[]),  # no worker
+        _with_header(PullRequest(0), fields=["x", 0.0]),
+        _with_header(PullRequest(0), fields={"worker": 0, "sent_at": 0.0}),
+        _frame(dict(_header(encode_message(GradientPush(1, payload=_payload()))), arrays=[])),
+        _with_header(GradientPush(1, payload=_payload(n=4)), arrays=3),
+        _with_header(PullRequest(0), kind=["PullRequest"]),
+        _frame([wire.PROTOCOL_VERSION, "PullRequest"]),
+    ],
+    ids=["missing-worker", "str-worker", "object-fields", "no-arrays", "int-arrays",
+         "list-kind", "list-header"],
+)
+def test_malformed_headers_raise_wire_error(frame):
+    with pytest.raises(WireError):
+        decode(frame)
+
+
+def _conforms(value, annotation):
+    """Does a decoded value have its field's annotated type?"""
+    if annotation in (int, float, list, np.ndarray, type(None)):
+        return type(value) is annotation
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is typing.Union:
+        return any(_conforms(value, arg) for arg in args)
+    if origin in (list, tuple):
+        if type(value) is not origin:
+            return False
+        if origin is list or args[-1:] == (Ellipsis,):
+            return all(_conforms(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    return type(value) is annotation and _fields_conform(value)
+
+
+def _fields_conform(obj):
+    hints = typing.get_type_hints(type(obj))
+    return all(
+        _conforms(getattr(obj, f.name), hints[f.name]) for f in dataclasses.fields(obj)
+    )
+
+
+_FUZZ_FRAMES = [encode_message(m, delay=0.5, nbytes=64) for m in _messages()] + [
+    encode_message(m, codec=make_codec(name))
+    for name in ("fp16", "topk")
+    for m in (GradientPush(1, payload=_payload()), PullReply(1, weights=np.ones(5)))
+]
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _nodes(node, path=()):
+    """Every (path, value) in a JSON tree, the root included."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _replace(tree, path, value):
+    if not path:
+        return value
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return tree
+
+
+@st.composite
+def _fuzzed_frames(draw):
+    frame = draw(st.sampled_from(_FUZZ_FRAMES))
+    how = draw(st.sampled_from(["truncate", "replace", "key"]))
+    if how == "truncate":
+        return frame[: draw(st.integers(0, len(frame) - 1))]
+    header, body = _split(frame)
+    nodes = list(_nodes(header))
+    if how == "replace":
+        path, _ = draw(st.sampled_from(nodes))
+        header = _replace(header, path, draw(_json))
+    else:
+        dicts = [(path, node) for path, node in nodes if isinstance(node, dict) and node]
+        path, node = draw(st.sampled_from(dicts))
+        key = draw(st.sampled_from(sorted(node)))
+        value = node.pop(key)
+        if draw(st.booleans()):  # rename instead of delete
+            node[draw(st.text(max_size=8))] = value
+    return _frame(header, body)
+
+
+@given(_fuzzed_frames())
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_frames_decode_or_raise_wire_error(frame):
+    try:
+        obj, delay, nbytes = wire.decode_frame(frame, copy=False)
+    except WireError:
+        return
+    assert type(delay) is float and type(nbytes) is int
+    if isinstance(obj, dict):  # the mutation produced a control frame
+        return
+    assert isinstance(obj, Message) and _fields_conform(obj)
 
 
 def test_v1_peer_rejected_with_reason():
@@ -175,7 +374,9 @@ def test_v1_peer_rejected_with_reason():
         {"v": 1, "kind": "control", "delay": 0.0, "fields": {"hello": 0}, "arrays": []}
     ).encode("utf-8")
     frame = wire._LEN.pack(len(header)) + header
-    with pytest.raises(ProtocolMismatch, match=r"peer speaks v1, we speak v2"):
+    with pytest.raises(
+        ProtocolMismatch, match=rf"peer speaks v1, we speak v{wire.PROTOCOL_VERSION}"
+    ):
         decode(frame)
 
 

@@ -1,16 +1,11 @@
-"""flatten/unflatten round trips and checkpoint IO."""
+"""flatten/unflatten round trips."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.serialization import (
-    flatten_arrays,
-    load_checkpoint,
-    save_checkpoint,
-    unflatten_arrays,
-)
+from repro.utils.serialization import flatten_arrays, unflatten_arrays
 
 
 def test_flatten_empty():
@@ -63,14 +58,3 @@ def test_roundtrip_property(arrays):
     for a, b in zip(arrays, back):
         assert a.shape == b.shape
         np.testing.assert_allclose(a, b)
-
-
-def test_checkpoint_roundtrip(tmp_path, rng):
-    path = str(tmp_path / "ckpt.npz")
-    tensors = {"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)}
-    save_checkpoint(path, tensors, epoch=7, lr=0.1)
-    loaded, meta = load_checkpoint(path)
-    np.testing.assert_allclose(loaded["w"], tensors["w"])
-    np.testing.assert_allclose(loaded["b"], tensors["b"])
-    assert meta["epoch"] == 7
-    assert meta["lr"] == pytest.approx(0.1)
