@@ -4,34 +4,34 @@ Same semantics as Table 2 (see bench_table2_overhead_cifar.py); the paper's
 key observation is that against ImageNet's ~185 ms iterations the same
 predictors cost only ~1.5% — the overhead is model-size-relative, so the
 heavier the worker model, the more negligible LC-ASGD's server cost.
+As in Table 2, one more row runs the paper's own predictor width at M = 16.
 """
 
 from repro.bench import format_table
 from repro.bench.workloads import PAPER_OVERHEAD, imagenet_workload
 
-from benchmarks.conftest import PREDICTOR_BUDGET_MS, WORKER_COUNTS, imagenet_curves
+from benchmarks.conftest import (
+    PAPER_WIDTH_BUDGET_MS,
+    PREDICTOR_BUDGET_MS,
+    WORKER_COUNTS,
+    imagenet_curves,
+    overhead_row,
+    paper_width_run,
+)
 
 
 def test_table3_overhead_imagenet(benchmark):
     results = benchmark.pedantic(imagenet_curves, rounds=1, iterations=1)
+    wide = paper_width_run(imagenet_workload)
 
-    rows = []
-    overheads = {}
-    for m in WORKER_COUNTS:
-        run = results[("lc-asgd", m)]
-        loss_ms = run.timers["loss_pred_ms"]
-        step_ms = run.timers["step_pred_ms"]
-        total_ms = imagenet_workload("lc-asgd", m).cluster.mean_batch_time * 1e3
-        overheads[m] = 100 * (loss_ms + step_ms) / total_ms
-        ref = PAPER_OVERHEAD[("imagenet", m)]
-        rows.append([
-            m,
-            f"{loss_ms:.2f}", f"{ref['loss_pred_ms']:.2f}",
-            f"{step_ms:.2f}", f"{ref['step_pred_ms']:.2f}",
-            f"{loss_ms + step_ms:.2f}", f"{ref['loss_pred_ms'] + ref['step_pred_ms']:.2f}",
-            f"{total_ms:.1f}", f"{ref['total_ms']:.1f}",
-            f"{overheads[m]:.1f}%", f"{ref['overhead_pct']:.1f}%",
-        ])
+    def total_ms(m):
+        return imagenet_workload("lc-asgd", m).cluster.mean_batch_time * 1e3
+
+    rows = [
+        overhead_row(m, results[("lc-asgd", m)], total_ms(m), PAPER_OVERHEAD[("imagenet", m)])
+        for m in WORKER_COUNTS
+    ]
+    rows.append(overhead_row("16, paper width", wide, total_ms(16), PAPER_OVERHEAD[("imagenet", 16)]))
     print()
     print(format_table(
         ["M", "loss ms", "(paper)", "step ms", "(paper)", "both ms", "(paper)", "total ms", "(paper)", "overhead", "(paper)"],
@@ -60,3 +60,5 @@ def test_table3_overhead_imagenet(benchmark):
                 cifar_run.timers["loss_pred_ms"] + cifar_run.timers["step_pred_ms"]
             ) / cifar_total
             assert combined / imagenet_total < cifar_overhead + 0.05
+    combined = wide.timers["loss_pred_ms"] + wide.timers["step_pred_ms"]
+    assert 0 < combined < PAPER_WIDTH_BUDGET_MS, f"paper-width predictors cost {combined:.2f} ms"

@@ -14,6 +14,7 @@ from typing import Callable, Dict, Tuple
 import pytest
 
 from repro.bench.workloads import cifar_workload, imagenet_workload
+from repro.core.config import PredictorConfig, TrainingConfig
 from repro.core.metrics import RunResult
 from repro.core.trainer import DistributedTrainer
 
@@ -29,6 +30,15 @@ WORKER_COUNTS = (4, 8, 16)
 #: These are ~1 ms of NumPy calls on a shared CPU, so the full 2x is kept.  The
 #: paper's 1.28 + 1.37 ms is at hidden 64/128 on a GPU and is printed, not asserted.
 PREDICTOR_BUDGET_MS = 2.6
+#: Tables 2-3 at the paper's predictor width (``PredictorConfig()``: hidden
+#: 64/128, windows 16/8) on a short lc-asgd run at M = 16: bound on the same
+#: two timers.  The paper's own cost there is 1.30 + 1.48 ms (CIFAR) and
+#: 1.33 + 1.50 ms (ImageNet) on a GPU.  On a shared 2-core host this CPU
+#: kernel read 2.44–3.67 ms (median 2.81) over 16 such runs before its
+#: per-step views were built once, and 2.25–3.02 ms (median 2.46) after: the
+#: host's own spread is most of the headroom left under this bound.
+PAPER_WIDTH_BUDGET_MS = 3.0
+PAPER_WIDTH_UPDATES = 320
 
 
 def cached(key: str, factory: Callable[[], object]):
@@ -67,6 +77,27 @@ def imagenet_curves() -> Dict[Tuple[str, int], RunResult]:
         return out
 
     return cached("imagenet-curves", build)
+
+
+def paper_width_run(workload: Callable[..., TrainingConfig]) -> RunResult:
+    """A short lc-asgd run at M = 16 with the paper's predictor sizes."""
+    config = workload(
+        "lc-asgd", 16, predictor=PredictorConfig(), max_updates=PAPER_WIDTH_UPDATES
+    )
+    return cached(f"paper-width-{config.dataset}", lambda: _run(config))
+
+
+def overhead_row(label, run: RunResult, total_ms: float, ref: Dict[str, float]) -> list:
+    """One Table 2/3 row: measured predictor ms and overhead beside the paper's."""
+    loss_ms, step_ms = run.timers["loss_pred_ms"], run.timers["step_pred_ms"]
+    return [
+        label,
+        f"{loss_ms:.2f}", f"{ref['loss_pred_ms']:.2f}",
+        f"{step_ms:.2f}", f"{ref['step_pred_ms']:.2f}",
+        f"{loss_ms + step_ms:.2f}", f"{ref['loss_pred_ms'] + ref['step_pred_ms']:.2f}",
+        f"{total_ms:.1f}", f"{ref['total_ms']:.1f}",
+        f"{100 * (loss_ms + step_ms) / total_ms:.1f}%", f"{ref['overhead_pct']:.1f}%",
+    ]
 
 
 @pytest.fixture(scope="session")

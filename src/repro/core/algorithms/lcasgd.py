@@ -79,7 +79,7 @@ def compensation_seed(
         seed = (1.0 - lam) + lam * ratio * ratio
     else:
         raise ValueError(f"unknown compensation mode {mode!r}")
-    return float(np.clip(seed, SEED_MIN, SEED_MAX))
+    return float(min(max(seed, SEED_MIN), SEED_MAX))
 
 
 class LCASGDRule(UpdateRule):

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 
 class _RunningNorm:
     """Streaming mean/std normalizer (Welford), used to stabilize the LSTMs."""
@@ -101,5 +99,11 @@ class StepPredictorBase:
 
     @staticmethod
     def _clip_step(value: float, max_step: int) -> int:
-        """Round and clamp a raw forecast into ``[0, max_step]``."""
-        return int(np.clip(round(value), 0, max_step))
+        """Round and clamp a raw forecast into ``[0, max_step]``.
+
+        A NaN or infinite forecast has no rounding: it raises
+        :class:`FloatingPointError` naming the step predictor.
+        """
+        if not math.isfinite(value):
+            raise FloatingPointError(f"step predictor forecast {value} is not finite")
+        return min(max(round(value), 0), max_step)

@@ -18,6 +18,37 @@ by one matmul rather than accumulated step by step, and the logistic is
 evaluated as ``0.5 * tanh(0.5 x) + 0.5`` — the same maths in a different
 float32 summation order.
 
+The arithmetic is pinned bit for bit to an earlier, plainer form of this
+kernel: ``tests/core/test_series_lstm_bits.py`` keeps a frozen copy of it
+and runs both over one seeded stream with ``np.array_equal``.  The two
+differ only in the Python around the same BLAS and ufunc calls:
+
+* **Views built once.**  A hidden-16 cell step is one GEMV and ten ufunc
+  calls of ~0.4 µs each, so the ~0.1 µs it takes to slice a gate row or a
+  time step out of a buffer is a visible share.  The per-step views over
+  the fixed scratch buffers (gate row and its four gate blocks, cell,
+  tanh(cell), hidden, previous state; the backward pass's equivalents)
+  are built into tuples once per instance and the time loops unpack them.
+  They are built on the first :meth:`forward`, not in ``__init__``: the
+  predictors are constructed per run, and many never run a long window.
+* **The sigmoid's ½ folded into the weights.**  The gate pre-activations
+  go through ``tanh(0.5 z)`` on the i, f, o rows.  Scaling by 0.5 or 1.0
+  is exact in binary floating point (barring subnormals), and so is every
+  rounding of a sum or product of exactly halved terms, so ``x @ (s W)``
+  equals ``s (x @ W)`` bit for bit for the same BLAS call.  :meth:`forward`
+  can therefore multiply θ by the row pattern (one ufunc over the whole
+  vector, redone on every call so a write to :attr:`params` between calls
+  is never missed) and skip the cell loop's first ``z *= scale``.  That
+  trades one pass over θ for one ufunc call per cell step, so it is done
+  only where θ is small for the window (see ``_FOLD_FLOATS_PER_STEP``):
+  the hidden-16 predictors fold, the paper's 64/128 do not.
+  :meth:`backward` and :meth:`advance` always read the unscaled
+  :attr:`params`.
+
+Moving a product between a GEMV and a GEMM (a layer wavefront, or one
+GEMM over stacked windows) is *not* bit-identical: the same row differs in
+its last bits in practice, so the kernel keeps one GEMV per cell step.
+
 All scratch lives on the instance (thread, gossip and sim cells share a
 process), so one instance must not be driven from two threads at once.
 """
@@ -25,7 +56,7 @@ process), so one instance must not be driven from two threads at once.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +67,15 @@ State = List[np.ndarray]
 
 #: global gradient-norm clip of :meth:`SeriesLSTM.step`
 _MAX_GRAD_NORM = 1.0
+
+#: fold the sigmoid's ½ into a scaled copy of θ only if θ has at most this
+#: many floats per window step.  The copy costs ≈ 0.35–0.45 ns per float per
+#: forward; it saves one ≈ 0.4 µs ufunc call per cell step, two cell steps
+#: (one per layer) per window step: break-even at ≈ 2 000 floats per step
+#: (2-core Xeon, OpenBLAS 0.3.31).  Hidden 16 over a 10-step window is 328
+#: per step and folds; the paper's hidden 64 over 16 steps (3 124) and 128
+#: over 8 (24 912) would pay more for the copy than the fold saves.
+_FOLD_FLOATS_PER_STEP = 2000
 
 
 class SeriesLSTM:
@@ -117,8 +157,13 @@ class SeriesLSTM:
         self._dc_dh = np.empty((steps, hs), dtype=np.float32)
         self._vec = [np.empty(hs, dtype=np.float32) for _ in range(4)]
         self._wide = np.empty(4 * hs, dtype=np.float32)
+        self._recurrent = np.empty(4 * hs, dtype=np.float32)
         self._zero = np.zeros(hs, dtype=np.float32)  # h and c before the first step
         self._steps = 0
+        # built by the first forward (module docstring): the per-step view
+        # tuples of both passes and, if it pays, θ with the i, f, o rows halved
+        self._fwd_views: Optional[list] = None
+        self._scaled_theta: Optional[np.ndarray] = None
 
     def _carve(self, flat: np.ndarray) -> List[np.ndarray]:
         views, offset = [], 0
@@ -127,6 +172,36 @@ class SeriesLSTM:
             views.append(flat[offset : offset + size].reshape(shape))
             offset += size
         return views
+
+    def _build_views(self) -> None:
+        """The per-step view tuples and the halved-θ buffers (first forward only)."""
+        hs, zero = self.hidden_size, self._zero
+        if self._theta.size <= _FOLD_FLOATS_PER_STEP * self.max_steps:
+            self._row_scale = np.ones_like(self._theta)
+            for view in self._carve(self._row_scale)[:6]:  # both layers' w_ih, w_hh, bias
+                view.T[...] = self._scale
+            self._scaled_theta = np.empty_like(self._theta)
+            self._layer_params = self._carve(self._scaled_theta)
+            self._pre_scale = None  # the halved weights already scaled z
+        else:
+            self._layer_params, self._pre_scale = self.params, self._scale
+        fwd_views, self._bwd_views = [], []
+        for layer in range(2):
+            cells, tanh_cells, hidden = self._c[layer], self._tanh_c[layer], self._h[layer]
+            gates = self._gates[layer]
+            fwd_views.append([
+                (z, z[:hs], z[hs : 2 * hs], z[2 * hs : 3 * hs], z[3 * hs :],
+                 cells[t - 1] if t else zero, hidden[t - 1] if t else zero,
+                 cells[t], tanh_cells[t], hidden[t])
+                for t, z in enumerate(gates)
+            ])
+            f_gate, dh_out = gates.reshape(-1, 4, hs)[:, 1], self._dh_out[layer]
+            self._bwd_views.append([
+                (dh_out[t], self._dc_dh[t], dz, self._local[t], self._local[t, 3], dz[3],
+                 f_gate[t], dz.reshape(-1))
+                for t, dz in enumerate(self._dgates)
+            ])
+        self._fwd_views = fwd_views  # last: it marks everything as built
 
     # ------------------------------------------------------------------ #
     # forward
@@ -140,6 +215,10 @@ class SeriesLSTM:
         steps = len(x)
         if not 0 < steps <= self.max_steps:
             raise ValueError(f"window of {steps} steps, kernel sized for 1..{self.max_steps}")
+        if self._fwd_views is None:
+            self._build_views()
+        if self._scaled_theta is not None:
+            np.multiply(self._theta, self._row_scale, out=self._scaled_theta)
         self._steps = steps
         inputs = self._x[:steps]
         inputs[...] = x
@@ -151,22 +230,29 @@ class SeriesLSTM:
         return y
 
     def _forward_layer(self, layer: int, inputs: np.ndarray) -> np.ndarray:
-        w_ih, w_hh, bias = self.params[3 * layer : 3 * layer + 3]
+        # the cell below is _cell, whose first multiply is skipped when the
+        # halved weights already gave z its halved i, f, o rows
+        w_ih, w_hh, bias = self._layer_params[3 * layer : 3 * layer + 3]
         steps = len(inputs)
         gates = self._gates[layer][:steps]
         np.dot(inputs, w_ih.T, out=gates)
         gates += bias
-        cells, tanh_cells, hidden = self._c[layer], self._tanh_c[layer], self._h[layer]
-        recurrent, cell = self._wide, self._cell
-        h_prev = c_prev = self._zero
-        for t in range(steps):
-            z = gates[t]
+        recurrent, tmp, scale, shift = self._recurrent, self._vec[0], self._scale, self._shift
+        pre = self._pre_scale
+        for z, i, f, g, o, c_prev, h_prev, c, tanh_c, h in self._fwd_views[layer][:steps]:
             np.dot(w_hh, h_prev, out=recurrent)
             z += recurrent
-            c, h = cells[t], hidden[t]
-            cell(z, c_prev, c, tanh_cells[t], h)
-            c_prev, h_prev = c, h
-        return hidden[:steps]
+            if pre is not None:
+                z *= pre
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            np.multiply(i, g, out=tmp)
+            np.multiply(f, c_prev, out=c)
+            c += tmp
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=h)
+        return self._h[layer][:steps]
 
     def _cell(self, z, c_prev, c, tanh_c, h) -> None:
         """One cell step from gate pre-activations ``z`` (overwritten in place).
@@ -205,11 +291,11 @@ class SeriesLSTM:
         grads[7][0] = dy32.sum()
         dh_out = self._dh_out[1][:steps]
         np.multiply(dy32[:, None], self.params[6], out=dh_out)
-        self._backward_layer(1, self._h[0][:steps], dh_out, self._dh_out[0][:steps])
-        self._backward_layer(0, self._x[:steps], self._dh_out[0][:steps], None)
+        self._backward_layer(1, self._h[0][:steps], self._dh_out[0][:steps])
+        self._backward_layer(0, self._x[:steps], None)
 
-    def _backward_layer(self, layer, inputs, dh_out, d_inputs) -> None:
-        """BPTT through one layer; ``dh_out`` is dL/dh from above, per step."""
+    def _backward_layer(self, layer, inputs, d_inputs) -> None:
+        """BPTT through one layer; ``_dh_out[layer]`` holds dL/dh from above, per step."""
         w_ih, w_hh, _ = self.params[3 * layer : 3 * layer + 3]
         g_ih, g_hh, g_bias = self.grads[3 * layer : 3 * layer + 3]
         hs = self.hidden_size
@@ -218,7 +304,7 @@ class SeriesLSTM:
         cells = self._c[layer][:steps]
         tanh_cells = self._tanh_c[layer][:steps]
         hidden = self._h[layer][:steps]
-        i_gate, f_gate, g_gate, o_gate = gates[:, 0], gates[:, 1], gates[:, 2], gates[:, 3]
+        i_gate, g_gate, o_gate = gates[:, 0], gates[:, 2], gates[:, 3]
 
         # everything that depends on the forward activations alone, for all
         # steps at once: local[t] turns (dc, dc, dc, dh) into gate gradients
@@ -238,27 +324,26 @@ class SeriesLSTM:
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o_gate
 
-        dgates = self._dgates[:steps]
+        views = self._bwd_views[layer]
         dh, dc, dc_next, dh_rec = self._vec
         last = steps - 1
         for t in range(last, -1, -1):
+            dh_above, dc_dh_t, dz, local_t, local_o, dz_o, f_t, dz_flat = views[t]
             if t == last:
-                dh_t = dh_out[t]
-                np.multiply(dh_t, dc_dh[t], out=dc)
+                dh_t = dh_above
+                np.multiply(dh_t, dc_dh_t, out=dc)
             else:
                 dh_t = dh
-                np.add(dh_out[t], dh_rec, out=dh_t)
-                np.multiply(dh_t, dc_dh[t], out=dc)
+                np.add(dh_above, dh_rec, out=dh_t)
+                np.multiply(dh_t, dc_dh_t, out=dc)
                 dc += dc_next
-            dz = dgates[t]
-            local_t = local[t]
             np.multiply(local_t, dc, out=dz)
-            np.multiply(local_t[3], dh_t, out=dz[3])
+            np.multiply(local_o, dh_t, out=dz_o)
             if t:
-                np.multiply(dc, f_gate[t], out=dc_next)
-                np.dot(dz.reshape(-1), w_hh, out=dh_rec)
+                np.multiply(dc, f_t, out=dc_next)
+                np.dot(dz_flat, w_hh, out=dh_rec)
 
-        flat = dgates.reshape(steps, 4 * hs)
+        flat = self._dgates[:steps].reshape(steps, 4 * hs)
         np.dot(flat.T, inputs, out=g_ih)
         if steps > 1:
             np.dot(flat[1:].T, hidden[:-1], out=g_hh)
@@ -297,31 +382,34 @@ class SeriesLSTM:
 
     def advance(self, state: State, x: Sequence[float]) -> float:
         """Feed one ``(input_size,)`` step, updating ``state`` in place; returns the output."""
-        z, tanh_c = self._wide, self._vec[1]
+        z, recurrent, tanh_c = self._wide, self._recurrent, self._vec[1]
         inp = np.asarray(x, dtype=np.float32)
         for layer in range(2):
             w_ih, w_hh, bias = self.params[3 * layer : 3 * layer + 3]
             h, c = state[2 * layer], state[2 * layer + 1]
             np.dot(w_ih, inp, out=z)
             z += bias
-            z += np.dot(w_hh, h)
+            np.dot(w_hh, h, out=recurrent)
+            z += recurrent
             self._cell(z, c, c, tanh_c, h)
             inp = h
         return float(np.dot(self.params[6][0], inp) + self.params[7][0])
 
     def rollout_from(self, state: State, last: float, k: int) -> List[float]:
         """``k`` autoregressive forecasts after feeding ``last`` into a copy of ``state``."""
-        if self.input_size != 1:
-            raise ValueError("rollout feeds the output back as the input: input_size must be 1")
-        state = [a.copy() for a in state]
-        preds: List[float] = []
-        value = last
-        for _ in range(k):
-            value = self.advance(state, (value,))
-            preds.append(value)
-        return preds
+        return self._roll([a.copy() for a in state], last, k)
 
     def rollout(self, window: np.ndarray, k: int) -> List[float]:
         """Autoregressive ``k``-step forecast from a ``(T,)`` window (``T >= 1``)."""
         series = np.asarray(window, dtype=np.float32)
-        return self.rollout_from(self.encode(series[:-1, None]), float(series[-1]), k)
+        # encode hands back fresh arrays, so the rollout may advance them in place
+        return self._roll(self.encode(series[:-1, None]), float(series[-1]), k)
+
+    def _roll(self, state: State, value: float, k: int) -> List[float]:
+        if self.input_size != 1:
+            raise ValueError("rollout feeds the output back as the input: input_size must be 1")
+        preds: List[float] = []
+        for _ in range(k):
+            value = self.advance(state, (value,))
+            preds.append(value)
+        return preds

@@ -20,6 +20,7 @@ report their per-iteration overhead.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,6 +32,15 @@ from repro.core.predictors.base import LossPredictorBase, StepPredictorBase
 from repro.core.state import CompensationReply, GradientPayload, WorkerState
 from repro.optim.lr_scheduler import LRSchedule
 from repro.utils.timer import Timer
+
+
+def _require_finite(value: float, what: str, worker: int) -> None:
+    """Fail a compensation before it is sent, blaming the predictor that made it."""
+    if not math.isfinite(value):
+        raise FloatingPointError(
+            f"the {what} for worker {worker} is {value}, not finite; "
+            "the predictor has diverged"
+        )
 
 
 class ParameterServer:
@@ -128,6 +138,7 @@ class ParameterServer:
 
         with self.timer.section("step-pred"):
             k = self.step_predictor.predict(state.worker, state.t_comm, state.t_comp)
+        _require_finite(k, "step predictor's staleness forecast k", state.worker)
         self._inflight_predicted_k[state.worker] = k
         self._inflight_features[state.worker] = (state.t_comm, state.t_comp)
 
@@ -136,6 +147,8 @@ class ParameterServer:
             sensitivity = 0.0
             if self.compensation == "sensitivity":
                 sensitivity = self.loss_predictor.delay_sensitivity(state.loss, k)
+        _require_finite(l_delay, "loss predictor's l_delay", state.worker)
+        _require_finite(sensitivity, "loss predictor's sensitivity", state.worker)
 
         return CompensationReply(
             worker=state.worker,

@@ -181,6 +181,35 @@ def test_instances_do_not_share_scratch():
     np.testing.assert_array_equal(a.forward(x), ya)
     assert not np.shares_memory(a.forward(x), b.forward(x))
 
+    # the per-step views and the halved-θ copy are built per instance on the
+    # first forward: interleaved training of kernels with different seeds
+    # and widths (the first two fold the ½ into θ, the third does not) must
+    # give, bit for bit, what each gives when it runs alone
+    def kernels():
+        return [
+            SeriesLSTM(1, hidden, np.random.default_rng(seed), max_steps=8, lr=0.05, momentum=0.9)
+            for hidden, seed in ((16, 1), (8, 2), (128, 3))
+        ]
+
+    def train(kernel, seed):
+        rng = np.random.default_rng(seed)
+        for steps in (3, 8, 1, 5):
+            x = rng.standard_normal((steps, 1)).astype(np.float32)
+            y = kernel.forward(x).copy()
+            kernel.backward(rng.standard_normal(steps).astype(np.float32))
+            yield y, [g.copy() for g in kernel.grads]
+            kernel.step()
+            yield kernel.forward(x).copy(), [p.copy() for p in kernel.params]
+
+    alone = [list(train(kernel, i)) for i, kernel in enumerate(kernels())]
+    interleaved = [train(kernel, i) for i, kernel in enumerate(kernels())]
+    for step in range(len(alone[0])):
+        for runs, expected in zip(interleaved, alone):
+            y, arrays = next(runs)
+            np.testing.assert_array_equal(y, expected[step][0])
+            for got, want in zip(arrays, expected[step][1]):
+                np.testing.assert_array_equal(got, want)
+
 
 def test_validation():
     with pytest.raises(ValueError):

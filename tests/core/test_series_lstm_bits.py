@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.predictors import series_lstm
 from repro.core.predictors.series_lstm import SeriesLSTM
 
 MAX_GRAD_NORM = 1.0
@@ -252,11 +253,18 @@ def drive(kernel, frozen, rng, rounds):
             assert_same(kernel, frozen)
 
 
+@pytest.mark.parametrize("fold", [None, True, False])
 @pytest.mark.parametrize(
     "hidden, input_size, max_steps",
     [(16, 1, 10), (16, 3, 5), (64, 1, 16), (64, 3, 8), (128, 1, 8), (128, 3, 8)],
 )
-def test_forward_backward_step_stream_is_bit_identical(hidden, input_size, max_steps):
+def test_forward_backward_step_stream_is_bit_identical(hidden, input_size, max_steps, fold, monkeypatch):
+    # fold=None lets the kernel choose whether to halve a copy of θ; True
+    # and False force either path at every width (raising=False: a kernel
+    # without the choice runs all three the same way)
+    if fold is not None:
+        limit = 10**9 if fold else 0
+        monkeypatch.setattr(series_lstm, "_FOLD_FLOATS_PER_STEP", limit, raising=False)
     kernel, frozen = make_pair(hidden, input_size, max_steps, seed=hidden + input_size)
     rng = np.random.default_rng(hidden * 7 + input_size)
     drive(kernel, frozen, rng, rounds=3)

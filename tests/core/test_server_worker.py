@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.algorithms import ASGDRule, LCASGDRule, SSGDRule
+from repro.core.algorithms import ASGDRule, LCASGDRule, SSGDRule, compensation_seed
+from repro.core.algorithms.lcasgd import SEED_MAX, SEED_MIN
 from repro.core.predictors import EMALossPredictor, EMAStepPredictor
+from repro.core.predictors.base import LossPredictorBase, StepPredictorBase
 from repro.core.server import ParameterServer
 from repro.core.state import GradientPayload, WorkerState
 from repro.core.worker import DistributedWorker
@@ -167,6 +169,96 @@ class TestServer:
     def test_state_rejects_nonfinite_loss(self):
         with pytest.raises(ValueError, match="non-finite"):
             WorkerState(worker=0, loss=float("nan"))
+
+
+class StubLoss(LossPredictorBase):
+    def __init__(self, l_delay=1.0, sensitivity=0.0):
+        self.l_delay, self.sensitivity = l_delay, sensitivity
+
+    def observe(self, loss):
+        pass
+
+    def predict_next(self):
+        return None
+
+    def predict_delay(self, loss, k):
+        return self.l_delay
+
+    def delay_sensitivity(self, loss, k, eps=1e-3):
+        return self.sensitivity
+
+
+class StubStep(StepPredictorBase):
+    def __init__(self, k=1):
+        self.k = k
+
+    def observe(self, worker, step, t_comm, t_comp):
+        pass
+
+    def predict(self, worker, t_comm, t_comp):
+        return self.k
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteCompensation:
+    """A diverged predictor fails handle_state by name, before any reply."""
+
+    @pytest.mark.parametrize(
+        "loss, step, compensation, blamed",
+        [
+            (StubLoss(), StubStep(k=NAN), "damping", "step predictor's staleness forecast k"),
+            (StubLoss(), StubStep(k=INF), "damping", "step predictor's staleness forecast k"),
+            (StubLoss(l_delay=NAN), StubStep(), "damping", "loss predictor's l_delay"),
+            (StubLoss(l_delay=-INF), StubStep(), "scale", "loss predictor's l_delay"),
+            (StubLoss(sensitivity=NAN), StubStep(), "sensitivity", "loss predictor's sensitivity"),
+            (StubLoss(sensitivity=INF), StubStep(), "sensitivity", "loss predictor's sensitivity"),
+        ],
+    )
+    def test_handle_state_names_the_predictor_and_worker(self, loss, step, compensation, blamed):
+        server = ParameterServer(
+            np.zeros(4), LCASGDRule(), MultiStepLR(0.1, (2,), 0.1), iters_per_epoch=4,
+            loss_predictor=loss, step_predictor=step, compensation=compensation,
+        )
+        server.handle_pull(3)
+        with pytest.raises(FloatingPointError, match=f"{blamed} for worker 3 is"):
+            server.handle_state(WorkerState(worker=3, loss=2.0))
+        if blamed.startswith("step"):
+            assert 3 not in server._inflight_predicted_k
+
+    def test_finite_stub_forecasts_pass(self):
+        server = ParameterServer(
+            np.zeros(4), LCASGDRule(), MultiStepLR(0.1, (2,), 0.1), iters_per_epoch=4,
+            loss_predictor=StubLoss(l_delay=2.5, sensitivity=0.3), step_predictor=StubStep(k=2),
+            compensation="sensitivity",
+        )
+        reply = server.handle_state(WorkerState(worker=1, loss=2.0))
+        assert (reply.l_delay, reply.predicted_step, reply.sensitivity) == (2.5, 2, 0.3)
+
+    @pytest.mark.parametrize("value", [NAN, INF, -INF])
+    def test_clip_step_rejects_non_finite_forecasts(self, value):
+        with pytest.raises(FloatingPointError, match="step predictor forecast"):
+            StepPredictorBase._clip_step(value, 8)
+
+    def test_clip_step_and_seed_clamp_as_np_clip_did(self):
+        rng = np.random.default_rng(0)
+        for value in np.concatenate([rng.normal(0, 20, 200), [-0.5, 0.5, 1.5, 8.5, 9.0]]):
+            value = float(value)
+            got = StepPredictorBase._clip_step(value, 8)
+            assert type(got) is int and got == int(np.clip(round(value), 0, 8))
+        loss, k, lam = 1.3, 3, 0.7
+        for l_delay in np.concatenate([rng.normal(0, 5, 200), [NAN, INF, -INF]]):
+            l_delay = float(l_delay)
+            ratio = min(l_delay / k / loss, 1.0)
+            raw = {
+                "scale": (loss + lam * l_delay) / loss,
+                "damping": (1.0 - lam) + lam * ratio * ratio,
+            }
+            for mode, seed in raw.items():
+                got = compensation_seed(mode, loss, l_delay, k, lam)
+                want = float(np.clip(seed, SEED_MIN, SEED_MAX))
+                assert got == want or (np.isnan(got) and np.isnan(want))
 
 
 class TestWorker:
