@@ -125,6 +125,27 @@ def test_compensated_cycle_waits_for_the_reply_before_backward():
     assert [e.kind for e in session.trace.events] == ["pull", "state", "gradient", "update"]
 
 
+@pytest.mark.parametrize(
+    "algorithm, backend, options",
+    [
+        ("asgd", "sim", {}),
+        ("asgd", "thread", {"timeout": 120.0}),
+        ("asgd", "thread", {"deterministic": True, "timeout": 120.0}),
+        ("asgd", "proc", {"time_scale": 0.0, "timeout": 120.0}),
+        ("ad-psgd", "sim", {}),
+        ("ad-psgd", "thread", {"timeout": 120.0}),
+    ],
+    ids=["sim", "thread", "thread-deterministic", "proc", "gossip-sim", "gossip-thread"],
+)
+def test_every_applied_update_is_logged_once(algorithm, backend, options):
+    from repro.core import TrainingConfig
+    from repro.runtime import run_experiment
+
+    cfg = TrainingConfig.tiny(algorithm=algorithm, num_workers=2, seed=3)
+    result = run_experiment(cfg, backend=backend, **options)
+    assert result.total_updates == len(result.finishing_order) > 0
+
+
 def test_dispatch_rejects_a_message_the_server_does_not_handle():
     from repro.core import TrainingConfig
     from repro.runtime import ExperimentPlan, ExperimentSession
