@@ -318,10 +318,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     agent_p = sub.add_parser(
         "agent", help="run a fleet agent daemon that executes sweep cells"
     )
-    agent_p.add_argument("--bind", default="127.0.0.1:7463", metavar="HOST:PORT")
-    agent_p.add_argument("--slots", type=int, default=1)
-    agent_p.add_argument("--heartbeat", type=float, default=None)
-    agent_p.add_argument("--port-file", default=None, metavar="PATH")
+    agent_p.add_argument(
+        "--bind", default="127.0.0.1:7463", metavar="HOST:PORT",
+        help="address to listen on (port 0 picks a free one)",
+    )
+    agent_p.add_argument(
+        "--slots", type=int, default=1, help="cells to run concurrently on this host"
+    )
+    agent_p.add_argument(
+        "--heartbeat", type=float, default=None,
+        help="seconds between liveness pulses to the scheduler",
+    )
+    agent_p.add_argument(
+        "--port-file", default=None, metavar="PATH",
+        help="write the bound host:port here once listening",
+    )
 
     store_p = sub.add_parser("store", help="result-store maintenance")
     store_sub = store_p.add_subparsers(dest="store_command", required=True)

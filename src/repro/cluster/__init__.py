@@ -22,7 +22,7 @@ from repro.cluster.topology import (
     make_topology,
     register_topology,
 )
-from repro.cluster.trace import ClusterTrace, TraceEvent
+from repro.cluster.trace import ClusterTrace
 
 __all__ = [
     "Event",
@@ -33,7 +33,6 @@ __all__ = [
     "ComputeModel",
     "StragglerModel",
     "ClusterTrace",
-    "TraceEvent",
     "TopologyModel",
     "RingTopology",
     "BipartiteTopology",

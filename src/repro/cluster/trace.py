@@ -1,71 +1,34 @@
-"""Structured trace of a distributed-training run.
+"""The update log of a distributed-training run.
 
-The trace is what the evaluation reads back: staleness distributions
-(Figures 2-3 context), worker finishing order (Figure 8), and virtual-time
-series (Figures 4 and 6).
+One entry per applied update: the worker whose update landed and its
+staleness.  That is all the evaluation reads back — the staleness
+distribution (Figures 2-3 context) and the worker finishing order
+(Figure 8).  :meth:`repro.runtime.session.ExperimentSession.record_update`
+is the only writer, on every backend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded cluster event."""
-
-    time: float
-    kind: str  # "pull", "state", "compensation", "gradient", "update", "barrier"
-    worker: int
-    version: int = -1  # server model version at event time
-    staleness: int = -1  # gradient events: server updates since the pull
-    value: float = 0.0  # kind-specific payload (loss, k, duration, ...)
-
-
 class ClusterTrace:
-    """Append-only event log with summary queries."""
+    """Append-only update log with summary queries."""
 
     def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
+        self.order: List[int] = []
+        self.staleness: List[int] = []
 
-    def record(
-        self,
-        time: float,
-        kind: str,
-        worker: int,
-        version: int = -1,
-        staleness: int = -1,
-        value: float = 0.0,
-    ) -> None:
-        """Append one event."""
-        self.events.append(
-            TraceEvent(
-                time=float(time),
-                kind=kind,
-                worker=int(worker),
-                version=int(version),
-                staleness=int(staleness),
-                value=float(value),
-            )
-        )
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        """All events of a given kind, in time order."""
-        return [e for e in self.events if e.kind == kind]
-
-    def staleness_values(self) -> np.ndarray:
-        """Staleness of every applied gradient."""
-        return np.array(
-            [e.staleness for e in self.events if e.kind == "update" and e.staleness >= 0],
-            dtype=np.int64,
-        )
+    def record(self, worker: int, staleness: int) -> None:
+        """Append one applied update."""
+        self.order.append(int(worker))
+        self.staleness.append(int(staleness))
 
     def staleness_stats(self) -> Dict[str, float]:
-        """Mean/median/max staleness over all applied gradients."""
-        values = self.staleness_values()
+        """Mean/median/max staleness over all applied updates."""
+        values = np.array(self.staleness, dtype=np.int64)
         if values.size == 0:
             return {"mean": 0.0, "median": 0.0, "max": 0.0, "count": 0.0}
         return {
@@ -76,16 +39,12 @@ class ClusterTrace:
         }
 
     def finishing_order(self) -> List[int]:
-        """Worker ids in the order their gradients landed (Figure 8's x-axis)."""
-        return [e.worker for e in self.events if e.kind == "update"]
+        """Worker ids in the order their updates landed (Figure 8's x-axis)."""
+        return list(self.order)
 
     def updates_per_worker(self) -> Dict[int, int]:
-        """Number of applied gradients per worker."""
+        """Number of applied updates per worker."""
         counts: Dict[int, int] = {}
-        for e in self.events:
-            if e.kind == "update":
-                counts[e.worker] = counts.get(e.worker, 0) + 1
+        for worker in self.order:
+            counts[worker] = counts.get(worker, 0) + 1
         return counts
-
-    def __len__(self) -> int:
-        return len(self.events)

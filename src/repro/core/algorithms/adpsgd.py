@@ -76,9 +76,9 @@ def gossip_staleness(local_step: int, last_average_step: int) -> int:
 
     This is the decentralized analogue of ASGD's pull-to-push version gap:
     how far the local parameters have drifted, in update counts, since the
-    last mixing event.  Feeding it through the existing trace ``staleness``
-    field keeps :func:`~repro.cluster.trace.ClusterTrace.staleness_stats`
-    and the report columns meaningful for ``ad-psgd`` rows.
+    last mixing event.  Logging it as each update's staleness keeps
+    :func:`~repro.cluster.trace.ClusterTrace.staleness_stats` and the
+    report columns meaningful for ``ad-psgd`` rows.
     """
     if local_step < last_average_step:
         raise ValueError("local_step precedes last_average_step")

@@ -35,7 +35,6 @@ examples in README's "Fleet mode".
 
 from __future__ import annotations
 
-import argparse
 import os
 import socket
 import threading
@@ -322,7 +321,7 @@ class FleetAgent:
 
 
 # ---------------------------------------------------------------------- #
-# CLI entrypoint (also reachable as ``repro agent``)
+# the ``repro agent`` command
 # ---------------------------------------------------------------------- #
 def serve(
     bind: str,
@@ -330,12 +329,11 @@ def serve(
     heartbeat: Optional[float] = None,
     port_file: Optional[str] = None,
 ) -> int:
-    """Run one agent daemon until interrupted — the CLI's whole behavior.
+    """Run one agent daemon until interrupted — all of ``repro agent``.
 
-    Shared by ``repro agent`` and ``python -m repro.fleet.agent`` so the
-    two entrypoints cannot drift.  ``port_file`` gets the bound
-    ``host:port`` written atomically once listening (how scripts that
-    bind port 0 learn the address).
+    The CLI parses the flags and calls this.  ``port_file`` gets the
+    bound ``host:port`` written atomically once listening (how scripts
+    that bind port 0 learn the address).
     """
     host, _, port = bind.rpartition(":")
     if not host:
@@ -365,39 +363,3 @@ def serve(
     finally:
         agent.close()
     return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro agent",
-        description="fleet agent daemon: runs campaign cells sent by "
-                    "`repro sweep --agents ...`",
-    )
-    parser.add_argument(
-        "--bind", default="127.0.0.1:7463", metavar="HOST:PORT",
-        help="address to listen on (port 0 picks a free one)",
-    )
-    parser.add_argument(
-        "--slots", type=int, default=1,
-        help="cells to run concurrently on this host",
-    )
-    parser.add_argument(
-        "--heartbeat", type=float, default=None,
-        help=f"seconds between liveness pulses to the scheduler "
-             f"(default {HEARTBEAT_INTERVAL})",
-    )
-    parser.add_argument(
-        "--port-file", default=None, metavar="PATH",
-        help="write the bound host:port here once listening (for scripts "
-             "that bind port 0)",
-    )
-    args = parser.parse_args(argv)
-    return serve(
-        args.bind, slots=args.slots, heartbeat=args.heartbeat, port_file=args.port_file
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -51,8 +51,8 @@ EVENT_KINDS: Dict[str, EventKind] = {
     ),
     "staleness": EventKind(
         name="staleness",
-        doc="One staleness sample, emitted where the server (or gossip "
-            "coordinator) applies an update — the same site that feeds "
+        doc="One staleness sample, emitted where dispatch logs an applied "
+            "update (gossip reports included) — the same site that feeds "
             "RunResult.staleness, so trace histograms match it exactly.",
         fields=("value", "version"),
     ),
@@ -95,24 +95,6 @@ EVENT_KINDS: Dict[str, EventKind] = {
         fields=("label",),
     ),
 }
-
-
-def validate_fields(kind: str, fields: Dict[str, Any]) -> EventKind:
-    """The registry entry for ``kind``; raises if the payload mismatches."""
-    info = EVENT_KINDS.get(kind)
-    if info is None:
-        raise ValueError(
-            f"unregistered trace event kind {kind!r} "
-            f"(registered: {', '.join(sorted(EVENT_KINDS))})"
-        )
-    # membership + length is equivalent to set equality but allocation-free
-    # — this runs on the emit hot path, inside the ≤5% obs budget
-    if len(fields) != len(info.fields) or any(name not in fields for name in info.fields):
-        raise ValueError(
-            f"trace event {kind!r} expects fields {info.fields}, "
-            f"got {tuple(sorted(fields))}"
-        )
-    return info
 
 
 def encode_record(t: float, kind: str, worker: int, fields: Dict[str, Any]) -> List[Any]:

@@ -204,14 +204,6 @@ class TraceRecorder:
             self.records() if records is None else records, timer_totals
         )
 
-    def staleness_values(self) -> List[float]:
-        """Every recorded staleness sample, in emission order."""
-        return [
-            float(record.fields["value"])
-            for record in self.records()
-            if record.kind == "staleness"
-        ]
-
     # ------------------------------------------------------------------ #
     def dump_jsonl(self, path: str) -> str:
         """Write the meta line + one row per record; returns ``path``."""

@@ -31,10 +31,11 @@ ways from one experiment specification:
   backend negotiates via ``TrainingConfig.comm_codec``.
 * :mod:`repro.runtime.cycle` — Algorithm 1's worker cycle and Algorithm
   2's per-message dispatch, each written once; sim, thread and proc are
-  drivers over them.
-* :mod:`repro.runtime.server_actor` — the server actor loop both
+  drivers over them, and every applied update of every backend (gossip
+  reports included) enters the run through the dispatch.
+* :mod:`repro.runtime.server_actor` — the server actor loop the
   concurrent backends share (inbox draining, evaluation cadence, the
-  done/Shutdown protocol).
+  done/Shutdown protocol); gossip thread mode runs it on its reports.
 
 Quickstart::
 

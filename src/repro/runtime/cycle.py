@@ -17,7 +17,7 @@ The compensation round trip is the only branch: LC-ASGD calls with
 posts state and gradient fused and awaits nothing.
 
 **The dispatch** (:func:`dispatch`) maps one arrived message to the
-server handler, records the trace, and names the replies to send.
+server handler, logs the update it applied, and names the replies to send.
 
 Drivers decide what an effect costs.  The sim driver
 (:class:`~repro.core.trainer.DistributedTrainer`) turns effects into
@@ -27,7 +27,7 @@ runs them over blocking ``send``/``recv`` callables for worker threads
 (:mod:`~repro.runtime.proc_worker`); the server side of both is
 :func:`~repro.runtime.server_actor.server_actor_loop`.  The serverless
 AD-PSGD loop (:mod:`~repro.runtime.gossip_backend`) is the one run family
-with a different cycle.
+with a different cycle; its per-step reports still go through the dispatch.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from repro.core.worker import DistributedWorker
 from repro.runtime.messages import (
     CombinedPush,
     CompensationMessage,
+    GossipReport,
     GradientPush,
     Message,
     PullReply,
@@ -125,7 +126,11 @@ def dispatch(session: ExperimentSession, message: Message, now: float) -> Sequen
 
     A pull is answered with the weights (or nothing while the SSGD barrier
     holds it), a state push with the compensation, and a gradient with the
-    pull replies its barrier round released, if any.
+    pull replies its barrier round released, if any.  A gossip report is a
+    local step some AD-PSGD worker already applied to its own replica: it
+    only advances the server's counters, which serverless runs keep as
+    bookkeeping.  Every applied update, gossip included, enters the run
+    here through :meth:`~repro.runtime.session.ExperimentSession.record_update`.
     """
     plan = session.plan
     server = plan.server
@@ -133,20 +138,20 @@ def dispatch(session: ExperimentSession, message: Message, now: float) -> Sequen
     kind = type(message)
     if kind is PullRequest:
         weights = server.handle_pull(m, request_time=message.sent_at)
-        session.trace.record(now, "pull", m, version=server.version)
         if weights is None:
             return ()
         return [(m, _pull_reply(server, m, weights, message.sent_at), plan.model_bytes)]
     if kind is StatePush:
         reply = server.handle_state(message.state)
-        session.trace.record(
-            now, "state", m, version=server.version, value=message.state.loss
-        )
         return [(m, CompensationMessage(m, reply=reply), REQUEST_BYTES)]
+    if kind is GossipReport:
+        server.batches_processed += 1
+        server.version += 1
+        session.record_update(now, m, message.staleness, message.loss)
+        return ()
     if kind is CombinedPush:
         advanced, staleness = server.handle_combined(message.state, message.payload)
     elif kind is GradientPush:
-        session.trace.record(now, "gradient", m, version=server.version)
         advanced, staleness = server.handle_gradient(message.payload)
     else:
         raise TypeError(f"server received {kind.__name__}")

@@ -3,25 +3,30 @@
 No parameter server exists here.  Every worker owns an authoritative flat
 parameter vector, takes local SGD steps, and once per step averages that
 vector with one neighbor on a :class:`~repro.cluster.topology.TopologyModel`
-graph (Lian et al. 2018).  Parameters only ever travel worker-to-worker; a
-lightweight *coordinator* thread collects per-step reports to drive the
-trace / learning curve / epoch evaluation, reusing the plan's
-:class:`~repro.core.server.ParameterServer` purely as bookkeeping (its
-``batches_processed`` counter and lr schedule — its parameter vector is
-never trained against).
+graph (Lian et al. 2018).  Parameters only ever travel worker-to-worker.
+Each finished local step becomes a :class:`~repro.runtime.messages.
+GossipReport` that goes through the shared
+:func:`~repro.runtime.cycle.dispatch`, exactly like a gradient push on the
+server backends: it logs the update and advances the plan's
+:class:`~repro.core.server.ParameterServer`, which serves here purely as
+bookkeeping (its ``batches_processed`` counter and lr schedule — its
+parameter vector is never trained against).
 
 Two execution modes, selected by ``mode=``:
 
 * ``sim`` — single-threaded virtual-time rounds.  Each round every worker
   takes one local step (durations sampled from the plan's
-  :class:`~repro.cluster.node.ComputeModel`), then the topology's seeded
+  :class:`~repro.cluster.node.ComputeModel`) and dispatches its report at
+  its own virtual clock, then the topology's seeded
   :meth:`~repro.cluster.topology.TopologyModel.round_pairs` matching
   exchanges weights over per-edge links.  Everything derives from
   ``config.seed`` via name-keyed RNG streams, so two runs produce
   bit-identical curves.
 * ``thread`` — genuinely concurrent workers over an
-  :class:`~repro.runtime.transport.InProcTransport`: the coordinator reads
-  its server mailbox, matched peers exchange weights through
+  :class:`~repro.runtime.transport.InProcTransport`: the shared
+  :func:`~repro.runtime.server_actor.server_actor_loop` drains the reports
+  from the server mailbox and ends the run once the budget is met, and
+  matched peers exchange weights through
   :meth:`~repro.runtime.transport.InProcTransport.to_peer`.  Pairing goes through
   the :class:`PairingBoard`, an atomic matchmaker: a worker is either
   *waiting* on the board or *committed* to exactly one partner, never
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -53,8 +59,9 @@ from repro.core.metrics import RunResult
 from repro.nn.module import get_flat_params, set_flat_params
 from repro.nn.norm import bn_layers, load_bn_running_stats
 from repro.obs.recorder import NULL_RECORDER
+from repro.runtime.cycle import dispatch
 from repro.runtime.messages import GossipReport, Shutdown, WeightExchange
-from repro.runtime.server_actor import RunControl, run_actor_threads
+from repro.runtime.server_actor import RunControl, run_actor_threads, server_actor_loop
 from repro.runtime.session import REQUEST_BYTES, ExperimentPlan, ExperimentSession
 from repro.runtime.transport import CommStats, InProcTransport
 from repro.utils.logging import get_logger
@@ -80,16 +87,19 @@ class PairingBoard:
     else), so the hold-and-wait condition of the classic cycle cannot
     arise.  Nor can everyone park: a connected topology has an edge inside
     any all-workers waiting set, and the last worker to arrive would have
-    matched across it — so some worker is always runnable until the
-    coordinator ends the run and :meth:`shutdown` releases the rest.
+    matched across it — so some worker is always runnable until the run's
+    ``done`` event is set (budget met, or a thread failed); parked workers
+    poll it and return None.
     """
 
-    def __init__(self, topology: TopologyModel, recorder=None, clock=None) -> None:
+    def __init__(
+        self, topology: TopologyModel, done: threading.Event, recorder=None, clock=None
+    ) -> None:
         self._topology = topology
+        self._done = done
         self._cond = make_condition("PairingBoard._cond")
         self._waiting: Dict[int, int] = {}  # guarded-by: _cond — worker -> desired partner
         self._matches: Dict[int, int] = {}  # guarded-by: _cond — worker -> assigned partner
-        self._open = True  # guarded-by: _cond
         # optional trace sink: how long each worker parks before matching
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         self._clock = clock if clock is not None else (lambda: 0.0)
@@ -113,7 +123,7 @@ class PairingBoard:
                 self._cond.notify_all()
             else:
                 self._waiting[worker] = desired
-                while self._open and worker not in self._matches:
+                while not self._done.is_set() and worker not in self._matches:
                     self._cond.wait(timeout=0.05)
                 self._waiting.pop(worker, None)
                 partner = self._matches.pop(worker, None)
@@ -125,12 +135,6 @@ class PairingBoard:
                 partner=-1 if partner is None else partner,
             )
         return partner
-
-    def shutdown(self) -> None:
-        """Release every parked worker (they return None)."""
-        with self._cond:
-            self._open = False
-            self._cond.notify_all()
 
 
 class GossipBackend:
@@ -245,13 +249,10 @@ class GossipBackend:
                 rules[m].apply_gradient(local_params[m], payload, lr, version=steps[m])
                 steps[m] += 1
                 clocks[m] += duration
-                server.batches_processed += 1
-                server.version += 1
-                # virtual-time events only in sim mode: the trace stays
-                # bit-reproducible run to run
-                session.record_update(
-                    clocks[m], m, gossip_staleness(steps[m], last_avg[m]), payload.loss
+                report = GossipReport(
+                    m, loss=payload.loss, staleness=gossip_staleness(steps[m], last_avg[m])
                 )
+                dispatch(session, report, clocks[m])
                 session.maybe_evaluate(max(clocks))
 
             # gossip: a conflict-free matching over the topology
@@ -267,7 +268,6 @@ class GossipBackend:
                 _average_bn_pair(plan.workers[i].model, plan.workers[j].model)
                 last_avg[i] = steps[i]
                 last_avg[j] = steps[j]
-                session.trace.record(t_done, "gossip", i, version=server.version)
                 # full-duplex exchange: one model payload each way
                 stats.count_peer(i, j, plan.model_bytes)
                 stats.count_peer(j, i, plan.model_bytes)
@@ -307,12 +307,12 @@ class GossipBackend:
         # no network model: reports move at memory speed, and each peer
         # exchange's per-edge delay is computed by the sending worker
         transport = InProcTransport(n, recorder=plan.recorder, clock=ctl.clock)
-        board = PairingBoard(topology, recorder=plan.recorder, clock=ctl.clock)
+        board = PairingBoard(topology, ctl.done, recorder=plan.recorder, clock=ctl.clock)
 
-        coordinator = threading.Thread(
-            target=self._coordinator_loop,
-            args=(session, transport, ctl, board),
-            name="repro-gossip-coordinator",
+        server_thread = threading.Thread(
+            target=server_actor_loop,
+            args=(session, transport, ctl),
+            name="repro-gossip-server",
             daemon=True,
         )
         workers = [
@@ -325,16 +325,12 @@ class GossipBackend:
             for m in range(n)
         ]
 
-        def wake_workers() -> None:
-            board.shutdown()
-            transport.wake_all_workers(Shutdown())
-
         elapsed = run_actor_threads(
             ctl,
-            coordinator,
+            server_thread,
             transport.server_inbox,
             workers,
-            wake_workers=wake_workers,
+            wake_workers=partial(transport.wake_all_workers, Shutdown()),
             timeout=self.timeout,
             name="gossip",
         )
@@ -349,41 +345,6 @@ class GossipBackend:
         )
 
     # ------------------------------------------------------------------ #
-    def _coordinator_loop(
-        self,
-        session: ExperimentSession,
-        transport: InProcTransport,
-        ctl: RunControl,
-        board: PairingBoard,
-    ) -> None:
-        """Bookkeeping actor: counts steps, drives the trace/curve/eval.
-
-        Mirrors the server actor's role without ever touching parameters;
-        ends the run once the update budget is met.
-        """
-        plan = session.plan
-        server = plan.server
-        try:
-            while True:
-                msg = transport.server_inbox.get()
-                if isinstance(msg, Shutdown):
-                    return
-                if ctl.done.is_set():
-                    continue  # budget met: drop straggler reports
-                now = ctl.clock()
-                server.batches_processed += 1
-                server.version += 1
-                session.record_update(now, msg.worker, msg.staleness, msg.loss)
-                session.maybe_evaluate(now)
-                if server.batches_processed >= plan.total_updates:
-                    ctl.done.set()
-                    board.shutdown()
-                    transport.wake_all_workers(Shutdown())
-        except BaseException as exc:
-            ctl.fail(exc)
-            board.shutdown()
-            transport.wake_all_workers(Shutdown())
-
     def _worker_loop(
         self,
         m: int,
@@ -421,10 +382,7 @@ class GossipBackend:
                 transport.to_server(
                     m,
                     GossipReport(
-                        m,
-                        loss=payload.loss,
-                        staleness=gossip_staleness(step, last_avg),
-                        local_step=step,
+                        m, loss=payload.loss, staleness=gossip_staleness(step, last_avg)
                     ),
                     nbytes=REQUEST_BYTES,
                 )
@@ -447,7 +405,7 @@ class GossipBackend:
                 transport.to_peer(
                     m,
                     partner,
-                    WeightExchange(m, weights=snapshot, bn_stats=bn_stats, step=step),
+                    WeightExchange(m, weights=snapshot, bn_stats=bn_stats),
                     nbytes=plan.model_bytes,
                     delay=delay,
                 )
@@ -461,8 +419,6 @@ class GossipBackend:
                 last_avg = step
         except BaseException as exc:
             ctl.fail(exc)
-            board.shutdown()
-            transport.wake_all_workers(Shutdown())
 
     @staticmethod
     def _receive_exchange(inbox, ctl: RunControl) -> Optional[WeightExchange]:

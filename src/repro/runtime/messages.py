@@ -135,28 +135,26 @@ class WeightExchange(Message):
     flat parameter vector (plus BN running statistics, so the averaged
     model evaluates consistently) before either blocks on receiving the
     partner's — the send-then-receive ordering that, together with atomic
-    pairing, keeps gossip deadlock-free.  ``step`` is the sender's local
-    step count, used for the staleness/version-gap accounting.
+    pairing, keeps gossip deadlock-free.
     """
 
     weights: Optional[np.ndarray] = None
     bn_stats: BnPairs = ()
-    step: int = 0
 
 
 @dataclass(frozen=True)
 class GossipReport(Message):
-    """Worker -> coordinator: one local step finished (gossip runtime).
+    """Worker -> server actor: one local step finished (gossip runtime).
 
-    The coordinator thread owns the trace/curve/evaluation exactly like
-    the server actor does for the centralized backends; workers report
-    each completed local step (with its loss and staleness) instead of
-    pushing gradients.
+    Workers report each completed local step (with its loss and
+    staleness) instead of pushing gradients; the shared
+    :func:`~repro.runtime.cycle.dispatch` logs it as an applied update,
+    so the server actor drives the curve and evaluation exactly as it
+    does for the centralized backends.
     """
 
     loss: float = 0.0
     staleness: int = 0
-    local_step: int = 0
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ consumes one :class:`ExperimentPlan` and produces one
   strategy attached), the cluster timing models, and the derived byte/
   iteration budgets.  Building a plan performs no training.
 * :class:`ExperimentSession` — the clock-agnostic run state layered on a
-  plan: the cluster trace, the learning curve, epoch-boundary evaluation,
+  plan: the update log, the learning curve, epoch-boundary evaluation,
   and final :class:`~repro.core.metrics.RunResult` assembly.  Backends feed
   it their own notion of "now" (virtual seconds for the simulator, real
   seconds since start for the thread runtime).
@@ -394,22 +394,22 @@ class ExperimentSession:
             load_bn_running_stats(plan.eval_model, stats)
 
     def record_update(self, now: float, worker: int, staleness: int, loss: float) -> None:
-        """The one place an applied gradient enters both trace streams.
+        """The one place an applied update enters a run, on every backend.
 
-        The ``ClusterTrace`` ``"update"`` event feeds ``RunResult.staleness``
-        and the recorder's ``"staleness"`` event feeds the obs histogram;
-        writing both here is what keeps the two equal.  ``now`` is the
-        backend's clock — virtual seconds under the simulator, which is
-        what keeps sim traces bit-reproducible.
+        Called only from :func:`repro.runtime.cycle.dispatch`.  The update
+        log feeds ``RunResult.staleness`` and ``finishing_order``, and the
+        recorder's ``"staleness"`` event feeds the obs histogram; writing
+        both here is what keeps the two equal.  ``now`` is the backend's
+        clock — virtual seconds under the simulator.  ``loss`` is the
+        update's training loss: the log does not keep it, but it is part of
+        the call so that whoever observes updates here sees all of one.
         """
-        version = self.plan.server.version
-        self.trace.record(
-            now, "update", worker, version=version, staleness=staleness, value=loss
-        )
+        self.trace.record(worker, staleness)
         recorder = self.plan.recorder
-        if recorder.enabled and staleness >= 0:
+        if recorder.enabled:
             recorder.emit(
-                now, "staleness", worker, value=float(int(staleness)), version=version
+                now, "staleness", worker,
+                value=float(int(staleness)), version=self.plan.server.version,
             )
 
     def evaluate(self, now: float) -> CurvePoint:

@@ -5,7 +5,8 @@ worker.  Mailboxes are FIFO queues, which gives the same per-connection
 ordering guarantee the simulator relies on (a worker's next pull request is
 processed after its own gradient push, because the worker enqueues them
 from one thread in that order).  The gossip runtime uses the same fabric:
-its coordinator reads the server mailbox, and matched peers exchange
+the shared server actor reads the step reports from the server mailbox,
+and matched peers exchange
 weights through :meth:`InProcTransport.to_peer` into each other's worker
 mailboxes.
 
@@ -55,7 +56,7 @@ class CommStats:
     * ``wire_bytes`` — bytes that (would) cross the medium after the
       codec ran; equals ``logical_bytes`` under ``raw32``.
     * ``server_bytes`` — wire bytes through the hub endpoint (parameter
-      server, or the gossip coordinator — zero when serverless traffic
+      server, or the gossip runtime's report sink — zero when serverless traffic
       dominates, which is the scaling bench's point).
     * ``max_worker_bytes`` — the busiest worker endpoint.
     * ``total_bytes`` — every wire byte exactly once.

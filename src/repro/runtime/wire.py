@@ -90,8 +90,9 @@ from repro.runtime.messages import Message
 
 #: bumped whenever the header schema or codec tables change incompatibly;
 #: v2 = codec-entry array metadata + logical ``nbytes`` in the header;
-#: v3 = fields derived structurally from the message dataclasses
-PROTOCOL_VERSION = 3
+#: v3 = fields derived structurally from the message dataclasses;
+#: v4 = ``WeightExchange.step`` and ``GossipReport.local_step`` dropped
+PROTOCOL_VERSION = 4
 
 #: refuse frames beyond this size — enforced on *both* ends: a corrupt
 #: length prefix must not trigger a gigabyte allocation, and an oversized

@@ -3,7 +3,7 @@
 from repro.utils.logging import get_logger, set_log_level
 from repro.utils.rng import RngTree, as_generator
 from repro.utils.serialization import flatten_arrays, unflatten_arrays
-from repro.utils.timer import Timer, WallTimer
+from repro.utils.timer import Timer
 from repro.utils.validation import (
     check_in,
     check_positive,
@@ -15,7 +15,6 @@ __all__ = [
     "RngTree",
     "as_generator",
     "Timer",
-    "WallTimer",
     "get_logger",
     "set_log_level",
     "flatten_arrays",

@@ -120,8 +120,7 @@ class TestTrace:
     def test_staleness_stats(self):
         trace = ClusterTrace()
         for i, k in enumerate((0, 2, 4)):
-            trace.record(float(i), "update", worker=i % 2, staleness=k)
-        trace.record(3.0, "pull", worker=0)
+            trace.record(i % 2, k)
         stats = trace.staleness_stats()
         assert stats["mean"] == pytest.approx(2.0)
         assert stats["max"] == 4
@@ -133,13 +132,6 @@ class TestTrace:
     def test_finishing_order_and_counts(self):
         trace = ClusterTrace()
         for w in (1, 0, 1):
-            trace.record(0.0, "update", worker=w, staleness=0)
+            trace.record(w, 0)
         assert trace.finishing_order() == [1, 0, 1]
         assert trace.updates_per_worker() == {1: 2, 0: 1}
-
-    def test_of_kind(self):
-        trace = ClusterTrace()
-        trace.record(0.0, "pull", worker=0)
-        trace.record(1.0, "update", worker=0)
-        assert len(trace.of_kind("pull")) == 1
-        assert len(trace) == 2

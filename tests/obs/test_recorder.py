@@ -103,7 +103,8 @@ def test_phase_totals_merge_spans_and_timer():
     assert totals["wire"] == pytest.approx(1.0)
     assert totals["loss-pred"] == pytest.approx(4.0)
     recorder.emit(0.4, "staleness", 0, value=2.0, version=1)
-    assert recorder.staleness_values() == [2.0]
+    staleness = [r.fields["value"] for r in recorder.records() if r.kind == "staleness"]
+    assert staleness == [2.0]
 
 
 def test_phase_totals_count_a_spanned_timer_section_once():

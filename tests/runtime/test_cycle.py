@@ -66,6 +66,12 @@ def test_each_server_handler_is_called_from_one_function(handler):
     assert _callers(handler, exclude=["core/server.py"]) == {("runtime/cycle.py", "dispatch")}
 
 
+def test_every_applied_update_enters_the_run_through_dispatch():
+    assert _callers("record_update") == {("runtime/cycle.py", "dispatch")}
+    # ``ClusterTrace.record`` is the only ``x.record(...)`` in src/repro
+    assert _callers("record") == {("runtime/session.py", "record_update")}
+
+
 @pytest.mark.parametrize("step", ["forward", "backward"])
 def test_worker_forward_and_backward_are_called_from_one_function(step):
     # nn/, tensor/ and the predictors call Module.forward / Tensor.backward,
@@ -112,7 +118,7 @@ def test_uncompensated_cycle_posts_state_and_gradient_fused():
     assert seen == [("call", "PullRequest"), "compute", "compute", ("post", "CombinedPush")]
     assert plan.workers[0].last_t_comp == 7.0
     assert plan.server.batches_processed == 1
-    assert [e.kind for e in session.trace.events] == ["pull", "update"]
+    assert (session.trace.order, session.trace.staleness) == ([0], [0])
 
 
 def test_compensated_cycle_waits_for_the_reply_before_backward():
@@ -122,7 +128,7 @@ def test_compensated_cycle_waits_for_the_reply_before_backward():
         ("post", "GradientPush"),
     ]
     assert plan.workers[0].last_t_comp == 7.0
-    assert [e.kind for e in session.trace.events] == ["pull", "state", "gradient", "update"]
+    assert (session.trace.order, session.trace.staleness) == ([0], [0])
 
 
 @pytest.mark.parametrize(
@@ -144,6 +150,21 @@ def test_every_applied_update_is_logged_once(algorithm, backend, options):
     cfg = TrainingConfig.tiny(algorithm=algorithm, num_workers=2, seed=3)
     result = run_experiment(cfg, backend=backend, **options)
     assert result.total_updates == len(result.finishing_order) > 0
+
+
+def test_dispatch_logs_a_gossip_report_as_an_applied_update():
+    from repro.core import TrainingConfig
+    from repro.runtime import ExperimentPlan, ExperimentSession
+    from repro.runtime.cycle import dispatch
+    from repro.runtime.messages import GossipReport
+
+    plan = ExperimentPlan.from_config(TrainingConfig.tiny(algorithm="ad-psgd", seed=1))
+    session = ExperimentSession(plan)
+    server = plan.server
+    before = (server.batches_processed, server.version)
+    assert dispatch(session, GossipReport(1, loss=0.5, staleness=3), now=0.25) == ()
+    assert (server.batches_processed, server.version) == (before[0] + 1, before[1] + 1)
+    assert (session.trace.order, session.trace.staleness) == ([1], [3])
 
 
 def test_dispatch_rejects_a_message_the_server_does_not_handle():

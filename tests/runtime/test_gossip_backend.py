@@ -161,7 +161,7 @@ def _park(board, worker, desired, results):
 
 
 def test_board_matches_mutual_requests():
-    board = PairingBoard(RingTopology(4))
+    board = PairingBoard(RingTopology(4), threading.Event())
     results = {}
     t = threading.Thread(target=_park, args=(board, 0, 1, results))
     t.start()
@@ -177,7 +177,7 @@ def test_board_accepts_any_waiting_neighbor():
     # waiting neighbor of 3 on the ring, so the board pairs 3 with 0
     # instead of parking both (the rule that breaks the classic deadlock
     # cycle of four workers all desiring an already-busy partner)
-    board = PairingBoard(RingTopology(4))
+    board = PairingBoard(RingTopology(4), threading.Event())
     results = {}
     t = threading.Thread(target=_park, args=(board, 0, 1, results))
     t.start()
@@ -189,14 +189,16 @@ def test_board_accepts_any_waiting_neighbor():
 
 
 def test_board_shutdown_releases_parked_workers():
-    board = PairingBoard(RingTopology(4))
+    # the run's done event is the board's shutdown: parked workers see it
+    done = threading.Event()
+    board = PairingBoard(RingTopology(4), done)
     results = {}
     t = threading.Thread(target=_park, args=(board, 2, 3, results))
     t.start()
     while 2 not in board._waiting:
         pass
-    board.shutdown()
+    done.set()
     t.join(timeout=5)
     assert results[2] is None
-    # post-shutdown requests return immediately with no partner
+    # requests after the run ended return immediately with no partner
     assert board.request(1, 0) is None
