@@ -400,9 +400,9 @@ class ExperimentSession:
         log feeds ``RunResult.staleness`` and ``finishing_order``, and the
         recorder's ``"staleness"`` event feeds the obs histogram; writing
         both here is what keeps the two equal.  ``now`` is the backend's
-        clock — virtual seconds under the simulator.  ``loss`` is the
-        update's training loss: the log does not keep it, but it is part of
-        the call so that whoever observes updates here sees all of one.
+        clock — virtual seconds under the simulator.  ``loss``, the update's
+        training loss, is not logged; it is passed so that a spy on this
+        call (the reuse and gossip oracle tests) sees the whole update.
         """
         self.trace.record(worker, staleness)
         recorder = self.plan.recorder

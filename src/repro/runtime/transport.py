@@ -6,9 +6,8 @@ ordering guarantee the simulator relies on (a worker's next pull request is
 processed after its own gradient push, because the worker enqueues them
 from one thread in that order).  The gossip runtime uses the same fabric:
 the shared server actor reads the step reports from the server mailbox,
-and matched peers exchange
-weights through :meth:`InProcTransport.to_peer` into each other's worker
-mailboxes.
+and matched peers exchange weights through :meth:`InProcTransport.to_peer`
+into each other's worker mailboxes.
 
 Link emulation: when built with a :class:`~repro.cluster.network.
 NetworkModel` and a nonzero ``time_scale``, each message is charged
@@ -56,8 +55,8 @@ class CommStats:
     * ``wire_bytes`` — bytes that (would) cross the medium after the
       codec ran; equals ``logical_bytes`` under ``raw32``.
     * ``server_bytes`` — wire bytes through the hub endpoint (parameter
-      server, or the gossip runtime's report sink — zero when serverless traffic
-      dominates, which is the scaling bench's point).
+      server, or the server actor that takes gossip step reports — near
+      zero when serverless traffic dominates, the scaling bench's point).
     * ``max_worker_bytes`` — the busiest worker endpoint.
     * ``total_bytes`` — every wire byte exactly once.
     """
