@@ -8,14 +8,21 @@ same process over one seeded stream, and every output, gradient, weight
 vector and rollout must be ``np.array_equal``.  A committed digest would
 not do: OpenBLAS picks its kernels per CPU, so the reference has to run
 beside the kernel on the same machine.
+
+:class:`FrozenLossPredictor` does the same one level up: it is the loss
+predictor's call sequence with one window pass per call, over the frozen
+kernel, and every forecast, ``l_delay`` and sensitivity of the live
+predictor must equal it with ``==``.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from repro.core.predictors import series_lstm
+from repro.core.predictors import LSTMLossPredictor, series_lstm
+from repro.core.predictors.base import _RunningNorm
 from repro.core.predictors.series_lstm import SeriesLSTM
 
 MAX_GRAD_NORM = 1.0
@@ -317,3 +324,97 @@ def test_weights_changed_after_forward_are_read_by_the_next_forward():
     frozen.step()
     state = [np.full(16, 0.1, dtype=np.float32) for _ in range(4)]
     assert kernel.rollout_from(state, 0.3, 5) == frozen.rollout_from(state, 0.3, 5)
+
+
+class FrozenLossPredictor:
+    """``LSTMLossPredictor``'s call sequence before its windows were stacked.
+
+    One window pass per call, each over the weights of that moment:
+    ``predict_next`` encodes ``history[:-1]`` and advances by ``history[-1]``;
+    ``observe`` trains on the shifted window; ``predict_delay`` encodes the
+    last ``window - 1`` losses once per observation and rolls out from there.
+    """
+
+    def __init__(self, live) -> None:
+        self.model = FrozenSeriesLSTM(live.model)  # before ``live`` has trained
+        self.window, self.train_every = live.window, live.train_every
+        self.rollout_cap = live.rollout_cap
+        self._history = deque(maxlen=live.window + 1)
+        self._norm = _RunningNorm()
+        self._observed = 0
+        self._delay_prefix = None
+
+    def observe(self, loss):
+        loss = float(loss)
+        self._delay_prefix = None
+        self._norm.update(loss)
+        self._history.append(self._norm.normalize(loss))
+        self._observed += 1
+        if len(self._history) < 3 or self._observed % self.train_every:
+            return
+        series = np.array(self._history, dtype=np.float32)
+        pred = self.model.forward(series[:-1, None])
+        self.model.backward((pred - series[1:]) * (2.0 / len(pred)))
+        self.model.step()
+
+    def predict_next(self):
+        if len(self._history) < 2:
+            return None
+        z = self.model.rollout(np.array(self._history, dtype=np.float32), 1)[0]
+        return self._norm.denormalize(z)
+
+    def predict_delay(self, loss, k):
+        if k <= 0:
+            return 0.0
+        if len(self._history) < 2:
+            return float(loss) * k
+        steps = min(int(k), self.rollout_cap)
+        if self._delay_prefix is None:
+            prefix = np.array(self._history, dtype=np.float32)[-(self.window - 1) :]
+            self._delay_prefix = self.model.encode(prefix[:, None])
+        preds = self.model.rollout_from(self._delay_prefix, self._norm.normalize(float(loss)), steps)
+        values = [self._norm.denormalize(z) for z in preds]
+        total = float(sum(values))
+        if k > steps:
+            total += values[-1] * (k - steps)
+        return total
+
+    def delay_sensitivity(self, loss, k, eps=1e-3):
+        hi = self.predict_delay(loss + eps, k)
+        lo = self.predict_delay(loss - eps, k)
+        return (hi - lo) / (2 * eps)
+
+
+def loss_stream(rng, n):
+    """A decaying, noisy loss curve with the occasional spike."""
+    t = np.arange(n)
+    curve = 2.3 * np.exp(-t / 25.0) + 0.1 + 0.05 * rng.standard_normal(n)
+    curve[rng.random(n) < 0.05] *= 1.8
+    return np.abs(curve)
+
+
+@pytest.mark.parametrize("train_every", [1, 3])
+@pytest.mark.parametrize("hidden, window", [(16, 10), (64, 16)])
+def test_loss_predictor_matches_its_unstacked_call_sequence(hidden, window, train_every):
+    rollout_cap = 6
+    live = LSTMLossPredictor(
+        hidden_size=hidden, window=window, train_every=train_every, rollout_cap=rollout_cap, seed=hidden
+    )
+    frozen = FrozenLossPredictor(live)
+    rng = np.random.default_rng(hidden + train_every)
+    # cold start: nothing observed yet
+    assert live.predict_next() is None and frozen.predict_next() is None
+    assert live.predict_delay(2.0, 3) == frozen.predict_delay(2.0, 3)
+    for loss in loss_stream(rng, 3 * window + 7):
+        forecast = live.predict_next()
+        assert forecast == frozen.predict_next()
+        assert live.predict_next() == forecast  # asking twice changes nothing
+        live.observe(loss)
+        frozen.observe(loss)
+        # k = 0, inside the cap, at it and beyond it
+        for k in (0, int(rng.integers(1, rollout_cap)), rollout_cap, rollout_cap + int(rng.integers(1, 9))):
+            assert live.predict_delay(loss, k) == frozen.predict_delay(loss, k)
+        k = int(rng.integers(1, rollout_cap + 4))
+        assert live.delay_sensitivity(loss, k) == frozen.delay_sensitivity(loss, k)
+    for live_p, ref_p in zip(live.model.params, frozen.model.params):
+        assert np.array_equal(live_p, ref_p)
