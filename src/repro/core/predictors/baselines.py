@@ -83,7 +83,8 @@ class LinearTrendLossPredictor(LossPredictorBase):
         coeffs = self._fit()
         if coeffs is None:
             return self._history[-1] if self._history else None
-        return float(np.polyval(coeffs, len(self._history)))
+        # losses cannot extrapolate below zero (as in predict_delay)
+        return max(float(np.polyval(coeffs, len(self._history))), 0.0)
 
     def predict_delay(self, loss: float, k: int) -> float:
         if k <= 0:

@@ -26,6 +26,26 @@ from repro.utils.rng import SeedLike, as_generator
 class LSTMLossPredictor(LossPredictorBase):
     """The paper's loss predictor (two LSTM layers + linear, trained online).
 
+    Every window this predictor runs over one weight version is known once
+    :meth:`observe` has stepped the weights, so ``observe`` runs them all in
+    one :meth:`SeriesLSTM.forward_stack` pass over the new weights:
+
+    * this arrival's ``predict_delay`` prefix, the last ``window - 1``
+      losses;
+    * the next arrival's ``predict_next`` window, the history but its
+      newest loss, which ``predict_next`` then advances by that loss;
+    * the next arrival's training window, the last ``window`` losses, when
+      the next ``observe`` will train: it then back-propagates through the
+      activations this pass left behind.
+
+    The pass runs one GEMV per window per cell step, as separate calls
+    would, so every forecast, ``l_delay``, gradient and weight is the same
+    bit for bit.  **Cache contract:** the history, the normaliser and the
+    weights change only in :meth:`observe`, so ``observe`` is the one
+    method that consumes the cache and rebuilds it; ``predict_next``,
+    ``predict_delay`` and ``delay_sensitivity`` only read it and run no
+    window pass.
+
     Parameters
     ----------
     hidden_size:
@@ -65,37 +85,52 @@ class LSTMLossPredictor(LossPredictorBase):
         self._history: Deque[float] = deque(maxlen=window + 1)
         self._norm = _RunningNorm()
         self._observed = 0
-        # (h, c) after the history every ``predict_delay`` window starts with
+        # the look-ahead of the last observe (class docstring), all None
+        # until two losses are in: (h, c) after the delay prefix and after
+        # the next predict_next window, that window's last input, and the
+        # next training window's outputs (kernel scratch; None if the next
+        # observe does not train)
         self._delay_prefix: Optional[State] = None
-
-    def _invalidate(self) -> None:
-        """Drop what was derived from history, normaliser and weights.
-
-        Every method that changes any of the three calls this first; today
-        that is :meth:`observe` alone.
-        """
-        self._delay_prefix = None
+        self._next_prefix: Optional[State] = None
+        self._next_last = 0.0
+        self._train_pred: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     def observe(self, loss: float) -> None:
         """Algorithm 3, line 1: one online step with (prev window -> loss)."""
         loss = float(loss)
-        self._invalidate()
         self._norm.update(loss)
         self._history.append(self._norm.normalize(loss))
         self._observed += 1
-        if len(self._history) < 3 or self._observed % self.train_every:
-            return
         series = np.array(self._history, dtype=np.float32)
-        pred = self.model.forward(series[:-1, None])
-        self.model.backward((pred - series[1:]) * (2.0 / len(pred)))  # d MSE / d pred
-        self.model.step()
+        if len(series) >= 3 and self._observed % self.train_every == 0:
+            # series[:-1], forwarded by the previous observe over these weights
+            pred = self._train_pred
+            self.model.backward((pred - series[1:]) * (2.0 / len(pred)))  # d MSE / d pred
+            self.model.step()
+        self._look_ahead(series)
+
+    def _look_ahead(self, series: np.ndarray) -> None:
+        """One pass over every window the current weights will see (class docstring)."""
+        self._delay_prefix = self._next_prefix = self._train_pred = None
+        if len(series) < 2:
+            return
+        windows = [series[-(self.window - 1) :, None], series[:-1, None]]
+        trains_next = (self._observed + 1) % self.train_every == 0  # and len(series) + 1 >= 3
+        if trains_next:
+            windows.append(series[-self.window :, None])
+        outputs = self.model.forward_stack(windows, keep=len(windows) - 1)
+        self._delay_prefix = self.model.final_state(0)
+        self._next_prefix = self.model.final_state(1)
+        self._next_last = float(series[-1])
+        if trains_next:
+            self._train_pred = outputs[2]
 
     def predict_next(self) -> Optional[float]:
         """One-step forecast in raw loss units (None before warm-up)."""
-        if len(self._history) < 2:
+        if self._next_prefix is None:
             return None
-        z = self.model.rollout(np.array(self._history, dtype=np.float32), 1)[0]
+        z = self.model.rollout_from(self._next_prefix, self._next_last, 1)[0]
         return self._norm.denormalize(z)
 
     def predict_delay(self, loss: float, k: int) -> float:
@@ -107,19 +142,17 @@ class LSTMLossPredictor(LossPredictorBase):
         forecasts flatten anyway.
 
         The window is the last ``window - 1`` observed losses followed by
-        ``loss``; the prefix is encoded once per :meth:`observe`, so the
-        three calls of the "sensitivity" coupling (``loss``, ``loss ± eps``)
-        share it and each run only their own tail.
+        ``loss``; :meth:`observe` encoded the prefix, so the three calls of
+        the "sensitivity" coupling (``loss``, ``loss ± eps``) each run only
+        their own tail.
         """
         if k <= 0:
             return 0.0
-        if len(self._history) < 2:
-            # Cold start: flat forecast, as good as any before data arrives.
+        if self._delay_prefix is None:
+            # Cold start (fewer than two losses): flat forecast, as good as
+            # any before data arrives.
             return float(loss) * k
         steps = min(int(k), self.rollout_cap)
-        if self._delay_prefix is None:
-            prefix = np.array(self._history, dtype=np.float32)[-(self.window - 1) :]
-            self._delay_prefix = self.model.encode(prefix[:, None])
         preds = self.model.rollout_from(self._delay_prefix, self._norm.normalize(float(loss)), steps)
         values = [self._norm.denormalize(z) for z in preds]
         total = float(sum(values))

@@ -23,31 +23,55 @@ kernel: ``tests/core/test_series_lstm_bits.py`` keeps a frozen copy of it
 and runs both over one seeded stream with ``np.array_equal``.  The two
 differ only in the Python around the same BLAS and ufunc calls:
 
+* **One stacked pass over up to three windows.**  :meth:`forward_stack`
+  runs K ≤ 3 windows over one θ (the loss predictor's three windows of a
+  weight version, see ``LSTMLossPredictor``); :meth:`forward` and
+  :meth:`encode` are its K = 1 case, and there is no other forward loop.
+  Each window keeps its own input-projection GEMM and its own GEMV per
+  cell step, so the BLAS calls are the ones K single passes would make.
+  What K windows share is the ufunc calls: the scratch is gate-major,
+  ``(steps, 4, K, hidden)`` for the gates and ``(steps, K, hidden)`` for
+  cell, tanh(cell) and hidden state, so one gate block of all K windows is
+  one contiguous operand and a cell step costs ten ufunc calls for the
+  stack instead of ten per window.  (A window-major ``(K, steps, ·)``
+  layout makes those operands strided and saves nothing.)  Windows may
+  differ in length: they run longest first, so the windows still running
+  at a step are the first slots, and only their GEMVs run; the ufuncs keep
+  covering all K slots, where an ended window's slot churns finite
+  leftovers that nothing reads.  Elementwise ufuncs give the same bits on
+  any layout, and the BLAS calls see the same shapes with a wider row
+  stride, which changes no bit (the oracle checks it).  :meth:`backward`
+  differentiates the pass's kept window in place.
 * **Views built once.**  A hidden-16 cell step is one GEMV and ten ufunc
   calls of ~0.4 µs each, so the ~0.1 µs it takes to slice a gate row or a
   time step out of a buffer is a visible share.  The per-step views over
-  the fixed scratch buffers (gate row and its four gate blocks, cell,
-  tanh(cell), hidden, previous state; the backward pass's equivalents)
-  are built into tuples once per instance and the time loops unpack them.
-  They are built on the first :meth:`forward`, not in ``__init__``: the
-  predictors are constructed per run, and many never run a long window.
+  the fixed scratch buffers (gate block and its four gates, cell,
+  tanh(cell), hidden, previous state, the GEMVs' operands; the backward
+  pass's equivalents) are built into tuples once per K, and each tuple of
+  window lengths gets its slices once too; the time loops unpack them.
+  With K = 1 the views are flat vectors, NumPy's cheapest operands.  All of
+  it is built on first use, not in ``__init__``: the predictors are
+  constructed per run, and many never run a long window.
 * **The sigmoid's ½ folded into the weights.**  The gate pre-activations
   go through ``tanh(0.5 z)`` on the i, f, o rows.  Scaling by 0.5 or 1.0
   is exact in binary floating point (barring subnormals), and so is every
   rounding of a sum or product of exactly halved terms, so ``x @ (s W)``
-  equals ``s (x @ W)`` bit for bit for the same BLAS call.  :meth:`forward`
-  can therefore multiply θ by the row pattern (one ufunc over the whole
-  vector, redone on every call so a write to :attr:`params` between calls
+  equals ``s (x @ W)`` bit for bit for the same BLAS call.  A pass can
+  therefore multiply θ by the row pattern (one ufunc over the whole
+  vector, redone on every pass so a write to :attr:`params` between calls
   is never missed) and skip the cell loop's first ``z *= scale``.  That
-  trades one pass over θ for one ufunc call per cell step, so it is done
-  only where θ is small for the window (see ``_FOLD_FLOATS_PER_STEP``):
-  the hidden-16 predictors fold, the paper's 64/128 do not.
+  trades one pass over θ for one ufunc call per stacked cell step, so it
+  is decided once per pass, from θ's size against ``max_steps`` (see
+  ``_FOLD_FLOATS_PER_STEP``): the hidden-16 predictors fold, the paper's
+  64/128 do not.  One refresh serves all K windows, but so does the call
+  it saves, so K does not move the break-even.
   :meth:`backward` and :meth:`advance` always read the unscaled
   :attr:`params`.
 
 Moving a product between a GEMV and a GEMM (a layer wavefront, or one
 GEMM over stacked windows) is *not* bit-identical: the same row differs in
-its last bits in practice, so the kernel keeps one GEMV per cell step.
+its last bits in practice, so the kernel keeps one GEMV per window per
+cell step.
 
 All scratch lives on the instance (thread, gossip and sim cells share a
 process), so one instance must not be driven from two threads at once.
@@ -56,7 +80,7 @@ process), so one instance must not be driven from two threads at once.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,13 +92,20 @@ State = List[np.ndarray]
 #: global gradient-norm clip of :meth:`SeriesLSTM.step`
 _MAX_GRAD_NORM = 1.0
 
+#: most windows one :meth:`SeriesLSTM.forward_stack` runs over one θ (the
+#: loss predictor's three); the scratch buffers are sized for this many
+_MAX_WINDOWS = 3
+
 #: fold the sigmoid's ½ into a scaled copy of θ only if θ has at most this
 #: many floats per window step.  The copy costs ≈ 0.35–0.45 ns per float per
-#: forward; it saves one ≈ 0.4 µs ufunc call per cell step, two cell steps
-#: (one per layer) per window step: break-even at ≈ 2 000 floats per step
-#: (2-core Xeon, OpenBLAS 0.3.31).  Hidden 16 over a 10-step window is 328
-#: per step and folds; the paper's hidden 64 over 16 steps (3 124) and 128
-#: over 8 (24 912) would pay more for the copy than the fold saves.
+#: pass; it saves one ≈ 0.4 µs ufunc call per cell step, two cell steps (one
+#: per layer) per window step: break-even at ≈ 2 000 floats per step (2-core
+#: Xeon, OpenBLAS 0.3.31).  A stacked pass saves that call once per step for
+#: all its windows, so K does not enter: counting ``K * max_steps`` steps
+#: folded the paper's hidden-64 three-window pass, and it ran slower.  Hidden
+#: 16 over a 10-step window is 328 per step and folds; the paper's hidden 64
+#: over 16 steps (3 124) and 128 over 8 (24 912) would pay more for the copy
+#: than the fold saves.
 _FOLD_FLOATS_PER_STEP = 2000
 
 
@@ -141,16 +172,23 @@ class SeriesLSTM:
         self._scale = np.repeat(np.float32([0.5, 0.5, 1.0, 0.5]), hs)
         self._shift = np.repeat(np.float32([0.5, 0.5, 0.0, 0.5]), hs)
 
-        steps = max_steps
-        self._x = np.empty((steps, input_size), dtype=np.float32)
-        self._y = np.empty(steps, dtype=np.float32)
+        steps, wide = max_steps, _MAX_WINDOWS
+        self._x = np.empty((wide, steps, input_size), dtype=np.float32)
+        self._y = np.empty((wide, steps), dtype=np.float32)
         self._dy = np.empty(steps, dtype=np.float32)
-        # per layer: gate activations, cell state, tanh(cell), hidden state,
-        # and the backward pass's local derivatives / gate gradients
-        self._gates = [np.empty((steps, 4 * hs), dtype=np.float32) for _ in range(2)]
-        self._c = [np.empty((steps, hs), dtype=np.float32) for _ in range(2)]
-        self._tanh_c = [np.empty((steps, hs), dtype=np.float32) for _ in range(2)]
-        self._h = [np.empty((steps, hs), dtype=np.float32) for _ in range(2)]
+        self._proj = np.empty((steps, 4 * hs), dtype=np.float32)  # one window's input GEMM
+        # per layer and flat, viewed per pass as (steps, 4, K, hs) gates and
+        # (steps, K, hs) cell state, tanh(cell) and hidden state.  Zeroed, so
+        # the slots of windows that have ended only ever hold finite values.
+        self._gates = [np.zeros(steps * 4 * wide * hs, dtype=np.float32) for _ in range(2)]
+        self._c = [np.zeros(steps * wide * hs, dtype=np.float32) for _ in range(2)]
+        self._tanh_c = [np.zeros(steps * wide * hs, dtype=np.float32) for _ in range(2)]
+        self._h = [np.zeros(steps * wide * hs, dtype=np.float32) for _ in range(2)]
+        self._rec = np.zeros((wide, 4 * hs), dtype=np.float32)  # one GEMV output per window
+        self._tmp = np.empty((wide, hs), dtype=np.float32)
+        self._zeros = np.zeros((wide, hs), dtype=np.float32)  # h and c before the first step
+        self._zero = self._zeros[0]
+        # the backward pass's local derivatives and gate gradients
         self._local = np.empty((steps, 4, hs), dtype=np.float32)
         self._dgates = np.empty((steps, 4, hs), dtype=np.float32)
         self._dh_out = [np.empty((steps, hs), dtype=np.float32) for _ in range(2)]
@@ -158,12 +196,15 @@ class SeriesLSTM:
         self._vec = [np.empty(hs, dtype=np.float32) for _ in range(4)]
         self._wide = np.empty(4 * hs, dtype=np.float32)
         self._recurrent = np.empty(4 * hs, dtype=np.float32)
-        self._zero = np.zeros(hs, dtype=np.float32)  # h and c before the first step
-        self._steps = 0
-        # built by the first forward (module docstring): the per-step view
-        # tuples of both passes and, if it pays, θ with the i, f, o rows halved
-        self._fwd_views: Optional[list] = None
+        # built on first use (module docstring): per K the pass's layout and
+        # per-step views, per tuple of window lengths the pass's slices, and
+        # θ with the i, f, o rows halved
+        self._layouts: Dict[int, _Layout] = {}
+        self._plans: Dict[Tuple[int, ...], _Plan] = {}
         self._scaled_theta: Optional[np.ndarray] = None
+        self._biases = [self.params[2].reshape(4, hs), self.params[5].reshape(4, hs)]
+        # the last pass: its plan and kept window
+        self._pass: Optional[Tuple[_Plan, int]] = None
 
     def _carve(self, flat: np.ndarray) -> List[np.ndarray]:
         views, offset = [], 0
@@ -173,35 +214,28 @@ class SeriesLSTM:
             offset += size
         return views
 
-    def _build_views(self) -> None:
-        """The per-step view tuples and the halved-θ buffers (first forward only)."""
-        hs, zero = self.hidden_size, self._zero
-        if self._theta.size <= _FOLD_FLOATS_PER_STEP * self.max_steps:
+    def _layout(self, k: int) -> "_Layout":
+        layout = self._layouts.get(k)
+        if layout is None:
+            layout = self._layouts[k] = _Layout(self, k)
+        return layout
+
+    def _halved_params(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """θ with the i, f, o rows of both layers halved, refreshed from :attr:`params`.
+
+        Returns the halved parameter views and the two layers' biases as
+        ``(4, hidden)``.
+        """
+        if self._scaled_theta is None:
+            hs = self.hidden_size
             self._row_scale = np.ones_like(self._theta)
             for view in self._carve(self._row_scale)[:6]:  # both layers' w_ih, w_hh, bias
                 view.T[...] = self._scale
             self._scaled_theta = np.empty_like(self._theta)
-            self._layer_params = self._carve(self._scaled_theta)
-            self._pre_scale = None  # the halved weights already scaled z
-        else:
-            self._layer_params, self._pre_scale = self.params, self._scale
-        fwd_views, self._bwd_views = [], []
-        for layer in range(2):
-            cells, tanh_cells, hidden = self._c[layer], self._tanh_c[layer], self._h[layer]
-            gates = self._gates[layer]
-            fwd_views.append([
-                (z, z[:hs], z[hs : 2 * hs], z[2 * hs : 3 * hs], z[3 * hs :],
-                 cells[t - 1] if t else zero, hidden[t - 1] if t else zero,
-                 cells[t], tanh_cells[t], hidden[t])
-                for t, z in enumerate(gates)
-            ])
-            f_gate, dh_out = gates.reshape(-1, 4, hs)[:, 1], self._dh_out[layer]
-            self._bwd_views.append([
-                (dh_out[t], self._dc_dh[t], dz, self._local[t], self._local[t, 3], dz[3],
-                 f_gate[t], dz.reshape(-1))
-                for t, dz in enumerate(self._dgates)
-            ])
-        self._fwd_views = fwd_views  # last: it marks everything as built
+            halved = self._carve(self._scaled_theta)
+            self._halved = (halved, [halved[2].reshape(4, hs), halved[5].reshape(4, hs)])
+        np.multiply(self._theta, self._row_scale, out=self._scaled_theta)
+        return self._halved
 
     # ------------------------------------------------------------------ #
     # forward
@@ -209,50 +243,69 @@ class SeriesLSTM:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Per-step outputs ``(T,)`` for a ``(T, input_size)`` window from a zero state.
 
-        The returned array is scratch: it is overwritten by the next call,
-        and the activations it leaves behind are what :meth:`backward` reads.
+        The one-window case of :meth:`forward_stack`: the returned array is
+        scratch, and the activations left behind are what :meth:`backward`
+        reads.
         """
-        steps = len(x)
-        if not 0 < steps <= self.max_steps:
-            raise ValueError(f"window of {steps} steps, kernel sized for 1..{self.max_steps}")
-        if self._fwd_views is None:
-            self._build_views()
-        if self._scaled_theta is not None:
-            np.multiply(self._theta, self._row_scale, out=self._scaled_theta)
-        self._steps = steps
-        inputs = self._x[:steps]
-        inputs[...] = x
-        for layer in range(2):
-            inputs = self._forward_layer(layer, inputs)
-        y = self._y[:steps]
-        np.dot(inputs, self.params[6][0], out=y)
-        y += self.params[7]
-        return y
+        return self.forward_stack([x])[0]
 
-    def _forward_layer(self, layer: int, inputs: np.ndarray) -> np.ndarray:
-        # the cell below is _cell, whose first multiply is skipped when the
-        # halved weights already gave z its halved i, f, o rows
-        w_ih, w_hh, bias = self._layer_params[3 * layer : 3 * layer + 3]
-        steps = len(inputs)
-        gates = self._gates[layer][:steps]
-        np.dot(inputs, w_ih.T, out=gates)
-        gates += bias
-        recurrent, tmp, scale, shift = self._recurrent, self._vec[0], self._scale, self._shift
-        pre = self._pre_scale
-        for z, i, f, g, o, c_prev, h_prev, c, tanh_c, h in self._fwd_views[layer][:steps]:
-            np.dot(w_hh, h_prev, out=recurrent)
-            z += recurrent
-            if pre is not None:
-                z *= pre
-            np.tanh(z, out=z)
-            z *= scale
-            z += shift
-            np.multiply(i, g, out=tmp)
-            np.multiply(f, c_prev, out=c)
-            c += tmp
-            np.tanh(c, out=tanh_c)
-            np.multiply(o, tanh_c, out=h)
-        return self._h[layer][:steps]
+    def forward_stack(self, windows: Sequence[np.ndarray], keep: int = 0) -> List[np.ndarray]:
+        """Per-step outputs of up to three ``(T_j, input_size)`` windows over one θ.
+
+        Each window starts from a zero state; lengths may differ.  The
+        returned arrays are scratch, overwritten by the next pass.
+        :meth:`final_state` reads each window's last ``[h, c]``, and
+        :meth:`backward` differentiates window ``keep``.
+        """
+        lengths = tuple([len(x) for x in windows])
+        plan = self._plans.get(lengths)
+        if plan is None:
+            plan = self._plans[lengths] = _Plan(self, lengths)
+        if not 0 <= keep < len(lengths):
+            raise ValueError(f"keep={keep} names none of the {len(lengths)} windows")
+        if self._theta.size <= _FOLD_FLOATS_PER_STEP * self.max_steps:
+            (params, biases), pre = self._halved_params(), None  # the halved weights already scale z
+        else:
+            params, biases, pre = self.params, self._biases, plan.layout.scale
+        for x, j in zip(plan.inputs, plan.order):
+            x[...] = windows[j]
+        for layer in range(2):
+            self._forward_layer(layer, plan, params[3 * layer : 3 * layer + 2], biases[layer], pre)
+        w_head, b_head = self.params[6][0], self.params[7]
+        for hidden, y in plan.head:
+            np.dot(hidden, w_head, out=y)
+            y += b_head
+        self._pass = (plan, keep)
+        return list(plan.outputs)
+
+    def _forward_layer(self, layer, plan, weights, bias, pre) -> None:
+        # the cell below is _cell over all K slots at once, whose first
+        # multiply is skipped when the halved weights already gave z its
+        # halved i, f, o rows; a slot whose window has ended keeps computing
+        # on finite leftovers that nothing reads, so every ufunc sees whole
+        # contiguous gate blocks, and only the GEMVs stop
+        w_ih, w_hh = weights
+        w_in = w_ih.T
+        for inputs, rows, gate_rows, slot_gates in plan.project[layer]:
+            np.dot(inputs, w_in, out=rows)
+            np.add(gate_rows, bias, out=slot_gates)
+        layout = plan.layout
+        views, tmp, scale, shift = layout.steps[layer], layout.tmp, layout.scale, layout.shift
+        for active, start, stop in plan.spans:
+            for z, i, f, g, o, c_prev, c, tanh_c, h, recurrent, gemvs in views[start:stop]:
+                for h_prev, out in gemvs[active]:
+                    np.dot(w_hh, h_prev, out=out)
+                z += recurrent
+                if pre is not None:
+                    z *= pre
+                np.tanh(z, out=z)
+                z *= scale
+                z += shift
+                np.multiply(i, g, out=tmp)
+                np.multiply(f, c_prev, out=c)
+                c += tmp
+                np.tanh(c, out=tanh_c)
+                np.multiply(o, tanh_c, out=h)
 
     def _cell(self, z, c_prev, c, tanh_c, h) -> None:
         """One cell step from gate pre-activations ``z`` (overwritten in place).
@@ -272,38 +325,53 @@ class SeriesLSTM:
         np.tanh(c, out=tanh_c)
         np.multiply(z[3 * hs :], tanh_c, out=h)
 
+    def final_state(self, window: int) -> State:
+        """Fresh ``[h, c]`` of both layers after window ``window`` of the last pass."""
+        plan = self._pass[0]
+        layout, slot, last = plan.layout, plan.slots[window], plan.lengths[window] - 1
+        return [buf[layer][last, slot].copy() for layer in range(2) for buf in (layout.hidden, layout.cells)]
+
     # ------------------------------------------------------------------ #
     # backward + optimiser
     # ------------------------------------------------------------------ #
     def backward(self, dy: np.ndarray) -> None:
         """Gradients of a loss with ``dL/dy = dy`` into :attr:`grads` (BPTT).
 
-        Must follow the :meth:`forward` call whose window it differentiates.
+        Must follow the :meth:`forward_stack` call whose kept window it
+        differentiates.
         """
-        steps = self._steps
+        plan, keep = self._pass
+        slot, steps = plan.slots[keep], plan.lengths[keep]
         if len(dy) != steps:
             raise ValueError(f"dy has {len(dy)} steps, the cached window {steps}")
-        grads = self.grads
+        layout, grads = plan.layout, self.grads
+        views = layout.backward.get(slot)
+        if views is None:
+            views = layout.backward[slot] = [
+                [(dh_out[t], self._dc_dh[t], dz, self._local[t], self._local[t, 3], dz[3],
+                  gates[t, 1, slot], dz.reshape(-1))
+                 for t, dz in enumerate(self._dgates)]
+                for dh_out, gates in zip(self._dh_out, layout.gates)
+            ]
         dy32 = self._dy[:steps]
         dy32[...] = dy
-        top = self._h[1][:steps]
-        np.dot(dy32, top, out=grads[6][0])
+        np.dot(dy32, layout.hidden[1][:steps, slot], out=grads[6][0])
         grads[7][0] = dy32.sum()
-        dh_out = self._dh_out[1][:steps]
-        np.multiply(dy32[:, None], self.params[6], out=dh_out)
-        self._backward_layer(1, self._h[0][:steps], self._dh_out[0][:steps])
-        self._backward_layer(0, self._x[:steps], None)
+        np.multiply(dy32[:, None], self.params[6], out=self._dh_out[1][:steps])
+        lower = layout.hidden[0][:steps, slot]
+        self._backward_layer(1, layout, slot, views[1], lower, self._dh_out[0][:steps])
+        self._backward_layer(0, layout, slot, views[0], plan.inputs[slot], None)
 
-    def _backward_layer(self, layer, inputs, d_inputs) -> None:
+    def _backward_layer(self, layer, layout, slot, views, inputs, d_inputs) -> None:
         """BPTT through one layer; ``_dh_out[layer]`` holds dL/dh from above, per step."""
         w_ih, w_hh, _ = self.params[3 * layer : 3 * layer + 3]
         g_ih, g_hh, g_bias = self.grads[3 * layer : 3 * layer + 3]
         hs = self.hidden_size
         steps = len(inputs)
-        gates = self._gates[layer][:steps].reshape(steps, 4, hs)
-        cells = self._c[layer][:steps]
-        tanh_cells = self._tanh_c[layer][:steps]
-        hidden = self._h[layer][:steps]
+        gates = layout.gates[layer][:steps, :, slot]
+        cells = layout.cells[layer][:steps, slot]
+        tanh_cells = layout.tanh_cells[layer][:steps, slot]
+        hidden = layout.hidden[layer][:steps, slot]
         i_gate, g_gate, o_gate = gates[:, 0], gates[:, 2], gates[:, 3]
 
         # everything that depends on the forward activations alone, for all
@@ -324,7 +392,6 @@ class SeriesLSTM:
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= o_gate
 
-        views = self._bwd_views[layer]
         dh, dc, dc_next, dh_rec = self._vec
         last = steps - 1
         for t in range(last, -1, -1):
@@ -376,9 +443,8 @@ class SeriesLSTM:
         """
         if len(x) == 0:
             return [self._zero.copy() for _ in range(4)]
-        self.forward(x)
-        last = self._steps - 1
-        return [buf[layer][last].copy() for layer in range(2) for buf in (self._h, self._c)]
+        self.forward_stack([x])
+        return self.final_state(0)
 
     def advance(self, state: State, x: Sequence[float]) -> float:
         """Feed one ``(input_size,)`` step, updating ``state`` in place; returns the output."""
@@ -413,3 +479,80 @@ class SeriesLSTM:
             value = self.advance(state, (value,))
             preds.append(value)
         return preds
+
+
+class _Plan:
+    """The slices of one pass over windows of the given lengths (built once per tuple).
+
+    Windows run longest first, so the ones still running at a step are the
+    first ``a`` slots; ``spans`` lists ``(a, start, stop)`` runs of steps.
+    """
+
+    def __init__(self, kernel: SeriesLSTM, lengths: Tuple[int, ...]) -> None:
+        k = len(lengths)
+        if not 0 < k <= _MAX_WINDOWS:
+            raise ValueError(f"{k} windows, a pass runs 1..{_MAX_WINDOWS}")
+        for steps in lengths:
+            if not 0 < steps <= kernel.max_steps:
+                raise ValueError(f"window of {steps} steps, kernel sized for 1..{kernel.max_steps}")
+        self.lengths = lengths
+        self.layout = layout = kernel._layout(k)
+        self.order = sorted(range(k), key=lengths.__getitem__, reverse=True)
+        self.slots = [self.order.index(j) for j in range(k)]
+        self.spans, start = [], 0
+        for active in range(k, 0, -1):
+            stop = lengths[self.order[active - 1]]
+            if stop > start:
+                self.spans.append((active, start, stop))
+                start = stop
+        # per slot: the input rows, then per layer the input GEMM's operands
+        # and the slot's gate rows it lands in (with the bias added)
+        self.inputs = [kernel._x[slot, : lengths[j]] for slot, j in enumerate(self.order)]
+        self.project, inputs = [], self.inputs
+        for gates, hidden in zip(layout.gates, layout.hidden):
+            rows = [kernel._proj[: len(x)] for x in inputs]
+            self.project.append([
+                (x, r, r.reshape(len(x), 4, -1), gates[: len(x), :, slot])
+                for slot, (x, r) in enumerate(zip(inputs, rows))
+            ])
+            inputs = [hidden[: len(x), slot] for slot, x in enumerate(inputs)]
+        self.head = [(h, kernel._y[slot, : len(h)]) for slot, h in enumerate(inputs)]
+        self.outputs = [self.head[slot][1] for slot in self.slots]
+
+
+class _Layout:
+    """The scratch of one pass over ``k`` windows, gate-major, and its per-step views.
+
+    ``gates[layer]`` is ``(max_steps, 4, k, hidden)``, so each gate block of
+    all ``k`` windows at one step is one contiguous operand; ``cells``,
+    ``tanh_cells`` and ``hidden`` are ``(max_steps, k, hidden)``.  ``steps``
+    holds per layer and step the views the cell loop unpacks, the GEMVs as
+    ``(h_prev, out)`` pairs of the first ``a`` windows at index ``a``.  With
+    one window the views are flat vectors, the cheapest ufunc operands.
+    """
+
+    def __init__(self, kernel: SeriesLSTM, k: int) -> None:
+        hs, n = kernel.hidden_size, kernel.max_steps
+        self.gates = [buf[: n * 4 * k * hs].reshape(n, 4, k, hs) for buf in kernel._gates]
+        self.cells = [buf[: n * k * hs].reshape(n, k, hs) for buf in kernel._c]
+        self.tanh_cells = [buf[: n * k * hs].reshape(n, k, hs) for buf in kernel._tanh_c]
+        self.hidden = [buf[: n * k * hs].reshape(n, k, hs) for buf in kernel._h]
+        # (4, k, hs) and (k, hs) operands, or (4 hs,) and (hs,) when k == 1
+        flat = (lambda a: a.reshape(-1)) if k == 1 else (lambda a: a)
+        self.scale = flat(np.repeat(kernel._scale.reshape(4, 1, hs), k, axis=1))
+        self.shift = flat(np.repeat(kernel._shift.reshape(4, 1, hs), k, axis=1))
+        self.tmp = flat(kernel._tmp[:k])
+        rec, zeros = kernel._rec[:k], kernel._zeros[:k]
+        recurrent = flat(rec.reshape(k, 4, hs).transpose(1, 0, 2))
+        self.steps = []
+        for gates, cells, tanh_cells, hidden in zip(self.gates, self.cells, self.tanh_cells, self.hidden):
+            views = []
+            for t, z in enumerate(gates):
+                gemvs = tuple(zip(hidden[t - 1] if t else zeros, rec))
+                views.append((
+                    flat(z), *(z.reshape(4, hs) if k == 1 else z),
+                    flat(cells[t - 1] if t else zeros), flat(cells[t]), flat(tanh_cells[t]),
+                    flat(hidden[t]), recurrent, [gemvs[:a] for a in range(k + 1)],
+                ))
+            self.steps.append(views)
+        self.backward: Dict[int, list] = {}  # per kept slot: the backward pass's views

@@ -142,6 +142,14 @@ class TestBaselines:
         assert nxt < 3.0  # continues the downward trend
         assert p.predict_delay(3.0, 3) >= 0.0  # clamped at zero
 
+    def test_linear_trend_forecast_never_below_zero(self):
+        p = LinearTrendLossPredictor(window=4)
+        for v in (0.9, 0.5, 0.2, 0.05):
+            p.observe(v)
+        # the fitted line crosses zero before the next step; a loss cannot
+        assert p.predict_next() == 0.0
+        assert p.predict_delay(0.05, 1) == 0.0
+
     def test_linear_trend_cold(self):
         p = LinearTrendLossPredictor()
         assert p.predict_next() is None
@@ -234,26 +242,33 @@ class TestFusedKernelIsTheOnlyPath:
         assert type(p.predict_delay(2.0, 3)) is float
 
     def test_sensitivity_shares_one_encoded_prefix(self, monkeypatch):
-        """``predict_delay`` at ``loss`` and ``loss ± eps`` encode the history once."""
+        """``predict_delay`` at ``loss`` and ``loss ± eps`` run no window pass of their own.
+
+        Each weight version runs its windows in one stacked pass, made by
+        ``observe``; the delay prefix (``window - 1`` steps) is one of them.
+        """
         p = LSTMLossPredictor(hidden_size=4, window=6, seed=0)
         for v in np.linspace(3.0, 2.0, 12):
             p.observe(v)
-        fresh = LSTMLossPredictor(hidden_size=4, window=6, seed=0)
-        for v in np.linspace(3.0, 2.0, 12):
-            fresh.observe(v)
-        encodes = []
-        original = p.model.encode
-        monkeypatch.setattr(p.model, "encode", lambda x: encodes.append(len(x)) or original(x))
+        passes = []
+        original = p.model.forward_stack
 
+        def spy(windows, keep=0):
+            passes.append([len(w) for w in windows])
+            return original(windows, keep)
+
+        monkeypatch.setattr(p.model, "forward_stack", spy)
+        forecast = p.predict_next()
         delay = p.predict_delay(2.0, 3)
         sensitivity = p.delay_sensitivity(2.0, 3)
-        assert encodes == [5]  # window - 1 steps, once for all three tails
-        # the cached prefix changes no number: a predictor that never cached agrees
-        assert sensitivity == fresh.delay_sensitivity(2.0, 3)
-        assert delay == fresh.predict_delay(2.0, 3)
+        assert passes == []  # all three read the last observe's pass
+        assert p.predict_next() == forecast and p.predict_delay(2.0, 3) == delay
+        assert p.delay_sensitivity(2.0, 3) == sensitivity
 
-        p.observe(1.9)  # new history and new weights: the prefix is re-encoded
-        fresh.observe(1.9)
-        fresh._delay_prefix = None  # whatever observe did, this one encodes anew
-        assert p.predict_delay(1.9, 3) == fresh.predict_delay(1.9, 3)
-        assert encodes == [5, 5]
+        p.observe(1.9)  # new history and new weights: one pass for all of them
+        # this delay prefix, the next predict_next window, the next training window
+        assert passes == [[5, 6, 6]]
+        p.predict_next()
+        p.predict_delay(1.9, 3)
+        p.delay_sensitivity(1.9, 3)
+        assert passes == [[5, 6, 6]]

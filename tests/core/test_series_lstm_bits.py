@@ -418,3 +418,56 @@ def test_loss_predictor_matches_its_unstacked_call_sequence(hidden, window, trai
         assert live.delay_sensitivity(loss, k) == frozen.delay_sensitivity(loss, k)
     for live_p, ref_p in zip(live.model.params, frozen.model.params):
         assert np.array_equal(live_p, ref_p)
+
+
+@pytest.mark.parametrize("fold", [True, False])
+@pytest.mark.parametrize(
+    "hidden, input_size, max_steps", [(16, 1, 10), (16, 3, 5), (64, 1, 16), (128, 1, 8)]
+)
+def test_stacked_pass_equals_one_window_at_a_time(hidden, input_size, max_steps, fold, monkeypatch):
+    """``forward_stack`` over K windows is K frozen single-window passes, bit for bit."""
+    monkeypatch.setattr(series_lstm, "_FOLD_FLOATS_PER_STEP", 10**9 if fold else 0)
+    kernel, frozen = make_pair(hidden, input_size, max_steps, seed=hidden + 5)
+    rng = np.random.default_rng(hidden + max_steps)
+    drive(kernel, frozen, rng, rounds=1)  # weights away from their initial draw
+    top = max_steps
+    stacks = [
+        [1], [top],
+        [top, top - 1], [1, top], [2, 2],
+        [top, top, top - 1], [3, 1, top], [1, 1, 1], [2, top, 2],
+    ]
+    for lengths in stacks:
+        for keep in range(len(lengths)):
+            windows = [rng.standard_normal((n, input_size)).astype(np.float32) for n in lengths]
+            outputs = [y.copy() for y in kernel.forward_stack(windows, keep=keep)]
+            states = [kernel.final_state(j) for j in range(len(windows))]
+            for x, y, state in zip(windows, outputs, states):
+                assert np.array_equal(y, frozen.forward(x))
+                for live, ref in zip(state, frozen.encode(x)):
+                    assert np.array_equal(live, ref)
+            # the kept window's activations are what backward reads
+            dy = (rng.standard_normal(len(windows[keep])) * 0.5).astype(np.float32)
+            kernel.backward(dy)
+            frozen.forward(windows[keep])
+            frozen.backward(dy)
+            for live, ref in zip(kernel.grads, frozen.grads):
+                assert np.array_equal(live, ref)
+            kernel.step()
+            frozen.step()
+            assert_same(kernel, frozen)
+
+
+def test_stacked_pass_rejects_what_it_cannot_run():
+    kernel, _ = make_pair(16, 1, 4, seed=0)
+    x = np.zeros((2, 1), dtype=np.float32)
+    with pytest.raises(ValueError):
+        kernel.forward_stack([x] * 4)
+    with pytest.raises(ValueError):
+        kernel.forward_stack([])
+    with pytest.raises(ValueError):
+        kernel.forward_stack([x, x], keep=2)
+    with pytest.raises(ValueError):
+        kernel.forward_stack([x, np.zeros((5, 1), dtype=np.float32)])
+    kernel.forward_stack([x, np.zeros((3, 1), dtype=np.float32)], keep=1)
+    with pytest.raises(ValueError):
+        kernel.backward(np.zeros(2, dtype=np.float32))  # the kept window has 3 steps
