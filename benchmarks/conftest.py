@@ -36,7 +36,12 @@ PREDICTOR_BUDGET_MS = 2.6
 #: 1.33 + 1.50 ms (ImageNet) on a GPU.  On a shared 2-core host this CPU
 #: kernel read 2.44–3.67 ms (median 2.81) over 16 such runs before its
 #: per-step views were built once, and 2.25–3.02 ms (median 2.46) after: the
-#: host's own spread is most of the headroom left under this bound.
+#: host's own spread is most of the headroom left under this bound.  Stacking
+#: the loss predictor's three same-weight windows into one pass took the CIFAR
+#: row from a median of 3.46 ms (2.64–4.62) to 3.21 ms (2.64–3.80) over 16
+#: alternating runs per side, and the ImageNet row from 3.58 (2.76–4.29) to
+#: 2.80 ms (2.35–3.49) over 10, on a slower and noisier 2-core host than the
+#: figures above: there the median sits above this bound on both sides.
 PAPER_WIDTH_BUDGET_MS = 3.0
 PAPER_WIDTH_UPDATES = 320
 

@@ -44,7 +44,9 @@ class LSTMLossPredictor(LossPredictorBase):
     weights change only in :meth:`observe`, so ``observe`` is the one
     method that consumes the cache and rebuilds it; ``predict_next``,
     ``predict_delay`` and ``delay_sensitivity`` only read it and run no
-    window pass.
+    window pass.  The training window's activations live in the model's
+    scratch, so nothing else may run a pass on :attr:`model` between two
+    ``observe`` calls.
 
     Parameters
     ----------

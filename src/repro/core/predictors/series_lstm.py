@@ -257,7 +257,7 @@ class SeriesLSTM:
         :meth:`final_state` reads each window's last ``[h, c]``, and
         :meth:`backward` differentiates window ``keep``.
         """
-        lengths = tuple([len(x) for x in windows])
+        lengths = tuple(map(len, windows))
         plan = self._plans.get(lengths)
         if plan is None:
             plan = self._plans[lengths] = _Plan(self, lengths)
@@ -355,23 +355,20 @@ class SeriesLSTM:
             ]
         dy32 = self._dy[:steps]
         dy32[...] = dy
-        np.dot(dy32, layout.hidden[1][:steps, slot], out=grads[6][0])
+        lower, upper = plan.activations[slot]
+        np.dot(dy32, upper[4], out=grads[6][0])
         grads[7][0] = dy32.sum()
         np.multiply(dy32[:, None], self.params[6], out=self._dh_out[1][:steps])
-        lower = layout.hidden[0][:steps, slot]
-        self._backward_layer(1, layout, slot, views[1], lower, self._dh_out[0][:steps])
-        self._backward_layer(0, layout, slot, views[0], plan.inputs[slot], None)
+        self._backward_layer(1, views[1], upper, self._dh_out[0][:steps])
+        self._backward_layer(0, views[0], lower, None)
 
-    def _backward_layer(self, layer, layout, slot, views, inputs, d_inputs) -> None:
+    def _backward_layer(self, layer, views, activations, d_inputs) -> None:
         """BPTT through one layer; ``_dh_out[layer]`` holds dL/dh from above, per step."""
         w_ih, w_hh, _ = self.params[3 * layer : 3 * layer + 3]
         g_ih, g_hh, g_bias = self.grads[3 * layer : 3 * layer + 3]
         hs = self.hidden_size
+        inputs, gates, cells, tanh_cells, hidden = activations
         steps = len(inputs)
-        gates = layout.gates[layer][:steps, :, slot]
-        cells = layout.cells[layer][:steps, slot]
-        tanh_cells = layout.tanh_cells[layer][:steps, slot]
-        hidden = layout.hidden[layer][:steps, slot]
         i_gate, g_gate, o_gate = gates[:, 0], gates[:, 2], gates[:, 3]
 
         # everything that depends on the forward activations alone, for all
@@ -518,6 +515,16 @@ class _Plan:
             inputs = [hidden[: len(x), slot] for slot, x in enumerate(inputs)]
         self.head = [(h, kernel._y[slot, : len(h)]) for slot, h in enumerate(inputs)]
         self.outputs = [self.head[slot][1] for slot in self.slots]
+        # per slot, per layer: the window's input and activations, as
+        # backward reads them
+        self.activations = [
+            [
+                (project[slot][0], layout.gates[layer][:n, :, slot], layout.cells[layer][:n, slot],
+                 layout.tanh_cells[layer][:n, slot], layout.hidden[layer][:n, slot])
+                for layer, project in enumerate(self.project)
+            ]
+            for slot, n in enumerate(len(x) for x in self.inputs)
+        ]
 
 
 class _Layout:
