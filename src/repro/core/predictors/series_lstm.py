@@ -340,6 +340,8 @@ class SeriesLSTM:
         Must follow the :meth:`forward_stack` call whose kept window it
         differentiates.
         """
+        if self._pass is None:
+            raise ValueError("backward before any forward pass")
         plan, keep = self._pass
         slot, steps = plan.slots[keep], plan.lengths[keep]
         if len(dy) != steps:
@@ -502,29 +504,23 @@ class _Plan:
             if stop > start:
                 self.spans.append((active, start, stop))
                 start = stop
-        # per slot: the input rows, then per layer the input GEMM's operands
-        # and the slot's gate rows it lands in (with the bias added)
+        # per slot: the input rows; per layer and slot, the input GEMM's
+        # operands with the gate rows it lands in (bias added), and the
+        # window's input and activations as backward reads them
         self.inputs = [kernel._x[slot, : lengths[j]] for slot, j in enumerate(self.order)]
-        self.project, inputs = [], self.inputs
-        for gates, hidden in zip(layout.gates, layout.hidden):
-            rows = [kernel._proj[: len(x)] for x in inputs]
-            self.project.append([
-                (x, r, r.reshape(len(x), 4, -1), gates[: len(x), :, slot])
-                for slot, (x, r) in enumerate(zip(inputs, rows))
-            ])
-            inputs = [hidden[: len(x), slot] for slot, x in enumerate(inputs)]
+        self.project, self.activations, inputs = [], [[] for _ in range(k)], self.inputs
+        for gates, cells, tanh_cells, hidden in zip(layout.gates, layout.cells, layout.tanh_cells, layout.hidden):
+            project = []
+            for slot, x in enumerate(inputs):
+                n, rows = len(x), kernel._proj[: len(x)]
+                project.append((x, rows, rows.reshape(n, 4, -1), gates[:n, :, slot]))
+                self.activations[slot].append(
+                    (x, gates[:n, :, slot], cells[:n, slot], tanh_cells[:n, slot], hidden[:n, slot])
+                )
+            self.project.append(project)
+            inputs = [acts[-1][4] for acts in self.activations]
         self.head = [(h, kernel._y[slot, : len(h)]) for slot, h in enumerate(inputs)]
         self.outputs = [self.head[slot][1] for slot in self.slots]
-        # per slot, per layer: the window's input and activations, as
-        # backward reads them
-        self.activations = [
-            [
-                (project[slot][0], layout.gates[layer][:n, :, slot], layout.cells[layer][:n, slot],
-                 layout.tanh_cells[layer][:n, slot], layout.hidden[layer][:n, slot])
-                for layer, project in enumerate(self.project)
-            ]
-            for slot, n in enumerate(len(x) for x in self.inputs)
-        ]
 
 
 class _Layout:

@@ -461,6 +461,8 @@ def test_stacked_pass_rejects_what_it_cannot_run():
     kernel, _ = make_pair(16, 1, 4, seed=0)
     x = np.zeros((2, 1), dtype=np.float32)
     with pytest.raises(ValueError):
+        kernel.backward(np.zeros(2, dtype=np.float32))  # no pass to differentiate yet
+    with pytest.raises(ValueError):
         kernel.forward_stack([x] * 4)
     with pytest.raises(ValueError):
         kernel.forward_stack([])
