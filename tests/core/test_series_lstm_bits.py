@@ -394,7 +394,7 @@ def loss_stream(rng, n):
 
 
 @pytest.mark.parametrize("train_every", [1, 3])
-@pytest.mark.parametrize("hidden, window", [(16, 10), (64, 16)])
+@pytest.mark.parametrize("hidden, window", [(16, 10), (64, 16), (8, 2)])
 def test_loss_predictor_matches_its_unstacked_call_sequence(hidden, window, train_every):
     rollout_cap = 6
     live = LSTMLossPredictor(
