@@ -120,8 +120,8 @@ class LSTMLossPredictor(LossPredictorBase):
         windows = [series[-(self.window - 1) :, None], series[:-1, None]]
         trains_next = (self._observed + 1) % self.train_every == 0  # and len(series) + 1 >= 3
         if trains_next:
-            windows.append(series[-self.window :, None])
-        outputs = self.model.forward_stack(windows, keep=len(windows) - 1)
+            windows.append(series[-self.window :, None])  # last: backward differentiates it
+        outputs = self.model.forward_stack(windows)
         self._delay_prefix = self.model.final_state(0)
         self._next_prefix = self.model.final_state(1)
         self._next_last = float(series[-1])

@@ -41,7 +41,7 @@ differ only in the Python around the same BLAS and ufunc calls:
   leftovers that nothing reads.  Elementwise ufuncs give the same bits on
   any layout, and the BLAS calls see the same shapes with a wider row
   stride, which changes no bit (the oracle checks it).  :meth:`backward`
-  differentiates the pass's kept window in place.
+  differentiates the pass's last window in place.
 * **Views built once.**  A hidden-16 cell step is one GEMV and ten ufunc
   calls of ~0.4 µs each, so the ~0.1 µs it takes to slice a gate row or a
   time step out of a buffer is a visible share.  The per-step views over
@@ -203,8 +203,8 @@ class SeriesLSTM:
         self._plans: Dict[Tuple[int, ...], _Plan] = {}
         self._scaled_theta: Optional[np.ndarray] = None
         self._biases = [self.params[2].reshape(4, hs), self.params[5].reshape(4, hs)]
-        # the last pass: its plan and kept window
-        self._pass: Optional[Tuple[_Plan, int]] = None
+        # the plan of the last pass
+        self._pass: Optional[_Plan] = None
 
     def _carve(self, flat: np.ndarray) -> List[np.ndarray]:
         views, offset = [], 0
@@ -249,20 +249,18 @@ class SeriesLSTM:
         """
         return self.forward_stack([x])[0]
 
-    def forward_stack(self, windows: Sequence[np.ndarray], keep: int = 0) -> List[np.ndarray]:
+    def forward_stack(self, windows: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Per-step outputs of up to three ``(T_j, input_size)`` windows over one θ.
 
         Each window starts from a zero state; lengths may differ.  The
         returned arrays are scratch, overwritten by the next pass.
         :meth:`final_state` reads each window's last ``[h, c]``, and
-        :meth:`backward` differentiates window ``keep``.
+        :meth:`backward` differentiates the last window.
         """
         lengths = tuple(map(len, windows))
         plan = self._plans.get(lengths)
         if plan is None:
             plan = self._plans[lengths] = _Plan(self, lengths)
-        if not 0 <= keep < len(lengths):
-            raise ValueError(f"keep={keep} names none of the {len(lengths)} windows")
         if self._theta.size <= _FOLD_FLOATS_PER_STEP * self.max_steps:
             (params, biases), pre = self._halved_params(), None  # the halved weights already scale z
         else:
@@ -275,7 +273,7 @@ class SeriesLSTM:
         for hidden, y in plan.head:
             np.dot(hidden, w_head, out=y)
             y += b_head
-        self._pass = (plan, keep)
+        self._pass = plan
         return list(plan.outputs)
 
     def _forward_layer(self, layer, plan, weights, bias, pre) -> None:
@@ -327,7 +325,7 @@ class SeriesLSTM:
 
     def final_state(self, window: int) -> State:
         """Fresh ``[h, c]`` of both layers after window ``window`` of the last pass."""
-        plan = self._pass[0]
+        plan = self._pass
         layout, slot, last = plan.layout, plan.slots[window], plan.lengths[window] - 1
         return [buf[layer][last, slot].copy() for layer in range(2) for buf in (layout.hidden, layout.cells)]
 
@@ -337,13 +335,13 @@ class SeriesLSTM:
     def backward(self, dy: np.ndarray) -> None:
         """Gradients of a loss with ``dL/dy = dy`` into :attr:`grads` (BPTT).
 
-        Must follow the :meth:`forward_stack` call whose kept window it
+        Must follow the :meth:`forward_stack` call whose last window it
         differentiates.
         """
         if self._pass is None:
             raise ValueError("backward before any forward pass")
-        plan, keep = self._pass
-        slot, steps = plan.slots[keep], plan.lengths[keep]
+        plan = self._pass
+        slot, steps = plan.slots[-1], plan.lengths[-1]
         if len(dy) != steps:
             raise ValueError(f"dy has {len(dy)} steps, the cached window {steps}")
         layout, grads = plan.layout, self.grads
@@ -558,4 +556,4 @@ class _Layout:
                     flat(hidden[t]), recurrent, [gemvs[:a] for a in range(k + 1)],
                 ))
             self.steps.append(views)
-        self.backward: Dict[int, list] = {}  # per kept slot: the backward pass's views
+        self.backward: Dict[int, list] = {}  # per differentiated slot: the backward pass's views

@@ -253,9 +253,9 @@ class TestFusedKernelIsTheOnlyPath:
         passes = []
         original = p.model.forward_stack
 
-        def spy(windows, keep=0):
+        def spy(windows):
             passes.append([len(w) for w in windows])
-            return original(windows, keep)
+            return original(windows)
 
         monkeypatch.setattr(p.model, "forward_stack", spy)
         forecast = p.predict_next()

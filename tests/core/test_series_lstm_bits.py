@@ -431,30 +431,34 @@ def test_stacked_pass_equals_one_window_at_a_time(hidden, input_size, max_steps,
     rng = np.random.default_rng(hidden + max_steps)
     drive(kernel, frozen, rng, rounds=1)  # weights away from their initial draw
     top = max_steps
+    # windows run longest first, so across these stacks the last window,
+    # the one backward differentiates, lands in every slot of every K
     stacks = [
         [1], [top],
         [top, top - 1], [1, top], [2, 2],
-        [top, top, top - 1], [3, 1, top], [1, 1, 1], [2, top, 2],
+        [top, top, top - 1], [3, 1, top], [top, 1, 2], [1, 1, 1], [2, top, 2],
     ]
+    differentiated = set()
     for lengths in stacks:
-        for keep in range(len(lengths)):
-            windows = [rng.standard_normal((n, input_size)).astype(np.float32) for n in lengths]
-            outputs = [y.copy() for y in kernel.forward_stack(windows, keep=keep)]
-            states = [kernel.final_state(j) for j in range(len(windows))]
-            for x, y, state in zip(windows, outputs, states):
-                assert np.array_equal(y, frozen.forward(x))
-                for live, ref in zip(state, frozen.encode(x)):
-                    assert np.array_equal(live, ref)
-            # the kept window's activations are what backward reads
-            dy = (rng.standard_normal(len(windows[keep])) * 0.5).astype(np.float32)
-            kernel.backward(dy)
-            frozen.forward(windows[keep])
-            frozen.backward(dy)
-            for live, ref in zip(kernel.grads, frozen.grads):
+        windows = [rng.standard_normal((n, input_size)).astype(np.float32) for n in lengths]
+        outputs = [y.copy() for y in kernel.forward_stack(windows)]
+        states = [kernel.final_state(j) for j in range(len(windows))]
+        for x, y, state in zip(windows, outputs, states):
+            assert np.array_equal(y, frozen.forward(x))
+            for live, ref in zip(state, frozen.encode(x)):
                 assert np.array_equal(live, ref)
-            kernel.step()
-            frozen.step()
-            assert_same(kernel, frozen)
+        # the last window's activations are what backward reads
+        dy = (rng.standard_normal(lengths[-1]) * 0.5).astype(np.float32)
+        kernel.backward(dy)
+        frozen.forward(windows[-1])
+        frozen.backward(dy)
+        for live, ref in zip(kernel.grads, frozen.grads):
+            assert np.array_equal(live, ref)
+        kernel.step()
+        frozen.step()
+        assert_same(kernel, frozen)
+        differentiated.add((len(lengths), kernel._pass.slots[-1]))
+    assert differentiated == {(k, slot) for k in (1, 2, 3) for slot in range(k)}
 
 
 def test_stacked_pass_rejects_what_it_cannot_run():
@@ -467,9 +471,7 @@ def test_stacked_pass_rejects_what_it_cannot_run():
     with pytest.raises(ValueError):
         kernel.forward_stack([])
     with pytest.raises(ValueError):
-        kernel.forward_stack([x, x], keep=2)
-    with pytest.raises(ValueError):
         kernel.forward_stack([x, np.zeros((5, 1), dtype=np.float32)])
-    kernel.forward_stack([x, np.zeros((3, 1), dtype=np.float32)], keep=1)
+    kernel.forward_stack([x, np.zeros((3, 1), dtype=np.float32)])
     with pytest.raises(ValueError):
-        kernel.backward(np.zeros(2, dtype=np.float32))  # the kept window has 3 steps
+        kernel.backward(np.zeros(2, dtype=np.float32))  # the last window has 3 steps
