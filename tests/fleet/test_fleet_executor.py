@@ -197,6 +197,76 @@ def test_undecodable_result_faults_the_agent_not_the_campaign(agents):
         listener.close()
 
 
+def _serve_fake_agent(listener, on_job=None, slots=1):
+    """Accept one scheduler, welcome it with ``slots`` and answer every job
+    frame with ``on_job(conn, doc)``; returns an Event set on the link's EOF."""
+    closed = threading.Event()
+
+    def serve():
+        sock, _ = listener.accept()
+        conn = FrameConnection(sock)
+        try:
+            conn.recv()  # hello
+            conn.send_control(
+                {"ctl": "welcome", "cv": protocol.FLEET_VERSION,
+                 "body": {"slots": slots, "agent": "skewed"}}
+            )
+            while True:
+                doc = conn.recv()[0]
+                if on_job is not None and doc.get("ctl") == "job":
+                    on_job(conn, doc["body"])
+        except Exception:
+            closed.set()
+        finally:
+            conn.close()
+
+    threading.Thread(target=serve, daemon=True).start()
+    return closed
+
+
+@pytest.mark.parametrize("slots", ["two", [2]], ids=["str", "list"])
+def test_malformed_welcome_skips_the_agent_not_the_campaign(agents, slots):
+    """A welcome whose slot count is not an int is that agent's fault: it is
+    reported unavailable and its half-open link is closed, and the campaign
+    runs on the healthy agent."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    closed = _serve_fake_agent(listener, slots=slots)
+    try:
+        events = RecordingEvents()
+        specs = Grid(seed=[0]).specs(spirals_factory)
+        executor = FleetExecutor([listener.getsockname()[:2], agents[0].address])
+        report = Campaign(specs, executor=executor, events=events).run()
+        assert len(report.runs) == 1
+        assert any("unavailable, continuing without it" in n for n in events.notes)
+        assert closed.wait(5.0), "the scheduler left the bad agent's link open"
+    finally:
+        listener.close()
+
+
+def test_non_integer_heartbeat_marks_the_agent_dead(agents):
+    """Under obs the scheduler records every heartbeat's ``n``; one that is
+    not an int must fault that agent (its cell requeued), not the campaign."""
+
+    def bad_heartbeat(conn, job):
+        conn.send_control(
+            {"ctl": "heartbeat", "cv": protocol.FLEET_VERSION, "body": {"n": "x"}}
+        )
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    _serve_fake_agent(listener, on_job=bad_heartbeat)
+    try:
+        events = RecordingEvents()
+        specs = Grid(seed=[0]).specs(spirals_factory)
+        executor = FleetExecutor(
+            [listener.getsockname()[:2], agents[0].address], obs=True
+        )
+        report = Campaign(specs, executor=executor, events=events).run()
+        assert len(report.runs) == 1  # requeued onto the healthy agent
+        assert any("skewed died" in note for note in events.notes)
+    finally:
+        listener.close()
+
+
 def test_heartbeat_silence_marks_agent_dead():
     executor = FleetExecutor(["127.0.0.1:1"], heartbeat_timeout=3.0)
     stale = types.SimpleNamespace(alive=True, last_seen=time.monotonic() - 10.0)

@@ -248,3 +248,42 @@ def test_child_compute_time_reaches_the_parent_timer():
     assert plan.timer.count("worker-compute") >= result.total_updates
     assert result.timers["worker_compute_ms"] > 0
     assert result.timers["loss_pred_ms"] > 0
+
+
+def test_a_hello_with_a_list_worker_is_rejected_as_a_stray(empty_pool, monkeypatch):
+    """A peer that knows the token but names its worker with a list is a
+    stray connection: it is closed, and the real child still joins the run."""
+    import secrets
+    import socket
+
+    from repro.runtime.wire import PROTOCOL_VERSION, FrameConnection
+
+    token = "0123456789abcdef" * 2
+    monkeypatch.setattr(secrets, "token_hex", lambda nbytes=None: token)
+    popen = subprocess.Popen
+    closed = threading.Event()
+
+    def stray(port):
+        conn = FrameConnection(socket.create_connection(("127.0.0.1", port), timeout=30.0))
+        try:
+            conn.send_control(
+                {"ctl": "hello", "cv": PROTOCOL_VERSION,
+                 "body": {"worker": [0], "token": token}}
+            )
+            conn.recv()
+        except Exception:
+            closed.set()
+        finally:
+            conn.close()
+
+    def stray_first(args, **kwargs):
+        port = int(args[args.index("--port") + 1])
+        connector = threading.Thread(target=stray, args=(port,), daemon=True)
+        connector.start()
+        connector.join(timeout=0.5)  # connected (and sent) before the real child
+        return popen(args, **kwargs)
+
+    monkeypatch.setattr(proc_backend.subprocess, "Popen", stray_first)
+    _, result = run_proc(tiny(num_workers=1))
+    assert result.total_updates == 8
+    assert closed.wait(5.0), "the stray connection was left open"
