@@ -7,9 +7,10 @@ fault-tolerant :class:`~repro.fleet.scheduler.FleetExecutor` that slots
 into the existing :class:`~repro.experiments.campaign.Campaign` executor
 protocol — store persistence, resume and events all work unchanged.
 
-* :mod:`repro.fleet.protocol` — the control-frame vocabulary (hello,
-  welcome, job, curve_point, result, job_error, heartbeat) on top of the
-  pickle-free :mod:`repro.runtime.wire` framing.
+* :mod:`repro.fleet.protocol` — the session: typed frames (FleetHello,
+  Welcome, Job, JobCurvePoint, JobTrace, JobResult, JobError, Heartbeat,
+  Busy, all in :mod:`repro.runtime.messages`) on the pickle-free
+  :mod:`repro.runtime.wire` codec.
 * :mod:`repro.fleet.agent` — the daemon: N concurrent job slots, curve
   streaming, heartbeats; one scheduler at a time, many campaigns per
   daemon lifetime.
@@ -29,7 +30,7 @@ Stores collected on different hosts combine key-wise with
 """
 
 from repro.fleet.agent import FleetAgent
-from repro.fleet.protocol import FLEET_VERSION, FleetProtocolError, parse_agent_addrs
+from repro.fleet.protocol import FleetProtocolError, parse_agent_addrs
 from repro.fleet.scheduler import AgentLink, FleetError, FleetExecutor
 
 __all__ = [
@@ -38,6 +39,5 @@ __all__ = [
     "AgentLink",
     "FleetError",
     "FleetProtocolError",
-    "FLEET_VERSION",
     "parse_agent_addrs",
 ]

@@ -4,16 +4,16 @@
 machine that should contribute compute to a campaign.  The agent:
 
 1. listens for a scheduler (:class:`~repro.fleet.scheduler.FleetExecutor`)
-   and answers its ``hello`` with a ``welcome`` announcing ``slots`` — the
-   number of cells it will run concurrently;
-2. executes each incoming ``job`` frame's :class:`~repro.experiments.spec.
+   and answers its ``FleetHello`` with a ``Welcome`` announcing ``slots`` —
+   the number of cells it will run concurrently;
+2. executes each incoming ``Job`` frame's :class:`~repro.experiments.spec.
    ExperimentSpec` on a worker pool via the ordinary backend registry
    (:func:`~repro.experiments.executors.execute_spec` — sim, thread and
    proc specs all work, the agent is just a remote executor slot);
 3. streams every :class:`~repro.core.metrics.CurvePoint` back as it is
    recorded, then the final :class:`~repro.core.metrics.RunResult`;
 4. heartbeats on an interval so the scheduler can tell a slow cell from a
-   dead host, and reports a cell's own exception as a ``job_error`` frame
+   dead host, and reports a cell's own exception as a ``JobError`` frame
    (the agent survives; deciding whether to retry is the scheduler's job).
 
 Heartbeats flow both ways: the scheduler pulses too, and a session socket
@@ -22,7 +22,7 @@ says hello, or a scheduler host that vanished without FIN — is abandoned
 rather than holding the session slot forever.
 
 One scheduler at a time: a second connection during an active session is
-turned away with a ``busy`` frame.  A scheduler disconnect abandons the
+turned away with a ``Busy`` frame.  A scheduler disconnect abandons the
 session — queued cells are dropped, in-flight ones are waited out (their
 frames go nowhere) so the next session gets the full advertised slots —
 and the agent goes back to listening, so one daemon serves many
@@ -43,9 +43,22 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 from repro.analysis.lockorder import make_lock
-from repro.fleet import protocol
+from repro.fleet.protocol import FleetProtocolError
+from repro.runtime.messages import (
+    Busy,
+    FleetHello,
+    Frame,
+    Heartbeat,
+    Job,
+    JobCurvePoint,
+    JobError,
+    JobResult,
+    JobTrace,
+    Welcome,
+)
 from repro.runtime.wire import ConnectionClosed, FrameConnection, WireError
 from repro.utils.logging import get_logger
+from repro.utils.serialization import to_jsonable
 
 logger = get_logger("fleet.agent")
 
@@ -60,7 +73,7 @@ HEARTBEAT_INTERVAL = 2.0
 #: a scheduler host that vanished without FIN) before abandoning it
 SESSION_SILENCE_FACTOR = 5.0
 
-#: seconds a newcomer waits for the session slot before it is told ``busy``:
+#: seconds a newcomer waits for the session slot before it is told ``Busy``:
 #: a scheduler that has just hung up is still being torn down on its session
 #: thread, and the same driver's next campaign must not lose that race
 SESSION_HANDOFF_GRACE = 0.5
@@ -190,7 +203,7 @@ class FleetAgent:
             # a scheduler is already attached; don't leave the newcomer
             # hanging in the backlog wondering if we are dead
             try:
-                conn.send_control(protocol.busy_frame(self.name))
+                conn.send_message(Busy(self.name))
             except (OSError, WireError):
                 pass
             conn.close()
@@ -211,7 +224,7 @@ class FleetAgent:
                 "agent %s: session from %s silent for %.0fs, abandoning it",
                 self.name, peer, self.session_timeout,
             )
-        except (ConnectionClosed, WireError, OSError, protocol.FleetProtocolError) as exc:
+        except (ConnectionClosed, WireError, OSError, FleetProtocolError) as exc:
             logger.info("agent %s: session ended (%s)", self.name, exc)
         finally:
             self._session_lock.release()
@@ -222,12 +235,11 @@ class FleetAgent:
 
     def _serve_session(self, conn: FrameConnection) -> None:
         """One scheduler session: hello/welcome, then jobs until EOF."""
-        doc, _ = conn.recv()
-        kind, doc = protocol.parse_frame(doc)
-        if kind != "hello":
-            raise protocol.FleetProtocolError(f"expected hello, got {kind}")
+        hello, _ = conn.recv()
+        if not isinstance(hello, FleetHello):
+            raise FleetProtocolError(f"expected FleetHello, got {type(hello).__name__}")
         send_lock = make_lock("FleetAgent.send_lock")
-        self._send(conn, send_lock, protocol.welcome_frame(self.slots, self.name))
+        self._send(conn, send_lock, Welcome(self.slots, self.name))
 
         hb_stop = threading.Event()
         hb = threading.Thread(
@@ -242,18 +254,14 @@ class FleetAgent:
         )
         try:
             while True:
-                doc, _ = conn.recv()
-                kind, doc = protocol.parse_frame(doc)
-                if kind == "heartbeat":
+                frame, _ = conn.recv()
+                if isinstance(frame, Heartbeat):
                     continue  # the scheduler proving it is still there
-                if kind != "job":
-                    raise protocol.FleetProtocolError(
-                        f"agent received a {kind} frame mid-session"
+                if not isinstance(frame, Job):
+                    raise FleetProtocolError(
+                        f"agent received a {type(frame).__name__} frame mid-session"
                     )
-                pool.submit(
-                    self._run_job, conn, send_lock, doc["id"], doc["spec"],
-                    bool(doc.get("obs", False)),
-                )
+                pool.submit(self._run_job, conn, send_lock, frame)
         finally:
             hb_stop.set()
             # drop queued cells, but wait out the in-flight ones (their
@@ -269,52 +277,49 @@ class FleetAgent:
         n = 0
         while not stop.wait(timeout=self.heartbeat_interval):
             n += 1
-            if not self._send(conn, send_lock, protocol.heartbeat_frame(n)):
+            if not self._send(conn, send_lock, Heartbeat(n)):
                 return
 
-    def _run_job(
-        self, conn, send_lock, job_id: str, spec_doc: dict, obs: bool = False
-    ) -> None:
+    def _run_job(self, conn, send_lock, job: Job) -> None:
         """Execute one cell and stream its progress/result/error back.
 
         ``obs`` jobs run with a live trace recorder whose rows are shipped
-        in one ``trace`` frame *before* the result — the scheduler still
+        in one :class:`JobTrace` *before* the result — the scheduler still
         holds the job in its inflight map at that point, so the rows are
         attributable to the cell.
         """
         from repro.experiments.executors import execute_spec
+        from repro.experiments.spec import ExperimentSpec
         from repro.obs.recorder import TraceRecorder
 
         recorder = None
         try:
-            spec = protocol.decode_spec({"spec": spec_doc})
-            logger.info("agent %s: job %s = %s", self.name, job_id, spec.label())
-            if obs:
+            spec = ExperimentSpec.from_dict(job.spec)  # key-verified
+            logger.info("agent %s: job %s = %s", self.name, job.id, spec.label())
+            if job.obs:
                 recorder = TraceRecorder(run_id=f"{self.name}:{spec.label()}")
             result = execute_spec(
                 spec,
                 on_curve_point=lambda point: self._send(
-                    conn, send_lock, protocol.curve_point_frame(job_id, point)
+                    conn, send_lock, JobCurvePoint(job.id, to_jsonable(point.to_dict()))
                 ),
                 recorder=recorder,
             )
         except BaseException as exc:
             # the cell failed, not the agent: report and keep serving
             self._send(
-                conn,
-                send_lock,
-                protocol.job_error_frame(job_id, repr(exc), traceback.format_exc()),
+                conn, send_lock, JobError(job.id, repr(exc), traceback.format_exc())
             )
             return
         if recorder is not None:
-            self._send(conn, send_lock, protocol.trace_frame(job_id, recorder.rows()))
-        self._send(conn, send_lock, protocol.result_frame(job_id, result))
+            self._send(conn, send_lock, JobTrace(job.id, tuple(recorder.rows())))
+        self._send(conn, send_lock, JobResult(job.id, to_jsonable(result.to_dict())))
 
-    def _send(self, conn: FrameConnection, send_lock: threading.Lock, doc: dict) -> bool:
-        """Locked control send; a dead scheduler just ends the stream."""
+    def _send(self, conn: FrameConnection, send_lock: threading.Lock, frame: Frame) -> bool:
+        """Locked send; a dead scheduler just ends the stream."""
         try:
             with send_lock:
-                conn.send_control(doc)
+                conn.send_message(frame)
             return True
         except (OSError, WireError):
             return False

@@ -8,7 +8,7 @@ cells complete — so :class:`~repro.experiments.campaign.Campaign`,
 multi-host fleet.  Construction is cheap; connections open inside
 ``run`` and close when the generator finishes.
 
-Scheduling is greedy: every agent advertises ``slots`` in its welcome and
+Scheduling is greedy: every agent advertises ``slots`` in its Welcome and
 the scheduler keeps each one saturated from a single pending deque —
 faster hosts simply drain more cells, which is the right policy for a
 grid of independent runs of wildly different durations.
@@ -19,7 +19,7 @@ Fault model (the reason this file exists):
   agent dead; its in-flight cells requeue onto the surviving agents.
   Death is *not* charged to the cell — a host crash says nothing about
   the experiment.
-* **cell failure** — a ``job_error`` frame means the spec itself raised
+* **cell failure** — a ``JobError`` frame means the spec itself raised
   inside the agent.  The cell is retried once (on any agent — a flaky
   host's failure shouldn't doom a healthy spec), and a second failure
   fails the campaign fast with the remote traceback: a deterministic bug
@@ -39,17 +39,30 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from repro.core.metrics import CurvePoint, RunResult
 from repro.experiments.events import CampaignEvents
 from repro.experiments.executors import Executor, Job
 from repro.experiments.spec import ExperimentSpec
 from repro.analysis.lockorder import make_lock
-from repro.fleet import protocol
+from repro.fleet.protocol import parse_agent_addrs
 from repro.obs.recorder import make_recorder
+from repro.runtime.messages import (
+    Busy,
+    FleetHello,
+    Frame,
+    Heartbeat,
+    Job,
+    JobCurvePoint,
+    JobError,
+    JobResult,
+    JobTrace,
+    Welcome,
+)
 from repro.runtime.wire import ConnectionClosed, FrameConnection, WireError
 from repro.utils.logging import get_logger
+from repro.utils.serialization import to_jsonable
 
 logger = get_logger("fleet.scheduler")
 
@@ -71,14 +84,14 @@ class AgentLink:
         self,
         host: str,
         port: int,
-        events_out: "queue.Queue[Tuple[AgentLink, Optional[dict]]]",
+        events_out: "queue.Queue[Tuple[AgentLink, Union[Frame, Exception]]]",
         connect_timeout: float,
     ) -> None:
         import socket as _socket
 
         self.host, self.port = host, int(port)
         self.addr = f"{host}:{port}"
-        self.name = self.addr  # refined by the welcome frame
+        self.name = self.addr  # refined by the Welcome
         self._events_out = events_out
         self.slots = 0
         self.inflight: Dict[str, Tuple[int, ExperimentSpec, int]] = {}
@@ -88,18 +101,21 @@ class AgentLink:
 
         sock = _socket.create_connection((host, self.port), timeout=connect_timeout)
         self.conn = FrameConnection(sock)
-        self.conn.settimeout(connect_timeout)
-        self.conn.send_control(protocol.hello_frame())
-        doc, _ = self.conn.recv()
-        kind, doc = protocol.parse_frame(doc)
-        if kind == "busy":
-            self.conn.close()
-            raise FleetError(f"agent {self.addr} is busy with another scheduler")
-        if kind != "welcome":
-            self.conn.close()
-            raise FleetError(f"agent {self.addr} answered hello with {kind!r}")
-        self.slots = int(doc["slots"])
-        self.name = str(doc.get("agent", self.addr))
+        try:
+            self.conn.settimeout(connect_timeout)
+            self.conn.send_message(FleetHello())
+            welcome, _ = self.conn.recv()
+            if isinstance(welcome, Busy):
+                raise FleetError(f"agent {self.addr} is busy with another scheduler")
+            if not isinstance(welcome, Welcome):
+                raise FleetError(
+                    f"agent {self.addr} answered hello with {type(welcome).__name__}"
+                )
+        except BaseException:
+            self.conn.close()  # never leave a half-open link behind
+            raise
+        self.slots = welcome.slots
+        self.name = welcome.agent
         self.conn.settimeout(None)
         self._reader = threading.Thread(
             target=self._reader_loop, name=f"repro-fleet-link-{self.addr}", daemon=True
@@ -124,18 +140,18 @@ class AgentLink:
             n += 1
             try:
                 with self._send_lock:
-                    self.conn.send_control(protocol.heartbeat_frame(n))
+                    self.conn.send_message(Heartbeat(n))
             except (OSError, WireError):
                 return  # the reader surfaces the death; nothing to add
 
     def _reader_loop(self) -> None:
         try:
             while True:
-                doc, _ = self.conn.recv()
+                frame, _ = self.conn.recv()
                 self.last_seen = time.monotonic()
-                self._events_out.put((self, doc))
-        except (ConnectionClosed, WireError, OSError):
-            self._events_out.put((self, None))  # EOF sentinel
+                self._events_out.put((self, frame))
+        except (WireError, OSError) as exc:  # EOF, a malformed frame, a reset
+            self._events_out.put((self, exc))
 
     def free_slots(self) -> int:
         return self.slots - len(self.inflight) if self.alive else 0
@@ -144,7 +160,7 @@ class AgentLink:
         """Dispatch one cell; False means the link just died."""
         try:
             with self._send_lock:
-                self.conn.send_control(protocol.job_frame(job_id, spec, obs=obs))
+                self.conn.send_message(Job(job_id, to_jsonable(spec.to_dict()), obs))
             return True
         except (OSError, WireError):
             return False
@@ -172,7 +188,7 @@ class FleetExecutor(Executor):
         Cap on the per-agent TCP connect + hello/welcome handshake.
     obs:
         Run every cell with a live trace recorder.  Agents ship each
-        cell's trace rows back (``trace`` frames) into this executor's
+        cell's trace rows back (``JobTrace`` frames) into this executor's
         campaign-level :attr:`recorder`, which also collects the
         scheduler's own ``heartbeat``/``requeue`` events — one trace for
         the whole campaign's control plane.
@@ -194,7 +210,7 @@ class FleetExecutor(Executor):
         self.addresses: List[Tuple[str, int]] = []
         for addr in agents:
             if isinstance(addr, str):
-                self.addresses.extend(protocol.parse_agent_addrs(addr))
+                self.addresses.extend(parse_agent_addrs(addr))
             else:
                 host, port = addr
                 self.addresses.append((host, int(port)))
@@ -211,7 +227,7 @@ class FleetExecutor(Executor):
         if not jobs:
             return
         self._t0 = time.monotonic()
-        inbox: "queue.Queue[Tuple[AgentLink, Optional[dict]]]" = queue.Queue()
+        inbox: "queue.Queue[Tuple[AgentLink, Union[Frame, Exception]]]" = queue.Queue()
         links = self._connect(inbox, events)
         try:
             yield from self._schedule(list(jobs), total, events, links, inbox)
@@ -225,7 +241,7 @@ class FleetExecutor(Executor):
         for host, port in self.addresses:
             try:
                 links.append(AgentLink(host, port, inbox, self.connect_timeout))
-            except (OSError, WireError, FleetError, protocol.FleetProtocolError) as exc:
+            except (OSError, WireError, FleetError) as exc:
                 failures.append(f"{host}:{port} ({exc})")
         for failure in failures:
             events.on_note(f"fleet: agent {failure} unavailable, continuing without it")
@@ -248,7 +264,7 @@ class FleetExecutor(Executor):
         total: int,
         events: CampaignEvents,
         links: List[AgentLink],
-        inbox: "queue.Queue[Tuple[AgentLink, Optional[dict]]]",
+        inbox: "queue.Queue[Tuple[AgentLink, Union[Frame, Exception]]]",
     ) -> Iterator[Tuple[int, ExperimentSpec, RunResult]]:
         #: (index, spec, attempts) — attempts counts the cell's own raises
         pending: deque = deque((index, spec, 0) for index, spec in jobs)
@@ -309,51 +325,46 @@ class FleetExecutor(Executor):
                 )
             dispatch()
             try:
-                link, doc = inbox.get(timeout=0.2)
+                link, frame = inbox.get(timeout=0.2)
             except queue.Empty:
                 self._check_heartbeats(links, mark_dead)
                 continue
-            if doc is None:
-                mark_dead(link, "connection closed")
+            if isinstance(frame, Exception):  # the link's end
+                closed = isinstance(frame, (ConnectionClosed, OSError))
+                why = "connection closed" if closed else f"protocol violation: {frame}"
+                mark_dead(link, why)
                 continue
             if not link.alive:
                 continue  # stale frame from a link we already wrote off
-            try:
-                kind, doc = protocol.parse_frame(doc)
-            except protocol.FleetProtocolError as exc:
-                mark_dead(link, f"protocol violation: {exc}")
-                continue
-            if kind == "heartbeat":
+            if isinstance(frame, Heartbeat):
                 if recorder.enabled:
-                    recorder.emit(
-                        now(), "heartbeat", peer=link.name, n=int(doc.get("n", 0))
-                    )
+                    recorder.emit(now(), "heartbeat", peer=link.name, n=frame.n)
                 continue
-            if kind == "trace":
+            if isinstance(frame, JobTrace):
                 # an obs cell's finished trace: merge it (rows re-validated
                 # against the event registry) into the campaign recorder
-                if recorder.enabled and link.inflight.get(doc["id"]) is not None:
+                if recorder.enabled and link.inflight.get(frame.id) is not None:
                     try:
-                        recorder.ingest_rows(doc["rows"])
+                        recorder.ingest_rows(frame.rows)
                     except (ValueError, TypeError) as exc:
                         mark_dead(link, f"undecodable trace rows: {exc!r}")
                 continue
-            if kind == "curve_point":
-                entry = link.inflight.get(doc["id"])
+            if isinstance(frame, JobCurvePoint):
+                entry = link.inflight.get(frame.id)
                 if entry is not None:
                     try:
-                        point = CurvePoint.from_dict(doc["point"])
+                        point = CurvePoint.from_dict(frame.point)
                     except Exception as exc:
                         mark_dead(link, f"undecodable curve point: {exc!r}")
                         continue
                     events.on_curve_point(entry[1], point)
                 continue
-            if kind == "result":
-                entry = link.inflight.get(doc["id"])
+            if isinstance(frame, JobResult):
+                entry = link.inflight.get(frame.id)
                 if entry is None:
                     continue  # duplicate of a cell another agent finished
                 try:
-                    result = protocol.decode_result(doc)
+                    result = RunResult.from_dict(frame.result)
                 except Exception as exc:
                     # a skewed agent's garbage is the agent's fault, not
                     # the cell's: fault the link (the entry is still in
@@ -361,15 +372,15 @@ class FleetExecutor(Executor):
                     # of crashing the whole campaign
                     mark_dead(link, f"undecodable result: {exc!r}")
                     continue
-                link.inflight.pop(doc["id"], None)
+                link.inflight.pop(frame.id, None)
                 index, spec, _ = entry
                 if index in done:
                     continue
                 done.add(index)
                 yield index, spec, result
                 continue
-            if kind == "job_error":
-                entry = link.inflight.pop(doc["id"], None)
+            if isinstance(frame, JobError):
+                entry = link.inflight.pop(frame.id, None)
                 if entry is None:
                     continue
                 index, spec, attempts = entry
@@ -377,16 +388,15 @@ class FleetExecutor(Executor):
                 if attempts >= MAX_CELL_ATTEMPTS:
                     raise FleetError(
                         f"cell {spec.label()} failed {attempts} time(s); last "
-                        f"failure on {link.name}: {doc['error']}\n"
-                        f"{doc.get('traceback', '')}"
+                        f"failure on {link.name}: {frame.error}\n{frame.traceback}"
                     )
                 events.on_note(
                     f"fleet: {spec.label()} raised on {link.name} "
-                    f"({doc['error']}); retrying"
+                    f"({frame.error}); retrying"
                 )
                 pending.append((index, spec, attempts))
                 continue
-            mark_dead(link, f"unexpected {kind} frame mid-session")
+            mark_dead(link, f"unexpected {type(frame).__name__} frame mid-session")
 
     def _check_heartbeats(self, links: List[AgentLink], mark_dead) -> None:
         now = time.monotonic()

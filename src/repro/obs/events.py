@@ -2,8 +2,9 @@
 
 One table — :data:`EVENT_KINDS` — is the single source of truth for what a
 :class:`~repro.obs.recorder.TraceRecorder` accepts, what the JSONL trace
-format contains, and what crosses the wire inside a
-:class:`~repro.runtime.messages.TracePush` or a fleet ``trace`` frame.
+format contains, and what crosses the wire inside a proc child's
+:class:`~repro.runtime.messages.RunEnd` or a fleet agent's
+:class:`~repro.runtime.messages.JobTrace`.
 Each kind declares its payload fields *in order*; that order IS the wire
 codec: a record encodes as the JSON array
 

@@ -147,7 +147,7 @@ class TraceRecorder:
         return len(self._rows)
 
     def rows(self) -> List[List[Any]]:
-        """A snapshot of the encoded rows (the TracePush payload)."""
+        """A snapshot of the encoded rows (what RunEnd and JobTrace carry)."""
         # list(...) over a concurrently-appended list is safe under the
         # GIL; rows already present are never mutated after append
         return [list(row) for row in list(self._rows)]

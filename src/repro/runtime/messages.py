@@ -1,12 +1,23 @@
-"""Typed message envelopes: the protocol every backend speaks.
+"""Typed frames: every frame on every socket, and the envelopes every backend speaks.
 
-:func:`repro.runtime.cycle.worker_cycle` is the one place the worker-side
-envelopes are built and :func:`repro.runtime.cycle.dispatch` the one place
-the server answers them, so the simulator, the thread runtime and the proc
-runtime exchange exactly these types.  Beside the cycle's messages there
-are shutdown-time sidebands (BN statistics, trace rows), the gossip
-runtime's peer messages, and a Shutdown sentinel that wakes any thread
-blocked on a mailbox.
+:class:`Frame` is the base of everything :mod:`repro.runtime.wire` puts on
+a socket; its kind on the wire is its class name, so class names are
+unique across this file.  There are three families:
+
+* :class:`Message` envelopes (they add ``worker``, the endpoint) — the
+  protocol every backend speaks.  :func:`repro.runtime.cycle.worker_cycle`
+  is the one place the worker-side envelopes are built and
+  :func:`repro.runtime.cycle.dispatch` the one place the server answers
+  them, so the simulator, the thread runtime and the proc runtime exchange
+  exactly these types.  Beside the cycle's messages there are the gossip
+  runtime's peer messages and a Shutdown sentinel that wakes any thread
+  blocked on a mailbox.
+* the proc backend's handshake and run-end report (:class:`Hello`,
+  :class:`RunConfig`, :class:`Ready`, :class:`SetupError`, :class:`Start`,
+  :class:`Reject`, :class:`RunEnd`); the sequence is in
+  :mod:`repro.runtime.proc_backend`.
+* the fleet's campaign frames (:class:`FleetHello` to :class:`Heartbeat`);
+  the session is in :mod:`repro.fleet.protocol`.
 
 Envelope fields carry only what crosses the wire; the mathematics stays in
 :class:`~repro.core.state.WorkerState` / :class:`~repro.core.state.
@@ -14,10 +25,13 @@ GradientPayload` / :class:`~repro.core.state.CompensationReply`.
 
 These dataclasses are the only definition of the wire format:
 :mod:`repro.runtime.wire` derives its encoder and its strict decoder from
-their fields and annotations, so adding a message means adding a dataclass
+their fields and annotations, so adding a frame means adding a dataclass
 here.  Annotations are therefore the schema the decoder enforces, and
 fields travel positionally: reordering or inserting a field changes the
-protocol and needs a ``PROTOCOL_VERSION`` bump.  An
+protocol and needs a ``PROTOCOL_VERSION`` bump.  Documents (a
+``TrainingConfig``, a spec, a ``RunResult``) travel as ``dict`` fields
+that their senders made JSON-able; rebuilding them is the receiver's
+job.  Range checks live in ``__post_init__``, which the decoder runs.  An
 array in a field named ``grad`` (here or in a payload a message carries)
 travels under the gradient codec role, one named ``weights`` under the
 weights role, and every other array as BN statistics.
@@ -25,7 +39,7 @@ weights role, and every other array as BN statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,7 +51,12 @@ BnPairs = Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
-class Message:
+class Frame:
+    """Base of every frame on a socket; the fleet frames have no endpoint."""
+
+
+@dataclass(frozen=True)
+class Message(Frame):
     """Base envelope: every message names its worker endpoint."""
 
     worker: int
@@ -94,40 +113,6 @@ class CombinedPush(Message):
 
 
 @dataclass(frozen=True)
-class BnStatsPush(Message):
-    """Worker -> parent at shutdown: the replica's BN *running* statistics.
-
-    Only the proc backend uses this, and only under ``bn_mode="local"``:
-    evaluation borrows worker 0's running statistics, which live in a
-    child's address space there.  The child streams them once, right
-    after it receives Shutdown, so the parent can install them into the
-    eval model before the final evaluation.  ``stats`` is one
-    ``(running_mean, running_var)`` pair per BN layer, in
-    :func:`~repro.nn.norm.bn_layers` order.
-    """
-
-    stats: BnPairs = ()
-
-
-@dataclass(frozen=True)
-class TracePush(Message):
-    """Worker -> parent at shutdown: the child's retained trace rows.
-
-    Only instrumented (``obs on``) proc runs send this: the child's
-    :class:`~repro.obs.recorder.TraceRecorder` lives in its own address
-    space, so after Shutdown the child ships its encoded wire rows
-    (:func:`~repro.obs.events.encode_record` format) once, and the parent
-    merges them into the plan's recorder before the result is built.
-    ``rows`` is a tuple of ``[t, kind, worker, *fields]`` lists; each is
-    validated against the event registry on ingestion, never trusted.
-    An obs child always sends one push — even empty — so the parent can
-    wait for all ``M`` of them deterministically.
-    """
-
-    rows: Tuple[list, ...] = ()
-
-
-@dataclass(frozen=True)
 class WeightExchange(Message):
     """Worker -> worker: one side of an AD-PSGD pairwise average.
 
@@ -163,3 +148,154 @@ class Shutdown(Message):
 
     worker: int = -1
     expedite = True
+
+
+# ---------------------------------------------------------------------- #
+# the proc backend's handshake and run-end report
+# ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class Hello(Frame):
+    """Child -> parent, once on connect: its spawn-time id and the token."""
+
+    worker: int
+    token: str
+
+
+@dataclass(frozen=True)
+class RunConfig(Frame):
+    """Parent -> child: serve one run as ``worker`` of this config.
+
+    ``config`` is a :meth:`~repro.core.config.TrainingConfig.to_dict`
+    document; ``codec`` names the child's uplink gradient codec.
+    """
+
+    worker: int
+    config: dict
+    codec: str
+    time_scale: float = 0.0
+    compute_scale: float = 0.0
+    obs: bool = False
+
+
+@dataclass(frozen=True)
+class Ready(Frame):
+    """Child -> parent: the run's replica is built."""
+
+    worker: int
+
+
+@dataclass(frozen=True)
+class SetupError(Frame):
+    """Child -> parent instead of :class:`Ready`: the build raised."""
+
+    traceback: str
+
+
+@dataclass(frozen=True)
+class Start(Frame):
+    """Parent -> child: begin the run's worker cycle."""
+
+
+@dataclass(frozen=True)
+class Reject(Frame):
+    """Parent -> peer, best effort, before dropping it: why."""
+
+    reason: str
+
+
+@dataclass(frozen=True)
+class RunEnd(Frame):
+    """Child -> parent, the child's last frame of a run.
+
+    ``timers`` is the child's :meth:`~repro.utils.timer.Timer.totals`.
+    ``bn_stats`` is worker 0's BN running statistics under
+    ``bn_mode="local"`` (evaluation borrows them, and they live in the
+    child), else empty.  ``rows`` is the child's encoded trace rows
+    (:func:`~repro.obs.events.encode_record` format) when obs is on, else
+    empty; the parent re-validates each one on ingestion.
+    """
+
+    timers: dict = field(default_factory=dict)
+    bn_stats: BnPairs = ()
+    rows: Tuple[list, ...] = ()
+
+
+# ---------------------------------------------------------------------- #
+# the fleet's campaign frames
+# ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class FleetHello(Frame):
+    """Scheduler -> agent: open a session."""
+
+
+@dataclass(frozen=True)
+class Welcome(Frame):
+    """Agent -> scheduler: the session is open; ``slots`` concurrent cells."""
+
+    slots: int
+    agent: str
+
+    def __post_init__(self) -> None:
+        if self.slots < 1:
+            raise ValueError(f"welcome without usable slots: {self.slots}")
+
+
+@dataclass(frozen=True)
+class Busy(Frame):
+    """Agent -> a second scheduler: already serving another one."""
+
+    agent: str
+
+
+@dataclass(frozen=True)
+class Job(Frame):
+    """Scheduler -> agent: run one cell.
+
+    ``spec`` is an :meth:`~repro.experiments.spec.ExperimentSpec.to_dict`
+    document; ``obs`` asks for a live trace recorder, whose rows come back
+    in a :class:`JobTrace` before the :class:`JobResult`.
+    """
+
+    id: str
+    spec: dict
+    obs: bool = False
+
+
+@dataclass(frozen=True)
+class JobCurvePoint(Frame):
+    """Agent -> scheduler: one evaluation point of a running cell."""
+
+    id: str
+    point: dict
+
+
+@dataclass(frozen=True)
+class JobTrace(Frame):
+    """Agent -> scheduler: an obs cell's encoded trace rows, once."""
+
+    id: str
+    rows: Tuple[list, ...] = ()
+
+
+@dataclass(frozen=True)
+class JobResult(Frame):
+    """Agent -> scheduler: the cell's ``RunResult`` document."""
+
+    id: str
+    result: dict
+
+
+@dataclass(frozen=True)
+class JobError(Frame):
+    """Agent -> scheduler: the cell itself raised."""
+
+    id: str
+    error: str
+    traceback: str = ""
+
+
+@dataclass(frozen=True)
+class Heartbeat(Frame):
+    """Either direction: the sender is alive; ``n`` counts its pulses."""
+
+    n: int

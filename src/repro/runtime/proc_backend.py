@@ -10,27 +10,28 @@ come from genuinely independent compute plus real kernel socket queues.
 
 Children outlive a run.  A run checks out up to ``M`` idle children from a
 process-wide pool, spawns only the shortfall, and configures every one of
-them afresh; after a run that succeeds they go back to the pool.  Control
-documents (typed :class:`~repro.runtime.wire.ControlFrame`, protocol v2)::
+them afresh; after a run that succeeds they go back to the pool.  The
+handshake is typed frames (:mod:`repro.runtime.messages`), on the same
+codec as the run's messages::
 
-    child  -> parent   hello   {"worker": id, "token": ...}      once, on connect
-    parent -> child    config  {"worker": id, "config": ..., "codec": ..., scales...}
-    child  -> parent   ready   {"worker": id}   (or error {"traceback"})
-    parent -> child    start   {}
+    child  -> parent   Hello(worker, token)                     once, on connect
+    parent -> child    RunConfig(worker, config, codec, scales, obs)
+    child  -> parent   Ready(worker)          (or SetupError(traceback))
+    parent -> child    Start()
                        ... the run: message frames both ways ...
-    child  -> parent   done    {"worker": id, "timers": ...}    after its sidebands
-                       ... idle in the pool until the next config ...
+    child  -> parent   RunEnd(timers, bn_stats, rows)
+                       ... idle in the pool until the next RunConfig ...
 
-``done`` is the run boundary: the parent's reader for that child stops on
-it, and the child skips any message frame of the finished run still in
+``RunEnd`` is the run boundary: the parent's reader for that child stops
+on it, and the child skips any message frame of the finished run still in
 flight (the parent sends Shutdown twice) before reading the next
-``config``, so no frame of one run is ever read as part of the next.  The
-config frame names the run's worker id and gradient codec
+RunConfig, so no frame of one run is ever read as part of the next.  The
+RunConfig names the run's worker id and gradient codec
 (``TrainingConfig.comm_codec``); both ends arm a fresh codec on every
-config, so no codec state (topk's residual) crosses a run.  A peer
+RunConfig, so no codec state (topk's residual) crosses a run.  A peer
 speaking another protocol version is rejected on its first frame with a
-reason (best-effort ``reject`` control frame back) and the run fails fast
-instead of hanging.
+reason (best-effort ``Reject`` back) and the run fails fast instead of
+hanging.
 
 No weights travel at startup: on every config the child rebuilds its
 replica + loader from ``(TrainingConfig, worker_id)`` via
@@ -48,20 +49,20 @@ seconds — its socket EOF and its exit code are both watched — and a
 failed, timed-out or interrupted run reaps every one of its children
 (terminate, then kill) before ``run`` returns, so it can never leave orphan
 processes or a hung parent behind; only a child that ended a successful
-run with ``done`` is kept, and one found dead at checkout is replaced.
+run with its RunEnd is kept, and one found dead at checkout is replaced.
 Idle children end with the parent: an ``atexit`` hook closes and reaps
 them, and a parent that dies without running it leaves them an EOF, on
 which they exit.  A forked process starts with an empty pool.
 
 ``bn_mode="local"`` evaluation borrows worker 0's running BN statistics,
-which live in a child's address space here; the child streams them back
-at the end of the run (:class:`~repro.runtime.messages.BnStatsPush`) and
-the final evaluation installs them.  Mid-run curve points in this mode use
-the parent eval model's own (initial) running statistics — if you need a
-faithful local-BN *curve*, use the sim or thread backend.  The ``done``
-frame carries the child's Timer totals, which the parent folds into the
-plan's timer, so ``RunResult.timers["worker_compute_ms"]`` is measured
-here as on the in-process backends.
+which live in a child's address space here; worker 0's RunEnd carries
+them and the final evaluation installs them.  Mid-run curve points in
+this mode use the parent eval model's own (initial) running statistics —
+if you need a faithful local-BN *curve*, use the sim or thread backend.
+Every RunEnd carries the child's Timer totals, which the parent folds
+into the plan's timer, so ``RunResult.timers["worker_compute_ms"]`` is
+measured here as on the in-process backends, and under obs the child's
+trace rows, which the parent merges into the plan's recorder.
 """
 
 from __future__ import annotations
@@ -82,18 +83,22 @@ from repro.cluster.network import NetworkModel
 from repro.core.metrics import RunResult
 from repro.nn.norm import bn_layers, load_bn_running_stats
 from repro.runtime.codecs import make_codec
-from repro.obs.recorder import NULL_RECORDER
-from repro.runtime.messages import BnStatsPush, Message, Shutdown, TracePush
+from repro.runtime.messages import (
+    Hello,
+    Message,
+    Ready,
+    Reject,
+    RunConfig,
+    RunEnd,
+    SetupError,
+    Shutdown,
+    Start,
+)
 from repro.runtime.server_actor import RunControl, server_actor_loop
 from repro.runtime.session import ExperimentPlan, ExperimentSession
 from repro.runtime.transport import CommStats, Mailbox, link_delay
-from repro.runtime.wire import (
-    PROTOCOL_VERSION,
-    ControlFrame,
-    FrameConnection,
-    ProtocolMismatch,
-    WireError,
-)
+from repro.runtime import wire
+from repro.runtime.wire import FrameConnection, ProtocolMismatch, WireError
 from repro.utils.logging import get_logger
 
 logger = get_logger("runtime.proc")
@@ -122,7 +127,7 @@ class SocketTransport:
     emulated downlink.
 
     One reader thread per attached worker drains its socket into
-    ``server_inbox`` until the child's ``done`` frame; an unexpected EOF
+    ``server_inbox`` until the child's :class:`RunEnd`; an unexpected EOF
     or garbled frame is reported through ``on_worker_failure`` so the
     backend can fail the run instead of hanging on a mailbox that will
     never fill.
@@ -133,7 +138,6 @@ class SocketTransport:
         num_workers: int,
         network: Optional[NetworkModel] = None,
         time_scale: float = 0.0,
-        recorder=NULL_RECORDER,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -154,16 +158,9 @@ class SocketTransport:
         self._closed = threading.Event()
         #: called as (worker, exception) when a link dies mid-run
         self.on_worker_failure: Optional[Callable[[int, Exception], None]] = None
-        self._bn_lock = make_lock("SocketTransport._bn_lock")
-        #: worker -> BN running stats streamed at run end (bn_mode="local");
-        #: written by per-worker reader threads, read after join_readers
-        self.bn_stats: Dict[int, tuple] = {}  # guarded-by: _bn_lock
-        #: the plan's recorder; obs children stream their trace rows here
-        #: at run end (TracePush — same sideband contract as BN stats)
-        self.recorder = recorder
         self._end_lock = make_lock("SocketTransport._end_lock")
-        #: worker -> the child's Timer totals, from its ``done`` frame
-        self._ended: Dict[int, dict] = {}  # guarded-by: _end_lock
+        #: worker -> the RunEnd its child ended the run with
+        self._ended: Dict[int, RunEnd] = {}  # guarded-by: _end_lock
 
     # ------------------------------------------------------------------ #
     def attach(self, worker: int, conn: FrameConnection) -> None:
@@ -184,30 +181,14 @@ class SocketTransport:
         try:
             while True:
                 message, _, nbytes, wire_nbytes = conn.recv_info()
-                if not isinstance(message, Message):
-                    end = ControlFrame.from_doc(message, expect_version=PROTOCOL_VERSION)
-                    if end.kind != "done":
-                        raise WireError(
-                            f"worker {worker} sent a control frame mid-run: {message!r}"
-                        )
-                    # the child's last frame of this run: stop reading, so
-                    # nothing after it is taken for part of this run
+                if isinstance(message, RunEnd):
+                    # the child's last frame of this run, not Algorithm-2
+                    # traffic: stop reading, so nothing after it is taken
+                    # for part of this run
                     with self._end_lock:
-                        self._ended[worker] = dict(end.body.get("timers") or {})
+                        self._ended[worker] = message
                     return
                 self.stats.count(worker, nbytes, wire_nbytes)
-                if isinstance(message, BnStatsPush):
-                    # run-end sideband, not Algorithm-2 traffic: the server
-                    # actor has already drained by the time it lands
-                    with self._bn_lock:
-                        self.bn_stats[worker] = message.stats
-                    continue
-                if isinstance(message, TracePush):
-                    # same sideband: merge the child's trace rows (each one
-                    # re-validated against the event registry on ingestion)
-                    if self.recorder.enabled:
-                        self.recorder.ingest_rows(message.rows)
-                    continue
                 self.server_inbox.put(message)
         except Exception as exc:
             # broad on purpose: any escape (EOF, garbled frame, a decode
@@ -225,8 +206,8 @@ class SocketTransport:
         for reader in self._readers:
             reader.join(timeout=max(0.0, deadline - time.monotonic()))
 
-    def ended(self) -> Dict[int, dict]:
-        """worker -> Timer totals, for every child that sent ``done``."""
+    def ended(self) -> Dict[int, RunEnd]:
+        """worker -> RunEnd, for every child that ended its run."""
         with self._end_lock:
             return dict(self._ended)
 
@@ -417,7 +398,7 @@ def _spawn_env() -> Tuple[Dict[str, str], tuple]:
     existing = env.get("PYTHONPATH", "")
     if src_root not in existing.split(os.pathsep):
         env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
-    signature = (sys.executable, src_root, PROTOCOL_VERSION, tuple(sorted(env.items())))
+    signature = (sys.executable, src_root, wire.PROTOCOL_VERSION, tuple(sorted(env.items())))
     return env, signature
 
 
@@ -471,10 +452,10 @@ class ProcBackend:
                 "on the gossip backend (or sim/thread, which delegate to it)"
             )
         # bn_mode="local" evaluation borrows worker 0's running BN stats,
-        # which live in a child here: the child streams them back at the
-        # end of the run (BnStatsPush) and the final evaluation below uses
-        # them.  Mid-run curve points see the eval model's own (initial)
-        # running stats — only the final point is faithful in this mode.
+        # which live in a child here: its RunEnd carries them and the final
+        # evaluation below uses them.  Mid-run curve points see the eval
+        # model's own (initial) running stats — only the final point is
+        # faithful in this mode.
         needs_local_bn = config.bn_mode == "local" and bool(bn_layers(plan.eval_model))
         session = ExperimentSession(plan)
         num_workers = config.num_workers
@@ -482,12 +463,11 @@ class ProcBackend:
             num_workers,
             network=plan.network if self.time_scale > 0 else None,
             time_scale=self.time_scale,
-            recorder=plan.recorder,
         )
         ctl = RunControl()
         children: List[_Child] = []
-        # the children that ended a successful run with `done`: only these
-        # go back to the pool
+        # the children that ended a successful run with a RunEnd: only
+        # these go back to the pool
         kept: List[_Child] = []
         try:
             children = self._handshake(
@@ -507,7 +487,7 @@ class ProcBackend:
             # start everyone: frames a child sends before its reader attaches
             # simply buffer in the socket
             for child in children:
-                child.conn.send_control(ControlFrame("start", {}).to_doc())
+                child.conn.send_message(Start())
             for worker, child in enumerate(children):
                 transport.attach(worker, child.conn)
 
@@ -531,22 +511,25 @@ class ProcBackend:
             if server_thread.is_alive():
                 raise RuntimeError("proc backend failed to join its server actor")
 
-            # each child ends its run with `done`, right after its sidebands;
-            # one that has not by then is reaped below instead of kept
+            # each child ends its run with a RunEnd; one that has not by
+            # then is reaped below instead of kept
             transport.join_readers(timeout=10.0)
             ended = transport.ended()
-            for totals in ended.values():
-                plan.timer.merge(totals)
+            for end in ended.values():
+                plan.timer.merge(end.timers)
+                if plan.recorder.enabled:
+                    # each row is re-validated against the event registry
+                    plan.recorder.ingest_rows(end.rows)
             if plan.recorder.enabled and len(ended) < num_workers:
                 logger.warning("obs: not every worker child streamed its trace rows")
 
             if needs_local_bn:
-                if 0 not in transport.bn_stats:
+                if 0 not in ended:
                     raise RuntimeError(
-                        "bn_mode='local': worker child 0 ended its run without "
-                        "streaming its BN running statistics"
+                        "bn_mode='local': worker child 0 did not end its run, "
+                        "so its BN running statistics are missing"
                     )
-                load_bn_running_stats(plan.eval_model, list(transport.bn_stats[0]))
+                load_bn_running_stats(plan.eval_model, list(ended[0].bn_stats))
                 session.record_point(elapsed)  # the one faithful local-BN point
             session.ensure_final_eval(elapsed)
             logger.info(
@@ -594,7 +577,7 @@ class ProcBackend:
         self, worker_ids: range, env: Dict[str, str], signature: tuple, deadline: float
     ) -> List[_Child]:
         """Launch one ``python -m repro.runtime.proc_worker`` per id and
-        accept each one's authenticated ``hello``."""
+        accept each one's authenticated :class:`Hello`."""
         token = secrets.token_hex(16)
         procs: Dict[int, subprocess.Popen] = {}
         links: Dict[int, Tuple[socket.socket, FrameConnection]] = {}
@@ -621,8 +604,7 @@ class ProcBackend:
                     sock.settimeout(self.startup_timeout)
                     conn = FrameConnection(sock)
                     try:
-                        doc, _ = conn.recv()
-                        hello = ControlFrame.from_doc(doc, expect_version=PROTOCOL_VERSION)
+                        hello, _ = conn.recv()
                     except ProtocolMismatch as exc:
                         # a version-skewed child: tell it why (best effort —
                         # it may not parse our frames either), then fail the
@@ -633,19 +615,16 @@ class ProcBackend:
                         logger.warning("rejecting stray connection during handshake")
                         conn.close()
                         continue
-                    worker_id = hello.body.get("worker")
                     if (
-                        hello.kind != "hello"
-                        or not secrets.compare_digest(
-                            str(hello.body.get("token", "")), token
-                        )
-                        or worker_id not in procs
-                        or worker_id in links
+                        not isinstance(hello, Hello)
+                        or not secrets.compare_digest(hello.token.encode(), token.encode())
+                        or hello.worker not in procs
+                        or hello.worker in links
                     ):
                         logger.warning("rejecting stray connection during handshake")
                         conn.close()
                         continue
-                    links[worker_id] = (sock, conn)
+                    links[hello.worker] = (sock, conn)
             except BaseException:
                 for _, conn in links.values():
                     conn.close()
@@ -656,30 +635,28 @@ class ProcBackend:
     def _configure(
         self, children: List[_Child], config, obs: bool, deadline: float
     ) -> None:
-        """Send each child this run's ``config`` and confirm its ``ready``."""
-        body = {
-            "config": config.to_dict(),
-            "codec": config.comm_codec,
-            "time_scale": self.time_scale,
-            "compute_scale": self.compute_scale,
-            "obs": bool(obs),
-        }
+        """Send each child this run's :class:`RunConfig` and confirm its
+        :class:`Ready`."""
+        document = config.to_dict()
         for worker, child in enumerate(children):
             child.conn.settimeout(self.startup_timeout)
-            child.conn.send_control(ControlFrame("config", dict(body, worker=worker)).to_doc())
+            child.conn.send_message(
+                RunConfig(
+                    worker, document, config.comm_codec, time_scale=self.time_scale,
+                    compute_scale=self.compute_scale, obs=obs,
+                )
+            )
         procs = {worker: child.proc for worker, child in enumerate(children)}
         for worker, child in enumerate(children):
             self._check_startup(procs, deadline, phase="initialize")
-            doc, _ = child.conn.recv()
-            ready = ControlFrame.from_doc(doc, expect_version=PROTOCOL_VERSION)
-            if ready.kind == "error":
+            ready, _ = child.conn.recv()
+            if isinstance(ready, SetupError):
                 raise RuntimeError(
-                    f"worker child {worker} failed to initialize:\n"
-                    f"{ready.body.get('traceback', '')}"
+                    f"worker child {worker} failed to initialize:\n{ready.traceback}"
                 )
-            if ready.kind != "ready" or ready.body.get("worker") != worker:
+            if not isinstance(ready, Ready) or ready.worker != worker:
                 raise RuntimeError(
-                    f"worker child {worker} broke the handshake: {doc!r}"
+                    f"worker child {worker} broke the handshake: {ready!r}"
                 )
             # the negotiated downlink codec, fresh per run and per
             # connection: topk keeps per-receiver state (decode is stateless)
@@ -690,7 +667,7 @@ class ProcBackend:
     def _reject(conn: FrameConnection, reason: str) -> None:
         """Best-effort reject-with-reason before dropping a bad peer."""
         try:
-            conn.send_control(ControlFrame("reject", {"reason": reason}).to_doc())
+            conn.send_message(Reject(reason))
         except (OSError, WireError):
             pass
         conn.close()

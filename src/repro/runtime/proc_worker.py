@@ -3,12 +3,14 @@
 Run as ``python -m repro.runtime.proc_worker --host H --port P
 --worker-id M`` by :class:`~repro.runtime.proc_backend.ProcBackend` —
 never by hand.  The child connects to the parent and authenticates once,
-with ``hello`` and the token from the ``REPRO_PROC_TOKEN`` environment
-variable (``--worker-id`` names it in that hello only), then serves one
-run per ``config`` frame until the parent closes the link.  Per run it:
+with a :class:`~repro.runtime.messages.Hello` carrying the token from the
+``REPRO_PROC_TOKEN`` environment variable (``--worker-id`` names it in
+that hello only), then serves one run per
+:class:`~repro.runtime.messages.RunConfig` until the parent closes the
+link.  Per run it:
 
 1. takes the run's worker id and :class:`~repro.core.config.
-   TrainingConfig` from ``config`` and rebuilds its replica, loader and
+   TrainingConfig` from the RunConfig and rebuilds its replica, loader and
    timing models from ``(config, worker_id)`` via :class:`~repro.runtime.
    session.WorkerRuntime` — initialization is re-derived from the seed, so
    only weights travel over the wire after this point — with a new Timer
@@ -19,11 +21,11 @@ run per ``config`` frame until the parent closes the link.  Per run it:
    against the parent's server actor, sleeping out emulated uplink
    (``time_scale``) and compute (``compute_scale``) delays locally, until
    :class:`~repro.runtime.messages.Shutdown`;
-3. streams its sidebands — worker 0's BN running statistics under
-   ``bn_mode="local"`` (:class:`~repro.runtime.messages.BnStatsPush`), its
-   trace rows under obs (:class:`~repro.runtime.messages.TracePush`) — then
-   ``done`` with its Timer totals, and waits for the next ``config``,
-   skipping the message frames of the finished run still in flight.
+3. ends the run with one :class:`~repro.runtime.messages.RunEnd`: its
+   Timer totals, worker 0's BN running statistics under
+   ``bn_mode="local"`` and its trace rows under obs; then it waits for the
+   next RunConfig, skipping the message frames of the finished run still
+   in flight.
 
 It exits 0 on parent EOF (an orphaned or released child never lingers),
 nonzero on any failure.
@@ -50,16 +52,20 @@ from repro.obs.recorder import make_recorder
 from repro.runtime.codecs import make_codec
 from repro.runtime.cycle import BlockingDriver
 from repro.runtime.proc_backend import TOKEN_ENV
-from repro.runtime.messages import BnStatsPush, Message, Shutdown, TracePush
+from repro.runtime.messages import (
+    Hello,
+    Message,
+    Ready,
+    Reject,
+    RunConfig,
+    RunEnd,
+    SetupError,
+    Shutdown,
+    Start,
+)
 from repro.runtime.session import WorkerRuntime
 from repro.runtime.transport import Mailbox, link_delay
-from repro.runtime.wire import (
-    PROTOCOL_VERSION,
-    ConnectionClosed,
-    ControlFrame,
-    FrameConnection,
-    WireError,
-)
+from repro.runtime.wire import ConnectionClosed, FrameConnection, ProtocolMismatch, WireError
 
 #: exit code for a config/build failure already reported over the socket
 EXIT_INIT_FAILURE = 2
@@ -103,7 +109,7 @@ class WorkerChannel:
             while True:
                 message, delay = self._conn.recv()
                 if not isinstance(message, Message):
-                    continue  # stray control frame: handshake is over, ignore
+                    continue  # stray handshake frame: the handshake is over, ignore
                 not_before = time.monotonic() + delay if delay > 0 else 0.0
                 self.inbox.put(message, not_before=not_before)
                 if isinstance(message, Shutdown):
@@ -151,46 +157,6 @@ def run_worker(channel: WorkerChannel, runtime: WorkerRuntime, compute_scale: fl
         cycles += 1
 
 
-def _stream_local_bn_stats(conn: FrameConnection, runtime: WorkerRuntime) -> None:
-    """After Shutdown: ship worker 0's BN running statistics to the parent.
-
-    Under ``bn_mode="local"`` evaluation borrows worker 0's running
-    statistics, which live here, in the child.  Streaming them once per
-    run is what lets the proc backend evaluate local-BN configs at
-    all (it used to reject them up front).  A vanished parent just means
-    nobody is evaluating — exit quietly.
-    """
-    if runtime.worker_id != 0 or runtime.config.bn_mode != "local":
-        return
-    layers = bn_layers(runtime.worker.model)
-    if not layers:
-        return
-    stats = tuple(
-        (layer.running_mean.copy(), layer.running_var.copy()) for layer in layers
-    )
-    try:
-        conn.send_message(BnStatsPush(0, stats=stats))
-    except (OSError, WireError):
-        pass
-
-
-def _stream_trace(conn: FrameConnection, worker_id: int, recorder) -> None:
-    """After Shutdown: ship this child's trace rows to the parent.
-
-    An obs child sends exactly one :class:`TracePush` per run — even with
-    zero retained rows — ahead of its ``done`` frame.  Row timestamps are
-    child-clock seconds; only the span durations feed cross-process
-    attribution.  A vanished parent just means nobody is aggregating —
-    exit quietly.
-    """
-    if not recorder.enabled:
-        return
-    try:
-        conn.send_message(TracePush(worker_id, rows=tuple(recorder.rows())))
-    except (OSError, WireError):
-        pass
-
-
 def _crash_after(worker_id: int) -> Optional[int]:
     """Cycle count after which this worker should fake a crash, if any."""
     target = os.environ.get(CRASH_WORKER_ENV)
@@ -199,57 +165,47 @@ def _crash_after(worker_id: int) -> Optional[int]:
     return int(os.environ.get(CRASH_AFTER_ENV, "1"))
 
 
-def serve_run(conn: FrameConnection, body: dict) -> int:
-    """One run, from its ``config`` body to ``done``; 0 or an exit code."""
-    worker_id = body.get("worker")
+def serve_run(conn: FrameConnection, run: RunConfig) -> int:
+    """One run, from its RunConfig to its RunEnd; 0 or an exit code."""
+    worker_id = run.worker
     try:
-        config = TrainingConfig.from_dict(body["config"])
+        config = TrainingConfig.from_dict(run.config)
         runtime = WorkerRuntime.from_config(config, worker_id)
         # the negotiated uplink codec: gradients (and, under fp16,
         # everything else) leave this child already compressed
-        conn.codec = make_codec(body.get("codec", config.comm_codec))
+        conn.codec = make_codec(run.codec)
     except Exception:
         # report the build failure to the parent, then exit nonzero
-        conn.send_control(
-            ControlFrame("error", {"traceback": traceback.format_exc()}).to_doc()
-        )
+        conn.send_message(SetupError(traceback.format_exc()))
         return EXIT_INIT_FAILURE
-    conn.send_control(ControlFrame("ready", {"worker": worker_id}).to_doc())
+    conn.send_message(Ready(worker_id))
 
-    start_doc, _ = conn.recv()
-    start = ControlFrame.from_doc(start_doc, expect_version=PROTOCOL_VERSION)
-    if start.kind != "start":
-        print(f"worker {worker_id}: expected start, got {start_doc!r}", file=sys.stderr)
+    start, _ = conn.recv()
+    if not isinstance(start, Start):
+        print(f"worker {worker_id}: expected Start, got {start!r}", file=sys.stderr)
         return EXIT_INIT_FAILURE
     conn.settimeout(None)
 
-    time_scale = float(body.get("time_scale", 0.0))
-    compute_scale = float(body.get("compute_scale", 0.0))
-    runtime.recorder = recorder = make_recorder(
-        bool(body.get("obs", False)), run_id=f"proc-worker-{worker_id}"
-    )
+    runtime.recorder = recorder = make_recorder(run.obs, run_id=f"proc-worker-{worker_id}")
     channel = WorkerChannel(
         conn,
         worker_id,
-        network=runtime.network if time_scale > 0 else None,
-        time_scale=time_scale,
+        network=runtime.network if run.time_scale > 0 else None,
+        time_scale=run.time_scale,
     )
-    run_worker(channel, runtime, compute_scale)
-    _stream_local_bn_stats(conn, runtime)
-    _stream_trace(conn, worker_id, recorder)
-    conn.send_control(
-        ControlFrame("done", {"worker": worker_id, "timers": runtime.timer.totals()}).to_doc()
+    run_worker(channel, runtime, run.compute_scale)
+    # evaluation under bn_mode="local" borrows worker 0's running
+    # statistics, which live here, in the child
+    bn_stats = ()
+    if worker_id == 0 and config.bn_mode == "local":
+        bn_stats = tuple(
+            (layer.running_mean, layer.running_var)
+            for layer in bn_layers(runtime.worker.model)
+        )
+    conn.send_message(
+        RunEnd(timers=runtime.timer.totals(), bn_stats=bn_stats, rows=tuple(recorder.rows()))
     )
     return 0
-
-
-def _next_control(conn: FrameConnection) -> ControlFrame:
-    """The next control frame; message frames before it belong to the run
-    that just ended (the parent sends its Shutdown twice) and are skipped."""
-    while True:
-        obj, _ = conn.recv()
-        if not isinstance(obj, Message):
-            return ControlFrame.from_doc(obj, expect_version=PROTOCOL_VERSION)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -266,26 +222,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     sock = socket.create_connection((args.host, args.port), timeout=60.0)
     conn = FrameConnection(sock)
     try:
-        conn.send_control(
-            ControlFrame(
-                "hello", {"worker": worker_id, "token": os.environ.get(TOKEN_ENV, "")}
-            ).to_doc()
-        )
+        conn.send_message(Hello(worker_id, os.environ.get(TOKEN_ENV, "")))
         while True:
-            frame = _next_control(conn)
-            if frame.kind == "reject":
+            frame, _ = conn.recv()
+            if isinstance(frame, Message):
+                continue  # the run that just ended (the parent sends Shutdown twice)
+            if isinstance(frame, Reject):
                 print(
-                    f"worker {worker_id}: parent rejected the handshake: "
-                    f"{frame.body.get('reason', '')}",
+                    f"worker {worker_id}: parent rejected the handshake: {frame.reason}",
                     file=sys.stderr,
                 )
                 return EXIT_INIT_FAILURE
-            if frame.kind != "config" or "config" not in frame.body:
-                print(f"worker {worker_id}: bad config frame {frame!r}", file=sys.stderr)
+            if not isinstance(frame, RunConfig):
+                print(f"worker {worker_id}: expected RunConfig, got {frame!r}", file=sys.stderr)
                 return EXIT_INIT_FAILURE
-            code = serve_run(conn, frame.body)
+            code = serve_run(conn, frame)
             if code:
                 return code
+    except ProtocolMismatch as exc:
+        print(f"worker {worker_id}: {exc}", file=sys.stderr)
+        return EXIT_INIT_FAILURE
     except (ConnectionClosed, BrokenPipeError, ConnectionResetError):
         # the parent let go (exit, crash, SIGKILL): exit quietly, never linger
         return 0

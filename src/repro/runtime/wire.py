@@ -1,10 +1,10 @@
-"""Wire layer for the process backend: zero-copy framing + the derived codec.
+"""Wire layer for proc workers and fleet agents: zero-copy framing + the derived codec.
 
-Every frame on a worker socket is::
+Every frame on a socket is::
 
     [u32 frame length][u32 header length][header JSON][array part buffers]
 
-The header is a small JSON document carrying the message kind (its class
+The header is a small JSON document carrying the frame's kind (its class
 name), its fields, an optional delivery ``delay`` (the emulated downlink
 occupancy the receiver sleeps out — the :class:`~repro.runtime.transport.
 Mailbox` contract), the sender's *logical* byte count (``nbytes`` — what
@@ -13,13 +13,16 @@ self-describing codec entry per array payload (:mod:`repro.runtime.codecs`).
 Array data travels as raw buffers appended after the header in entry
 order; nothing is ever pickled.
 
-The codec is derived from the :mod:`repro.runtime.messages` dataclasses,
-so adding a message means adding a dataclass; there is no per-kind encoder.
-A message's fields travel as a JSON list in :func:`dataclasses.fields`
-order (so field order is part of the protocol), each written by its
-annotation:
+The codec is derived from the :mod:`repro.runtime.messages` dataclasses
+(every :class:`~repro.runtime.messages.Frame` subclass but the
+:class:`~repro.runtime.messages.Message` base), so adding a frame means
+adding a dataclass; there is no per-kind encoder.  A frame's fields travel
+as a JSON list in :func:`dataclasses.fields` order (so field order is part
+of the protocol), each written by its annotation:
 
-* ``int``/``float`` scalars and ``None`` ride the header as they are;
+* ``int``/``float`` scalars and ``None`` ride the header as they are, and
+  so do ``str``, ``bool``, ``list`` and ``dict`` values (JSON documents,
+  made JSON-able by the sender and checked only for their own type);
 * each ``np.ndarray`` becomes the index ``i`` of its codec entry.  Its
   role is ``grad`` for a field named ``grad``, ``weights`` for one named
   ``weights`` and BN statistics otherwise, so ``topk`` sparsifies
@@ -30,7 +33,7 @@ annotation:
   :class:`~repro.core.state.GradientPayload`, :class:`~repro.core.state.
   CompensationReply`) becomes ``{name: [...fields]}``.
 
-Decoding is strict.  It accepts only the message class names and, in each
+Decoding is strict.  It accepts only the frame class names and, in each
 payload slot, only the dataclass the annotation names; it refuses extra
 fields and missing required ones, and checks every value against its
 field's annotation.  Anything malformed raises :class:`WireError`, never another
@@ -49,19 +52,16 @@ The data plane is zero-copy in both directions:
   codec does not already own, so a decoded message never aliases the
   receive buffer.
 
-Two frame flavors share the transport:
-
-* **message frames** — one :mod:`repro.runtime.messages` envelope each;
-  :func:`encode_message` / :func:`decode` are exact inverses for every
-  type (``tests/runtime/test_wire.py`` round-trips each one and fuzzes
-  the decoder).
-* **control frames** — :class:`ControlFrame` documents for handshakes
-  (proc hello/config/ready/start/error and the fleet protocol both ride
-  this one typed helper); :func:`decode` returns the doc dict itself.
+There is one frame flavor: the cycle's messages, the proc handshake and
+run-end report, and the fleet's campaign frames all ride this codec, and
+:func:`encode_message` / :func:`decode` are exact inverses for every type
+(``tests/runtime/test_wire.py`` round-trips each one and fuzzes the
+decoder).
 
 Version negotiation: the header carries ``v`` and :func:`decode` runs the
-single :func:`check_protocol_version` path, so an older peer is rejected
-with a reason on its first frame rather than failing opaquely mid-run.
+single :func:`check_protocol_version` path, so an older peer — proc child
+or fleet agent alike — is rejected with a reason on its first frame
+rather than failing opaquely mid-run.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ import json
 import socket
 import struct
 import typing
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -86,13 +86,15 @@ from repro.runtime.codecs import (
     decode_array,
     entry_nbytes,
 )
-from repro.runtime.messages import Message
+from repro.runtime.messages import Frame, Message
 
 #: bumped whenever the header schema or codec tables change incompatibly;
 #: v2 = codec-entry array metadata + logical ``nbytes`` in the header;
 #: v3 = fields derived structurally from the message dataclasses;
-#: v4 = ``WeightExchange.step`` and ``GossipReport.local_step`` dropped
-PROTOCOL_VERSION = 4
+#: v4 = ``WeightExchange.step`` and ``GossipReport.local_step`` dropped;
+#: v5 = the proc handshake, the run-end report and the fleet frames are
+#: typed frames too (no control documents, no separate fleet version)
+PROTOCOL_VERSION = 5
 
 #: refuse frames beyond this size — enforced on *both* ends: a corrupt
 #: length prefix must not trigger a gigabyte allocation, and an oversized
@@ -114,55 +116,10 @@ class ProtocolMismatch(WireError):
     """The peer speaks a different protocol version (reject with reason)."""
 
 
-def check_protocol_version(
-    got: Any, want: int, label: str = "wire", error: type = ProtocolMismatch
-) -> None:
-    """The one version gate every protocol layer routes through."""
+def check_protocol_version(got: Any, want: int) -> None:
+    """The one version gate: every frame's header goes through it."""
     if got != want:
-        raise error(f"{label} protocol mismatch: peer speaks v{got}, we speak v{want}")
-
-
-# ---------------------------------------------------------------------- #
-# typed control frames (proc handshake + fleet protocol share this shape)
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ControlFrame:
-    """One typed handshake/control document: ``kind`` + ``body`` + version.
-
-    ``v`` defaults to the wire protocol version at serialization time;
-    higher-level protocols with their own versioning (fleet) pass theirs
-    explicitly.  ``to_doc``/``from_doc`` are exact JSON-able inverses.
-    """
-
-    kind: str
-    body: Dict[str, Any] = field(default_factory=dict)
-    v: Optional[int] = None
-
-    def to_doc(self) -> Dict[str, Any]:
-        version = PROTOCOL_VERSION if self.v is None else int(self.v)
-        return {"ctl": self.kind, "cv": version, "body": dict(self.body)}
-
-    @classmethod
-    def from_doc(
-        cls,
-        doc: Any,
-        expect_version: Optional[int] = None,
-        label: str = "control",
-        error: type = WireError,
-    ) -> "ControlFrame":
-        if not isinstance(doc, dict) or "ctl" not in doc:
-            raise error(f"not a {label} frame: {doc!r}")
-        if expect_version is not None:
-            # skew gets the dedicated subclass so handshakes can reject
-            # with a reason instead of treating the peer as garbage
-            mismatch = ProtocolMismatch if error is WireError else error
-            check_protocol_version(doc.get("cv"), expect_version, label, mismatch)
-        body = doc.get("body")
-        if body is None:
-            body = {}
-        if not isinstance(body, dict):
-            raise error(f"{label} frame body must be a dict, got {type(body).__name__}")
-        return cls(str(doc["ctl"]), dict(body), v=doc.get("cv"))
+        raise ProtocolMismatch(f"protocol mismatch: peer speaks v{got}, we speak v{want}")
 
 
 # ---------------------------------------------------------------------- #
@@ -205,8 +162,10 @@ def _field_codec(annotation: Any, role: str) -> Tuple[Callable, Callable]:
         return (lambda value, arrays: int(value)), _dec_int
     if annotation is float:
         return (lambda value, arrays: float(value)), _dec_float
-    if annotation is list:  # JSON scalars (trace rows)
-        return (lambda value, arrays: list(value)), (lambda node, *_: _expect(list, node))
+    if annotation in (str, bool, list, dict):  # JSON leaves: documents, trace rows
+        return (lambda value, arrays: annotation(value)), (
+            lambda node, *_: _expect(annotation, node)
+        )
     if annotation is np.ndarray:
 
         def enc_array(value, arrays):
@@ -290,16 +249,24 @@ class _Spec:
             raise WireError(f"invalid {self.name}: {exc}")
 
 
-#: every message, by kind (its class name)
-_MESSAGES = {cls.__name__: _Spec(cls) for cls in Message.__subclasses__()}
-_BY_CLASS = {spec.cls: spec for spec in _MESSAGES.values()}
+def _frame_classes(base: type = Frame) -> List[type]:
+    """Every concrete frame class: each subclass of ``base`` but Message."""
+    found = []
+    for cls in base.__subclasses__():
+        found += ([] if cls is Message else [cls]) + _frame_classes(cls)
+    return found
+
+
+#: every frame, by kind (its class name)
+_FRAMES = {cls.__name__: _Spec(cls) for cls in _frame_classes()}
+_BY_CLASS = {spec.cls: spec for spec in _FRAMES.values()}
 
 
 # ---------------------------------------------------------------------- #
 # frame encode/decode
 # ---------------------------------------------------------------------- #
-def _message_parts(message: Message, codec: Optional[GradientCodec]):
-    """(kind, fields, entries, buffers) for one envelope."""
+def _message_parts(message: Frame, codec: Optional[GradientCodec]):
+    """(kind, fields, entries, buffers) for one frame."""
     spec = _BY_CLASS.get(type(message))
     if spec is None:
         raise WireError(f"no wire codec for {type(message).__name__}")
@@ -316,12 +283,12 @@ def _message_parts(message: Message, codec: Optional[GradientCodec]):
 
 
 def encode_message_into(
-    message: Message,
+    message: Frame,
     delay: float = 0.0,
     nbytes: int = 0,
     codec: Optional[GradientCodec] = None,
 ) -> Tuple[bytes, List[np.ndarray]]:
-    """Serialize one envelope without joining the payload.
+    """Serialize one frame without joining the payload.
 
     Returns ``(prefix, buffers)``: the prefix is the header-length word
     plus the header JSON; the buffers are the codec's contiguous arrays,
@@ -336,7 +303,7 @@ def encode_message_into(
 
 
 def encode_message(
-    message: Message,
+    message: Frame,
     delay: float = 0.0,
     nbytes: int = 0,
     codec: Optional[GradientCodec] = None,
@@ -345,15 +312,6 @@ def encode_message(
     transports without vectored sends)."""
     prefix, buffers = encode_message_into(message, delay=delay, nbytes=nbytes, codec=codec)
     return b"".join([prefix] + [memoryview(b).cast("B") for b in buffers])
-
-
-def encode_control(doc: Dict[str, Any]) -> bytes:
-    """Serialize a control document (a :class:`ControlFrame` doc or any
-    plain JSON dict)."""
-    header = {"v": PROTOCOL_VERSION, "kind": "control", "delay": 0.0,
-              "fields": doc, "arrays": []}
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return _LEN.pack(len(header_bytes)) + header_bytes
 
 
 def _decode_arrays(
@@ -392,14 +350,13 @@ def _decode_arrays(
 
 def decode_frame(
     payload: Union[bytes, bytearray, memoryview], copy: bool = True
-) -> Tuple[Union[Message, Dict[str, Any]], float, int]:
-    """Inverse of :func:`encode_message` / :func:`encode_control`.
+) -> Tuple[Frame, float, int]:
+    """Inverse of :func:`encode_message`: ``(frame, delay, logical_nbytes)``.
 
-    Returns ``(message, delay, logical_nbytes)`` for message frames and
-    ``(doc, 0.0, 0)`` for control frames.  With ``copy=False`` array data
-    is read straight out of ``payload`` with no intermediate copy; every
-    array a message retains is still owned, so decoded messages never
-    alias the buffer.  Any malformed frame raises :class:`WireError`.
+    With ``copy=False`` array data is read straight out of ``payload`` with
+    no intermediate copy; every array a frame retains is still owned, so
+    decoded frames never alias the buffer.  Any malformed frame raises
+    :class:`WireError`.
     """
     view = memoryview(payload)
     if view.nbytes < _LEN.size:
@@ -415,14 +372,9 @@ def decode_frame(
         raise WireError(f"frame header must be an object, got {type(header).__name__}")
     check_protocol_version(header.get("v"), PROTOCOL_VERSION)
     kind = header.get("kind")
-    if kind == "control":
-        doc = header.get("fields", {})
-        if type(doc) is not dict:
-            raise WireError(f"control frame fields must be an object, got {doc!r}")
-        return dict(doc), 0.0, 0
-    spec = _MESSAGES.get(kind) if type(kind) is str else None
+    spec = _FRAMES.get(kind) if type(kind) is str else None
     if spec is None:
-        raise WireError(f"unknown message kind {kind!r}")
+        raise WireError(f"unknown frame kind {kind!r}")
     delay = _dec_float(header.get("delay", 0.0))
     nbytes = _dec_int(header.get("nbytes", 0))
     arrays, owned = _decode_arrays(
@@ -433,8 +385,8 @@ def decode_frame(
 
 def decode(
     payload: Union[bytes, bytearray, memoryview], copy: bool = True
-) -> Tuple[Union[Message, Dict[str, Any]], float]:
-    """:func:`decode_frame` without the byte accounting: ``(obj, delay)``."""
+) -> Tuple[Frame, float]:
+    """:func:`decode_frame` without the byte accounting: ``(frame, delay)``."""
     obj, delay, _ = decode_frame(payload, copy=copy)
     return obj, delay
 
@@ -461,7 +413,7 @@ def codec_roundtrip_message(
         # logical accounting charges float32 per element; swap that for
         # the encoded footprint to get what a socket would carry
         wire_nbytes += entry_nbytes(entry) - 4 * codecs_mod._shape_size(entry["shape"])
-    decoded = _MESSAGES[kind].decode(fields, arrays, [True] * len(arrays))
+    decoded = _FRAMES[kind].decode(fields, arrays, [True] * len(arrays))
     return decoded, max(0, wire_nbytes)
 
 
@@ -525,16 +477,13 @@ class FrameConnection:
         return self.send_parts([payload])
 
     def send_message(
-        self, message: Message, delay: float = 0.0, nbytes: int = 0
+        self, message: Frame, delay: float = 0.0, nbytes: int = 0
     ) -> int:
         """Encode with this connection's codec and send; returns wire bytes."""
         prefix, buffers = encode_message_into(
             message, delay=delay, nbytes=nbytes, codec=self.codec
         )
         return self.send_parts([prefix] + buffers)
-
-    def send_control(self, doc: Dict[str, Any]) -> int:
-        return self.send_frame(encode_control(doc))
 
     # -------------------------------------------------------------- #
     def _recv_exact_into(self, buf: Union[bytearray, memoryview], n: int) -> None:
@@ -559,17 +508,17 @@ class FrameConnection:
         view = memoryview(self._recv_buf)[:length]
         return view.toreadonly() if hasattr(view, "toreadonly") else view
 
-    def recv(self) -> Tuple[Union[Message, Dict[str, Any]], float]:
-        """Read and decode the next frame: ``(message_or_doc, delay)``."""
+    def recv(self) -> Tuple[Frame, float]:
+        """Read and decode the next frame: ``(frame, delay)``."""
         obj, delay, _, _ = self.recv_info()
         return obj, delay
 
     def recv_info(
         self,
-    ) -> Tuple[Union[Message, Dict[str, Any]], float, int, int]:
+    ) -> Tuple[Frame, float, int, int]:
         """Read and decode one frame with its byte accounting.
 
-        Returns ``(message_or_doc, delay, logical_nbytes, wire_nbytes)``
+        Returns ``(frame, delay, logical_nbytes, wire_nbytes)``
         where ``wire_nbytes`` is what actually crossed the socket
         (length prefix included).
         """

@@ -56,8 +56,8 @@ def unflatten_arrays(flat: np.ndarray, spec: ShapeSpec) -> List[np.ndarray]:
 def to_jsonable(value: Any) -> Any:
     """Recursively convert numpy scalars/arrays so a doc survives ``json.dumps``.
 
-    The one numpy-to-JSON walk: fleet control frames are encoded with a
-    strict ``json.dumps``, and result-store records are written from its
+    The one numpy-to-JSON walk: the documents fleet frames carry are
+    encoded with a strict ``json.dumps``, and result-store records are written from its
     output, yet ``RunResult.to_dict`` may carry numpy staleness statistics.
     """
     if isinstance(value, np.generic):

@@ -2,7 +2,7 @@
 
 The self-check is the tier-1 gate the ISSUE asks for: ``repro lint`` must
 be clean over ``src/repro`` modulo the committed baseline.  The mutation
-tests then prove the gate has teeth — a proc handshake kind that nobody
+tests then prove the gate has teeth — a proc frame class that nobody
 examines, or a reintroduced unseeded ``default_rng()``, must produce a finding.
 """
 
@@ -45,13 +45,13 @@ def package_copy(tmp_path):
 def test_dropping_a_handshake_kind_examination_is_caught(package_copy):
     backend = package_copy / "runtime" / "proc_backend.py"
     text = backend.read_text()
-    target = 'if end.kind != "done":'
-    assert target in text, "mutation target moved; update this test"
-    backend.write_text(text.replace(target, "if end is None:"))
+    target = "if isinstance(message, RunEnd):"
+    assert text.count(target) == 1, "mutation target moved; update this test"
+    backend.write_text(text.replace(target, "if message is None:"))
 
     findings = run_passes(package_copy, rules=["wire"])
     assert any(
-        "'done'" in f.message and f.path == "runtime/proc_worker.py" for f in findings
+        "frame RunEnd " in f.message and f.path == "runtime/proc_worker.py" for f in findings
     ), [str(f) for f in findings]
     # findings carry a real path:line location
     assert all(f.line >= 1 for f in findings)

@@ -1,71 +1,62 @@
-"""wire-completeness pass on synthetic handshake/protocol fixtures."""
+"""wire-completeness pass on synthetic endpoint fixtures."""
 
 from __future__ import annotations
 
 from repro.analysis import run_passes
 
-
-def test_fleet_kind_built_but_not_parseable(make_fixture_tree):
-    root = make_fixture_tree(
-        {
-            "fleet/protocol.py": """\
-            _FRAME_KINDS = {"hello": (), "welcome": ()}
+MESSAGES = """\
+from dataclasses import dataclass
 
 
-            def _frame(kind, **fields):
-                return {"kind": kind, **fields}
+@dataclass(frozen=True)
+class Frame:
+    pass
 
 
-            def hello_frame():
-                return _frame("hello")
+@dataclass(frozen=True)
+class Message(Frame):
+    worker: int
 
 
-            def welcome_frame():
-                return _frame("welcome")
+@dataclass(frozen=True)
+class PullRequest(Message):
+    pass
 
 
-            def rogue_frame():
-                return _frame("rogue")
-            """
-        }
-    )
-    findings = run_passes(root, rules=["wire"])
-    assert len(findings) == 1
-    assert "'rogue'" in findings[0].message and "missing from" in findings[0].message
+@dataclass(frozen=True)
+class Hello(Frame):
+    worker: int
 
 
-def test_fleet_kind_parseable_but_never_built(make_fixture_tree):
-    root = make_fixture_tree(
-        {
-            "fleet/protocol.py": """\
-            _FRAME_KINDS = {"hello": (), "zombie": ()}
+@dataclass(frozen=True)
+class Surprise(Frame):
+    pass
 
 
-            def _frame(kind, **fields):
-                return {"kind": kind, **fields}
+@dataclass(frozen=True)
+class Welcome(Frame):
+    slots: int
 
 
-            def hello_frame():
-                return _frame("hello")
-            """
-        }
-    )
-    findings = run_passes(root, rules=["wire"])
-    assert len(findings) == 1
-    assert "'zombie'" in findings[0].message and "no builder" in findings[0].message
+@dataclass(frozen=True)
+class Heartbeat(Frame):
+    n: int
+"""
 
 
 def test_proc_handshake_kind_sent_but_never_examined(make_fixture_tree):
     root = make_fixture_tree(
         {
+            "runtime/messages.py": MESSAGES,
             "runtime/proc_worker.py": """\
             def handshake(conn):
-                conn.send_control(ControlFrame("hello", {}))
-                conn.send_control(ControlFrame("surprise", {}))
+                conn.send_message(Hello(0))
+                conn.send_message(Surprise())
+                conn.send_message(PullRequest(0))  # a Message: the cycle's, not the pass's
             """,
             "runtime/proc_backend.py": """\
             def accept(frame):
-                if frame.kind == "hello":
+                if isinstance(frame, Hello):
                     return True
                 return False
             """,
@@ -74,4 +65,37 @@ def test_proc_handshake_kind_sent_but_never_examined(make_fixture_tree):
     findings = run_passes(root, rules=["wire"])
     assert len(findings) == 1
     assert findings[0].path == "runtime/proc_worker.py"
-    assert "'surprise'" in findings[0].message
+    assert findings[0].line == 3
+    assert "Surprise" in findings[0].message
+    assert "runtime/proc_backend.py" in findings[0].message
+
+
+def test_fleet_frame_built_by_the_agent_but_never_examined(make_fixture_tree):
+    root = make_fixture_tree(
+        {
+            "runtime/messages.py": MESSAGES,
+            "fleet/agent.py": """\
+            from repro.runtime import messages
+
+
+            def serve(conn, frame):
+                if type(frame) is Heartbeat:
+                    return
+                conn.send_message(messages.Welcome(2))
+                conn.send_message(Heartbeat(1))
+            """,
+            "fleet/scheduler.py": """\
+            def pulse(conn):
+                conn.send_message(Heartbeat(1))
+
+
+            def on_frame(frame):
+                return isinstance(frame, (Heartbeat, Hello))
+            """,
+        }
+    )
+    findings = run_passes(root, rules=["wire"])
+    assert len(findings) == 1
+    assert findings[0].path == "fleet/agent.py"
+    assert "Welcome" in findings[0].message
+    assert "fleet/scheduler.py" in findings[0].message

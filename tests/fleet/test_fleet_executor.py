@@ -11,7 +11,9 @@ import pytest
 from repro.core import TrainingConfig
 from repro.experiments import Campaign, CampaignEvents, Grid, ResultStore, Sweep
 from repro.experiments.spec import ExperimentSpec
-from repro.fleet import FleetAgent, FleetError, FleetExecutor, protocol
+from repro.fleet import FleetAgent, FleetError, FleetExecutor
+from repro.runtime import wire
+from repro.runtime.messages import FleetHello, Job, JobResult, Welcome
 from repro.runtime.wire import FrameConnection
 
 
@@ -158,34 +160,50 @@ def test_unreachable_agent_is_skipped_but_all_unreachable_raises(agents):
         Campaign(specs, executor=lonely).run()
 
 
-def test_undecodable_result_faults_the_agent_not_the_campaign(agents):
-    """A skewed agent whose result frame passes structural checks but whose
-    payload won't rehydrate must be marked dead (its cell requeued onto a
-    healthy agent), not crash the campaign with a raw KeyError."""
+def _send_raw(conn, kind, fields):
+    """Send a frame with hand-written fields, as a skewed peer would."""
+    header = json.dumps(
+        {"v": wire.PROTOCOL_VERSION, "kind": kind, "delay": 0.0, "nbytes": 0,
+         "fields": fields, "arrays": []}
+    ).encode("utf-8")
+    conn.send_frame(wire._LEN.pack(len(header)) + header)
 
-    def fake_agent(listener):
+
+def _serve_fake_agent(listener, on_job=None, slots=1):
+    """Accept one scheduler, welcome it with ``slots`` (any JSON value) and
+    answer every Job with ``on_job(conn, job)``; returns an Event set on
+    the link's EOF."""
+    closed = threading.Event()
+
+    def serve():
         sock, _ = listener.accept()
         conn = FrameConnection(sock)
         try:
             conn.recv()  # hello
-            conn.send_control(protocol.welcome_frame(1, "skewed"))
+            _send_raw(conn, "Welcome", [slots, "skewed"])
             while True:
-                kind, doc = protocol.parse_frame(conn.recv()[0])
-                if kind == "job":
-                    conn.send_control(
-                        {
-                            "ctl": "result",
-                            "cv": protocol.FLEET_VERSION,
-                            "body": {"id": doc["id"], "result": {"bogus": 1}},
-                        }
-                    )
+                frame = conn.recv()[0]
+                if on_job is not None and isinstance(frame, Job):
+                    on_job(conn, frame)
         except Exception:
-            pass
+            closed.set()
         finally:
             conn.close()
 
+    threading.Thread(target=serve, daemon=True).start()
+    return closed
+
+
+def test_undecodable_result_faults_the_agent_not_the_campaign(agents):
+    """A skewed agent whose result frame decodes but whose payload won't
+    rehydrate must be marked dead (its cell requeued onto a healthy agent),
+    not crash the campaign with a raw KeyError."""
+
+    def bogus_result(conn, job):
+        conn.send_message(JobResult(job.id, {"bogus": 1}))
+
     listener = socket.create_server(("127.0.0.1", 0))
-    threading.Thread(target=fake_agent, args=(listener,), daemon=True).start()
+    _serve_fake_agent(listener, on_job=bogus_result)
     try:
         events = RecordingEvents()
         specs = Grid(seed=[0]).specs(spirals_factory)
@@ -195,33 +213,6 @@ def test_undecodable_result_faults_the_agent_not_the_campaign(agents):
         assert any("undecodable result" in note for note in events.notes)
     finally:
         listener.close()
-
-
-def _serve_fake_agent(listener, on_job=None, slots=1):
-    """Accept one scheduler, welcome it with ``slots`` and answer every job
-    frame with ``on_job(conn, doc)``; returns an Event set on the link's EOF."""
-    closed = threading.Event()
-
-    def serve():
-        sock, _ = listener.accept()
-        conn = FrameConnection(sock)
-        try:
-            conn.recv()  # hello
-            conn.send_control(
-                {"ctl": "welcome", "cv": protocol.FLEET_VERSION,
-                 "body": {"slots": slots, "agent": "skewed"}}
-            )
-            while True:
-                doc = conn.recv()[0]
-                if on_job is not None and doc.get("ctl") == "job":
-                    on_job(conn, doc["body"])
-        except Exception:
-            closed.set()
-        finally:
-            conn.close()
-
-    threading.Thread(target=serve, daemon=True).start()
-    return closed
 
 
 @pytest.mark.parametrize("slots", ["two", [2]], ids=["str", "list"])
@@ -248,9 +239,7 @@ def test_non_integer_heartbeat_marks_the_agent_dead(agents):
     not an int must fault that agent (its cell requeued), not the campaign."""
 
     def bad_heartbeat(conn, job):
-        conn.send_control(
-            {"ctl": "heartbeat", "cv": protocol.FLEET_VERSION, "body": {"n": "x"}}
-        )
+        _send_raw(conn, "Heartbeat", ["x"])
 
     listener = socket.create_server(("127.0.0.1", 0))
     _serve_fake_agent(listener, on_job=bad_heartbeat)
@@ -287,9 +276,8 @@ def test_second_scheduler_is_turned_away_busy():
     agent = FleetAgent(port=0, slots=1).start()
     try:
         first = FrameConnection(socket.create_connection(agent.address, timeout=5.0))
-        first.send_control(protocol.hello_frame())
-        kind, _ = protocol.parse_frame(first.recv()[0])
-        assert kind == "welcome"
+        first.send_message(FleetHello())
+        assert isinstance(first.recv()[0], Welcome)
 
         with pytest.raises(FleetError, match="busy"):
             from repro.fleet.scheduler import AgentLink
@@ -301,13 +289,13 @@ def test_second_scheduler_is_turned_away_busy():
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
             second = FrameConnection(socket.create_connection(agent.address, timeout=5.0))
-            second.send_control(protocol.hello_frame())
-            kind, _ = protocol.parse_frame(second.recv()[0])
+            second.send_message(FleetHello())
+            answer = second.recv()[0]
             second.close()
-            if kind == "welcome":
+            if isinstance(answer, Welcome):
                 break
             time.sleep(0.05)
-        assert kind == "welcome"
+        assert isinstance(answer, Welcome)
     finally:
         agent.close()
 
@@ -322,17 +310,17 @@ def test_silent_connection_cannot_wedge_the_agent():
         # the lurker holds the session slot without ever speaking; a real
         # scheduler must get a welcome once the agent gives up on it
         deadline = time.monotonic() + 10.0
-        kind = None
+        answer = None
         while time.monotonic() < deadline:
             probe = FrameConnection(socket.create_connection(agent.address, timeout=5.0))
-            probe.send_control(protocol.hello_frame())
-            kind, _ = protocol.parse_frame(probe.recv()[0])
+            probe.send_message(FleetHello())
+            answer = probe.recv()[0]
             probe.close()
-            if kind == "welcome":
+            if isinstance(answer, Welcome):
                 break
             time.sleep(0.1)
         lurker.close()
-        assert kind == "welcome"
+        assert isinstance(answer, Welcome)
     finally:
         agent.close()
 

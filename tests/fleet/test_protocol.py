@@ -1,4 +1,6 @@
-"""Fleet frame vocabulary: builders, parser, spec/result round trips."""
+"""Fleet frames on the derived codec: round trips, strict decoding, spec/result rebuilds."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +9,17 @@ from repro.core import TrainingConfig
 from repro.core.metrics import CurvePoint, RunResult
 from repro.experiments.spec import ExperimentSpec
 from repro.fleet import protocol
-from repro.fleet.protocol import FleetProtocolError
+from repro.runtime import wire
+from repro.runtime.messages import (
+    FleetHello,
+    Job,
+    JobCurvePoint,
+    JobError,
+    JobResult,
+    Welcome,
+)
+from repro.runtime.wire import ProtocolMismatch, WireError, decode, encode_message
+from repro.utils.serialization import to_jsonable
 
 
 def make_spec(**overrides):
@@ -31,80 +43,87 @@ def make_result():
     )
 
 
+def roundtrip(frame):
+    return decode(encode_message(frame))[0]
+
+
+def raw(header):
+    """A frame with a hand-written header, as a skewed peer would send it."""
+    body = json.dumps(header).encode("utf-8")
+    return wire._LEN.pack(len(body)) + body
+
+
+def header(kind, fields, v=None):
+    v = wire.PROTOCOL_VERSION if v is None else v
+    return {"v": v, "kind": kind, "delay": 0.0, "nbytes": 0, "fields": fields, "arrays": []}
+
+
 class TestFrames:
     def test_hello_welcome_roundtrip(self):
-        kind, doc = protocol.parse_frame(protocol.hello_frame())
-        assert kind == "hello"
-        kind, doc = protocol.parse_frame(protocol.welcome_frame(4, "h:1"))
-        assert kind == "welcome" and doc["slots"] == 4
+        assert roundtrip(FleetHello()) == FleetHello()
+        welcome = roundtrip(Welcome(4, "h:1"))
+        assert welcome == Welcome(4, "h:1") and welcome.slots == 4
 
     def test_version_mismatch_rejected(self):
-        bad = protocol.hello_frame()
-        bad["cv"] = protocol.FLEET_VERSION + 1
-        with pytest.raises(FleetProtocolError, match="protocol mismatch"):
-            protocol.parse_frame(bad)
+        with pytest.raises(ProtocolMismatch, match="protocol mismatch"):
+            decode(raw(header("FleetHello", [], v=wire.PROTOCOL_VERSION + 1)))
 
     def test_v1_frame_rejected(self):
-        # the pre-ControlFrame schema: flat keys, "fleet" kind, v=1
-        with pytest.raises(FleetProtocolError, match="not a fleet frame"):
-            protocol.parse_frame({"fleet": "hello", "v": 1})
+        # the first fleet schema: flat keys, "fleet" kind, v=1
+        with pytest.raises(ProtocolMismatch, match="peer speaks v1"):
+            decode(raw(header("control", {"fleet": "hello", "v": 1}, v=1)))
 
     def test_welcome_without_slots_rejected(self):
-        with pytest.raises(FleetProtocolError, match="slots"):
-            protocol.parse_frame(
-                {"ctl": "welcome", "cv": protocol.FLEET_VERSION, "body": {"slots": 0}}
-            )
+        with pytest.raises(ValueError, match="slots"):
+            Welcome(0, "h:1")
+        for slots in (0, "two", [2], 2.0, True):
+            with pytest.raises(WireError):
+                decode(raw(header("Welcome", [slots, "h:1"])))
 
     def test_junk_rejected(self):
-        with pytest.raises(FleetProtocolError):
-            protocol.parse_frame({"hello": 0})  # a proc handshake doc, not fleet
-        with pytest.raises(FleetProtocolError, match="unknown fleet frame"):
-            protocol.parse_frame({"ctl": "launch_missiles", "cv": protocol.FLEET_VERSION})
-        with pytest.raises(FleetProtocolError, match="without 'id'"):
-            protocol.parse_frame(
-                {"ctl": "result", "cv": protocol.FLEET_VERSION, "body": {"result": {}}}
-            )
+        with pytest.raises(WireError, match="unknown frame kind"):
+            decode(raw(header("launch_missiles", [])))
+        with pytest.raises(WireError, match="unknown frame kind"):
+            decode(raw(header("control", {"ctl": "hello", "cv": 2, "body": {}})))
+        with pytest.raises(WireError, match="JobResult takes 2 to 2 fields"):
+            decode(raw(header("JobResult", [{}])))  # no job id
+        with pytest.raises(WireError, match="expected str"):
+            decode(raw(header("JobResult", [3, {}])))
+        with pytest.raises(WireError, match="expected dict"):
+            decode(raw(header("Job", ["1", "spec"])))
 
     def test_job_spec_roundtrip_preserves_key_and_tags(self):
         spec = make_spec(seed=11)
-        kind, doc = protocol.parse_frame(protocol.job_frame("7", spec))
-        assert kind == "job"
-        rebuilt = protocol.decode_spec(doc)
+        job = roundtrip(Job("7", to_jsonable(spec.to_dict())))
+        assert job.id == "7" and job.obs is False
+        rebuilt = ExperimentSpec.from_dict(job.spec)
         assert rebuilt.key() == spec.key()
         assert rebuilt.tags == spec.tags
         # canonical (JSON) form matches even where tuples became lists
         assert rebuilt.config.to_dict() == spec.config.to_dict()
 
     def test_spec_key_mismatch_refused(self):
-        doc = protocol.job_frame("1", make_spec())["body"]["spec"]
+        doc = roundtrip(Job("1", to_jsonable(make_spec().to_dict()))).spec
         doc["key"] = "0" * 16  # a skewed sender lying about identity
         with pytest.raises(ValueError, match="key mismatch"):
             ExperimentSpec.from_dict(doc)
 
     def test_result_roundtrip_through_json(self):
-        import json
-
         result = make_result()
-        frame = protocol.result_frame("3", result)
-        payload = json.loads(json.dumps(frame))  # the wire is strict JSON
-        kind, doc = protocol.parse_frame(payload)
-        rebuilt = protocol.decode_result(doc)
+        frame = roundtrip(JobResult("3", to_jsonable(result.to_dict())))
+        rebuilt = RunResult.from_dict(frame.result)
         assert rebuilt.final_test_error == result.final_test_error
         assert rebuilt.staleness == {"mean": 1.5}
         assert rebuilt.total_updates == 8
 
     def test_curve_point_frame(self):
         point = CurvePoint(2, 1.0, 0.3, 0.8, 0.35, 0.9)
-        kind, doc = protocol.parse_frame(protocol.curve_point_frame("5", point))
-        assert kind == "curve_point"
-        assert CurvePoint.from_dict(doc["point"]) == point
+        frame = roundtrip(JobCurvePoint("5", to_jsonable(point.to_dict())))
+        assert CurvePoint.from_dict(frame.point) == point
 
     def test_job_error_frame(self):
-        kind, doc = protocol.parse_frame(
-            protocol.job_error_frame("2", "ValueError('boom')", "tb...")
-        )
-        assert kind == "job_error"
-        assert "boom" in doc["error"]
+        frame = roundtrip(JobError("2", "ValueError('boom')", "tb..."))
+        assert "boom" in frame.error and frame.traceback == "tb..."
 
 
 class TestAgentAddrs:

@@ -141,11 +141,11 @@ def test_protocol_version_skew_rejected_with_reason(monkeypatch):
     """A parent speaking a different protocol version must fail the run
     fast with both versions named, not hang until the handshake times out:
     the children are real current-version processes, the patched parent
-    expects v1."""
-    from repro.runtime import proc_backend
+    speaks v1 (a new spawn signature, so no idle child is reused)."""
+    from repro.runtime import wire
     from repro.runtime.wire import PROTOCOL_VERSION
 
-    monkeypatch.setattr(proc_backend, "PROTOCOL_VERSION", 1)
+    monkeypatch.setattr(wire, "PROTOCOL_VERSION", 1)
     cfg = TrainingConfig.tiny(algorithm="asgd", num_workers=1, epochs=1, seed=0)
     start = time.perf_counter()
     with pytest.raises(

@@ -253,10 +253,11 @@ def test_child_compute_time_reaches_the_parent_timer():
 def test_a_hello_with_a_list_worker_is_rejected_as_a_stray(empty_pool, monkeypatch):
     """A peer that knows the token but names its worker with a list is a
     stray connection: it is closed, and the real child still joins the run."""
+    import json
     import secrets
     import socket
 
-    from repro.runtime.wire import PROTOCOL_VERSION, FrameConnection
+    from repro.runtime import wire
 
     token = "0123456789abcdef" * 2
     monkeypatch.setattr(secrets, "token_hex", lambda nbytes=None: token)
@@ -264,12 +265,15 @@ def test_a_hello_with_a_list_worker_is_rejected_as_a_stray(empty_pool, monkeypat
     closed = threading.Event()
 
     def stray(port):
-        conn = FrameConnection(socket.create_connection(("127.0.0.1", port), timeout=30.0))
+        conn = wire.FrameConnection(
+            socket.create_connection(("127.0.0.1", port), timeout=30.0)
+        )
         try:
-            conn.send_control(
-                {"ctl": "hello", "cv": PROTOCOL_VERSION,
-                 "body": {"worker": [0], "token": token}}
-            )
+            header = json.dumps(
+                {"v": wire.PROTOCOL_VERSION, "kind": "Hello", "delay": 0.0, "nbytes": 0,
+                 "fields": [[0], token], "arrays": []}
+            ).encode("utf-8")
+            conn.send_frame(wire._LEN.pack(len(header)) + header)
             conn.recv()
         except Exception:
             closed.set()

@@ -45,7 +45,8 @@ from perfbench.workloads import config  # noqa: E402  (the benchmark's pinned sh
 
 from repro.runtime.backends import run_experiment  # noqa: E402
 from repro.runtime.session import ExperimentSession  # noqa: E402
-from repro.runtime.wire import ControlFrame  # noqa: E402
+from repro.runtime.messages import Ready  # noqa: E402
+from repro.runtime.wire import FrameConnection  # noqa: E402
 
 SEED = 11
 UPDATES = 48
@@ -147,8 +148,8 @@ def test_same_result_after_a_run_with_a_different_config(name, alone):
 
 
 def test_obs_off_run_after_an_obs_on_run(alone):
-    # the obs-on run streams a TracePush and its recorder; the next run
-    # must neither expect nor carry one
+    # the obs-on run's RunEnd carries trace rows; the next run's must
+    # carry none, and its result no recorder
     traced = run_cell("asgd_raw32", obs=True)
     assert traced.obs["records"] > 0
     assert fingerprint("asgd_raw32") == alone("asgd_raw32")
@@ -158,15 +159,15 @@ def test_obs_off_run_after_an_obs_on_run(alone):
 def test_two_workers_after_one_worker():
     run_cell("asgd_raw32")
     ready = []
-    from_doc = ControlFrame.from_doc
+    recv = FrameConnection.recv
 
-    def spy(doc, *args, **kwargs):
-        frame = from_doc(doc, *args, **kwargs)
-        if frame.kind == "ready":
-            ready.append(frame.body.get("worker"))
-        return frame
+    def spy(self):
+        frame, delay = recv(self)
+        if isinstance(frame, Ready):
+            ready.append(frame.worker)
+        return frame, delay
 
-    with mock.patch.object(ControlFrame, "from_doc", staticmethod(spy)):
+    with mock.patch.object(FrameConnection, "recv", spy):
         result, applied = applied_updates(lambda: run_cell("asgd_raw32", workers=2))
     assert sorted(ready) == [0, 1]  # each worker id handed to exactly one child
     per_worker = Counter(worker for worker, _, _ in applied)

@@ -1,4 +1,4 @@
-"""Wire layer: every Message round-trips exactly; framing survives sockets;
+"""Wire layer: every frame type round-trips exactly; framing survives sockets;
 malformed frames raise WireError and nothing else."""
 
 import dataclasses
@@ -16,28 +16,41 @@ from repro.core.state import CompensationReply, GradientPayload, WorkerState
 from repro.runtime.codecs import make_codec
 from repro.runtime import messages as messages_mod
 from repro.runtime.messages import (
-    BnStatsPush,
+    Busy,
     CombinedPush,
     CompensationMessage,
+    FleetHello,
+    Frame,
     GossipReport,
     GradientPush,
+    Heartbeat,
+    Hello,
+    Job,
+    JobCurvePoint,
+    JobError,
+    JobResult,
+    JobTrace,
     Message,
     PullReply,
     PullRequest,
+    Ready,
+    Reject,
+    RunConfig,
+    RunEnd,
+    SetupError,
     Shutdown,
+    Start,
     StatePush,
-    TracePush,
     WeightExchange,
+    Welcome,
 )
 from repro.runtime import wire
 from repro.runtime.wire import (
     ConnectionClosed,
-    ControlFrame,
     FrameConnection,
     ProtocolMismatch,
     WireError,
     decode,
-    encode_control,
     encode_message,
 )
 
@@ -72,15 +85,15 @@ def _messages():
         GradientPush(1, payload=_payload()),
         CombinedPush(3, state=_state(worker=3), payload=_payload(worker=3)),
         Shutdown(),
-        BnStatsPush(  # running stats are float64 in the model, float32 on the wire
-            0,
-            stats=tuple(
+        RunEnd(  # worker 0 under bn_mode="local": float64 stats, float32 on the wire
+            timers={"worker-compute": {"total_s": 0.5, "count": 8.0}},
+            bn_stats=tuple(
                 (rng.normal(size=6), np.abs(rng.normal(size=6)) + 0.5)
                 for rng in [np.random.default_rng(9)]
                 for _ in range(2)
             ),
         ),
-        BnStatsPush(0, stats=()),  # BN-free model
+        RunEnd(),  # BN-free model, obs off
         WeightExchange(  # one side of an ad-psgd pairwise average
             2,
             weights=np.random.default_rng(5).normal(size=21),
@@ -92,13 +105,41 @@ def _messages():
         ),
         WeightExchange(3, weights=None, bn_stats=()),  # handshake shape
         GossipReport(1, loss=0.42, staleness=3),
-        TracePush(1, rows=([0.5, "span", 1, "compute", 0.25], [0.75, "mark", 1, "end"])),
+        RunEnd(rows=([0.5, "span", 1, "compute", 0.25], [0.75, "mark", 1, "end"])),
+        # the proc handshake
+        Hello(3, token="0123abcd"),
+        RunConfig(
+            1,
+            config={"algorithm": "asgd", "num_workers": 2, "model_kwargs": {"hidden": [32]}},
+            codec="topk",
+            time_scale=0.5,
+            compute_scale=0.25,
+            obs=True,
+        ),
+        Ready(1),
+        SetupError("Traceback (most recent call last): ..."),
+        Start(),
+        Reject("protocol mismatch: peer speaks v4, we speak v5"),
+        # the fleet session
+        FleetHello(),
+        Welcome(2, agent="127.0.0.1:7463#pid1"),
+        Busy("127.0.0.1:7463#pid1"),
+        Job("3", spec={"key": "0a1b", "tags": ["fleet"]}, obs=True),
+        JobCurvePoint("3", point={"epoch": 1, "test_error": 0.25}),
+        JobTrace("3", rows=([0.5, "staleness", 0, 2],)),
+        JobResult("3", result={"total_updates": 8, "staleness": {"mean": 1.5}}),
+        JobError("3", error="ValueError('boom')", traceback="Traceback ..."),
+        Heartbeat(7),
     ]
 
 
 def _assert_equal(original, decoded):
     assert type(decoded) is type(original)
-    assert decoded.worker == original.worker
+    if not isinstance(original, (Message, RunEnd)):  # no arrays: plain equality
+        assert decoded == original
+        return
+    if isinstance(original, Message):
+        assert decoded.worker == original.worker
     if isinstance(original, PullRequest):
         assert decoded.sent_at == original.sent_at
     if isinstance(original, PullReply):
@@ -139,11 +180,11 @@ def _assert_equal(original, decoded):
     if isinstance(original, GossipReport):
         assert decoded.loss == pytest.approx(original.loss)
         assert decoded.staleness == original.staleness
-    if isinstance(original, TracePush):
+    if isinstance(original, RunEnd):
+        assert decoded.timers == original.timers
         assert decoded.rows == original.rows
-    if isinstance(original, BnStatsPush):
-        assert len(decoded.stats) == len(original.stats)
-        for (m0, v0), (m1, v1) in zip(original.stats, decoded.stats):
+        assert len(decoded.bn_stats) == len(original.bn_stats)
+        for (m0, v0), (m1, v1) in zip(original.bn_stats, decoded.bn_stats):
             np.testing.assert_array_equal(m1, np.asarray(m0, dtype=np.float32))
             np.testing.assert_array_equal(v1, np.asarray(v0, dtype=np.float32))
 
@@ -157,11 +198,12 @@ def test_every_message_type_round_trips(message):
 
 def test_every_message_type_has_a_round_trip_case():
     # the codec is derived from the dataclasses, so this is what catches a
-    # new message type that nobody round-tripped
+    # new frame type (message, handshake, run-end or fleet) that nobody
+    # round-tripped
     concrete = {
         cls
         for cls in vars(messages_mod).values()
-        if isinstance(cls, type) and issubclass(cls, Message) and cls is not Message
+        if isinstance(cls, type) and issubclass(cls, Frame) and cls not in (Frame, Message)
     }
     assert concrete == {type(m) for m in _messages()}
 
@@ -218,12 +260,6 @@ def test_decode_accepts_only_whitelisted_payload_types():
         decode(_frame(header))
 
 
-def test_control_frames_round_trip():
-    doc = {"hello": 3, "token": "abc", "nested": {"x": [1, 2]}}
-    decoded, delay = decode(encode_control(doc))
-    assert decoded == doc and delay == 0.0
-
-
 def test_decode_rejects_garbage():
     with pytest.raises(WireError):
         decode(b"\x00")  # too short for a header length
@@ -233,7 +269,7 @@ def test_decode_rejects_garbage():
         decode(encode_message(PullRequest(0))[:-1] + b"")  # fine, full...
     # wrong protocol version
     version = f'"v":{wire.PROTOCOL_VERSION}'.encode()
-    bad = encode_control({"x": 1}).replace(version, b'"v":9')
+    bad = encode_message(Hello(0, token="t")).replace(version, b'"v":9')
     with pytest.raises(WireError, match="protocol mismatch"):
         decode(bad)
 
@@ -270,7 +306,7 @@ def test_malformed_headers_raise_wire_error(frame):
 
 def _conforms(value, annotation):
     """Does a decoded value have its field's annotated type?"""
-    if annotation in (int, float, list, np.ndarray, type(None)):
+    if annotation in (int, float, str, bool, list, dict, np.ndarray, type(None)):
         return type(value) is annotation
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin is typing.Union:
@@ -357,9 +393,7 @@ def test_fuzzed_frames_decode_or_raise_wire_error(frame):
     except WireError:
         return
     assert type(delay) is float and type(nbytes) is int
-    if isinstance(obj, dict):  # the mutation produced a control frame
-        return
-    assert isinstance(obj, Message) and _fields_conform(obj)
+    assert isinstance(obj, Frame) and _fields_conform(obj)
 
 
 def test_v1_peer_rejected_with_reason():
@@ -373,31 +407,6 @@ def test_v1_peer_rejected_with_reason():
         ProtocolMismatch, match=rf"peer speaks v1, we speak v{wire.PROTOCOL_VERSION}"
     ):
         decode(frame)
-
-
-def test_control_frame_roundtrip():
-    frame = ControlFrame("hello", {"worker": 3, "token": "t"})
-    doc = frame.to_doc()
-    assert doc == {
-        "ctl": "hello",
-        "cv": wire.PROTOCOL_VERSION,
-        "body": {"worker": 3, "token": "t"},
-    }
-    back = ControlFrame.from_doc(doc, expect_version=wire.PROTOCOL_VERSION)
-    assert back.kind == "hello" and back.body == {"worker": 3, "token": "t"}
-    # the doc form survives the wire unchanged
-    decoded, _ = decode(encode_control(doc))
-    assert ControlFrame.from_doc(decoded).body == frame.body
-
-
-def test_control_frame_version_and_shape_checks():
-    doc = ControlFrame("hello", {}, v=1).to_doc()
-    with pytest.raises(WireError, match="protocol mismatch"):
-        ControlFrame.from_doc(doc, expect_version=wire.PROTOCOL_VERSION)
-    with pytest.raises(WireError, match="not a control frame"):
-        ControlFrame.from_doc({"hello": 0})
-    with pytest.raises(WireError, match="body"):
-        ControlFrame.from_doc({"ctl": "x", "cv": 2, "body": [1]})
 
 
 def test_decode_rejects_truncated_arrays():
@@ -519,14 +528,14 @@ def test_decoded_messages_do_not_alias_recv_buffer():
     left, right = socket.socketpair()
     a, b = FrameConnection(left), FrameConnection(right)
     try:
-        first = BnStatsPush(0, stats=((np.ones(50), np.full(50, 2.0)),))
-        second = BnStatsPush(0, stats=((np.full(50, 9.0), np.full(50, 8.0)),))
+        first = RunEnd(bn_stats=((np.ones(50), np.full(50, 2.0)),))
+        second = RunEnd(bn_stats=((np.full(50, 9.0), np.full(50, 8.0)),))
         a.send_message(first)
         a.send_message(second)
         d1, _ = b.recv()
         d2, _ = b.recv()  # overwrites the buffer d1 was decoded from
-        np.testing.assert_array_equal(d1.stats[0][0], np.ones(50, dtype=np.float32))
-        np.testing.assert_array_equal(d2.stats[0][0], np.full(50, 9.0, dtype=np.float32))
+        np.testing.assert_array_equal(d1.bn_stats[0][0], np.ones(50, dtype=np.float32))
+        np.testing.assert_array_equal(d2.bn_stats[0][0], np.full(50, 9.0, dtype=np.float32))
     finally:
         a.close()
         b.close()
