@@ -52,7 +52,11 @@ BnPairs = Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 @dataclass(frozen=True)
 class Frame:
-    """Base of every frame on a socket; the fleet frames have no endpoint."""
+    """Base of every frame on a socket.
+
+    :class:`Message` adds the worker endpoint; the handshake, run-end and
+    fleet frames derive from this field-less base directly.
+    """
 
 
 @dataclass(frozen=True)
