@@ -170,12 +170,11 @@ class RunConfig(Frame):
     """Parent -> child: serve one run as ``worker`` of this config.
 
     ``config`` is a :meth:`~repro.core.config.TrainingConfig.to_dict`
-    document; ``codec`` names the child's uplink gradient codec.
+    document; its ``comm_codec`` is the gradient codec both ends arm.
     """
 
     worker: int
     config: dict
-    codec: str
     time_scale: float = 0.0
     compute_scale: float = 0.0
     obs: bool = False

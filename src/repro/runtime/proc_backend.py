@@ -15,7 +15,7 @@ handshake is typed frames (:mod:`repro.runtime.messages`), on the same
 codec as the run's messages::
 
     child  -> parent   Hello(worker, token)                     once, on connect
-    parent -> child    RunConfig(worker, config, codec, scales, obs)
+    parent -> child    RunConfig(worker, config, scales, obs)
     child  -> parent   Ready(worker)          (or SetupError(traceback))
     parent -> child    Start()
                        ... the run: message frames both ways ...
@@ -642,7 +642,7 @@ class ProcBackend:
             child.conn.settimeout(self.startup_timeout)
             child.conn.send_message(
                 RunConfig(
-                    worker, document, config.comm_codec, time_scale=self.time_scale,
+                    worker, document, time_scale=self.time_scale,
                     compute_scale=self.compute_scale, obs=obs,
                 )
             )

@@ -173,7 +173,7 @@ def serve_run(conn: FrameConnection, run: RunConfig) -> int:
         runtime = WorkerRuntime.from_config(config, worker_id)
         # the negotiated uplink codec: gradients (and, under fp16,
         # everything else) leave this child already compressed
-        conn.codec = make_codec(run.codec)
+        conn.codec = make_codec(config.comm_codec)
     except Exception:
         # report the build failure to the parent, then exit nonzero
         conn.send_message(SetupError(traceback.format_exc()))

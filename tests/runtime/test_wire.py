@@ -110,8 +110,7 @@ def _messages():
         Hello(3, token="0123abcd"),
         RunConfig(
             1,
-            config={"algorithm": "asgd", "num_workers": 2, "model_kwargs": {"hidden": [32]}},
-            codec="topk",
+            config={"algorithm": "asgd", "comm_codec": "topk", "model_kwargs": {"hidden": [32]}},
             time_scale=0.5,
             compute_scale=0.25,
             obs=True,
