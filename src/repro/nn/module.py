@@ -279,18 +279,20 @@ def get_flat_params(module: Module, dtype=np.float64) -> np.ndarray:
 
 
 def set_flat_params(module: Module, flat: np.ndarray) -> None:
-    """Write a flat vector produced by :func:`get_flat_params` back in place."""
+    """Write a flat vector produced by :func:`get_flat_params` back in place.
+
+    A vector of the wrong length raises before any parameter is written.
+    """
     flat = np.asarray(flat).ravel()
+    params = module._flat_lists()[0]
+    total = sum(param.data.size for param in params)
+    if total != flat.size:
+        raise ValueError(f"flat vector has {flat.size} elements, module holds {total}")
     offset = 0
-    for param in module._flat_lists()[0]:
-        size = param.data.size
-        if offset + size > flat.size:
-            raise ValueError("flat vector too short for this module")
-        chunk = flat[offset : offset + size]
-        param.data = chunk.reshape(param.data.shape).astype(param.data.dtype)
-        offset += size
-    if offset != flat.size:
-        raise ValueError(f"flat vector has {flat.size} elements, module holds {offset}")
+    for param in params:
+        stop = offset + param.data.size
+        param.data = flat[offset:stop].reshape(param.data.shape).astype(param.data.dtype)
+        offset = stop
 
 
 def get_flat_grads(module: Module, dtype=np.float64) -> np.ndarray:

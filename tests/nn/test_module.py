@@ -107,6 +107,20 @@ def test_set_flat_params_size_validation(rng):
         set_flat_params(model, np.concatenate([flat, [0.0]]))
 
 
+@pytest.mark.parametrize("delta", [-1, 1, -5])
+def test_set_flat_params_wrong_length_leaves_every_parameter(rng, delta):
+    """A wrong-length vector raises before any parameter is written."""
+    model = make_model(rng)
+    before = [(p, p.data, p.data.copy()) for p in model.parameters()]
+    flat = get_flat_params(model)
+    wrong = np.full(flat.size + delta, 7.0)
+    with pytest.raises(ValueError, match=f"{wrong.size} elements, module holds {flat.size}"):
+        set_flat_params(model, wrong)
+    for param, data, values in before:
+        assert param.data is data
+        np.testing.assert_array_equal(param.data, values)
+
+
 def test_flat_grads_zero_when_missing(rng):
     model = make_model(rng)
     grads = get_flat_grads(model)
