@@ -13,12 +13,12 @@ runs in seconds.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.mlp import MLP
-from repro.nn.module import Module
+from repro.nn.module import Module, set_flat_params
 from repro.nn.resnet import resnet18, resnet50, resnet_tiny
 from repro.utils.registry import Registry
 from repro.utils.rng import RngTree
@@ -39,10 +39,66 @@ def model_names() -> Tuple[str, ...]:
     return MODELS.names()
 
 
-def build_model(config, input_shape: Tuple[int, ...], num_classes: int) -> Module:
-    """Build one model replica with init seeded by ``config.seed``."""
-    rng = RngTree(config.seed).child("model-init").generator("weights")
-    return MODELS.get(config.model)(config, input_shape, num_classes, rng)
+class _NoDraw:
+    """A generator stand-in that lets a builder lay out a model without drawing.
+
+    While the build runs it answers the initializers' draws with zeros of
+    the asked shape, which :func:`build_model` then overwrites.  Once the
+    build returns it is closed and every call raises, so a module that kept
+    its generator for later draws (``Dropout`` keeps it for masks) fails
+    loudly instead of drawing zeros.
+    """
+
+    def __init__(self) -> None:
+        self.open = True
+
+    def standard_normal(self, shape) -> np.ndarray:
+        return self._zeros("standard_normal", shape)
+
+    def uniform(self, low, high, shape) -> np.ndarray:
+        return self._zeros("uniform", shape)
+
+    def _zeros(self, name: str, shape) -> np.ndarray:
+        if not self.open:
+            self._refuse(name)
+        return np.zeros(shape)
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        self._refuse(name)
+
+    def _refuse(self, name: str):
+        raise RuntimeError(
+            f"a model built from an initial vector has no generator to draw from "
+            f"({name!r}); build it with build_model(config, ...) and no vector"
+        )
+
+
+def build_model(
+    config,
+    input_shape: Tuple[int, ...],
+    num_classes: int,
+    init: Optional[np.ndarray] = None,
+) -> Module:
+    """Build one model replica with init seeded by ``config.seed``.
+
+    Given ``init``, the flat vector (:func:`~repro.nn.module.get_flat_params`)
+    of a model built from the same config, the replica draws nothing: its
+    structure is laid out around a closed stand-in generator and ``init`` is
+    loaded into it, which is how one plan's replicas share one draw.
+    """
+    builder = MODELS.get(config.model)
+    if init is None:
+        rng = RngTree(config.seed).child("model-init").generator("weights")
+        return builder(config, input_shape, num_classes, rng)
+    stand_in = _NoDraw()
+    try:
+        model = builder(config, input_shape, num_classes, stand_in)
+    finally:
+        stand_in.open = False
+    set_flat_params(model, init)
+    return model
 
 
 # ---------------------------------------------------------------------- #

@@ -9,7 +9,7 @@ consumes one :class:`ExperimentPlan` and produces one
 :class:`~repro.core.metrics.RunResult`:
 
 * :class:`ExperimentPlan` — everything a backend needs to execute a
-  configured run: the datasets, the identically-initialized model replicas,
+  configured run: the datasets, the model replicas (one initialization),
   the :class:`~repro.core.server.ParameterServer` (with predictors and BN
   strategy attached), the cluster timing models, and the derived byte/
   iteration budgets.  Building a plan performs no training.
@@ -86,15 +86,19 @@ def build_worker(
     num_classes: int,
     worker_id: int,
     rng_tree: Optional[RngTree] = None,
+    init: Optional[np.ndarray] = None,
 ) -> DistributedWorker:
     """One replica + loader for worker ``worker_id``, derived from the seed.
 
-    ``build_model`` reseeds from ``config.seed`` on every call and loader
-    streams are keyed by worker name, so any process can rebuild any single
-    worker bit-identically without constructing the other ``M - 1``.
+    Given ``init``, the plan's one initialization as a flat vector, the
+    replica draws nothing and is loaded from it.  Without one it draws its
+    own from ``config.seed`` (``build_model`` reseeds on every call), which
+    is what a proc child does; loader streams are keyed by worker name, so
+    any process can rebuild any single worker bit-identically without
+    constructing the other ``M - 1``.
     """
     rng_tree = rng_tree if rng_tree is not None else RngTree(config.seed)
-    model = build_model(config, train_set.input_shape, num_classes)
+    model = build_model(config, train_set.input_shape, num_classes, init)
     loader = DataLoader(
         train_set,
         config.batch_size,
@@ -185,10 +189,10 @@ class ExperimentPlan:
     ) -> "ExperimentPlan":
         """Wire one experiment: datasets, replicas, server, cluster models.
 
-        ``build_workers=False`` skips the ``M`` in-process replicas for
-        backends whose workers live elsewhere (proc children rebuild their
-        own from the seed) — the server still starts from the identical
-        initialization because ``eval_model`` is built the same way.
+        The weights are drawn once, for ``eval_model``; the server and every
+        in-process replica start from that vector.  ``build_workers=False``
+        skips the ``M`` replicas for backends whose workers live elsewhere
+        (proc children draw their own from the seed, the same draw).
         """
         rng_tree = RngTree(config.seed)
         timer = Timer()
@@ -196,10 +200,12 @@ class ExperimentPlan:
         train_set, test_set, num_classes = build_dataset(config)
         input_shape = train_set.input_shape
 
-        # model replicas (identical init) ------------------------------------------------
+        # model replicas: one draw, for the eval model; the server and every
+        # replica start from its vector ---------------------------------------------------
         eval_model = build_model(config, input_shape, num_classes)
+        init_params = get_flat_params(eval_model)
         workers: List[DistributedWorker] = [
-            build_worker(config, train_set, num_classes, m, rng_tree)
+            build_worker(config, train_set, num_classes, m, rng_tree, init_params)
             for m in range(config.num_workers if build_workers else 0)
         ]
 
@@ -242,9 +248,6 @@ class ExperimentPlan:
             dc_adaptive=config.dc_adaptive,
         )
         schedule = MultiStepLR(config.base_lr, config.lr_milestones, config.lr_gamma)
-        # eval_model is initialized identically to every replica (same seed
-        # path), so it seeds the server when no in-process workers exist
-        init_params = get_flat_params(workers[0].model if workers else eval_model)
         server = ParameterServer(
             init_params,
             rule,

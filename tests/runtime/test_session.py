@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DistributedTrainer, TrainingConfig
+from repro.nn import init as init_mod
 from repro.nn.module import get_flat_params
 from repro.runtime import ExperimentPlan, ExperimentSession
 from repro.runtime.session import STATE_OVERHEAD_BYTES, build_dataset, build_model
@@ -21,6 +22,30 @@ class TestExperimentPlan:
         for flat in flats[1:]:
             np.testing.assert_array_equal(flats[0], flat)
         np.testing.assert_array_equal(flats[0], plan.server.params)
+
+    @pytest.mark.parametrize("num_workers", [1, 4, 8])
+    def test_plan_draws_one_model_worth_of_weights(self, monkeypatch, num_workers):
+        """The eval model draws; the server and every replica load its vector."""
+        drawn = []
+
+        def counting(initializer):
+            def draw(shape, rng, dtype=np.float32):
+                if isinstance(rng, np.random.Generator):
+                    drawn.append(tuple(shape))
+                return initializer(shape, rng, dtype)
+
+            return draw
+
+        for name, initializer in list(init_mod._INITIALIZERS.items()):
+            monkeypatch.setitem(init_mod._INITIALIZERS, name, counting(initializer))
+        cfg = TrainingConfig.tiny(num_workers=num_workers)
+        train, _, n_cls = build_dataset(cfg)
+        build_model(cfg, train.input_shape, n_cls)
+        one_model = list(drawn)
+        drawn.clear()
+        plan = ExperimentPlan.from_config(cfg)
+        assert len(plan.workers) == num_workers
+        assert one_model and drawn == one_model
 
     def test_update_budget_from_epochs(self):
         plan = tiny_plan(epochs=4)
