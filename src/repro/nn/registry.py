@@ -93,10 +93,8 @@ def build_model(
         rng = RngTree(config.seed).child("model-init").generator("weights")
         return builder(config, input_shape, num_classes, rng)
     stand_in = _NoDraw()
-    try:
-        model = builder(config, input_shape, num_classes, stand_in)
-    finally:
-        stand_in.open = False
+    model = builder(config, input_shape, num_classes, stand_in)
+    stand_in.open = False
     set_flat_params(model, init)
     return model
 
