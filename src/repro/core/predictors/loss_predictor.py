@@ -147,6 +147,11 @@ class LSTMLossPredictor(LossPredictorBase):
         ``loss``; :meth:`observe` encoded the prefix, so the three calls of
         the "sensitivity" coupling (``loss``, ``loss ± eps``) each run only
         their own tail.
+
+        Known quirk, kept because the golden runs pin it: the server's
+        ``handle_state`` calls ``observe(l_m)`` before this, so the prefix
+        already ends with ``l_m`` and the rollout is fed ``l_m`` twice, once
+        as the prefix's last input and once as ``loss``.
         """
         if k <= 0:
             return 0.0

@@ -37,6 +37,12 @@ class LSTMStepPredictor(StepPredictorBase):
         call site; here a static cap).
     lr, momentum, train_every, seed:
         Online-training hyper-parameters, as in the loss predictor.
+
+    Known quirk, kept because the golden runs pin it: :meth:`observe`
+    trains on ``history``, the worker's rows up to cycle ``j``, to predict
+    step ``j + 1``; :meth:`predict` feeds ``history[1:] + (step_j,
+    comm_{j+1}, comp_{j+1})``, a window whose last row repeats ``step_j``
+    beside the new costs.  The model is never trained on that window shape.
     """
 
     name = "lstm"
