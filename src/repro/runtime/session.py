@@ -200,8 +200,7 @@ class ExperimentPlan:
         train_set, test_set, num_classes = build_dataset(config)
         input_shape = train_set.input_shape
 
-        # model replicas: one draw, for the eval model; the server and every
-        # replica start from its vector ---------------------------------------------------
+        # model replicas (one draw, for eval_model) --------------------------------------
         eval_model = build_model(config, input_shape, num_classes)
         init_params = get_flat_params(eval_model)
         workers: List[DistributedWorker] = [
