@@ -42,19 +42,26 @@ class EMALossPredictor(LossPredictorBase):
             raise ValueError("decay must be in (0, 1]")
         self.decay = float(decay)
         self._ema: Optional[float] = None
+        self._before: Optional[float] = None  # the EMA before the last observe
 
     def observe(self, loss: float) -> None:
         loss = float(loss)
+        self._before = self._ema
         self._ema = loss if self._ema is None else (1 - self.decay) * self._ema + self.decay * loss
 
     def predict_next(self) -> Optional[float]:
         return self._ema
 
     def predict_delay(self, loss: float, k: int) -> float:
+        """``k`` times the EMA with ``loss`` in place of the newest observed loss.
+
+        ``loss`` is blended into the EMA from before the last
+        :meth:`observe`, so the ``l_m`` that observe just took is fed once.
+        """
         if k <= 0:
             return 0.0
-        anchor = self._ema if self._ema is not None else float(loss)
-        blended = (1 - self.decay) * anchor + self.decay * float(loss)
+        anchor = self._before
+        blended = float(loss) if anchor is None else (1 - self.decay) * anchor + self.decay * float(loss)
         return blended * k
 
 

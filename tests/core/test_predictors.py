@@ -130,7 +130,8 @@ class TestBaselines:
         p.observe(4.0)
         p.observe(2.0)
         assert p.predict_next() == pytest.approx(3.0)
-        assert p.predict_delay(2.0, 2) == pytest.approx((0.5 * 3.0 + 0.5 * 2.0) * 2)
+        # 2.0 replaces the newest loss, not blended in on top of it: 2 * 3.0
+        assert p.predict_delay(2.0, 2) == 6.0
         with pytest.raises(ValueError):
             EMALossPredictor(decay=0.0)
 
