@@ -26,27 +26,33 @@ from repro.utils.rng import SeedLike, as_generator
 class LSTMLossPredictor(LossPredictorBase):
     """The paper's loss predictor (two LSTM layers + linear, trained online).
 
-    Every window this predictor runs over one weight version is known once
-    :meth:`observe` has stepped the weights, so ``observe`` runs them all in
-    one :meth:`SeriesLSTM.forward_stack` pass over the new weights:
+    Once :meth:`observe` has taken its SGD step on the arrival of ``l_m``,
+    it runs one window pass over the new weights: the next training
+    window, the last ``window`` losses, ending with ``l_m``.  Everything
+    until the next arrival reads that pass:
 
-    * this arrival's ``predict_delay`` prefix, the last ``window - 1``
-      losses;
-    * the next arrival's ``predict_next`` window, the history but its
-      newest loss, which ``predict_next`` then advances by that loss;
-    * the next arrival's training window, the last ``window`` losses, when
-      the next ``observe`` will train: it then back-propagates through the
-      activations this pass left behind.
+    * the next ``observe`` back-propagates through its activations;
+    * its last output is the one-step forecast :meth:`predict_next`
+      returns;
+    * its ``[h, c]`` after ``window - 1`` steps, the losses before
+      ``l_m``, is the prefix into which :meth:`predict_delay` feeds its
+      ``loss`` once, so ``l_m`` is fed once and the "sensitivity"
+      coupling's ``loss ± eps`` moves ``l_delay``.
 
-    The pass runs one GEMV per window per cell step, as separate calls
-    would, so every forecast, ``l_delay``, gradient and weight is the same
-    bit for bit.  **Cache contract:** the history, the normaliser and the
-    weights change only in :meth:`observe`, so ``observe`` is the one
-    method that consumes the cache and rebuilds it; ``predict_next``,
-    ``predict_delay`` and ``delay_sensitivity`` only read it and run no
-    window pass.  The training window's activations live in the model's
-    scratch, so nothing else may run a pass on :attr:`model` between two
-    ``observe`` calls.
+    The prefix is read from that pass rather than from a pass of its own
+    because a GEMM's rows depend on its row count: a ``window``-step
+    pass's state after step ``window - 2`` and a ``(window - 1)``-step
+    pass's final state differ in their last bits in about one case in
+    ten.  Right after ``observe(l)``, ``predict_delay(l, 1)`` and
+    ``predict_next()`` feed the same inputs to the same weights, and differ
+    only by that rounding (the rollout's GEMV against the pass's GEMM).
+
+    **Cache contract:** the history, the normaliser and the weights change
+    only in :meth:`observe`, so ``observe`` is the one method that consumes
+    the pass and runs the next; ``predict_next``, ``predict_delay`` and
+    ``delay_sensitivity`` only read it.  The training window's activations
+    live in the model's scratch, so nothing else may run a pass on
+    :attr:`model` between two ``observe`` calls.
 
     Parameters
     ----------
@@ -87,15 +93,12 @@ class LSTMLossPredictor(LossPredictorBase):
         self._history: Deque[float] = deque(maxlen=window + 1)
         self._norm = _RunningNorm()
         self._observed = 0
-        # the look-ahead of the last observe (class docstring), all None
-        # until two losses are in: (h, c) after the delay prefix and after
-        # the next predict_next window, that window's last input, and the
-        # next training window's outputs (kernel scratch; None if the next
-        # observe does not train)
-        self._delay_prefix: Optional[State] = None
-        self._next_prefix: Optional[State] = None
-        self._next_last = 0.0
+        # the pass of the last observe (class docstring), None until two
+        # losses are in: its outputs (kernel scratch), the last of them, and
+        # (h, c) after all but its last step
         self._train_pred: Optional[np.ndarray] = None
+        self._forecast = 0.0
+        self._delay_prefix: Optional[State] = None
 
     # ------------------------------------------------------------------ #
     def observe(self, loss: float) -> None:
@@ -113,27 +116,19 @@ class LSTMLossPredictor(LossPredictorBase):
         self._look_ahead(series)
 
     def _look_ahead(self, series: np.ndarray) -> None:
-        """One pass over every window the current weights will see (class docstring)."""
-        self._delay_prefix = self._next_prefix = self._train_pred = None
+        """One pass over the next training window, which every forecast reads (class docstring)."""
         if len(series) < 2:
             return
-        windows = [series[-(self.window - 1) :, None], series[:-1, None]]
-        trains_next = (self._observed + 1) % self.train_every == 0  # and len(series) + 1 >= 3
-        if trains_next:
-            windows.append(series[-self.window :, None])  # last: backward differentiates it
-        outputs = self.model.forward_stack(windows)
-        self._delay_prefix = self.model.final_state(0)
-        self._next_prefix = self.model.final_state(1)
-        self._next_last = float(series[-1])
-        if trains_next:
-            self._train_pred = outputs[2]
+        window = series[-self.window :, None]
+        self._train_pred = self.model.forward(window)
+        self._forecast = float(self._train_pred[-1])
+        self._delay_prefix = self.model.final_state(0, len(window) - 2)
 
     def predict_next(self) -> Optional[float]:
         """One-step forecast in raw loss units (None before warm-up)."""
-        if self._next_prefix is None:
+        if self._delay_prefix is None:
             return None
-        z = self.model.rollout_from(self._next_prefix, self._next_last, 1)[0]
-        return self._norm.denormalize(z)
+        return self._norm.denormalize(self._forecast)
 
     def predict_delay(self, loss: float, k: int) -> float:
         """Formula 9: sum of the ``k`` rollout forecasts after ``loss``.
@@ -143,15 +138,10 @@ class LSTMLossPredictor(LossPredictorBase):
         last predicted level, which is also where autoregressive LSTM
         forecasts flatten anyway.
 
-        The window is the last ``window - 1`` observed losses followed by
-        ``loss``; :meth:`observe` encoded the prefix, so the three calls of
-        the "sensitivity" coupling (``loss``, ``loss ± eps``) each run only
-        their own tail.
-
-        Known quirk, kept because the golden runs pin it: the server's
-        ``handle_state`` calls ``observe(l_m)`` before this, so the prefix
-        already ends with ``l_m`` and the rollout is fed ``l_m`` twice, once
-        as the prefix's last input and once as ``loss``.
+        The rollout starts from the ``window - 1`` losses before the newest
+        one, encoded by :meth:`observe`, and feeds ``loss`` in place of the
+        newest, so the three calls of the "sensitivity" coupling (``loss``,
+        ``loss ± eps``) each run only their own tail.
         """
         if k <= 0:
             return 0.0

@@ -323,10 +323,11 @@ class SeriesLSTM:
         np.tanh(c, out=tanh_c)
         np.multiply(z[3 * hs :], tanh_c, out=h)
 
-    def final_state(self, window: int) -> State:
-        """Fresh ``[h, c]`` of both layers after window ``window`` of the last pass."""
+    def final_state(self, window: int, step: Optional[int] = None) -> State:
+        """Fresh ``[h, c]`` of both layers after step ``step`` (default: the last) of window ``window``."""
         plan = self._pass
-        layout, slot, last = plan.layout, plan.slots[window], plan.lengths[window] - 1
+        layout, slot = plan.layout, plan.slots[window]
+        last = plan.lengths[window] - 1 if step is None else step
         return [buf[layer][last, slot].copy() for layer in range(2) for buf in (layout.hidden, layout.cells)]
 
     # ------------------------------------------------------------------ #

@@ -10,8 +10,8 @@ not do: OpenBLAS picks its kernels per CPU, so the reference has to run
 beside the kernel on the same machine.
 
 :class:`FrozenLossPredictor` does the same one level up: it is the loss
-predictor's call sequence with one window pass per call, over the frozen
-kernel, and every forecast, ``l_delay`` and sensitivity of the live
+predictor's call sequence over the frozen kernel, one plain window pass per
+weight version, and every forecast, ``l_delay`` and sensitivity of the live
 predictor must equal it with ``==``.
 """
 
@@ -327,12 +327,13 @@ def test_weights_changed_after_forward_are_read_by_the_next_forward():
 
 
 class FrozenLossPredictor:
-    """``LSTMLossPredictor``'s call sequence before its windows were stacked.
+    """``LSTMLossPredictor``'s call sequence over the frozen kernel.
 
-    One window pass per call, each over the weights of that moment:
-    ``predict_next`` encodes ``history[:-1]`` and advances by ``history[-1]``;
-    ``observe`` trains on the shifted window; ``predict_delay`` encodes the
-    last ``window - 1`` losses once per observation and rolls out from there.
+    One plain ``window``-step pass per weight version, run by ``observe``
+    after its training step over the last ``window`` losses: the next
+    ``observe`` trains on its outputs, ``predict_next`` returns its last
+    output, and ``predict_delay`` rolls out from its state after step
+    ``window - 2`` (all but the last step while the history is shorter).
     """
 
     def __init__(self, live) -> None:
@@ -342,36 +343,35 @@ class FrozenLossPredictor:
         self._history = deque(maxlen=live.window + 1)
         self._norm = _RunningNorm()
         self._observed = 0
-        self._delay_prefix = None
+        self._pred = self._delay_prefix = None
 
     def observe(self, loss):
         loss = float(loss)
-        self._delay_prefix = None
         self._norm.update(loss)
         self._history.append(self._norm.normalize(loss))
         self._observed += 1
-        if len(self._history) < 3 or self._observed % self.train_every:
-            return
         series = np.array(self._history, dtype=np.float32)
-        pred = self.model.forward(series[:-1, None])
-        self.model.backward((pred - series[1:]) * (2.0 / len(pred)))
-        self.model.step()
+        if len(series) >= 3 and self._observed % self.train_every == 0:
+            self.model.backward((self._pred - series[1:]) * (2.0 / len(self._pred)))
+            self.model.step()
+        if len(series) < 2:
+            return
+        window = series[-self.window :, None]
+        self._pred = self.model.forward(window)
+        step = len(window) - 2
+        self._delay_prefix = [buf[layer][step].copy() for layer in range(2) for buf in (self.model._h, self.model._c)]
 
     def predict_next(self):
-        if len(self._history) < 2:
+        if self._delay_prefix is None:
             return None
-        z = self.model.rollout(np.array(self._history, dtype=np.float32), 1)[0]
-        return self._norm.denormalize(z)
+        return self._norm.denormalize(float(self._pred[-1]))
 
     def predict_delay(self, loss, k):
         if k <= 0:
             return 0.0
-        if len(self._history) < 2:
+        if self._delay_prefix is None:
             return float(loss) * k
         steps = min(int(k), self.rollout_cap)
-        if self._delay_prefix is None:
-            prefix = np.array(self._history, dtype=np.float32)[-(self.window - 1) :]
-            self._delay_prefix = self.model.encode(prefix[:, None])
         preds = self.model.rollout_from(self._delay_prefix, self._norm.normalize(float(loss)), steps)
         values = [self._norm.denormalize(z) for z in preds]
         total = float(sum(values))

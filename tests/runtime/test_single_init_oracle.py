@@ -8,6 +8,9 @@ has no authoritative server vector, the eval model holds the average of
 the replicas).  The hashes were captured at commit 2367096, while every
 replica still drew its own seeded initialization, so a change to how
 replicas are initialized is proven against that rather than against itself.
+The ``sim-lc-asgd-m4`` hashes were re-captured when the loss predictor began
+feeding the newest loss once (its forecasts, and so the compensated
+gradients, changed).
 """
 
 import hashlib
@@ -34,7 +37,7 @@ CASES = {
     ),
     "sim-lc-asgd-m4": dict(
         backend="sim", config=dict(algorithm="lc-asgd", num_workers=4),
-        server="c87dc0c0530950b0", eval="db410aa6747c25b9",
+        server="0284dd93edf82dde", eval="48caa21594fd04d6",
     ),
     "gossip-sim-ad-psgd-m4": dict(
         backend="sim", config=dict(algorithm="ad-psgd", num_workers=4),
