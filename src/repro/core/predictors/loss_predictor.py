@@ -122,7 +122,7 @@ class LSTMLossPredictor(LossPredictorBase):
         window = series[-self.window :, None]
         self._train_pred = self.model.forward(window)
         self._forecast = float(self._train_pred[-1])
-        self._delay_prefix = self.model.final_state(0, len(window) - 2)
+        self._delay_prefix = self.model.final_state(len(window) - 2)
 
     def predict_next(self) -> Optional[float]:
         """One-step forecast in raw loss units (None before warm-up)."""

@@ -23,35 +23,14 @@ kernel: ``tests/core/test_series_lstm_bits.py`` keeps a frozen copy of it
 and runs both over one seeded stream with ``np.array_equal``.  The two
 differ only in the Python around the same BLAS and ufunc calls:
 
-* **One stacked pass over up to three windows.**  :meth:`forward_stack`
-  runs K ≤ 3 windows over one θ (the loss predictor's three windows of a
-  weight version, see ``LSTMLossPredictor``); :meth:`forward` and
-  :meth:`encode` are its K = 1 case, and there is no other forward loop.
-  Each window keeps its own input-projection GEMM and its own GEMV per
-  cell step, so the BLAS calls are the ones K single passes would make.
-  What K windows share is the ufunc calls: the scratch is gate-major,
-  ``(steps, 4, K, hidden)`` for the gates and ``(steps, K, hidden)`` for
-  cell, tanh(cell) and hidden state, so one gate block of all K windows is
-  one contiguous operand and a cell step costs ten ufunc calls for the
-  stack instead of ten per window.  (A window-major ``(K, steps, ·)``
-  layout makes those operands strided and saves nothing.)  Windows may
-  differ in length: they run longest first, so the windows still running
-  at a step are the first slots, and only their GEMVs run; the ufuncs keep
-  covering all K slots, where an ended window's slot churns finite
-  leftovers that nothing reads.  Elementwise ufuncs give the same bits on
-  any layout, and the BLAS calls see the same shapes with a wider row
-  stride, which changes no bit (the oracle checks it).  :meth:`backward`
-  differentiates the pass's last window in place.
 * **Views built once.**  A hidden-16 cell step is one GEMV and ten ufunc
   calls of ~0.4 µs each, so the ~0.1 µs it takes to slice a gate row or a
   time step out of a buffer is a visible share.  The per-step views over
-  the fixed scratch buffers (gate block and its four gates, cell,
-  tanh(cell), hidden, previous state, the GEMVs' operands; the backward
-  pass's equivalents) are built into tuples once per K, and each tuple of
-  window lengths gets its slices once too; the time loops unpack them.
-  With K = 1 the views are flat vectors, NumPy's cheapest operands.  All of
-  it is built on first use, not in ``__init__``: the predictors are
-  constructed per run, and many never run a long window.
+  the fixed scratch buffers (gate block and its four gates, previous
+  state, cell, tanh(cell) and hidden state; the backward pass's
+  equivalents) are built into tuples once, and the time loops unpack
+  them.  They are built on first use, not in ``__init__``: the predictors
+  are constructed per run, and many never run a long window.
 * **The sigmoid's ½ folded into the weights.**  The gate pre-activations
   go through ``tanh(0.5 z)`` on the i, f, o rows.  Scaling by 0.5 or 1.0
   is exact in binary floating point (barring subnormals), and so is every
@@ -60,18 +39,21 @@ differ only in the Python around the same BLAS and ufunc calls:
   therefore multiply θ by the row pattern (one ufunc over the whole
   vector, redone on every pass so a write to :attr:`params` between calls
   is never missed) and skip the cell loop's first ``z *= scale``.  That
-  trades one pass over θ for one ufunc call per stacked cell step, so it
+  trades one pass over θ for one ufunc call per cell step, so it
   is decided once per pass, from θ's size against ``max_steps`` (see
   ``_FOLD_FLOATS_PER_STEP``): the hidden-16 predictors fold, the paper's
-  64/128 do not.  One refresh serves all K windows, but so does the call
-  it saves, so K does not move the break-even.
-  :meth:`backward` and :meth:`advance` always read the unscaled
-  :attr:`params`.
+  64/128 do not.  :meth:`backward` and :meth:`advance` always read the
+  unscaled :attr:`params`.
 
-Moving a product between a GEMV and a GEMM (a layer wavefront, or one
-GEMM over stacked windows) is *not* bit-identical: the same row differs in
-its last bits in practice, so the kernel keeps one GEMV per window per
-cell step.
+A pass runs one window.  Moving a product between a GEMV and a GEMM (a
+layer wavefront, or one GEMM over stacked windows) is *not* bit-identical:
+the same row differs in its last bits in practice.  Nor does a GEMM's row
+depend on its own inputs alone: the state a pass holds after step ``t`` can
+differ in its last bits from the final state of a ``t + 1``-step pass over
+the same inputs, because the input projection's GEMM rounds a row
+according to how many rows it has.  A caller that needs a prefix's state
+and a longer window's outputs therefore reads both from one pass
+(:meth:`final_state` takes the step).
 
 All scratch lives on the instance (thread, gossip and sim cells share a
 process), so one instance must not be driven from two threads at once.
@@ -80,7 +62,7 @@ process), so one instance must not be driven from two threads at once.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -92,20 +74,13 @@ State = List[np.ndarray]
 #: global gradient-norm clip of :meth:`SeriesLSTM.step`
 _MAX_GRAD_NORM = 1.0
 
-#: most windows one :meth:`SeriesLSTM.forward_stack` runs over one θ (the
-#: loss predictor's three); the scratch buffers are sized for this many
-_MAX_WINDOWS = 3
-
 #: fold the sigmoid's ½ into a scaled copy of θ only if θ has at most this
 #: many floats per window step.  The copy costs ≈ 0.35–0.45 ns per float per
 #: pass; it saves one ≈ 0.4 µs ufunc call per cell step, two cell steps (one
 #: per layer) per window step: break-even at ≈ 2 000 floats per step (2-core
-#: Xeon, OpenBLAS 0.3.31).  A stacked pass saves that call once per step for
-#: all its windows, so K does not enter: counting ``K * max_steps`` steps
-#: folded the paper's hidden-64 three-window pass, and it ran slower.  Hidden
-#: 16 over a 10-step window is 328 per step and folds; the paper's hidden 64
-#: over 16 steps (3 124) and 128 over 8 (24 912) would pay more for the copy
-#: than the fold saves.
+#: Xeon, OpenBLAS 0.3.31).  Hidden 16 over a 10-step window is 328 per step
+#: and folds; the paper's hidden 64 over 16 steps (3 124) and 128 over 8
+#: (24 912) would pay more for the copy than the fold saves.
 _FOLD_FLOATS_PER_STEP = 2000
 
 
@@ -172,22 +147,17 @@ class SeriesLSTM:
         self._scale = np.repeat(np.float32([0.5, 0.5, 1.0, 0.5]), hs)
         self._shift = np.repeat(np.float32([0.5, 0.5, 0.0, 0.5]), hs)
 
-        steps, wide = max_steps, _MAX_WINDOWS
-        self._x = np.empty((wide, steps, input_size), dtype=np.float32)
-        self._y = np.empty((wide, steps), dtype=np.float32)
+        steps = max_steps
+        self._x = np.empty((steps, input_size), dtype=np.float32)
+        self._y = np.empty(steps, dtype=np.float32)
         self._dy = np.empty(steps, dtype=np.float32)
-        self._proj = np.empty((steps, 4 * hs), dtype=np.float32)  # one window's input GEMM
-        # per layer and flat, viewed per pass as (steps, 4, K, hs) gates and
-        # (steps, K, hs) cell state, tanh(cell) and hidden state.  Zeroed, so
-        # the slots of windows that have ended only ever hold finite values.
-        self._gates = [np.zeros(steps * 4 * wide * hs, dtype=np.float32) for _ in range(2)]
-        self._c = [np.zeros(steps * wide * hs, dtype=np.float32) for _ in range(2)]
-        self._tanh_c = [np.zeros(steps * wide * hs, dtype=np.float32) for _ in range(2)]
-        self._h = [np.zeros(steps * wide * hs, dtype=np.float32) for _ in range(2)]
-        self._rec = np.zeros((wide, 4 * hs), dtype=np.float32)  # one GEMV output per window
-        self._tmp = np.empty((wide, hs), dtype=np.float32)
-        self._zeros = np.zeros((wide, hs), dtype=np.float32)  # h and c before the first step
-        self._zero = self._zeros[0]
+        # per layer: gate pre-activations (then activations), cell state,
+        # tanh(cell) and hidden state of every step of the last pass
+        self._gates = [np.empty((steps, 4 * hs), dtype=np.float32) for _ in range(2)]
+        self._c = [np.empty((steps, hs), dtype=np.float32) for _ in range(2)]
+        self._tanh_c = [np.empty((steps, hs), dtype=np.float32) for _ in range(2)]
+        self._h = [np.empty((steps, hs), dtype=np.float32) for _ in range(2)]
+        self._zero = np.zeros(hs, dtype=np.float32)  # h and c before the first step
         # the backward pass's local derivatives and gate gradients
         self._local = np.empty((steps, 4, hs), dtype=np.float32)
         self._dgates = np.empty((steps, 4, hs), dtype=np.float32)
@@ -196,15 +166,12 @@ class SeriesLSTM:
         self._vec = [np.empty(hs, dtype=np.float32) for _ in range(4)]
         self._wide = np.empty(4 * hs, dtype=np.float32)
         self._recurrent = np.empty(4 * hs, dtype=np.float32)
-        # built on first use (module docstring): per K the pass's layout and
-        # per-step views, per tuple of window lengths the pass's slices, and
-        # θ with the i, f, o rows halved
-        self._layouts: Dict[int, _Layout] = {}
-        self._plans: Dict[Tuple[int, ...], _Plan] = {}
+        # built on first use (module docstring): per layer the forward and
+        # backward passes' per-step views, and θ with the i, f, o rows halved
+        self._forward_views: Optional[list] = None
+        self._backward_views: Optional[list] = None
         self._scaled_theta: Optional[np.ndarray] = None
-        self._biases = [self.params[2].reshape(4, hs), self.params[5].reshape(4, hs)]
-        # the plan of the last pass
-        self._pass: Optional[_Plan] = None
+        self._steps = 0  # length of the last pass; 0 before the first
 
     def _carve(self, flat: np.ndarray) -> List[np.ndarray]:
         views, offset = [], 0
@@ -214,26 +181,14 @@ class SeriesLSTM:
             offset += size
         return views
 
-    def _layout(self, k: int) -> "_Layout":
-        layout = self._layouts.get(k)
-        if layout is None:
-            layout = self._layouts[k] = _Layout(self, k)
-        return layout
-
-    def _halved_params(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-        """θ with the i, f, o rows of both layers halved, refreshed from :attr:`params`.
-
-        Returns the halved parameter views and the two layers' biases as
-        ``(4, hidden)``.
-        """
+    def _halved_params(self) -> List[np.ndarray]:
+        """θ with the i, f, o rows of both layers halved, refreshed from :attr:`params`."""
         if self._scaled_theta is None:
-            hs = self.hidden_size
             self._row_scale = np.ones_like(self._theta)
             for view in self._carve(self._row_scale)[:6]:  # both layers' w_ih, w_hh, bias
                 view.T[...] = self._scale
             self._scaled_theta = np.empty_like(self._theta)
-            halved = self._carve(self._scaled_theta)
-            self._halved = (halved, [halved[2].reshape(4, hs), halved[5].reshape(4, hs)])
+            self._halved = self._carve(self._scaled_theta)
         np.multiply(self._theta, self._row_scale, out=self._scaled_theta)
         return self._halved
 
@@ -243,67 +198,62 @@ class SeriesLSTM:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Per-step outputs ``(T,)`` for a ``(T, input_size)`` window from a zero state.
 
-        The one-window case of :meth:`forward_stack`: the returned array is
-        scratch, and the activations left behind are what :meth:`backward`
-        reads.
+        The returned array is scratch, overwritten by the next pass; the
+        activations left behind are what :meth:`final_state` and
+        :meth:`backward` read.
         """
-        return self.forward_stack([x])[0]
-
-    def forward_stack(self, windows: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Per-step outputs of up to three ``(T_j, input_size)`` windows over one θ.
-
-        Each window starts from a zero state; lengths may differ.  The
-        returned arrays are scratch, overwritten by the next pass.
-        :meth:`final_state` reads each window's last ``[h, c]``, and
-        :meth:`backward` differentiates the last window.
-        """
-        lengths = tuple(map(len, windows))
-        plan = self._plans.get(lengths)
-        if plan is None:
-            plan = self._plans[lengths] = _Plan(self, lengths)
+        steps = len(x)
+        if not 0 < steps <= self.max_steps:
+            raise ValueError(f"window of {steps} steps, kernel sized for 1..{self.max_steps}")
+        if self._forward_views is None:
+            self._forward_views = self._build_forward_views()
         if self._theta.size <= _FOLD_FLOATS_PER_STEP * self.max_steps:
-            (params, biases), pre = self._halved_params(), None  # the halved weights already scale z
+            params, pre = self._halved_params(), None  # the halved weights already scale z
         else:
-            params, biases, pre = self.params, self._biases, plan.layout.scale
-        for x, j in zip(plan.inputs, plan.order):
-            x[...] = windows[j]
+            params, pre = self.params, self._scale
+        inputs = self._x[:steps]
+        inputs[...] = x
         for layer in range(2):
-            self._forward_layer(layer, plan, params[3 * layer : 3 * layer + 2], biases[layer], pre)
-        w_head, b_head = self.params[6][0], self.params[7]
-        for hidden, y in plan.head:
-            np.dot(hidden, w_head, out=y)
-            y += b_head
-        self._pass = plan
-        return list(plan.outputs)
+            w_ih, w_hh, bias = params[3 * layer : 3 * layer + 3]
+            gates = self._gates[layer][:steps]
+            np.dot(inputs, w_ih.T, out=gates)
+            gates += bias
+            self._forward_layer(self._forward_views[layer][:steps], w_hh, pre)
+            inputs = self._h[layer][:steps]
+        y = self._y[:steps]
+        np.dot(inputs, self.params[6][0], out=y)
+        y += self.params[7]
+        self._steps = steps
+        return y
 
-    def _forward_layer(self, layer, plan, weights, bias, pre) -> None:
-        # the cell below is _cell over all K slots at once, whose first
-        # multiply is skipped when the halved weights already gave z its
-        # halved i, f, o rows; a slot whose window has ended keeps computing
-        # on finite leftovers that nothing reads, so every ufunc sees whole
-        # contiguous gate blocks, and only the GEMVs stop
-        w_ih, w_hh = weights
-        w_in = w_ih.T
-        for inputs, rows, gate_rows, slot_gates in plan.project[layer]:
-            np.dot(inputs, w_in, out=rows)
-            np.add(gate_rows, bias, out=slot_gates)
-        layout = plan.layout
-        views, tmp, scale, shift = layout.steps[layer], layout.tmp, layout.scale, layout.shift
-        for active, start, stop in plan.spans:
-            for z, i, f, g, o, c_prev, c, tanh_c, h, recurrent, gemvs in views[start:stop]:
-                for h_prev, out in gemvs[active]:
-                    np.dot(w_hh, h_prev, out=out)
-                z += recurrent
-                if pre is not None:
-                    z *= pre
-                np.tanh(z, out=z)
-                z *= scale
-                z += shift
-                np.multiply(i, g, out=tmp)
-                np.multiply(f, c_prev, out=c)
-                c += tmp
-                np.tanh(c, out=tanh_c)
-                np.multiply(o, tanh_c, out=h)
+    def _build_forward_views(self) -> list:
+        hs, zero = self.hidden_size, self._zero
+        return [
+            [
+                (z, *z.reshape(4, hs), hidden[t - 1] if t else zero, cells[t - 1] if t else zero,
+                 cells[t], tanh_cells[t], hidden[t])
+                for t, z in enumerate(gates)
+            ]
+            for gates, cells, tanh_cells, hidden in zip(self._gates, self._c, self._tanh_c, self._h)
+        ]
+
+    def _forward_layer(self, views, w_hh, pre) -> None:
+        # _cell, inlined, with its first multiply skipped when the halved
+        # weights already gave z its halved i, f, o rows
+        scale, shift, tmp, recurrent = self._scale, self._shift, self._vec[0], self._recurrent
+        for z, i, f, g, o, h_prev, c_prev, c, tanh_c, h in views:
+            np.dot(w_hh, h_prev, out=recurrent)
+            z += recurrent
+            if pre is not None:
+                z *= pre
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            np.multiply(i, g, out=tmp)
+            np.multiply(f, c_prev, out=c)
+            c += tmp
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=h)
 
     def _cell(self, z, c_prev, c, tanh_c, h) -> None:
         """One cell step from gate pre-activations ``z`` (overwritten in place).
@@ -323,12 +273,11 @@ class SeriesLSTM:
         np.tanh(c, out=tanh_c)
         np.multiply(z[3 * hs :], tanh_c, out=h)
 
-    def final_state(self, window: int, step: Optional[int] = None) -> State:
-        """Fresh ``[h, c]`` of both layers after step ``step`` (default: the last) of window ``window``."""
-        plan = self._pass
-        layout, slot = plan.layout, plan.slots[window]
-        last = plan.lengths[window] - 1 if step is None else step
-        return [buf[layer][last, slot].copy() for layer in range(2) for buf in (layout.hidden, layout.cells)]
+    def final_state(self, step: int) -> State:
+        """Fresh ``[h, c]`` of both layers after step ``step`` (from 0) of the last pass."""
+        if not 0 <= step < self._steps:
+            raise ValueError(f"step {step} of a {self._steps}-step pass")
+        return [buf[layer][step].copy() for layer in range(2) for buf in (self._h, self._c)]
 
     # ------------------------------------------------------------------ #
     # backward + optimiser
@@ -336,40 +285,43 @@ class SeriesLSTM:
     def backward(self, dy: np.ndarray) -> None:
         """Gradients of a loss with ``dL/dy = dy`` into :attr:`grads` (BPTT).
 
-        Must follow the :meth:`forward_stack` call whose last window it
-        differentiates.
+        Must follow the :meth:`forward` call it differentiates.
         """
-        if self._pass is None:
+        steps = self._steps
+        if not steps:
             raise ValueError("backward before any forward pass")
-        plan = self._pass
-        slot, steps = plan.slots[-1], plan.lengths[-1]
         if len(dy) != steps:
             raise ValueError(f"dy has {len(dy)} steps, the cached window {steps}")
-        layout, grads = plan.layout, self.grads
-        views = layout.backward.get(slot)
-        if views is None:
-            views = layout.backward[slot] = [
-                [(dh_out[t], self._dc_dh[t], dz, self._local[t], self._local[t, 3], dz[3],
-                  gates[t, 1, slot], dz.reshape(-1))
-                 for t, dz in enumerate(self._dgates)]
-                for dh_out, gates in zip(self._dh_out, layout.gates)
-            ]
+        if self._backward_views is None:
+            self._backward_views = self._build_backward_views()
+        grads = self.grads
         dy32 = self._dy[:steps]
         dy32[...] = dy
-        lower, upper = plan.activations[slot]
-        np.dot(dy32, upper[4], out=grads[6][0])
+        np.dot(dy32, self._h[1][:steps], out=grads[6][0])
         grads[7][0] = dy32.sum()
         np.multiply(dy32[:, None], self.params[6], out=self._dh_out[1][:steps])
-        self._backward_layer(1, views[1], upper, self._dh_out[0][:steps])
-        self._backward_layer(0, views[0], lower, None)
+        self._backward_layer(1, self._h[0][:steps], self._dh_out[0][:steps])
+        self._backward_layer(0, self._x[:steps], None)
 
-    def _backward_layer(self, layer, views, activations, d_inputs) -> None:
+    def _build_backward_views(self) -> list:
+        hs = self.hidden_size
+        return [
+            [(dh_out[t], self._dc_dh[t], dz, self._local[t], self._local[t, 3], dz[3],
+              gates[t, hs : 2 * hs], dz.reshape(-1))
+             for t, dz in enumerate(self._dgates)]
+            for dh_out, gates in zip(self._dh_out, self._gates)
+        ]
+
+    def _backward_layer(self, layer, inputs, d_inputs) -> None:
         """BPTT through one layer; ``_dh_out[layer]`` holds dL/dh from above, per step."""
         w_ih, w_hh, _ = self.params[3 * layer : 3 * layer + 3]
         g_ih, g_hh, g_bias = self.grads[3 * layer : 3 * layer + 3]
         hs = self.hidden_size
-        inputs, gates, cells, tanh_cells, hidden = activations
         steps = len(inputs)
+        views = self._backward_views[layer]
+        gates = self._gates[layer][:steps].reshape(steps, 4, hs)
+        cells, tanh_cells = self._c[layer][:steps], self._tanh_c[layer][:steps]
+        hidden = self._h[layer][:steps]
         i_gate, g_gate, o_gate = gates[:, 0], gates[:, 2], gates[:, 3]
 
         # everything that depends on the forward activations alone, for all
@@ -441,8 +393,8 @@ class SeriesLSTM:
         """
         if len(x) == 0:
             return [self._zero.copy() for _ in range(4)]
-        self.forward_stack([x])
-        return self.final_state(0)
+        self.forward(x)
+        return self.final_state(len(x) - 1)
 
     def advance(self, state: State, x: Sequence[float]) -> float:
         """Feed one ``(input_size,)`` step, updating ``state`` in place; returns the output."""
@@ -477,84 +429,3 @@ class SeriesLSTM:
             value = self.advance(state, (value,))
             preds.append(value)
         return preds
-
-
-class _Plan:
-    """The slices of one pass over windows of the given lengths (built once per tuple).
-
-    Windows run longest first, so the ones still running at a step are the
-    first ``a`` slots; ``spans`` lists ``(a, start, stop)`` runs of steps.
-    """
-
-    def __init__(self, kernel: SeriesLSTM, lengths: Tuple[int, ...]) -> None:
-        k = len(lengths)
-        if not 0 < k <= _MAX_WINDOWS:
-            raise ValueError(f"{k} windows, a pass runs 1..{_MAX_WINDOWS}")
-        for steps in lengths:
-            if not 0 < steps <= kernel.max_steps:
-                raise ValueError(f"window of {steps} steps, kernel sized for 1..{kernel.max_steps}")
-        self.lengths = lengths
-        self.layout = layout = kernel._layout(k)
-        self.order = sorted(range(k), key=lengths.__getitem__, reverse=True)
-        self.slots = [self.order.index(j) for j in range(k)]
-        self.spans, start = [], 0
-        for active in range(k, 0, -1):
-            stop = lengths[self.order[active - 1]]
-            if stop > start:
-                self.spans.append((active, start, stop))
-                start = stop
-        # per slot: the input rows; per layer and slot, the input GEMM's
-        # operands with the gate rows it lands in (bias added), and the
-        # window's input and activations as backward reads them
-        self.inputs = [kernel._x[slot, : lengths[j]] for slot, j in enumerate(self.order)]
-        self.project, self.activations, inputs = [], [[] for _ in range(k)], self.inputs
-        for gates, cells, tanh_cells, hidden in zip(layout.gates, layout.cells, layout.tanh_cells, layout.hidden):
-            project = []
-            for slot, x in enumerate(inputs):
-                n, rows = len(x), kernel._proj[: len(x)]
-                project.append((x, rows, rows.reshape(n, 4, -1), gates[:n, :, slot]))
-                self.activations[slot].append(
-                    (x, gates[:n, :, slot], cells[:n, slot], tanh_cells[:n, slot], hidden[:n, slot])
-                )
-            self.project.append(project)
-            inputs = [acts[-1][4] for acts in self.activations]
-        self.head = [(h, kernel._y[slot, : len(h)]) for slot, h in enumerate(inputs)]
-        self.outputs = [self.head[slot][1] for slot in self.slots]
-
-
-class _Layout:
-    """The scratch of one pass over ``k`` windows, gate-major, and its per-step views.
-
-    ``gates[layer]`` is ``(max_steps, 4, k, hidden)``, so each gate block of
-    all ``k`` windows at one step is one contiguous operand; ``cells``,
-    ``tanh_cells`` and ``hidden`` are ``(max_steps, k, hidden)``.  ``steps``
-    holds per layer and step the views the cell loop unpacks, the GEMVs as
-    ``(h_prev, out)`` pairs of the first ``a`` windows at index ``a``.  With
-    one window the views are flat vectors, the cheapest ufunc operands.
-    """
-
-    def __init__(self, kernel: SeriesLSTM, k: int) -> None:
-        hs, n = kernel.hidden_size, kernel.max_steps
-        self.gates = [buf[: n * 4 * k * hs].reshape(n, 4, k, hs) for buf in kernel._gates]
-        self.cells = [buf[: n * k * hs].reshape(n, k, hs) for buf in kernel._c]
-        self.tanh_cells = [buf[: n * k * hs].reshape(n, k, hs) for buf in kernel._tanh_c]
-        self.hidden = [buf[: n * k * hs].reshape(n, k, hs) for buf in kernel._h]
-        # (4, k, hs) and (k, hs) operands, or (4 hs,) and (hs,) when k == 1
-        flat = (lambda a: a.reshape(-1)) if k == 1 else (lambda a: a)
-        self.scale = flat(np.repeat(kernel._scale.reshape(4, 1, hs), k, axis=1))
-        self.shift = flat(np.repeat(kernel._shift.reshape(4, 1, hs), k, axis=1))
-        self.tmp = flat(kernel._tmp[:k])
-        rec, zeros = kernel._rec[:k], kernel._zeros[:k]
-        recurrent = flat(rec.reshape(k, 4, hs).transpose(1, 0, 2))
-        self.steps = []
-        for gates, cells, tanh_cells, hidden in zip(self.gates, self.cells, self.tanh_cells, self.hidden):
-            views = []
-            for t, z in enumerate(gates):
-                gemvs = tuple(zip(hidden[t - 1] if t else zeros, rec))
-                views.append((
-                    flat(z), *(z.reshape(4, hs) if k == 1 else z),
-                    flat(cells[t - 1] if t else zeros), flat(cells[t]), flat(tanh_cells[t]),
-                    flat(hidden[t]), recurrent, [gemvs[:a] for a in range(k + 1)],
-                ))
-            self.steps.append(views)
-        self.backward: Dict[int, list] = {}  # per differentiated slot: the backward pass's views

@@ -421,57 +421,29 @@ def test_loss_predictor_matches_its_unstacked_call_sequence(hidden, window, trai
 
 
 @pytest.mark.parametrize("fold", [True, False])
-@pytest.mark.parametrize(
-    "hidden, input_size, max_steps", [(16, 1, 10), (16, 3, 5), (64, 1, 16), (128, 1, 8)]
-)
-def test_stacked_pass_equals_one_window_at_a_time(hidden, input_size, max_steps, fold, monkeypatch):
-    """``forward_stack`` over K windows is K frozen single-window passes, bit for bit."""
+@pytest.mark.parametrize("hidden, input_size, max_steps", [(16, 1, 10), (16, 3, 5), (128, 1, 8)])
+def test_state_after_each_step_is_the_frozen_pass_state(hidden, input_size, max_steps, fold, monkeypatch):
+    """``final_state(t)`` is the frozen pass's ``[h, c]`` after step ``t``, bit for bit."""
     monkeypatch.setattr(series_lstm, "_FOLD_FLOATS_PER_STEP", 10**9 if fold else 0)
     kernel, frozen = make_pair(hidden, input_size, max_steps, seed=hidden + 5)
     rng = np.random.default_rng(hidden + max_steps)
     drive(kernel, frozen, rng, rounds=1)  # weights away from their initial draw
-    top = max_steps
-    # windows run longest first, so across these stacks the last window,
-    # the one backward differentiates, lands in every slot of every K
-    stacks = [
-        [1], [top],
-        [top, top - 1], [1, top], [2, 2],
-        [top, top, top - 1], [3, 1, top], [top, 1, 2], [1, 1, 1], [2, top, 2],
-    ]
-    differentiated = set()
-    for lengths in stacks:
-        windows = [rng.standard_normal((n, input_size)).astype(np.float32) for n in lengths]
-        outputs = [y.copy() for y in kernel.forward_stack(windows)]
-        states = [kernel.final_state(j) for j in range(len(windows))]
-        for x, y, state in zip(windows, outputs, states):
-            assert np.array_equal(y, frozen.forward(x))
-            for live, ref in zip(state, frozen.encode(x)):
-                assert np.array_equal(live, ref)
-        # the last window's activations are what backward reads
-        dy = (rng.standard_normal(lengths[-1]) * 0.5).astype(np.float32)
-        kernel.backward(dy)
-        frozen.forward(windows[-1])
-        frozen.backward(dy)
-        for live, ref in zip(kernel.grads, frozen.grads):
-            assert np.array_equal(live, ref)
-        kernel.step()
-        frozen.step()
-        assert_same(kernel, frozen)
-        differentiated.add((len(lengths), kernel._pass.slots[-1]))
-    assert differentiated == {(k, slot) for k in (1, 2, 3) for slot in range(k)}
+    for steps in (1, 2, max_steps):
+        x = rng.standard_normal((steps, input_size)).astype(np.float32)
+        kernel.forward(x)
+        frozen.forward(x)
+        for t in range(steps):
+            ref = [buf[layer][t] for layer in range(2) for buf in (frozen._h, frozen._c)]
+            for live, want in zip(kernel.final_state(t), ref):
+                assert np.array_equal(live, want)
+        for t in (-1, steps):
+            with pytest.raises(ValueError):
+                kernel.final_state(t)
 
 
-def test_stacked_pass_rejects_what_it_cannot_run():
+def test_backward_needs_a_pass():
     kernel, _ = make_pair(16, 1, 4, seed=0)
-    x = np.zeros((2, 1), dtype=np.float32)
     with pytest.raises(ValueError):
-        kernel.backward(np.zeros(2, dtype=np.float32))  # no pass to differentiate yet
+        kernel.backward(np.zeros(2, dtype=np.float32))
     with pytest.raises(ValueError):
-        kernel.forward_stack([x] * 4)
-    with pytest.raises(ValueError):
-        kernel.forward_stack([])
-    with pytest.raises(ValueError):
-        kernel.forward_stack([x, np.zeros((5, 1), dtype=np.float32)])
-    kernel.forward_stack([x, np.zeros((3, 1), dtype=np.float32)])
-    with pytest.raises(ValueError):
-        kernel.backward(np.zeros(2, dtype=np.float32))  # the last window has 3 steps
+        kernel.final_state(0)
