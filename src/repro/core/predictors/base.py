@@ -53,6 +53,12 @@ class LossPredictorBase:
        input and ``l_m`` as the label (Algorithm 3, line 1).
     3. ``predict_delay(l_m, k)`` — the summed ``k``-step-ahead forecast
        ``l_delay`` (Formula 9).
+
+    ``l_m`` is fed once: ``predict_delay``'s ``loss`` stands in for the
+    newest observed loss rather than following it, so right after
+    ``observe(l)``, ``predict_delay(l, 1)`` is the forecast
+    ``predict_next()`` makes, and ``predict_delay(l ± eps, k)`` perturbs
+    that loss alone (the "sensitivity" coupling).
     """
 
     name = "base"

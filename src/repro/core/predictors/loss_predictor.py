@@ -42,10 +42,11 @@ class LSTMLossPredictor(LossPredictorBase):
     The prefix is read from that pass rather than from a pass of its own
     because a GEMM's rows depend on its row count: a ``window``-step
     pass's state after step ``window - 2`` and a ``(window - 1)``-step
-    pass's final state differ in their last bits in about one case in
-    ten.  Right after ``observe(l)``, ``predict_delay(l, 1)`` and
+    pass's final state differ in their last bits in 10–18 % of cases.
+    Right after ``observe(l)``, ``predict_delay(l, 1)`` and
     ``predict_next()`` feed the same inputs to the same weights, and differ
-    only by that rounding (the rollout's GEMV against the pass's GEMM).
+    only in float32 rounding: the rollout's step is a GEMV, the pass's
+    input projection a GEMM.
 
     **Cache contract:** the history, the normaliser and the weights change
     only in :meth:`observe`, so ``observe`` is the one method that consumes
@@ -93,7 +94,7 @@ class LSTMLossPredictor(LossPredictorBase):
         self._history: Deque[float] = deque(maxlen=window + 1)
         self._norm = _RunningNorm()
         self._observed = 0
-        # the pass of the last observe (class docstring), None until two
+        # read from the last observe's pass (class docstring) once two
         # losses are in: its outputs (kernel scratch), the last of them, and
         # (h, c) after all but its last step
         self._train_pred: Optional[np.ndarray] = None
