@@ -8,7 +8,8 @@ noted) so benches and examples stay declarative.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+import copy
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 ALGORITHMS = ("sgd", "ssgd", "asgd", "dc-asgd", "lc-asgd", "sa-asgd", "ad-psgd")
@@ -168,27 +169,24 @@ class TrainingConfig:
 
         One serialization serves ``repro info``, the experiment-spec hash
         and the result store, so it must stay deterministic: field order is
-        declaration order and every value is a JSON scalar/list/dict.
+        declaration order and every value is a JSON scalar/list/dict.  The
+        document is ``dataclasses.asdict`` with tuples turned into lists,
+        built in one walk; it shares no mutable object with the config.
         """
-
-        def convert(value: Any) -> Any:
-            if isinstance(value, dict):
-                return {k: convert(v) for k, v in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [convert(v) for v in value]
-            return value
-
-        return convert(asdict(self))
+        return _document(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "TrainingConfig":
-        """Exact inverse of :meth:`to_dict`.
+        """Rebuild a config from a :meth:`to_dict` document.
 
         This is how a config crosses process boundaries (the proc backend
         hands each worker child its config as JSON) and how stored specs
-        could be rehydrated: nested dataclasses are rebuilt and
-        list-encoded tuples restored, so ``from_dict(c.to_dict()) == c``.
-        Unknown keys raise — a silently-dropped field would let two
+        are rehydrated: nested dataclasses are rebuilt and
+        ``lr_milestones`` becomes a tuple again, so
+        ``from_dict(d).to_dict() == d`` and a rebuilt config hashes to the
+        same spec key.  ``from_dict(c.to_dict()) == c`` does not hold in
+        general: tuples inside the free-form ``model_kwargs`` and
+        ``dataset_kwargs`` come back as lists.  Unknown keys raise — a silently-dropped field would let two
         processes disagree about the experiment they are running.
         """
         data = dict(payload)
@@ -369,3 +367,20 @@ class TrainingConfig:
     def with_overrides(self, **overrides) -> "TrainingConfig":
         """Return a copy with fields replaced."""
         return replace(self, **overrides)
+
+
+#: values a config document holds as they are
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _document(value: Any) -> Any:
+    """``dataclasses.asdict`` of ``value`` with every tuple as a list."""
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, dict):
+        return {k: _document(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_document(v) for v in value]
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _document(getattr(value, f.name)) for f in fields(value)}
+    return copy.deepcopy(value)

@@ -10,10 +10,16 @@ by skipping completed runs.
 
 Tags are deliberately excluded from the key: relabelling a run must not
 invalidate its cached result.
+
+A spec owns a deep copy of the config and backend options it was built
+from, and hashes them once, when it is built: a caller who goes on to
+mutate their own config (``cfg.seed = s`` in a loop) changes neither the
+spec's run nor its key.  To change a spec, build a new one.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -35,9 +41,15 @@ class ExperimentSpec:
     tags: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # normalize mutable inputs so specs hash and serialize consistently
-        object.__setattr__(self, "backend_options", dict(self.backend_options))
+        # own copies of the mutable inputs, so the key below stays the
+        # key of what runs; tags are normalized so specs serialize alike
+        object.__setattr__(self, "config", copy.deepcopy(self.config))
+        object.__setattr__(self, "backend_options", copy.deepcopy(dict(self.backend_options)))
         object.__setattr__(self, "tags", _as_tag_tuple(self.tags))
+        canonical = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(
+            self, "_key", hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:KEY_LENGTH]
+        )
 
     # ------------------------------------------------------------------ #
     def identity(self) -> Dict[str, Any]:
@@ -49,9 +61,9 @@ class ExperimentSpec:
         }
 
     def key(self) -> str:
-        """Content-addressed key: SHA-256 of the canonical identity JSON."""
-        canonical = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:KEY_LENGTH]
+        """Content-addressed key: SHA-256 of the canonical identity JSON,
+        hashed when the spec was built."""
+        return self._key
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready mapping (identity + tags + key) for persistence."""

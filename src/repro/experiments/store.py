@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.metrics import RunResult
 from repro.experiments.spec import ExperimentSpec
-from repro.utils.serialization import to_jsonable
+from repro.utils.serialization import numpy_json_default
 
 #: schema version stamped into every record
 STORE_VERSION = 1
@@ -107,10 +107,11 @@ class ResultStore:
             "spec": spec.to_dict(),
             "result": result.to_dict(),
         }
+        text = json.dumps(payload, indent=2, default=numpy_json_default)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(to_jsonable(payload), fh, indent=2)
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -143,7 +144,13 @@ class ResultStore:
 
     def _load(self, path: Path) -> StoreRecord:
         with open(path) as fh:
-            payload = json.load(fh)
+            text = fh.read()
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            # a bare decode error names no file; a resume over hundreds of
+            # records must say which one is damaged
+            raise json.JSONDecodeError(f"corrupt record {path}: {exc.msg}", exc.doc, exc.pos) from exc
         return StoreRecord(
             key=path.stem,
             spec=payload["spec"],

@@ -53,12 +53,24 @@ def unflatten_arrays(flat: np.ndarray, spec: ShapeSpec) -> List[np.ndarray]:
     return out
 
 
+def numpy_json_default(value: Any) -> Any:
+    """``json.dumps(..., default=numpy_json_default)``: numpy scalars and
+    arrays encode as :func:`to_jsonable` would convert them, without a
+    walk over the rest of the document."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def to_jsonable(value: Any) -> Any:
     """Recursively convert numpy scalars/arrays so a doc survives ``json.dumps``.
 
     The one numpy-to-JSON walk: the documents fleet frames carry are
-    encoded with a strict ``json.dumps``, and result-store records are written from its
-    output, yet ``RunResult.to_dict`` may carry numpy staleness statistics.
+    encoded with a strict ``json.dumps``, yet ``RunResult.to_dict`` may carry
+    numpy staleness statistics.  Result-store records are encoded with
+    :func:`numpy_json_default` instead, to the same bytes.
     """
     if isinstance(value, np.generic):
         return value.item()
