@@ -181,13 +181,13 @@ class TrainingConfig:
 
         This is how a config crosses process boundaries (the proc backend
         hands each worker child its config as JSON) and how stored specs
-        are rehydrated: nested dataclasses are rebuilt and
-        ``lr_milestones`` becomes a tuple again, so
-        ``from_dict(d).to_dict() == d`` and a rebuilt config hashes to the
-        same spec key.  ``from_dict(c.to_dict()) == c`` does not hold in
-        general: tuples inside the free-form ``model_kwargs`` and
-        ``dataset_kwargs`` come back as lists.  Unknown keys raise — a silently-dropped field would let two
-        processes disagree about the experiment they are running.
+        are rehydrated: nested dataclasses are rebuilt and ``lr_milestones``
+        becomes a tuple again, so ``from_dict(d).to_dict() == d`` and a
+        rebuilt config hashes to the same spec key.  ``from_dict(c.to_dict())
+        == c`` does not hold in general: tuples inside the free-form
+        ``model_kwargs`` and ``dataset_kwargs`` come back as lists.  Unknown
+        keys raise — a silently-dropped field would let two processes
+        disagree about the experiment they are running.
         """
         data = dict(payload)
         known = {f.name for f in fields(cls)}
@@ -381,6 +381,6 @@ def _document(value: Any) -> Any:
         return {k: _document(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_document(v) for v in value]
-    if is_dataclass(value) and not isinstance(value, type):
+    if is_dataclass(value):
         return {f.name: _document(getattr(value, f.name)) for f in fields(value)}
     return copy.deepcopy(value)

@@ -144,13 +144,13 @@ class ResultStore:
 
     def _load(self, path: Path) -> StoreRecord:
         with open(path) as fh:
-            text = fh.read()
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            # a bare decode error names no file; a resume over hundreds of
-            # records must say which one is damaged
-            raise json.JSONDecodeError(f"corrupt record {path}: {exc.msg}", exc.doc, exc.pos) from exc
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                # a bare decode error names no file; a resume over hundreds
+                # of records must say which one is damaged
+                message = f"corrupt record {path}: {exc.msg}"
+                raise json.JSONDecodeError(message, exc.doc, exc.pos) from exc
         return StoreRecord(
             key=path.stem,
             spec=payload["spec"],
