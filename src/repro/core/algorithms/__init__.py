@@ -2,7 +2,7 @@
 decentralized AD-PSGD rule that lives on each worker replica)."""
 
 from repro.core.algorithms.base import UpdateRule
-from repro.core.algorithms.adpsgd import ADPSGDRule, gossip_staleness, pairwise_average
+from repro.core.algorithms.adpsgd import ADPSGDRule, gossip_staleness
 from repro.core.algorithms.asgd import ASGDRule
 from repro.core.algorithms.dcasgd import DCASGDRule
 from repro.core.algorithms.lcasgd import LCASGDRule, compensation_seed
@@ -20,7 +20,6 @@ __all__ = [
     "LCASGDRule",
     "StalenessAwareASGDRule",
     "compensation_seed",
-    "pairwise_average",
     "gossip_staleness",
     "make_update_rule",
 ]

@@ -14,9 +14,9 @@ The rule is split to mirror the physical split of the algorithm:
   algorithm registry and reuses the shared momentum bookkeeping, but it is
   instantiated once **per worker** (each replica owns its velocity), not
   once on a server.
-* :func:`pairwise_average` — the *gossip* step.  Pure array math on two
-  flat parameter vectors, symmetric in its arguments, applied by both
-  members of a pair so their replicas agree bit-for-bit afterwards.
+* the *gossip* step — each member of a pair moves its vector to the
+  midpoint, in :func:`repro.runtime.cycle.gossip_cycle`, so the two
+  replicas agree bit-for-bit afterwards.
 
 Deadlock freedom is a runtime property, not an algorithm property: the
 gossip backends pair workers through an atomic matchmaker before anyone
@@ -25,8 +25,6 @@ blocks, so two workers never hold-and-wait on each other (see
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -39,9 +37,10 @@ class ADPSGDRule(UpdateRule):
 
     ``apply_gradient`` performs the worker's local step ``x_i <- x_i - lr
     g_i`` (with optional momentum, tracked per replica).  The decentralized
-    half — averaging with a neighbor — is :func:`pairwise_average`, invoked
-    by the gossip runtime between local steps; the server-based backends
-    refuse the algorithm outright rather than silently running it as ASGD.
+    half — averaging with a neighbor — is the gossip cycle's exchange
+    between local steps; the parameter-server drivers (the sim's event loop
+    and proc) refuse the algorithm outright rather than silently running it
+    as ASGD.
     """
 
     name = "ad-psgd"
@@ -55,20 +54,6 @@ class ADPSGDRule(UpdateRule):
     ) -> bool:
         self._sgd_step(params, payload.grad, lr)
         return True
-
-
-def pairwise_average(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The AD-PSGD gossip update: both replicas move to their midpoint.
-
-    ``x_i, x_j <- (x_i + x_j) / 2`` — the doubly-stochastic mixing matrix
-    ``W`` of the paper restricted to one edge.  Inputs are not mutated; the
-    two returned arrays are *independent* copies of the midpoint (callers
-    on different threads must not share storage).
-    """
-    if a.shape != b.shape:
-        raise ValueError(f"cannot average shapes {a.shape} and {b.shape}")
-    mid = (a + b) * 0.5
-    return mid, mid.copy()
 
 
 def gossip_staleness(local_step: int, last_average_step: int) -> int:

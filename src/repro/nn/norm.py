@@ -116,6 +116,13 @@ def collect_bn_stats(module: Module) -> List[Tuple[np.ndarray, np.ndarray]]:
     return stats
 
 
+def running_bn_stats(module: Module) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """Copies of each BN layer's ``(running_mean, running_var)``, in order."""
+    return tuple(
+        (layer.running_mean.copy(), layer.running_var.copy()) for layer in bn_layers(module)
+    )
+
+
 def load_bn_running_stats(module: Module, stats: List[Tuple[np.ndarray, np.ndarray]]) -> None:
     """Write per-layer ``(mean, var)`` into the running-stat buffers, in order."""
     layers = bn_layers(module)

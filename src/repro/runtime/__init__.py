@@ -18,21 +18,23 @@ ways from one experiment specification:
   :class:`ProcBackend`: the same server actor, but every worker is a real
   OS process speaking the :mod:`repro.runtime.wire` protocol over a
   loopback socket — genuinely independent compute, no shared GIL.
-* :mod:`repro.runtime.gossip_backend` — :class:`GossipBackend`: the
-  decentralized AD-PSGD runtime.  No server at all: workers average
-  weights pairwise over a peer topology, in a deterministic virtual-time
-  mode and a genuinely concurrent thread mode (atomic pairing via
-  :class:`PairingBoard` keeps the averaging deadlock-free).
+* :mod:`repro.runtime.gossip_backend` — the decentralized AD-PSGD
+  runtime.  No server at all: workers average weights pairwise over a
+  peer topology.  The sim's synchronous rounds drive the gossip cycle
+  there; on threads, :class:`ThreadBackend` drives it and pairs workers
+  on the :class:`PairingBoard`, whose atomic matching keeps the averaging
+  deadlock-free.  :class:`GossipBackend` picks one of the two.
 * :mod:`repro.runtime.messages` / :mod:`repro.runtime.transport` /
   :mod:`repro.runtime.wire` / :mod:`repro.runtime.codecs` — the typed
   envelopes, the in-process delay-injecting message fabric with unified
   :class:`CommStats` byte accounting, the zero-copy socket framing, and
   the pluggable gradient codecs (raw32/fp16/topk) every byte-moving
   backend negotiates via ``TrainingConfig.comm_codec``.
-* :mod:`repro.runtime.cycle` — Algorithm 1's worker cycle and Algorithm
-  2's per-message dispatch, each written once; sim, thread and proc are
-  drivers over them, and every applied update of every backend (gossip
-  reports included) enters the run through the dispatch.
+* :mod:`repro.runtime.cycle` — Algorithm 1's worker cycle, AD-PSGD's
+  gossip cycle and Algorithm 2's per-message dispatch, each written once;
+  sim, thread and proc are drivers over them, and every applied update of
+  every backend (gossip reports included) enters the run through the
+  dispatch.
 * :mod:`repro.runtime.server_actor` — the server actor loop the
   concurrent backends share (inbox draining, evaluation cadence, the
   done/Shutdown protocol); gossip thread mode runs it on its reports.

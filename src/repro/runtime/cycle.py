@@ -16,6 +16,14 @@ The compensation round trip is the only branch: LC-ASGD calls with
 ``state_m`` and waits for ``l_delay`` before backward; every other rule
 posts state and gradient fused and awaits nothing.
 
+**The gossip cycle** (:func:`gossip_cycle`) is AD-PSGD's step in the same
+terms: a local step on the worker's own vector, ``COMPUTE``, ``POST`` of a
+:class:`~repro.runtime.messages.GossipReport`, then one more effect:
+
+* ``(EXCHANGE, mine)`` — offer this worker's :class:`~repro.runtime.
+  messages.WeightExchange`; resume with the partner's, or None when the
+  worker averages with nobody this step.
+
 **The dispatch** (:func:`dispatch`) maps one arrived message to the
 server handler, logs the update it applied, and names the replies to send.
 
@@ -25,17 +33,25 @@ Drivers decide what an effect costs.  The sim driver
 runs them over blocking ``send``/``recv`` callables for worker threads
 (:mod:`~repro.runtime.thread_backend`) and worker processes
 (:mod:`~repro.runtime.proc_worker`); the server side of both is
-:func:`~repro.runtime.server_actor.server_actor_loop`.  The serverless
-AD-PSGD loop (:mod:`~repro.runtime.gossip_backend`) is the one run family
-with a different cycle; its per-step reports still go through the dispatch.
+:func:`~repro.runtime.server_actor.server_actor_loop`.  AD-PSGD has no
+server: its reports still go through the dispatch, and its exchanges are
+answered by the gossip sim's rounds or, on worker threads, by a
+:class:`BlockingDriver` whose ``exchange`` meets a partner on the
+:class:`~repro.runtime.gossip_backend.PairingBoard`.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Callable, Generator, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.algorithms.adpsgd import gossip_staleness
+from repro.core.algorithms.base import UpdateRule
 from repro.core.worker import DistributedWorker
+from repro.nn.norm import bn_layers, running_bn_stats
 from repro.runtime.messages import (
     CombinedPush,
     CompensationMessage,
@@ -46,10 +62,11 @@ from repro.runtime.messages import (
     PullRequest,
     Shutdown,
     StatePush,
+    WeightExchange,
 )
 from repro.runtime.session import REQUEST_BYTES, ExperimentSession
 
-CALL, POST, COMPUTE = "call", "post", "compute"
+CALL, POST, COMPUTE, EXCHANGE = "call", "post", "compute", "exchange"
 
 #: ``(worker, reply, logical bytes)`` — one message the server owes a worker
 Reply = Tuple[int, Message, int]
@@ -121,6 +138,69 @@ def worker_cycle(
         recorder.emit(now, "span", m, phase="encode", dur_ms=(now - t0) * 1e3)
 
 
+@dataclass
+class GossipReplica:
+    """What one AD-PSGD worker carries from step to step.
+
+    ``params`` is its authoritative flat vector (no server holds one),
+    ``rule`` its local optimizer with its own momentum, ``steps`` the local
+    steps taken, ``averaged_at`` the step count at its last average and
+    ``t_comm`` how long that exchange took on the driver's clock.
+    """
+
+    params: np.ndarray
+    rule: UpdateRule
+    steps: int = 0
+    averaged_at: int = 0
+    t_comm: float = 0.0
+
+
+def gossip_cycle(
+    replica: GossipReplica, worker: DistributedWorker, wiring, clock: Callable[[], float]
+) -> Generator[tuple, object, None]:
+    """One AD-PSGD step for ``worker`` (Lian et al.), as effects for a driver.
+
+    The local step updates ``replica.params``, its report goes through the
+    dispatch like a gradient push (its staleness is the steps since the
+    last average), and the worker offers a snapshot of its weights and BN
+    running statistics.  Given the partner's, it moves to the midpoint in
+    place: ``x += y; x *= 0.5`` rounds exactly like ``(x + y) * 0.5``, so
+    both members of a pair hold the same bits afterwards.  ``model_lock``
+    spans the math and the snapshot, never a wait, so the consensus
+    evaluation always reads a whole step.
+    """
+    m = worker.worker_id
+    params = replica.params
+    duration = wiring.compute.duration(m, fraction=1.0)
+    lr = wiring.server.current_lr
+    with worker.model_lock, wiring.timer.section("worker-compute"):
+        worker.load_params(params, version=replica.steps, t_comm=replica.t_comm)
+        _, payload = worker.forward_backward(t_comp=duration)
+        replica.rule.apply_gradient(params, payload, lr, version=replica.steps)
+    replica.steps += 1
+    yield COMPUTE, duration
+
+    staleness = gossip_staleness(replica.steps, replica.averaged_at)
+    yield POST, GossipReport(m, loss=payload.loss, staleness=staleness), REQUEST_BYTES
+
+    with worker.model_lock:
+        mine = WeightExchange(m, weights=params.copy(), bn_stats=running_bn_stats(worker.model))
+    t0 = clock()
+    theirs = yield EXCHANGE, mine
+    if theirs is None:
+        return
+    with worker.model_lock:
+        params += theirs.weights
+        params *= 0.5
+        for layer, (mean, var) in zip(bn_layers(worker.model), theirs.bn_stats):
+            layer.running_mean += mean
+            layer.running_mean *= 0.5
+            layer.running_var += var
+            layer.running_var *= 0.5
+    replica.averaged_at = replica.steps
+    replica.t_comm = clock() - t0
+
+
 def dispatch(session: ExperimentSession, message: Message, now: float) -> Sequence[Reply]:
     """Algorithm 2 for one arrived ``message``; returns the replies owed.
 
@@ -175,7 +255,10 @@ class BlockingDriver:
 
     ``send(message, nbytes)`` delivers to the server (sleeping out any
     emulated uplink itself) and ``recv()`` blocks for the next message to
-    this worker.  With a ``clock`` the driver is free-running: compute
+    this worker.  ``cycle`` builds each cycle from ``(worker, wiring,
+    clock)``: :func:`worker_cycle` by default, or a :func:`gossip_cycle`
+    bound to its replica, whose ``EXCHANGE`` is answered by
+    ``exchange(mine)``.  With a ``clock`` the driver is free-running: compute
     effects sleep ``compute_scale`` real seconds per virtual second and
     are answered with the wall seconds since the cycle last resumed (the
     real math plus that sleep).  With ``clock=None`` it is deterministic:
@@ -192,11 +275,15 @@ class BlockingDriver:
         recv: Callable[[], Message],
         clock: Optional[Callable[[], float]] = None,
         compute_scale: float = 0.0,
+        cycle: Callable[..., Generator] = worker_cycle,
+        exchange: Optional[Callable[[WeightExchange], Optional[WeightExchange]]] = None,
     ) -> None:
         self.worker = worker
         self.wiring = wiring
         self.send = send
         self.recv = recv
+        self.cycle = cycle
+        self.exchange = exchange
         self.virtual = clock is None
         self.clock = self._virtual_now if clock is None else clock
         self.compute_scale = float(compute_scale)
@@ -222,7 +309,7 @@ class BlockingDriver:
 
     def run_cycle(self) -> bool:
         """One full cycle; False when a Shutdown ended it mid-way."""
-        cycle = worker_cycle(self.worker, self.wiring, self.clock)
+        cycle = self.cycle(self.worker, self.wiring, self.clock)
         answer: object = None
         resumed = time.perf_counter()
         while True:
@@ -232,6 +319,8 @@ class BlockingDriver:
                 return True
             if effect[0] is COMPUTE:
                 answer = self._computed(effect[1], resumed)
+            elif effect[0] is EXCHANGE:
+                answer = self.exchange(effect[1])
             else:
                 kind, message, nbytes = effect
                 self.send(message, nbytes)

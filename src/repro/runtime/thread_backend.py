@@ -23,6 +23,11 @@ Two scheduling modes:
   seed, so two runs produce bit-identical parameters — this is what the
   parity and reproducibility tests rely on.  The cost is that the
   serialized schedule pins observed staleness to 0.
+
+``ad-psgd`` runs here too, serverless: the actor only logs each worker's
+gossip reports, and each worker's driver runs
+:func:`~repro.runtime.cycle.gossip_cycle` and meets its partner on the
+:class:`~repro.runtime.gossip_backend.PairingBoard`.
 """
 
 from __future__ import annotations
@@ -128,30 +133,40 @@ class ThreadBackend:
     # ------------------------------------------------------------------ #
     def run(self, plan: ExperimentPlan) -> RunResult:
         """Run the plan to completion and return its RunResult."""
-        if plan.config.algorithm == "ad-psgd":
-            # decentralized runs exchange weights peer-to-peer: delegate to
-            # the gossip runtime's concurrent mode (same thread semantics,
-            # no server actor), so `--backend thread` covers both families
-            from repro.runtime.gossip_backend import GossipBackend
-
-            return GossipBackend(
-                mode="thread",
-                time_scale=self.time_scale,
-                compute_scale=self.compute_scale,
-                timeout=self.timeout,
-            ).run(plan)
+        config = plan.config
+        num_workers = config.num_workers
+        # ad-psgd has no server math: the actor only logs the workers'
+        # reports, and peers exchange weights through the transport
+        gossip = config.algorithm == "ad-psgd"
         session = ExperimentSession(plan)
-        num_workers = plan.config.num_workers
         ctl = RunControl()
+        codec = "" if gossip else config.comm_codec
         transport = InProcTransport(
             num_workers,
-            network=plan.network if self.time_scale > 0 else None,
+            network=plan.network if self.time_scale > 0 and not gossip else None,
             time_scale=self.time_scale,
-            codec_name=plan.config.comm_codec,
+            codec_name=codec,
             recorder=plan.recorder,
             clock=ctl.clock,
         )
         turnstile = RoundRobinTurnstile(num_workers) if self.deterministic else None
+        wiring = [{}] * num_workers
+        if gossip:
+            from repro.runtime.gossip_backend import thread_wiring
+
+            wiring = thread_wiring(session, transport, ctl, self.time_scale)
+        drivers = [
+            BlockingDriver(
+                plan.workers[m],
+                plan,
+                send=partial(transport.to_server, m),
+                recv=transport.worker_inboxes[m].get,
+                clock=None if self.deterministic else ctl.clock,
+                compute_scale=self.compute_scale,
+                **wiring[m],
+            )
+            for m in range(num_workers)
+        ]
 
         server_thread = threading.Thread(
             target=server_actor_loop,
@@ -162,7 +177,7 @@ class ThreadBackend:
         worker_threads = [
             threading.Thread(
                 target=self._worker_loop,
-                args=(m, session, transport, ctl, turnstile),
+                args=(m, drivers[m], ctl, turnstile),
                 name=f"repro-worker-{m}",
                 daemon=True,
             )
@@ -176,41 +191,31 @@ class ThreadBackend:
             worker_threads,
             wake_workers=partial(transport.wake_all_workers, Shutdown()),
             timeout=self.timeout,
-            name="thread",
+            name="gossip" if gossip else "thread",
         )
 
         session.ensure_final_eval(elapsed)
         logger.info(
             "thread backend finished: algo=%s M=%d updates=%d wall=%.2fs",
-            plan.config.algorithm, num_workers, plan.server.batches_processed, elapsed,
+            config.algorithm, num_workers, plan.server.batches_processed, elapsed,
         )
         return session.build_result(
             elapsed,
-            backend=self.name,
+            backend="gossip" if gossip else self.name,
             wall_time=elapsed,
             comm=transport.comm_summary(),
-            codec=plan.config.comm_codec,
+            codec=codec,
         )
 
     # ------------------------------------------------------------------ #
+    @staticmethod
     def _worker_loop(
-        self,
         m: int,
-        session: ExperimentSession,
-        transport: InProcTransport,
+        driver: BlockingDriver,
         ctl: RunControl,
         turnstile: Optional[RoundRobinTurnstile],
     ) -> None:
-        plan = session.plan
         try:
-            driver = BlockingDriver(
-                plan.workers[m],
-                plan,
-                send=partial(transport.to_server, m),
-                recv=transport.worker_inboxes[m].get,
-                clock=None if self.deterministic else ctl.clock,
-                compute_scale=self.compute_scale,
-            )
             while not ctl.done.is_set():
                 if turnstile is not None and not turnstile.acquire(m, ctl.done):
                     break

@@ -81,6 +81,21 @@ def test_worker_forward_and_backward_are_called_from_one_function(step):
     assert _callers(step, exclude=not_worker_code) == {("runtime/cycle.py", "worker_cycle")}
 
 
+@pytest.mark.parametrize("message", ["GossipReport", "WeightExchange"])
+def test_each_gossip_message_is_constructed_in_the_gossip_cycle(message):
+    # the local step, its report, the weight snapshot and the average are
+    # written once; the sim's rounds and worker threads only answer EXCHANGE
+    assert _callers(message, exclude=["runtime/wire.py"]) == {
+        ("runtime/cycle.py", "gossip_cycle")
+    }
+
+
+def test_the_gossip_local_step_is_taken_in_one_function():
+    assert _callers("forward_backward", exclude=["core/worker.py"]) == {
+        ("runtime/cycle.py", "gossip_cycle")
+    }
+
+
 # ---------------------------------------------------------------------- #
 # the contract between the cycle, the dispatch and a driver
 # ---------------------------------------------------------------------- #
