@@ -478,9 +478,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     _check_jobs(args)
-    # the proc runtime is server-based only; keep `compare --backend proc`
-    # meaningful by skipping the serverless algorithm instead of dying on it
-    algorithms = [a for a in ALGORITHMS if not (a == "ad-psgd" and args.backend == "proc")]
+    # the proc runtime is server-based only, and gossip on threads cannot be
+    # made deterministic; keep `compare --backend proc` and `--backend
+    # thread --deterministic` meaningful by skipping the serverless
+    # algorithm instead of dying on it
+    skip_gossip = args.backend == "proc" or args.deterministic
+    algorithms = [a for a in ALGORITHMS if not (a == "ad-psgd" and skip_gossip)]
     specs = [_make_spec(args, algorithm) for algorithm in algorithms]
     report = Campaign(
         specs,

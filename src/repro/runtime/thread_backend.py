@@ -27,7 +27,9 @@ Two scheduling modes:
 ``ad-psgd`` runs here too, serverless: the actor only logs each worker's
 gossip reports, and each worker's driver runs
 :func:`~repro.runtime.cycle.gossip_cycle` and meets its partner on the
-:class:`~repro.runtime.gossip_backend.PairingBoard`.
+:class:`~repro.runtime.gossip_backend.PairingBoard`.  It has no
+deterministic mode — pairing and the consensus evaluation race the
+workers — so the sim backend is its reproducible runtime.
 """
 
 from __future__ import annotations
@@ -99,7 +101,8 @@ class ThreadBackend:
     ----------
     deterministic:
         Serialize worker cycles round-robin and use virtual timing features
-        so runs reproduce bit-for-bit (see module docstring).
+        so runs reproduce bit-for-bit (see module docstring).  ``ad-psgd``
+        plans refuse it.
     time_scale:
         Real seconds of emulated link delay per virtual second of the
         plan's network model (0 disables link emulation).  Ignored in
@@ -138,6 +141,12 @@ class ThreadBackend:
         # ad-psgd has no server math: the actor only logs the workers'
         # reports, and peers exchange weights through the transport
         gossip = config.algorithm == "ad-psgd"
+        if gossip and self.deterministic:
+            raise ValueError(
+                "deterministic thread runs cannot reproduce 'ad-psgd': pairing on "
+                "the board and the consensus evaluation race the workers; run it "
+                "on backend='sim' for a bit-reproducible gossip run"
+            )
         session = ExperimentSession(plan)
         ctl = RunControl()
         codec = "" if gossip else config.comm_codec

@@ -260,3 +260,28 @@ class TestTurnstile:
         done.set()
         # worker 1 is not the holder and the run is over: must not block
         assert turnstile.acquire(1, done) is False
+
+
+def test_deterministic_thread_refuses_adpsgd():
+    """Board pairing and the consensus eval race the workers, so a
+    'deterministic' gossip run would silently differ run to run."""
+    cfg = TrainingConfig.spirals(
+        algorithm="ad-psgd", num_workers=3, topology="ring", epochs=3, seed=7
+    )
+    with pytest.raises(ValueError, match="backend='sim'"):
+        run_experiment(cfg, backend="thread", deterministic=True)
+
+
+def test_deterministic_compare_skips_adpsgd(monkeypatch, tmp_path, capsys):
+    import json
+
+    from repro import cli
+
+    monkeypatch.setattr(cli, "ALGORITHMS", ("asgd", "ad-psgd"))
+    out = tmp_path / "compare.json"
+    code = cli.main([
+        "compare", "--backend", "thread", "--deterministic", "--preset", "tiny",
+        "--workers", "2", "--epochs", "1", "--json", str(out),
+    ])
+    assert code == 0
+    assert [p["algorithm"] for p in json.loads(out.read_text())] == ["asgd"]
