@@ -28,7 +28,6 @@ def _busiest_endpoint(comm):
     """(label, bytes) of the endpoint that moved the most traffic."""
     candidates = {
         "server": comm.get("server_bytes", 0.0),
-        "coordinator": comm.get("coordinator_bytes", 0.0),
         "worker": comm.get("max_worker_bytes", 0.0),
     }
     label = max(candidates, key=candidates.get)
