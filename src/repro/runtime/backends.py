@@ -13,6 +13,10 @@ completely different schedulers:
 * ``proc`` — real OS-process workers over sockets
   (:class:`~repro.runtime.proc_backend.ProcBackend`); no shared GIL, so
   compute overlaps genuinely and communication crosses real kernel queues.
+* ``gossip`` — serverless ``ad-psgd``
+  (:class:`~repro.runtime.gossip_backend.GossipBackend`), which only picks
+  the sim's gossip rounds or the thread backend; ``sim`` and ``thread``
+  hand ``ad-psgd`` plans to those same two drivers.
 
 Backends register by name so callers (CLI, benches, tests) select one with
 a string::
@@ -27,6 +31,7 @@ from typing import Callable, Tuple
 
 from repro.core.config import TrainingConfig
 from repro.core.metrics import RunResult
+from repro.runtime.gossip_backend import GossipBackend, run_rounds
 from repro.runtime.proc_backend import ProcBackend
 from repro.runtime.session import ExperimentPlan
 from repro.runtime.thread_backend import ThreadBackend
@@ -62,11 +67,9 @@ class SimBackend(ExecutionBackend):
     def run(self, plan: ExperimentPlan) -> RunResult:
         if plan.config.algorithm == "ad-psgd":
             # decentralized runs have no server for the event loop to drive;
-            # the gossip runtime's deterministic mode is the sim equivalent,
-            # so one sweep grid can span server-based and serverless cells
-            from repro.runtime.gossip_backend import GossipBackend
-
-            return GossipBackend(mode="sim").run(plan)
+            # the gossip sim's rounds are the sim equivalent, so one sweep
+            # grid can span server-based and serverless cells
+            return run_rounds(plan)
         from repro.core.trainer import DistributedTrainer
 
         return DistributedTrainer(plan.config, plan=plan).run()
@@ -131,14 +134,7 @@ def run_experiment(
     return result
 
 
-def _make_gossip_backend(**options) -> ExecutionBackend:
-    """Lazy factory: gossip pulls in the topology layer only when used."""
-    from repro.runtime.gossip_backend import GossipBackend
-
-    return GossipBackend(**options)
-
-
 register_backend("sim", SimBackend)
 register_backend("thread", ThreadBackend)
 register_backend("proc", ProcBackend)
-register_backend("gossip", _make_gossip_backend)
+register_backend("gossip", GossipBackend)
