@@ -507,6 +507,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if unknown:
         raise SystemExit(f"unknown algorithm(s) {', '.join(unknown)}; "
                          f"choose from {', '.join(ALGORITHMS)}")
+    if "ad-psgd" in algorithms and (args.backend == "proc" or args.deterministic):
+        # refuse before the grid runs, not at the ad-psgd cell
+        raise SystemExit(
+            "ad-psgd has no proc runtime and no deterministic thread mode; run "
+            "it on --backend sim or free-running thread, or leave it out of "
+            "--algorithms"
+        )
     workers = _parse_worker_counts(args.workers)
     seeds = [args.seed + i for i in range(max(1, args.seeds))]
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main as cli_main
 
 
@@ -248,3 +250,14 @@ def test_run_spirals_preset(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["algorithm"] == "asgd"
     assert 0.0 <= payload["final_test_error"] <= 1.0
+
+
+def test_sweep_refuses_adpsgd_where_it_cannot_run_before_running_any_cell(tmp_path):
+    for backend in (["--backend", "proc"], ["--backend", "thread", "--deterministic"]):
+        store_dir = tmp_path / backend[1]
+        with pytest.raises(SystemExit, match="ad-psgd"):
+            cli_main([
+                "sweep", "--preset", "tiny", *backend, "--algorithms", "asgd,ad-psgd",
+                "--workers", "2", "--seeds", "1", "--epochs", "1", "--json", str(store_dir),
+            ])
+        assert not list(store_dir.glob("*.json"))  # no cell ran
