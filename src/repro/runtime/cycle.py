@@ -144,15 +144,13 @@ class GossipReplica:
 
     ``params`` is its authoritative flat vector (no server holds one),
     ``rule`` its local optimizer with its own momentum, ``steps`` the local
-    steps taken, ``averaged_at`` the step count at its last average and
-    ``t_comm`` how long that exchange took on the driver's clock.
+    steps taken and ``averaged_at`` the step count at its last average.
     """
 
     params: np.ndarray
     rule: UpdateRule
     steps: int = 0
     averaged_at: int = 0
-    t_comm: float = 0.0
 
 
 def gossip_cycle(
@@ -167,14 +165,15 @@ def gossip_cycle(
     place: ``x += y; x *= 0.5`` rounds exactly like ``(x + y) * 0.5``, so
     both members of a pair hold the same bits afterwards.  ``model_lock``
     spans the math and the snapshot, never a wait, so the consensus
-    evaluation always reads a whole step.
+    evaluation always reads a whole step.  ``clock`` is unused: no
+    compensation reads a gossip worker's ``t_comm`` feature.
     """
     m = worker.worker_id
     params = replica.params
     duration = wiring.compute.duration(m, fraction=1.0)
     lr = wiring.server.current_lr
     with worker.model_lock, wiring.timer.section("worker-compute"):
-        worker.load_params(params, version=replica.steps, t_comm=replica.t_comm)
+        worker.load_params(params, version=replica.steps, t_comm=0.0)
         _, payload = worker.forward_backward(t_comp=duration)
         replica.rule.apply_gradient(params, payload, lr, version=replica.steps)
     replica.steps += 1
@@ -185,7 +184,6 @@ def gossip_cycle(
 
     with worker.model_lock:
         mine = WeightExchange(m, weights=params.copy(), bn_stats=running_bn_stats(worker.model))
-    t0 = clock()
     theirs = yield EXCHANGE, mine
     if theirs is None:
         return
@@ -198,7 +196,6 @@ def gossip_cycle(
             layer.running_var += var
             layer.running_var *= 0.5
     replica.averaged_at = replica.steps
-    replica.t_comm = clock() - t0
 
 
 def dispatch(session: ExperimentSession, message: Message, now: float) -> Sequence[Reply]:

@@ -139,8 +139,10 @@ class ThreadBackend:
         config = plan.config
         num_workers = config.num_workers
         # ad-psgd has no server math: the actor only logs the workers'
-        # reports, and peers exchange weights through the transport
+        # reports, which move at memory speed; a peer send sleeps out its
+        # own edge's delay, and no gradient crosses a codec
         gossip = config.algorithm == "ad-psgd"
+        name = "gossip" if gossip else self.name
         if gossip and self.deterministic:
             raise ValueError(
                 "deterministic thread runs cannot reproduce 'ad-psgd': pairing on "
@@ -200,7 +202,7 @@ class ThreadBackend:
             worker_threads,
             wake_workers=partial(transport.wake_all_workers, Shutdown()),
             timeout=self.timeout,
-            name="gossip" if gossip else "thread",
+            name=name,
         )
 
         session.ensure_final_eval(elapsed)
@@ -210,7 +212,7 @@ class ThreadBackend:
         )
         return session.build_result(
             elapsed,
-            backend="gossip" if gossip else self.name,
+            backend=name,
             wall_time=elapsed,
             comm=transport.comm_summary(),
             codec=codec,
