@@ -285,3 +285,33 @@ def test_deterministic_compare_skips_adpsgd(monkeypatch, tmp_path, capsys):
     ])
     assert code == 0
     assert [p["algorithm"] for p in json.loads(out.read_text())] == ["asgd"]
+
+
+def test_gossip_threads_under_a_short_switch_interval():
+    """More workers than cores, switching threads every microsecond: the
+    budget is applied exactly, and each step is followed by one average."""
+    import sys
+    from unittest import mock
+
+    from repro.runtime import ExperimentSession
+
+    applied = []
+    record_update = ExperimentSession.record_update
+
+    def spy(self, now, worker, staleness, loss):
+        applied.append(staleness)
+        return record_update(self, now, worker, staleness, loss)
+
+    cfg = TrainingConfig.tiny(
+        algorithm="ad-psgd", num_workers=6, topology="ring", max_updates=48, seed=8
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(ExperimentSession, "record_update", spy):
+            _, result = run_thread(cfg, timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.total_updates == len(applied) == 48
+    assert set(applied) == {1}
+    assert all(np.isfinite(p.test_loss) for p in result.curve)
