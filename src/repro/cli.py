@@ -169,7 +169,8 @@ def _add_common(parser: argparse.ArgumentParser, multi_worker: bool = False) -> 
         default="sim",
         help="execution runtime: sim (virtual time), thread (real threads), "
              "proc (real worker processes over sockets) or gossip "
-             "(serverless ad-psgd; sim/thread delegate to it automatically)",
+             "(serverless ad-psgd on the sim's rounds; sim and thread run "
+             "ad-psgd serverless too)",
     )
     parser.add_argument(
         "--topology",

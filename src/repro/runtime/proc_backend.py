@@ -449,7 +449,7 @@ class ProcBackend:
         if config.algorithm == "ad-psgd":
             raise ValueError(
                 "the proc backend is a parameter-server runtime; run 'ad-psgd' "
-                "on the gossip backend (or sim/thread, which delegate to it)"
+                "on sim or thread (the gossip backend picks one of the two)"
             )
         # bn_mode="local" evaluation borrows worker 0's running BN stats,
         # which live in a child here: its RunEnd carries them and the final
