@@ -131,10 +131,12 @@ def _make_spec(
     )
 
 
-def _print_summary(result) -> None:
+def _print_summary(result, backend: str) -> None:
+    # the backend the CLI ran, not result.backend: a thread gossip run's
+    # result says "gossip", like the sim's rounds, but its clock is the wall
     clock = (
         f"real {result.wall_time:.1f}s wall-clock"
-        if result.backend in ("thread", "proc")
+        if backend in ("thread", "proc")
         else f"virtual {result.total_virtual_time:.1f}s"
     )
     print(f"final test error: {result.final_test_error:.2%} "
@@ -214,6 +216,15 @@ def _check_jobs(args: argparse.Namespace) -> None:
             "--jobs > 1 parallelizes across processes and only supports the sim "
             "backend; the thread and proc backends already use every core for "
             "their own workers"
+        )
+
+
+def _refuse_gossip(args: argparse.Namespace, algorithms: List[str]) -> None:
+    """Refuse ad-psgd on proc or deterministic threads before any cell runs."""
+    if "ad-psgd" in algorithms and (args.backend == "proc" or args.deterministic):
+        raise SystemExit(
+            "ad-psgd has no proc runtime and no deterministic thread mode; run "
+            "it on --backend sim or free-running thread, or pick another algorithm"
         )
 
 
@@ -443,6 +454,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _refuse_gossip(args, [args.algorithm])
     spec = _make_spec(args, args.algorithm)
     if args.obs or args.trace:
         # Observability bypasses the Campaign veneer: run_experiment owns
@@ -459,7 +471,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         report = Campaign([spec], events=ConsoleEvents(verbose=args.verbose)).run()
         result = report.results[0]
-    _print_summary(result)
+    _print_summary(result, args.backend)
     obs = getattr(result, "obs", None) or {}
     if obs.get("enabled"):
         spans = obs.get("spans_ms") or {}
@@ -508,13 +520,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if unknown:
         raise SystemExit(f"unknown algorithm(s) {', '.join(unknown)}; "
                          f"choose from {', '.join(ALGORITHMS)}")
-    if "ad-psgd" in algorithms and (args.backend == "proc" or args.deterministic):
-        # refuse before the grid runs, not at the ad-psgd cell
-        raise SystemExit(
-            "ad-psgd has no proc runtime and no deterministic thread mode; run "
-            "it on --backend sim or free-running thread, or leave it out of "
-            "--algorithms"
-        )
+    _refuse_gossip(args, algorithms)
     workers = _parse_worker_counts(args.workers)
     seeds = [args.seed + i for i in range(max(1, args.seeds))]
 

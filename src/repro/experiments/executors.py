@@ -34,8 +34,7 @@ from typing import Dict, Iterator, Sequence, Tuple
 from repro.core.metrics import RunResult
 from repro.experiments.events import CampaignEvents
 from repro.experiments.spec import ExperimentSpec
-from repro.runtime.backends import get_backend
-from repro.runtime.session import ExperimentPlan
+from repro.runtime.backends import get_backend, plan_and_run
 
 #: an executor job: (campaign-global index, spec)
 Job = Tuple[int, ExperimentSpec]
@@ -44,7 +43,7 @@ Job = Tuple[int, ExperimentSpec]
 def execute_spec(
     spec: ExperimentSpec, on_curve_point=None, obs: bool = False, recorder=None
 ) -> RunResult:
-    """Run one spec to completion: plan -> backend -> RunResult.
+    """Run one spec to completion through :func:`plan_and_run`.
 
     Module-level so multiprocessing can pickle it by reference.
     ``on_curve_point`` (in-process callers only) receives each CurvePoint
@@ -54,18 +53,13 @@ def execute_spec(
     Callers that need the raw trace afterwards (the fleet agent ships it
     over its ``trace`` frame) pass their own ``recorder`` instead.
     """
-    backend = get_backend(spec.backend, **spec.backend_options)
-    plan = ExperimentPlan.from_config(
-        spec.config, build_workers=getattr(backend, "needs_worker_replicas", True)
-    )
-    if recorder is not None:
-        plan.recorder = recorder
-    elif obs:
+    if recorder is None and obs:
         from repro.obs.recorder import TraceRecorder
 
-        plan.recorder = TraceRecorder(run_id=spec.label())
-    plan.on_curve_point = on_curve_point
-    return backend.run(plan)
+        recorder = TraceRecorder(run_id=spec.label())
+    return plan_and_run(
+        get_backend(spec.backend, **spec.backend_options), spec.config, recorder, on_curve_point
+    )
 
 
 #: pool-worker state installed by :func:`_pool_init` (fork or spawn): the

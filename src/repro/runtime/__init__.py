@@ -8,8 +8,9 @@ ways from one experiment specification:
   wiring of datasets, replicas, server, predictors and timing models) and
   :class:`ExperimentSession` (clock-agnostic trace/curve/eval/result state).
 * :mod:`repro.runtime.backends` — the :class:`ExecutionBackend` protocol,
-  the name registry, :class:`SimBackend` (virtual-time event loop) and
-  :func:`run_experiment`.
+  the name registry, :class:`SimBackend` (virtual-time event loop),
+  ``plan_and_run`` (the one plan-then-run path, which lets proc configure
+  its children before the plan is built) and :func:`run_experiment`.
 * :mod:`repro.runtime.thread_backend` — :class:`ThreadBackend`: a server
   actor thread plus N worker threads with real wall-clock staleness, an
   optional deterministic round-robin mode, and emulated link/compute

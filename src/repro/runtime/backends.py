@@ -27,6 +27,7 @@ a string::
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable, Tuple
 
 from repro.core.config import TrainingConfig
@@ -47,6 +48,11 @@ class ExecutionBackend:
     #: False for backends whose workers rebuild their replicas in another
     #: process (proc): plan builders then skip the M in-process replicas
     needs_worker_replicas = True
+
+    #: optional ``prepared(config, obs)`` context manager yielding the
+    #: ``run(plan)`` to call: setup that needs no plan (proc's children)
+    #: starts there, before :func:`plan_and_run` builds the plan
+    prepared = None
 
     def run(self, plan: ExperimentPlan) -> RunResult:
         """Execute ``plan`` to completion (mutating it) and build the result."""
@@ -103,6 +109,31 @@ def get_backend(name: str, **options) -> ExecutionBackend:
     return BACKENDS.get(name)(**options)
 
 
+def plan_and_run(
+    executor: ExecutionBackend,
+    config: TrainingConfig,
+    recorder=None,
+    on_curve_point=None,
+) -> RunResult:
+    """Build ``config``'s plan and execute it on ``executor``.
+
+    A backend with a ``prepared`` hook starts its plan-free setup first
+    (proc children rebuild their replicas while this process plans); the
+    rest run the plan as it is.  ``recorder`` (default: the no-op one) is
+    decided before either, because the proc children learn ``obs`` first.
+    """
+    prepared = getattr(executor, "prepared", None)
+    obs = bool(getattr(recorder, "enabled", False))
+    with prepared(config, obs) if prepared else contextlib.nullcontext(executor.run) as run:
+        plan = ExperimentPlan.from_config(
+            config, build_workers=getattr(executor, "needs_worker_replicas", True)
+        )
+        if recorder is not None:
+            plan.recorder = recorder
+        plan.on_curve_point = on_curve_point
+        return run(plan)
+
+
 def run_experiment(
     config: TrainingConfig,
     backend: str = "sim",
@@ -119,18 +150,16 @@ def run_experiment(
     it never changes results or spec keys.
     """
     executor = get_backend(backend, **backend_options)
-    plan = ExperimentPlan.from_config(
-        config, build_workers=getattr(executor, "needs_worker_replicas", True)
-    )
+    recorder = None
     if obs or trace_path:
         from repro.obs.recorder import TraceRecorder
 
-        plan.recorder = TraceRecorder(
+        recorder = TraceRecorder(
             run_id=f"{config.algorithm}-M{config.num_workers}-seed{config.seed}-{backend}"
         )
-    result = executor.run(plan)
+    result = plan_and_run(executor, config, recorder)
     if trace_path:
-        plan.recorder.dump_jsonl(trace_path)
+        recorder.dump_jsonl(trace_path)
     return result
 
 

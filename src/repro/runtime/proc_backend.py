@@ -11,8 +11,13 @@ come from genuinely independent compute plus real kernel socket queues.
 Children outlive a run.  A run checks out up to ``M`` idle children from a
 process-wide pool, spawns only the shortfall, and configures every one of
 them afresh; after a run that succeeds they go back to the pool.  The
-handshake is typed frames (:mod:`repro.runtime.messages`), on the same
-codec as the run's messages::
+children are claimed and configured first, before the parent builds its
+plan (:meth:`ProcBackend.prepared`, which
+:func:`~repro.runtime.backends.plan_and_run` enters before the build), so
+each child rebuilds its replica while the parent plans; the parent then
+awaits every Ready and only then sends any Start.  The handshake is typed
+frames (:mod:`repro.runtime.messages`), on the same codec as the run's
+messages::
 
     child  -> parent   Hello(worker, token)                     once, on connect
     parent -> child    RunConfig(worker, config, scales, obs)
@@ -68,6 +73,7 @@ trace rows, which the parent merges into the plan's recorder.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
 import secrets
 import socket
@@ -76,7 +82,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.lockorder import make_lock
 from repro.cluster.network import NetworkModel
@@ -419,7 +425,8 @@ class ProcBackend:
         declared hung (crashed children fail faster, via EOF/exit-code).
     startup_timeout:
         Cap on spawning the shortfall (process start, imports, hello) plus
-        every child's replica rebuild and ``ready``.
+        every child's replica rebuild and ``ready``; the parent's plan
+        build, which overlaps the rebuild, counts against it too.
     """
 
     name = "proc"
@@ -445,12 +452,46 @@ class ProcBackend:
     # ------------------------------------------------------------------ #
     def run(self, plan: ExperimentPlan) -> RunResult:
         """Run the plan on real worker processes and return its RunResult."""
-        config = plan.config
+        obs = bool(getattr(plan.recorder, "enabled", False))
+        with self.prepared(plan.config, obs) as run:
+            return run(plan)
+
+    @contextlib.contextmanager
+    def prepared(self, config, obs: bool) -> Iterator[Callable[[ExperimentPlan], RunResult]]:
+        """Claim the run's children and send each its RunConfig; yield ``run(plan)``.
+
+        The children rebuild their replicas while the caller builds the
+        plan; ``run`` awaits every Ready before any Start.  Leaving the
+        block reaps every child that did not end a successful run, so a
+        plan build that raises leaves nothing behind.
+        """
         if config.algorithm == "ad-psgd":
             raise ValueError(
                 "the proc backend is a parameter-server runtime; run 'ad-psgd' "
                 "on sim or thread (the gossip backend picks one of the two)"
             )
+        deadline = time.monotonic() + self.startup_timeout
+        children = self._handshake(config.num_workers, config, obs, deadline)
+        # the children that ended a successful run with a RunEnd: only
+        # these go back to the pool
+        kept: List[_Child] = []
+        try:
+            yield lambda plan: self._run(plan, children, deadline, kept)
+        finally:
+            _close_and_reap(
+                [c for c in children if not any(c is k for k in kept)], force=True
+            )
+            _POOL.checkin(kept)
+
+    def _run(
+        self,
+        plan: ExperimentPlan,
+        children: List[_Child],
+        deadline: float,
+        kept: List[_Child],
+    ) -> RunResult:
+        """Await every Ready, then run; ``kept`` gains the children that ended it."""
+        config = plan.config
         # bn_mode="local" evaluation borrows worker 0's running BN stats,
         # which live in a child here: its RunEnd carries them and the final
         # evaluation below uses them.  Mid-run curve points see the eval
@@ -465,14 +506,8 @@ class ProcBackend:
             time_scale=self.time_scale,
         )
         ctl = RunControl()
-        children: List[_Child] = []
-        # the children that ended a successful run with a RunEnd: only
-        # these go back to the pool
-        kept: List[_Child] = []
         try:
-            children = self._handshake(
-                num_workers, config, obs=bool(getattr(plan.recorder, "enabled", False))
-            )
+            self._await_ready(children, config, deadline)
 
             def worker_link_failed(worker: int, exc: Exception) -> None:
                 if not ctl.done.is_set():
@@ -543,23 +578,20 @@ class ProcBackend:
                 comm=transport.comm_summary(),
                 codec=config.comm_codec,
             )
-            kept = [children[worker] for worker in sorted(ended)]
+            kept.extend(children[worker] for worker in sorted(ended))
             return result
         finally:
             transport.close(keep=[child.conn for child in kept])
-            _close_and_reap(
-                [c for c in children if not any(c is k for k in kept)], force=True
-            )
-            _POOL.checkin(kept)
 
     # ------------------------------------------------------------------ #
-    def _handshake(self, num_workers: int, config, obs: bool = False) -> List[_Child]:
-        """The run's children, index = worker id, each configured and ready.
+    def _handshake(
+        self, num_workers: int, config, obs: bool, deadline: float
+    ) -> List[_Child]:
+        """The run's children, index = worker id, each sent its RunConfig.
 
         Idle children spawned under this run's signature come first; the
         shortfall is spawned.  On any failure every child is reaped.
         """
-        deadline = time.monotonic() + self.startup_timeout
         env, signature = _spawn_env()
         children = _POOL.checkout(signature, num_workers)
         try:
@@ -567,7 +599,15 @@ class ProcBackend:
                 children += self._spawn(
                     range(len(children), num_workers), env, signature, deadline
                 )
-            self._configure(children, config, obs, deadline)
+            document = config.to_dict()
+            for worker, child in enumerate(children):
+                child.conn.settimeout(self.startup_timeout)
+                child.conn.send_message(
+                    RunConfig(
+                        worker, document, time_scale=self.time_scale,
+                        compute_scale=self.compute_scale, obs=obs,
+                    )
+                )
         except BaseException:
             _close_and_reap(children, force=True)
             raise
@@ -632,20 +672,8 @@ class ProcBackend:
                 raise
         return [_Child(procs[w], *links[w], signature) for w in worker_ids]
 
-    def _configure(
-        self, children: List[_Child], config, obs: bool, deadline: float
-    ) -> None:
-        """Send each child this run's :class:`RunConfig` and confirm its
-        :class:`Ready`."""
-        document = config.to_dict()
-        for worker, child in enumerate(children):
-            child.conn.settimeout(self.startup_timeout)
-            child.conn.send_message(
-                RunConfig(
-                    worker, document, time_scale=self.time_scale,
-                    compute_scale=self.compute_scale, obs=obs,
-                )
-            )
+    def _await_ready(self, children: List[_Child], config, deadline: float) -> None:
+        """Confirm each configured child's :class:`Ready`."""
         procs = {worker: child.proc for worker, child in enumerate(children)}
         for worker, child in enumerate(children):
             self._check_startup(procs, deadline, phase="initialize")

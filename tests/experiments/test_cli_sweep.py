@@ -261,3 +261,50 @@ def test_sweep_refuses_adpsgd_where_it_cannot_run_before_running_any_cell(tmp_pa
                 "--workers", "2", "--seeds", "1", "--epochs", "1", "--json", str(store_dir),
             ])
         assert not list(store_dir.glob("*.json"))  # no cell ran
+
+
+def test_run_refuses_adpsgd_where_it_cannot_run_before_building_a_plan(monkeypatch):
+    from repro.runtime import ExperimentPlan
+
+    def no_plan(*args, **kwargs):  # pragma: no cover - the failure being tested
+        raise AssertionError("a plan was built for a refused cell")
+
+    monkeypatch.setattr(ExperimentPlan, "from_config", no_plan)
+    for backend in (["--backend", "proc"], ["--backend", "thread", "--deterministic"]):
+        with pytest.raises(SystemExit, match="ad-psgd") as refused:
+            cli_main([
+                "run", "--preset", "spirals", *backend, "--algorithm", "ad-psgd",
+                "--workers", "2", "--epochs", "1",
+            ])
+        assert "\n" not in str(refused.value.code)
+
+
+def test_a_refused_run_prints_one_line_and_no_traceback():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "--backend", "proc", "--algorithm", "ad-psgd",
+         "--preset", "spirals", "--workers", "2", "--epochs", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "backend, clock", [("thread", "wall-clock"), ("gossip", "virtual"), ("sim", "virtual")]
+)
+def test_a_gossip_run_summary_names_the_clock_of_the_backend_it_ran(backend, clock, capsys):
+    code = cli_main([
+        "run", "--preset", "tiny", "--backend", backend, "--algorithm", "ad-psgd",
+        "--workers", "2", "--epochs", "1",
+    ])
+    assert code == 0
+    summary = [line for line in capsys.readouterr().out.splitlines() if "final test error" in line]
+    assert len(summary) == 1 and clock in summary[0], summary
