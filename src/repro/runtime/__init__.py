@@ -16,9 +16,10 @@ ways from one experiment specification:
   optional deterministic round-robin mode, and emulated link/compute
   delays.
 * :mod:`repro.runtime.proc_backend` / :mod:`repro.runtime.proc_worker` —
-  :class:`ProcBackend`: the same server actor, but every worker is a real
-  OS process speaking the :mod:`repro.runtime.wire` protocol over a
-  loopback socket — genuinely independent compute, no shared GIL.
+  :class:`ProcBackend`: the same server actor, run on the calling thread,
+  but every worker is a real OS process speaking the
+  :mod:`repro.runtime.wire` protocol over a loopback socket — genuinely
+  independent compute, no shared GIL.
 * :mod:`repro.runtime.gossip_backend` — the decentralized AD-PSGD
   runtime.  No server at all: workers average weights pairwise over a
   peer topology.  The sim's synchronous rounds drive the gossip cycle

@@ -1,12 +1,16 @@
 """Process execution backend: real OS-process workers over sockets.
 
-The parameter server runs in the parent exactly as in the thread backend
-(the shared :func:`~repro.runtime.server_actor.server_actor_loop` drives
-Algorithm 2 from one actor thread); each of the ``M`` workers is a real
-child process (:mod:`repro.runtime.proc_worker`) connected over a loopback
-TCP socket speaking the :mod:`repro.runtime.wire` protocol.  Unlike the
-thread backend there is no shared GIL: staleness and wall-clock numbers
-come from genuinely independent compute plus real kernel socket queues.
+The parameter server runs in the parent: the shared
+:func:`~repro.runtime.server_actor.server_actor_loop` drives Algorithm 2
+as in the thread backend, but on the thread that calls
+:meth:`ProcBackend.run`, which starts no thread of its own.  Each of the
+``M`` workers is a real child process (:mod:`repro.runtime.proc_worker`)
+connected over a loopback TCP socket speaking the :mod:`repro.runtime.wire`
+protocol; the server actor's inbox (:class:`SocketTransport`) reads those
+sockets directly, one frame at a time from whichever a selector finds
+readable.  Unlike the thread backend there is no shared GIL: staleness
+and wall-clock numbers come from genuinely independent compute plus real
+kernel socket queues.
 
 Children outlive a run.  A run checks out up to ``M`` idle children from a
 process-wide pool, spawns only the shortfall, and configures every one of
@@ -27,10 +31,12 @@ messages::
     child  -> parent   RunEnd(timers, bn_stats, rows)
                        ... idle in the pool until the next RunConfig ...
 
-``RunEnd`` is the run boundary: the parent's reader for that child stops
-on it, and the child skips any message frame of the finished run still in
-flight (the parent sends Shutdown twice) before reading the next
-RunConfig, so no frame of one run is ever read as part of the next.  The
+``RunEnd`` is the run boundary.  When the budget is met the server actor
+sends every child one Shutdown; the inbox then reads each link until its
+RunEnd is in, and only then does the loop end, so ``wall_time`` ends with
+the last RunEnd.  The parent reads nothing of a link after its RunEnd, and
+the child skips any message frame of the finished run before reading the
+next RunConfig, so no frame of one run is ever read as part of the next.  The
 RunConfig names the run's worker id and gradient codec
 (``TrainingConfig.comm_codec``); both ends arm a fresh codec on every
 RunConfig, so no codec state (topk's residual) crosses a run.  A peer
@@ -48,13 +54,19 @@ The pool hands a child only to a run whose *spawn signature* — the
 interpreter, the source root, the protocol version and the environment the
 child was given, token aside — equals the one it was spawned under; it
 retires idle children of any other signature at checkout and keeps at
-most :data:`MAX_IDLE_CHILDREN`.  Failure containment: a child
-that dies (crash, OOM-kill, nonzero exit) surfaces as a run failure within
-seconds — its socket EOF and its exit code are both watched — and a
-failed, timed-out or interrupted run reaps every one of its children
-(terminate, then kill) before ``run`` returns, so it can never leave orphan
-processes or a hung parent behind; only a child that ended a successful
-run with its RunEnd is kept, and one found dead at checkout is replaced.
+most :data:`MAX_IDLE_CHILDREN`; the signature is rebuilt only when the
+environment changes.  Failure containment, all on the one serving thread:
+a child that dies (crash, OOM-kill, nonzero exit) closes its socket, and
+the EOF fails the run at once, naming the worker and its exit code; a
+garbled frame fails it the same way; and every read, a frame's later
+bytes included, ends by the run's ``timeout``, so a child that hangs, even
+mid-frame, fails the run ("exceeded timeout") instead of hanging it.  A
+link that fails after the budget is met costs its child only its place in
+the pool.  A failed, timed-out or interrupted run reaps every one of its
+children (terminate, then kill) before ``run`` returns, so it can never
+leave orphan processes or a hung parent behind; only a child that ended a
+successful run with its RunEnd is kept, and one found dead at checkout is
+replaced.
 Idle children end with the parent: an ``atexit`` hook closes and reaps
 them, and a parent that dies without running it leaves them an EOF, on
 which they exit.  A forked process starts with an empty pool.
@@ -73,16 +85,17 @@ trace rows, which the parent merges into the plan's recorder.
 from __future__ import annotations
 
 import atexit
+import collections
 import contextlib
 import os
 import secrets
+import selectors
 import socket
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.lockorder import make_lock
 from repro.cluster.network import NetworkModel
@@ -102,9 +115,9 @@ from repro.runtime.messages import (
 )
 from repro.runtime.server_actor import RunControl, server_actor_loop
 from repro.runtime.session import ExperimentPlan, ExperimentSession
-from repro.runtime.transport import CommStats, Mailbox, link_delay
+from repro.runtime.transport import CommStats, link_delay
 from repro.runtime import wire
-from repro.runtime.wire import FrameConnection, ProtocolMismatch, WireError
+from repro.runtime.wire import ConnectionClosed, FrameConnection, ProtocolMismatch, WireError
 from repro.utils.logging import get_logger
 
 logger = get_logger("runtime.proc")
@@ -125,18 +138,19 @@ class SocketTransport:
 
     Exposes the same surface as :class:`~repro.runtime.transport.
     InProcTransport` — ``server_inbox`` / ``to_server`` / ``to_worker`` /
-    ``wake_all_workers`` — so :func:`server_actor_loop` runs unchanged.
-    The link-delay contract also carries over: worker -> server sends
-    charge the sender's uplink (the child sleeps before writing), and
-    server -> worker messages are stamped with a ``delay`` the child's
-    mailbox sleeps out, so the server actor is never blocked by a slow
-    emulated downlink.
+    ``wake_all_workers`` — so :func:`server_actor_loop` runs unchanged, on
+    the thread that serves the run.  The link-delay contract also carries
+    over: worker -> server sends charge the sender's uplink (the child
+    sleeps before writing), and server -> worker messages are stamped with
+    a ``delay`` the child's mailbox sleeps out, so the server actor is
+    never blocked by a slow emulated downlink.
 
-    One reader thread per attached worker drains its socket into
-    ``server_inbox`` until the child's :class:`RunEnd`; an unexpected EOF
-    or garbled frame is reported through ``on_worker_failure`` so the
-    backend can fail the run instead of hanging on a mailbox that will
-    never fill.
+    ``server_inbox`` is the transport itself: :meth:`get` reads the next
+    frame from whichever attached link a selector finds readable, on the
+    caller's thread, and every read ends by ``timeout`` seconds after the
+    first :meth:`get`.  A link that fails (EOF, a garbled frame) fails the
+    read, naming the worker, until Shutdown has been broadcast; after that
+    it only costs that child its place in :meth:`ended`.
     """
 
     def __init__(
@@ -144,92 +158,138 @@ class SocketTransport:
         num_workers: int,
         network: Optional[NetworkModel] = None,
         time_scale: float = 0.0,
+        timeout: float = 600.0,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if time_scale < 0:
             raise ValueError("time_scale must be >= 0")
+        if timeout <= 0:
+            raise ValueError("timeout must be positive")
         self.num_workers = int(num_workers)
         self.network = network
         self.time_scale = float(time_scale)
-        self.server_inbox = Mailbox()
+        self.timeout = float(timeout)
         #: unified byte accounting (uplink frames measured as received,
         #: downlink frames as sent — real socket bytes, codec included)
         self.stats = CommStats(self.num_workers)
         self._conns: List[Optional[FrameConnection]] = [None] * self.num_workers
-        self._send_locks = [
-            make_lock("SocketTransport._send_lock") for _ in range(self.num_workers)
-        ]
-        self._readers: List[threading.Thread] = []
-        self._closed = threading.Event()
-        #: called as (worker, exception) when a link dies mid-run
-        self.on_worker_failure: Optional[Callable[[int, Exception], None]] = None
-        self._end_lock = make_lock("SocketTransport._end_lock")
+        self._procs: List[Optional[subprocess.Popen]] = [None] * self.num_workers
+        #: the links still read from: attached, not yet ended or failed
+        self._selector = selectors.DefaultSelector()
+        self._loopback: Deque[Message] = collections.deque()
+        #: when reads stop: ``timeout`` seconds after the first get()
+        self._deadline: Optional[float] = None
+        self._shutdown_sent = False
         #: worker -> the RunEnd its child ended the run with
-        self._ended: Dict[int, RunEnd] = {}  # guarded-by: _end_lock
+        self._ended: Dict[int, RunEnd] = {}
 
     # ------------------------------------------------------------------ #
-    def attach(self, worker: int, conn: FrameConnection) -> None:
-        """Bind ``worker``'s connection and start draining it."""
+    @property
+    def server_inbox(self) -> "SocketTransport":
+        """The server actor's inbox: this transport's :meth:`get`."""
+        return self
+
+    def attach(
+        self, worker: int, conn: FrameConnection, proc: Optional[subprocess.Popen] = None
+    ) -> None:
+        """Read ``worker``'s frames from ``conn``; ``proc`` names its exit code on failure."""
         if self._conns[worker] is not None:
             raise ValueError(f"worker {worker} already attached")
         self._conns[worker] = conn
-        reader = threading.Thread(
-            target=self._reader_loop,
-            args=(worker, conn),
-            name=f"repro-proc-reader-{worker}",
-            daemon=True,
-        )
-        self._readers.append(reader)
-        reader.start()
+        self._procs[worker] = proc
+        self._selector.register(conn, selectors.EVENT_READ, worker)
 
-    def _reader_loop(self, worker: int, conn: FrameConnection) -> None:
+    def get(self, timeout: Optional[float] = None) -> Message:
+        """The next message for the server actor, read on the calling thread.
+
+        A loopback message comes first; otherwise the next frame from any
+        live link, in each link's order.  RunEnd frames are collected, not
+        returned.  Once Shutdown has been broadcast, every link is read
+        until its RunEnd is in (or it fails, or the deadline passes), and
+        then Shutdown is returned.  ``timeout`` seconds, if given, end the
+        read before the run's deadline does.
+        """
+        if self._loopback:
+            return self._loopback.popleft()
+        if self._deadline is None:
+            self._deadline = time.monotonic() + self.timeout
+        deadline = self._deadline
+        if timeout is not None:
+            deadline = min(deadline, time.monotonic() + timeout)
+        if self._shutdown_sent:
+            while self._selector.get_map() and time.monotonic() < deadline:
+                try:
+                    self._receive(deadline)  # a straggler of the run is dropped
+                except RuntimeError as exc:  # its link is dropped, not the run
+                    logger.debug("after the run: %s", exc)
+            return Shutdown()
+        while True:
+            message = self._receive(deadline)
+            if message is not None:
+                return message
+
+    def approx_len(self) -> int:
+        """Messages this inbox holds already read (frames in the kernel not counted)."""
+        return len(self._loopback)
+
+    def _receive(self, deadline: float) -> Optional[Message]:
+        """The next frame any live link delivers; ``None`` for a collected RunEnd.
+
+        A failed read drops its link and raises a RuntimeError that says why.
+        """
+        remaining = deadline - time.monotonic()
+        events = self._selector.select(remaining) if remaining > 0 else []
+        if not events:
+            raise RuntimeError(f"proc backend exceeded timeout={self.timeout}s")
+        conn, worker = events[0][0].fileobj, events[0][0].data
         try:
-            while True:
-                message, _, nbytes, wire_nbytes = conn.recv_info()
-                if isinstance(message, RunEnd):
-                    # the child's last frame of this run, not Algorithm-2
-                    # traffic: stop reading, so nothing after it is taken
-                    # for part of this run
-                    with self._end_lock:
-                        self._ended[worker] = message
-                    return
-                self.stats.count(worker, nbytes, wire_nbytes)
-                self.server_inbox.put(message)
+            # a frame's later bytes may stall: the deadline bounds them too
+            conn.settimeout(max(deadline - time.monotonic(), 1e-3))
+            message, _, nbytes, wire_nbytes = conn.recv_info()
         except Exception as exc:
             # broad on purpose: any escape (EOF, garbled frame, a decode
             # KeyError from a version-skewed child) must fail the run fast
-            # rather than silently kill this thread and hang the server
-            # actor until the backend timeout
-            if self._closed.is_set():
-                return  # expected teardown
-            if self.on_worker_failure is not None:
-                self.on_worker_failure(worker, exc)
+            self._selector.unregister(conn)
+            if isinstance(exc, socket.timeout):
+                raise RuntimeError(f"proc backend exceeded timeout={self.timeout}s") from None
+            raise RuntimeError(self._describe_failure(worker, exc)) from exc
+        if isinstance(message, RunEnd):
+            # the child's last frame of this run: stop reading its link, so
+            # nothing after it is taken for part of this run
+            self._ended[worker] = message
+            self._selector.unregister(conn)
+            return None
+        self.stats.count(worker, nbytes, wire_nbytes)
+        return message
 
-    def join_readers(self, timeout: float) -> None:
-        """Wait up to ``timeout`` seconds in all for every reader to stop."""
-        deadline = time.monotonic() + timeout
-        for reader in self._readers:
-            reader.join(timeout=max(0.0, deadline - time.monotonic()))
+    def _describe_failure(self, worker: int, exc: Exception) -> str:
+        proc, code = self._procs[worker], None
+        if proc is not None:
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                # an EOF comes as the child exits: give it a moment to be reaped
+                code = proc.wait(timeout=1.0) if isinstance(exc, ConnectionClosed) else proc.poll()
+        state = "dropped its connection" if code is None else f"exited with code {code}"
+        return f"worker child {worker} {state} before the run finished ({exc})"
 
     def ended(self) -> Dict[int, RunEnd]:
         """worker -> RunEnd, for every child that ended its run."""
-        with self._end_lock:
-            return dict(self._ended)
+        return dict(self._ended)
 
     # ------------------------------------------------------------------ #
     def to_server(self, worker: int, message: Message, nbytes: int = 0) -> None:
         """Worker -> server send; the emulated uplink delays the caller.
 
-        On the parent side this is a loopback used by tests and tooling —
-        live worker traffic arrives through the reader threads, with the
-        uplink delay slept in the child (same contract, other process).
+        On the parent side this is a loopback used by tests and tooling,
+        served ahead of the links by the next :meth:`get` on this thread —
+        live worker traffic arrives on the links, with the uplink delay
+        slept in the child (same contract, other process).
         """
         delay = link_delay(self.network, self.time_scale, worker, nbytes)
         if delay > 0:
             time.sleep(delay)
         self.stats.count(worker, nbytes)
-        self.server_inbox.put(message)
+        self._loopback.append(message)
 
     def to_worker(self, worker: int, message: Message, nbytes: int = 0) -> None:
         """Server -> worker send; the delay rides the frame, not the caller."""
@@ -237,8 +297,7 @@ class SocketTransport:
         if conn is None:
             raise RuntimeError(f"worker {worker} is not attached")
         delay = link_delay(self.network, self.time_scale, worker, nbytes)
-        with self._send_locks[worker]:
-            wire_nbytes = conn.send_message(message, delay=delay, nbytes=nbytes)
+        wire_nbytes = conn.send_message(message, delay=delay, nbytes=nbytes)
         self.stats.count(worker, nbytes, wire_nbytes)
 
     def comm_summary(self) -> Dict[str, float]:
@@ -246,24 +305,25 @@ class SocketTransport:
         return self.stats.summary()
 
     def wake_all_workers(self, message: Message) -> None:
-        """Deliver ``message`` to every live worker; dead links are skipped."""
-        for worker, conn in enumerate(self._conns):
+        """Deliver ``message`` (Shutdown) to every live worker; dead links are skipped.
+
+        From here on :meth:`get` collects the children's RunEnds.
+        """
+        self._shutdown_sent = True
+        for conn in self._conns:
             if conn is None:
                 continue
             try:
-                with self._send_locks[worker]:
-                    conn.send_message(message)
+                conn.send_message(message)
             except (OSError, WireError):
-                pass  # a dying child already surfaced through its reader
+                pass  # a dying child fails its read, or loses its place in the pool
 
     def close(self, keep: Sequence[FrameConnection] = ()) -> None:
-        """Tear down every link but ``keep``; reader EOFs after this are expected."""
-        self._closed.set()
+        """Tear down every link but ``keep``."""
+        self._selector.close()
         for conn in self._conns:
             if conn is not None and not any(conn is kept for kept in keep):
                 conn.close()
-        for reader in self._readers:
-            reader.join(timeout=5.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -390,8 +450,24 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
+#: the environment as bytes where the platform keeps it so: copying it
+#: skips decoding every variable, which is most of what a rebuild costs
+_ENVIRON = os.environb if os.supports_bytes_environ else os.environ
+#: ``(key, env, signature)`` of the last :func:`_spawn_env` rebuild
+_SPAWN_ENV: Optional[Tuple[tuple, Dict[str, str], tuple]] = None
+
+
 def _spawn_env() -> Tuple[Dict[str, str], tuple]:
-    """The environment new children get, token aside, and its spawn signature."""
+    """The environment new children get, token aside, and its spawn signature.
+
+    Rebuilt only when the environment (or the protocol version) changed
+    since the last call; otherwise the same two objects are returned.
+    """
+    global _SPAWN_ENV
+    key = (wire.PROTOCOL_VERSION, dict(_ENVIRON))
+    cached = _SPAWN_ENV
+    if cached is not None and cached[0] == key:
+        return cached[1], cached[2]
     import repro
 
     env = dict(os.environ)
@@ -405,6 +481,7 @@ def _spawn_env() -> Tuple[Dict[str, str], tuple]:
     if src_root not in existing.split(os.pathsep):
         env["PYTHONPATH"] = src_root + (os.pathsep + existing if existing else "")
     signature = (sys.executable, src_root, wire.PROTOCOL_VERSION, tuple(sorted(env.items())))
+    _SPAWN_ENV = (key, env, signature)
     return env, signature
 
 
@@ -421,8 +498,9 @@ class ProcBackend:
         Real seconds each child sleeps per virtual second of its compute
         model, emulating heterogeneous/straggling nodes (0 disables).
     timeout:
-        Hard cap in real seconds on the training phase before the run is
-        declared hung (crashed children fail faster, via EOF/exit-code).
+        Hard cap in real seconds on the training phase, RunEnds included,
+        before the run is declared hung (crashed children fail faster, at
+        their socket's EOF).
     startup_timeout:
         Cap on spawning the shortfall (process start, imports, hello) plus
         every child's replica rebuild and ``ready``; the parent's plan
@@ -504,51 +582,24 @@ class ProcBackend:
             num_workers,
             network=plan.network if self.time_scale > 0 else None,
             time_scale=self.time_scale,
+            timeout=self.timeout,
         )
         ctl = RunControl()
         try:
             self._await_ready(children, config, deadline)
-
-            def worker_link_failed(worker: int, exc: Exception) -> None:
-                if not ctl.done.is_set():
-                    ctl.fail(
-                        RuntimeError(
-                            f"worker child {worker} dropped its connection "
-                            f"before the run finished ({exc})"
-                        )
-                    )
-
-            transport.on_worker_failure = worker_link_failed
-            # start everyone: frames a child sends before its reader attaches
-            # simply buffer in the socket
-            for child in children:
-                child.conn.send_message(Start())
             for worker, child in enumerate(children):
-                transport.attach(worker, child.conn)
+                child.conn.send_message(Start())
+                transport.attach(worker, child.conn, child.proc)
 
             ctl.start_clock()
-            server_thread = threading.Thread(
-                target=server_actor_loop,
-                args=(session, transport, ctl),
-                name="repro-proc-server",
-                daemon=True,
-            )
-            server_thread.start()
-
-            self._supervise(ctl, [child.proc for child in children])
-
-            transport.wake_all_workers(Shutdown())
-            transport.server_inbox.put(Shutdown())
-            server_thread.join(timeout=30.0)
+            # the server actor runs here: the transport reads the links on
+            # this thread, and its inbox ends with every child's RunEnd
+            server_actor_loop(session, transport, ctl)
             elapsed = ctl.clock()
-
             ctl.raise_if_failed()
-            if server_thread.is_alive():
-                raise RuntimeError("proc backend failed to join its server actor")
 
-            # each child ends its run with a RunEnd; one that has not by
-            # then is reaped below instead of kept
-            transport.join_readers(timeout=10.0)
+            # a child whose link failed after the budget was met has no
+            # RunEnd: it is reaped instead of kept
             ended = transport.ended()
             for end in ended.values():
                 plan.timer.merge(end.timers)
@@ -689,7 +740,6 @@ class ProcBackend:
             # the negotiated downlink codec, fresh per run and per
             # connection: topk keeps per-receiver state (decode is stateless)
             child.conn.codec = make_codec(config.comm_codec)
-            child.conn.settimeout(None)  # back to blocking for the run
 
     @staticmethod
     def _reject(conn: FrameConnection, reason: str) -> None:
@@ -714,24 +764,3 @@ class ProcBackend:
                 raise RuntimeError(
                     f"worker child {worker} exited with code {code} during startup"
                 )
-
-    # ------------------------------------------------------------------ #
-    def _supervise(self, ctl: RunControl, procs: List[subprocess.Popen]) -> None:
-        """Wait for completion, watching the clock and every child's pulse."""
-        deadline = time.monotonic() + self.timeout
-        while not ctl.done.wait(timeout=0.1):
-            if time.monotonic() > deadline:
-                ctl.fail(RuntimeError(f"proc backend exceeded timeout={self.timeout}s"))
-                return
-            for worker, proc in enumerate(procs):
-                code = proc.poll()
-                if code is not None and not ctl.done.is_set():
-                    # children only exit on EOF, which a run only causes
-                    # after done is set: any earlier exit is a crash
-                    ctl.fail(
-                        RuntimeError(
-                            f"worker child {worker} exited with code {code} "
-                            f"before the run finished"
-                        )
-                    )
-                    return

@@ -226,7 +226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         while True:
             frame, _ = conn.recv()
             if isinstance(frame, Message):
-                continue  # the run that just ended (the parent sends Shutdown twice)
+                continue  # a frame of the run that just ended, after its Shutdown
             if isinstance(frame, Reject):
                 print(
                     f"worker {worker_id}: parent rejected the handshake: {frame.reason}",

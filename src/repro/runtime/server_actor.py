@@ -2,7 +2,10 @@
 
 One thread owns the :class:`~repro.core.server.ParameterServer` and is the
 only thread that ever calls its handlers — the math needs no locks because
-the actor loop serializes every message.  What each message *means* is
+the actor loop serializes every message.  The thread and gossip runtimes
+start a thread for the loop (:func:`run_actor_threads`); proc runs it on
+the thread that called its ``run``, with an inbox that reads the worker
+sockets itself.  What each message *means* is
 :func:`repro.runtime.cycle.dispatch`, shared with the simulator; this
 module keeps what is particular to a real, concurrent run: draining the
 inbox, the queue-depth gauge, the evaluation cadence, and the
@@ -10,7 +13,8 @@ done/Shutdown protocol (:class:`RunControl`, :func:`run_actor_threads`).
 The loop is transport-agnostic: anything exposing the
 :class:`~repro.runtime.transport.InProcTransport` surface
 (``server_inbox`` / ``to_worker`` / ``wake_all_workers``) can feed it —
-in-process mailboxes for the thread backend, sockets for proc.
+in-process mailboxes for the thread backend, sockets for proc.  The
+inbox needs only ``get()`` (blocking) and ``approx_len()``.
 """
 
 from __future__ import annotations

@@ -430,8 +430,8 @@ class FrameConnection:
     may run different codecs).
 
     Thread contract: at most one sender and one reader at a time; callers
-    with multiple sending threads (e.g. the server actor plus a shutdown
-    broadcast) hold their own per-connection send lock.
+    with multiple sending threads (e.g. a fleet link's scheduler and its
+    heartbeat) hold their own per-connection send lock.
     """
 
     def __init__(self, sock: socket.socket, codec: Optional[GradientCodec] = None) -> None:
@@ -530,6 +530,10 @@ class FrameConnection:
     def settimeout(self, timeout: Union[float, None]) -> None:
         """Deadline for subsequent socket reads/writes (None = blocking)."""
         self._sock.settimeout(timeout)
+
+    def fileno(self) -> int:
+        """The socket's descriptor, so a selector can watch this connection."""
+        return self._sock.fileno()
 
     def close(self) -> None:
         try:
