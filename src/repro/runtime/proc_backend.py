@@ -178,6 +178,8 @@ class SocketTransport:
         #: the links still read from: attached, not yet ended or failed
         self._selector = selectors.DefaultSelector()
         self._loopback: Deque[Message] = collections.deque()
+        #: links besides the one read that the last select found readable
+        self._waiting = 0
         #: when reads stop: ``timeout`` seconds after the first get()
         self._deadline: Optional[float] = None
         self._shutdown_sent = False
@@ -230,8 +232,12 @@ class SocketTransport:
                 return message
 
     def approx_len(self) -> int:
-        """Messages this inbox holds already read (frames in the kernel not counted)."""
-        return len(self._loopback)
+        """Queue depth for the trace: loopback messages plus the links with a frame waiting.
+
+        A lower bound on what waits: a link counts once however many
+        frames its socket holds.
+        """
+        return len(self._loopback) + self._waiting
 
     def _receive(self, deadline: float) -> Optional[Message]:
         """The next frame any live link delivers; ``None`` for a collected RunEnd.
@@ -243,6 +249,7 @@ class SocketTransport:
         if not events:
             raise RuntimeError(f"proc backend exceeded timeout={self.timeout}s")
         conn, worker = events[0][0].fileobj, events[0][0].data
+        self._waiting = len(events) - 1
         try:
             # a frame's later bytes may stall: the deadline bounds them too
             conn.settimeout(max(deadline - time.monotonic(), 1e-3))

@@ -89,6 +89,17 @@ def test_a_peer_that_closes_after_shutdown_only_loses_its_place(peers):
     assert set(transport.ended()) == {1}
 
 
+def test_the_queue_depth_counts_the_other_links_with_a_frame_waiting(peers):
+    transport, far = peers(2)
+    for worker, sock in enumerate(far):
+        FrameConnection(sock).send_message(PullRequest(worker))
+    inbox = transport.server_inbox
+    inbox.get()
+    assert inbox.approx_len() == 1  # the other link holds a frame too
+    inbox.get()
+    assert inbox.approx_len() == 0
+
+
 def test_the_spawn_env_is_rebuilt_only_when_the_environment_changes(monkeypatch):
     env, signature = proc_backend._spawn_env()
     again, same = proc_backend._spawn_env()
