@@ -146,11 +146,12 @@ class SocketTransport:
     never blocked by a slow emulated downlink.
 
     ``server_inbox`` is the transport itself: :meth:`get` reads the next
-    frame from whichever attached link a selector finds readable, on the
-    caller's thread, and every read ends by ``timeout`` seconds after the
-    first :meth:`get`.  A link that fails (EOF, a garbled frame) fails the
-    read, naming the worker, until Shutdown has been broadcast; after that
-    it only costs that child its place in :meth:`ended`.
+    frame from whichever attached link a selector finds readable (a lone
+    link is read without one), on the caller's thread, and every read
+    ends by ``timeout`` seconds after the transport was built.  A link
+    that fails (EOF, a garbled frame) fails the read, naming the worker,
+    until Shutdown has been broadcast; after that it only costs that
+    child its place in :meth:`ended`.
     """
 
     def __init__(
@@ -164,12 +165,12 @@ class SocketTransport:
             raise ValueError("num_workers must be >= 1")
         if time_scale < 0:
             raise ValueError("time_scale must be >= 0")
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
         self.num_workers = int(num_workers)
         self.network = network
         self.time_scale = float(time_scale)
         self.timeout = float(timeout)
+        #: the server actor's inbox: :meth:`get` reads the links themselves
+        self.server_inbox = self
         #: unified byte accounting (uplink frames measured as received,
         #: downlink frames as sent — real socket bytes, codec included)
         self.stats = CommStats(self.num_workers)
@@ -180,18 +181,13 @@ class SocketTransport:
         self._loopback: Deque[Message] = collections.deque()
         #: links besides the one read that the last select found readable
         self._waiting = 0
-        #: when reads stop: ``timeout`` seconds after the first get()
-        self._deadline: Optional[float] = None
+        #: when reads stop
+        self._deadline = time.monotonic() + self.timeout
         self._shutdown_sent = False
         #: worker -> the RunEnd its child ended the run with
         self._ended: Dict[int, RunEnd] = {}
 
     # ------------------------------------------------------------------ #
-    @property
-    def server_inbox(self) -> "SocketTransport":
-        """The server actor's inbox: this transport's :meth:`get`."""
-        return self
-
     def attach(
         self, worker: int, conn: FrameConnection, proc: Optional[subprocess.Popen] = None
     ) -> None:
@@ -214,8 +210,6 @@ class SocketTransport:
         """
         if self._loopback:
             return self._loopback.popleft()
-        if self._deadline is None:
-            self._deadline = time.monotonic() + self.timeout
         deadline = self._deadline
         if timeout is not None:
             deadline = min(deadline, time.monotonic() + timeout)
@@ -245,11 +239,17 @@ class SocketTransport:
         A failed read drops its link and raises a RuntimeError that says why.
         """
         remaining = deadline - time.monotonic()
-        events = self._selector.select(remaining) if remaining > 0 else []
-        if not events:
-            raise RuntimeError(f"proc backend exceeded timeout={self.timeout}s")
-        conn, worker = events[0][0].fileobj, events[0][0].data
-        self._waiting = len(events) - 1
+        links = self._selector.get_map()
+        if remaining > 0 and len(links) == 1:  # a lone link's own read does the wait
+            (key,) = links.values()
+            self._waiting = 0
+        else:
+            events = self._selector.select(remaining) if remaining > 0 else []
+            if not events:
+                raise RuntimeError(f"proc backend exceeded timeout={self.timeout}s")
+            key = events[0][0]
+            self._waiting = len(events) - 1
+        conn, worker = key.fileobj, key.data
         try:
             # a frame's later bytes may stall: the deadline bounds them too
             conn.settimeout(max(deadline - time.monotonic(), 1e-3))
@@ -585,6 +585,8 @@ class ProcBackend:
         needs_local_bn = config.bn_mode == "local" and bool(bn_layers(plan.eval_model))
         session = ExperimentSession(plan)
         num_workers = config.num_workers
+        # a failure here leaves every child to prepared(), which reaps them
+        self._await_ready(children, config, deadline)
         transport = SocketTransport(
             num_workers,
             network=plan.network if self.time_scale > 0 else None,
@@ -593,7 +595,6 @@ class ProcBackend:
         )
         ctl = RunControl()
         try:
-            self._await_ready(children, config, deadline)
             for worker, child in enumerate(children):
                 child.conn.send_message(Start())
                 transport.attach(worker, child.conn, child.proc)

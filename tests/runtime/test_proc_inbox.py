@@ -11,6 +11,7 @@ returned.
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -48,6 +49,17 @@ def test_half_a_frame_then_silence_fails_the_read_by_its_deadline(peers):
     peer.sendall(_LEN.pack(64) + b"x" * 32)
     with pytest.raises(RuntimeError, match="exceeded timeout"):
         transport.server_inbox.get()
+
+
+def test_a_busy_lone_link_still_fails_the_read_past_the_deadline(peers):
+    transport, (far,) = peers(1, timeout=0.2)
+    peer = FrameConnection(far)
+    for sent_at in (1.0, 2.0):
+        peer.send_message(PullRequest(0, sent_at=sent_at))
+    assert transport.server_inbox.get().sent_at == 1.0
+    time.sleep(0.3)
+    with pytest.raises(RuntimeError, match="exceeded timeout"):
+        transport.server_inbox.get()  # a frame is waiting, but the run is over time
 
 
 def test_a_peer_that_closes_mid_run_fails_the_read_naming_it(peers):
