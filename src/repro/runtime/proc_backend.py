@@ -457,9 +457,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
-#: the environment as bytes where the platform keeps it so: copying it
-#: skips decoding every variable, which is most of what a rebuild costs
-_ENVIRON = os.environb if os.supports_bytes_environ else os.environ
 #: ``(key, env, signature)`` of the last :func:`_spawn_env` rebuild
 _SPAWN_ENV: Optional[Tuple[tuple, Dict[str, str], tuple]] = None
 
@@ -471,7 +468,9 @@ def _spawn_env() -> Tuple[Dict[str, str], tuple]:
     since the last call; otherwise the same two objects are returned.
     """
     global _SPAWN_ENV
-    key = (wire.PROTOCOL_VERSION, dict(_ENVIRON))
+    # os.environ keeps its variables undecoded in ``_data`` (bytes on
+    # POSIX): copying that decodes nothing, which a rebuild mostly is
+    key = (wire.PROTOCOL_VERSION, dict(os.environ._data))
     cached = _SPAWN_ENV
     if cached is not None and cached[0] == key:
         return cached[1], cached[2]
