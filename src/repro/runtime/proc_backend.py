@@ -8,7 +8,7 @@ as in the thread backend, but on the thread that calls
 connected over a loopback TCP socket speaking the :mod:`repro.runtime.wire`
 protocol; the server actor's inbox (:class:`SocketTransport`) reads those
 sockets directly, one frame at a time from whichever a selector finds
-readable.  Unlike the thread backend there is no shared GIL: staleness
+readable (a lone link is read without one).  Unlike the thread backend there is no shared GIL: staleness
 and wall-clock numbers come from genuinely independent compute plus real
 kernel socket queues.
 

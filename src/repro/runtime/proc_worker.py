@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import select
 import socket
 import sys
-import threading
 import time
 import traceback
 from typing import List, Optional
@@ -64,7 +64,7 @@ from repro.runtime.messages import (
     Start,
 )
 from repro.runtime.session import WorkerRuntime
-from repro.runtime.transport import Mailbox, link_delay
+from repro.runtime.transport import link_delay
 from repro.runtime.wire import ConnectionClosed, FrameConnection, ProtocolMismatch, WireError
 
 #: exit code for a config/build failure already reported over the socket
@@ -77,14 +77,16 @@ CRASH_AFTER_ENV = "REPRO_PROC_CRASH_AFTER"
 
 
 class WorkerChannel:
-    """The child's half of the link: a delay-honouring inbox plus sends.
+    """The child's half of the link, read on the thread that runs the cycle.
 
-    A reader thread pumps frames into a :class:`~repro.runtime.transport.
-    Mailbox`, converting each frame's ``delay`` stamp into the mailbox's
-    ``not_before`` deadline — the same downlink-emulation contract (and the
-    same Shutdown-expedites-delivery fix) as the in-process transport.
+    :meth:`recv` reads the next message frame and sleeps out its
+    ``delay`` stamp — the same downlink-emulation contract as the
+    in-process transport — cut short as soon as another frame (the run's
+    Shutdown: a child awaits one reply at a time) arrives behind it.
     Parent EOF is translated into a Shutdown so an orphaned child exits
-    instead of blocking forever.
+    instead of blocking forever.  No thread: a reader thread here and the
+    parent's socket wake-ups made both processes' working threads change
+    CPU on nearly every update.
     """
 
     def __init__(
@@ -98,24 +100,18 @@ class WorkerChannel:
         self.worker_id = int(worker_id)
         self.network = network
         self.time_scale = float(time_scale)
-        self.inbox = Mailbox()
-        self._reader = threading.Thread(
-            target=self._pump, name="repro-proc-channel", daemon=True
-        )
-        self._reader.start()
 
-    def _pump(self) -> None:
+    def recv(self) -> Message:
+        """The next message from the parent, once its emulated downlink delay is over."""
         try:
-            while True:
-                message, delay = self._conn.recv()
-                if not isinstance(message, Message):
-                    continue  # stray handshake frame: the handshake is over, ignore
-                not_before = time.monotonic() + delay if delay > 0 else 0.0
-                self.inbox.put(message, not_before=not_before)
-                if isinstance(message, Shutdown):
-                    return  # the run is over: the link is main()'s again
+            message, delay = self._conn.recv()
+            while not isinstance(message, Message):
+                message, delay = self._conn.recv()  # a stray handshake frame
         except (ConnectionClosed, WireError, OSError):
-            self.inbox.put(Shutdown())  # parent gone: end the loop, don't hang
+            return Shutdown()  # parent gone: end the loop, don't hang
+        if delay > 0 and not isinstance(message, Shutdown):
+            select.select([self._conn], [], [], delay)
+        return message
 
     def to_server(self, message: Message, nbytes: int = 0) -> None:
         """Send to the parent; the emulated uplink delays this child.
@@ -144,7 +140,7 @@ def run_worker(channel: WorkerChannel, runtime: WorkerRuntime, compute_scale: fl
         runtime.worker,
         runtime,
         send=channel.to_server,
-        recv=channel.inbox.get,
+        recv=channel.recv,
         clock=lambda: time.perf_counter() - start,
         compute_scale=compute_scale,
     )
