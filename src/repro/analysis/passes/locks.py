@@ -80,7 +80,7 @@ def _lock_node_name(expr: ast.AST, class_name: Optional[str]) -> Optional[str]:
         return None
     if isinstance(expr, ast.Attribute) and _LOCKISH_RE.search(expr.attr):
         return expr.attr  # other_obj.model_lock — identity is the attr name
-    if isinstance(expr, ast.Subscript):  # self._send_locks[worker]
+    if isinstance(expr, ast.Subscript):  # self._locks[key]
         inner = _self_attr(expr.value)
         if inner is not None and _LOCKISH_RE.search(inner):
             return f"{class_name}.{inner}" if class_name else inner

@@ -33,8 +33,9 @@ messages::
 
 ``RunEnd`` is the run boundary.  When the budget is met the server actor
 sends every child one Shutdown; the inbox then reads each link until its
-RunEnd is in, and only then does the loop end, so ``wall_time`` ends with
-the last RunEnd.  The parent reads nothing of a link after its RunEnd, and
+RunEnd is in, for at most :data:`RUN_END_GRACE` seconds, and only then does
+the loop end, so ``wall_time`` ends with the last RunEnd (or the grace).
+The parent reads nothing of a link after its RunEnd, and
 the child skips any message frame of the finished run before reading the
 next RunConfig, so no frame of one run is ever read as part of the next.  The
 RunConfig names the run's worker id and gradient codec
@@ -58,11 +59,12 @@ most :data:`MAX_IDLE_CHILDREN`; the signature is rebuilt only when the
 environment changes.  Failure containment, all on the one serving thread:
 a child that dies (crash, OOM-kill, nonzero exit) closes its socket, and
 the EOF fails the run at once, naming the worker and its exit code; a
-garbled frame fails it the same way; and every read, a frame's later
-bytes included, ends by the run's ``timeout``, so a child that hangs, even
-mid-frame, fails the run ("exceeded timeout") instead of hanging it.  A
-link that fails after the budget is met costs its child only its place in
-the pool.  A failed, timed-out or interrupted run reaps every one of its
+garbled frame fails it the same way; and every read and send, a frame's
+later bytes included, ends by the run's ``timeout``, so a child that hangs,
+even mid-frame, fails the run ("exceeded timeout") instead of hanging it.
+A link that fails after the budget is met, or whose RunEnd is not in
+:data:`RUN_END_GRACE` seconds after the Shutdown, costs its child only its
+place in the pool.  A failed, timed-out or interrupted run reaps every one of its
 children (terminate, then kill) before ``run`` returns, so it can never
 leave orphan processes or a hung parent behind; only a child that ended a
 successful run with its RunEnd is kept, and one found dead at checkout is
@@ -132,6 +134,10 @@ TOKEN_ENV = "REPRO_PROC_TOKEN"
 #: costs about 0.8 GB until the parent exits.
 MAX_IDLE_CHILDREN = 16
 
+#: Seconds the inbox waits for the children's RunEnds once Shutdown is out;
+#: a child still silent then is reaped, not kept, and the run succeeds.
+RUN_END_GRACE = 10.0
+
 
 class SocketTransport:
     """The server-side message fabric over per-worker socket links.
@@ -147,11 +153,12 @@ class SocketTransport:
 
     ``server_inbox`` is the transport itself: :meth:`get` reads the next
     frame from whichever attached link a selector finds readable (a lone
-    link is read without one), on the caller's thread, and every read
-    ends by ``timeout`` seconds after the transport was built.  A link
-    that fails (EOF, a garbled frame) fails the read, naming the worker,
-    until Shutdown has been broadcast; after that it only costs that
-    child its place in :meth:`ended`.
+    link is read without one), on the caller's thread, and every read and
+    send ends by ``timeout`` seconds after the transport was built.  A
+    link that fails (EOF, a garbled frame) fails the read or send, naming
+    the worker, until Shutdown has been broadcast; after that it only
+    costs that child its place in :meth:`ended`, as does a child whose
+    RunEnd is not in :data:`RUN_END_GRACE` seconds after the broadcast.
     """
 
     def __init__(
@@ -183,7 +190,8 @@ class SocketTransport:
         self._waiting = 0
         #: when reads stop
         self._deadline = time.monotonic() + self.timeout
-        self._shutdown_sent = False
+        #: when the wait for RunEnds ends; set by the Shutdown broadcast
+        self._drain_deadline: Optional[float] = None
         #: worker -> the RunEnd its child ended the run with
         self._ended: Dict[int, RunEnd] = {}
 
@@ -204,24 +212,26 @@ class SocketTransport:
         A loopback message comes first; otherwise the next frame from any
         live link, in each link's order.  RunEnd frames are collected, not
         returned.  Once Shutdown has been broadcast, every link is read
-        until its RunEnd is in (or it fails, or the deadline passes), and
-        then Shutdown is returned.  ``timeout`` seconds, if given, end the
-        read before the run's deadline does.
+        until its RunEnd is in (or it fails, or the wait passes
+        :data:`RUN_END_GRACE` or the deadline), and then Shutdown is
+        returned.  ``timeout`` seconds, if given, end the read before the
+        run's deadline does.
         """
         if self._loopback:
             return self._loopback.popleft()
-        deadline = self._deadline
-        if timeout is not None:
-            deadline = min(deadline, time.monotonic() + timeout)
-        if self._shutdown_sent:
+        deadline, budget = self._deadline, self.timeout
+        if timeout is not None and time.monotonic() + timeout < deadline:
+            deadline, budget = time.monotonic() + timeout, timeout
+        if self._drain_deadline is not None:
+            deadline = min(deadline, self._drain_deadline)
             while self._selector.get_map() and time.monotonic() < deadline:
                 try:
-                    self._receive(deadline)  # a straggler of the run is dropped
+                    self._receive(deadline, budget)  # a straggler of the run is dropped
                 except RuntimeError as exc:  # its link is dropped, not the run
                     logger.debug("after the run: %s", exc)
             return Shutdown()
         while True:
-            message = self._receive(deadline)
+            message = self._receive(deadline, budget)
             if message is not None:
                 return message
 
@@ -233,10 +243,11 @@ class SocketTransport:
         """
         return len(self._loopback) + self._waiting
 
-    def _receive(self, deadline: float) -> Optional[Message]:
+    def _receive(self, deadline: float, budget: float) -> Optional[Message]:
         """The next frame any live link delivers; ``None`` for a collected RunEnd.
 
-        A failed read drops its link and raises a RuntimeError that says why.
+        A failed read drops its link and raises a RuntimeError that says
+        why; ``budget`` is the timeout that ``deadline`` stands for.
         """
         remaining = deadline - time.monotonic()
         links = self._selector.get_map()
@@ -246,7 +257,7 @@ class SocketTransport:
         else:
             events = self._selector.select(remaining) if remaining > 0 else []
             if not events:
-                raise RuntimeError(f"proc backend exceeded timeout={self.timeout}s")
+                raise _timed_out(budget)
             key = events[0][0]
             self._waiting = len(events) - 1
         conn, worker = key.fileobj, key.data
@@ -259,7 +270,7 @@ class SocketTransport:
             # KeyError from a version-skewed child) must fail the run fast
             self._selector.unregister(conn)
             if isinstance(exc, socket.timeout):
-                raise RuntimeError(f"proc backend exceeded timeout={self.timeout}s") from None
+                raise _timed_out(budget) from None
             raise RuntimeError(self._describe_failure(worker, exc)) from exc
         if isinstance(message, RunEnd):
             # the child's last frame of this run: stop reading its link, so
@@ -299,12 +310,22 @@ class SocketTransport:
         self._loopback.append(message)
 
     def to_worker(self, worker: int, message: Message, nbytes: int = 0) -> None:
-        """Server -> worker send; the delay rides the frame, not the caller."""
+        """Server -> worker send; the delay rides the frame, not the caller.
+
+        A send that fails (a dead child, or one whose socket stays full
+        past the run's deadline) raises a RuntimeError naming why.
+        """
         conn = self._conns[worker]
         if conn is None:
             raise RuntimeError(f"worker {worker} is not attached")
         delay = link_delay(self.network, self.time_scale, worker, nbytes)
-        wire_nbytes = conn.send_message(message, delay=delay, nbytes=nbytes)
+        try:
+            conn.settimeout(max(self._deadline - time.monotonic(), 1e-3))
+            wire_nbytes = conn.send_message(message, delay=delay, nbytes=nbytes)
+        except socket.timeout:
+            raise _timed_out(self.timeout) from None
+        except OSError as exc:
+            raise RuntimeError(self._describe_failure(worker, exc)) from exc
         self.stats.count(worker, nbytes, wire_nbytes)
 
     def comm_summary(self) -> Dict[str, float]:
@@ -314,13 +335,15 @@ class SocketTransport:
     def wake_all_workers(self, message: Message) -> None:
         """Deliver ``message`` (Shutdown) to every live worker; dead links are skipped.
 
-        From here on :meth:`get` collects the children's RunEnds.
+        From here on :meth:`get` collects the children's RunEnds, for at
+        most :data:`RUN_END_GRACE` seconds.
         """
-        self._shutdown_sent = True
+        self._drain_deadline = min(self._deadline, time.monotonic() + RUN_END_GRACE)
         for conn in self._conns:
             if conn is None:
                 continue
             try:
+                conn.settimeout(max(self._drain_deadline - time.monotonic(), 1e-3))
                 conn.send_message(message)
             except (OSError, WireError):
                 pass  # a dying child fails its read, or loses its place in the pool
@@ -331,6 +354,10 @@ class SocketTransport:
         for conn in self._conns:
             if conn is not None and not any(conn is kept for kept in keep):
                 conn.close()
+
+
+def _timed_out(budget: float) -> RuntimeError:
+    return RuntimeError(f"proc backend exceeded timeout={budget}s")
 
 
 # ---------------------------------------------------------------------- #

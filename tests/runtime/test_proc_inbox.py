@@ -13,11 +13,12 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import TrainingConfig
 from repro.runtime import SocketTransport, proc_backend, run_experiment
-from repro.runtime.messages import PullRequest, RunEnd, Shutdown
+from repro.runtime.messages import PullReply, PullRequest, RunEnd, Shutdown
 from repro.runtime.wire import _LEN, FrameConnection
 
 TIMEOUT = 120.0
@@ -49,6 +50,12 @@ def test_half_a_frame_then_silence_fails_the_read_by_its_deadline(peers):
     peer.sendall(_LEN.pack(64) + b"x" * 32)
     with pytest.raises(RuntimeError, match="exceeded timeout"):
         transport.server_inbox.get()
+
+
+def test_an_expired_read_names_the_timeout_that_expired(peers):
+    transport, _ = peers(2)
+    with pytest.raises(RuntimeError, match=r"exceeded timeout=0\.2s"):
+        transport.server_inbox.get(timeout=0.2)
 
 
 def test_a_busy_lone_link_still_fails_the_read_past_the_deadline(peers):
@@ -99,6 +106,33 @@ def test_a_peer_that_closes_after_shutdown_only_loses_its_place(peers):
     quitter.close()
     assert isinstance(transport.server_inbox.get(), Shutdown)
     assert set(transport.ended()) == {1}
+
+
+def test_a_peer_silent_after_shutdown_costs_only_its_place_within_the_grace(peers, monkeypatch):
+    monkeypatch.setattr(proc_backend, "RUN_END_GRACE", 0.2)
+    transport, (_, far) = peers(2)  # worker 0 stays open and silent
+    transport.wake_all_workers(Shutdown())
+    FrameConnection(far).send_message(RunEnd())
+    started = time.monotonic()
+    assert isinstance(transport.server_inbox.get(), Shutdown)
+    assert time.monotonic() - started < TIMEOUT / 2  # the grace ended the wait, not the run's
+    assert set(transport.ended()) == {1}
+
+
+def test_a_send_to_a_closed_peer_fails_naming_it(peers):
+    transport, (_, second) = peers(2)
+    second.close()
+    with pytest.raises(RuntimeError, match="worker child 1 dropped its connection"):
+        for _ in range(8):  # the first write may still land in the socket buffer
+            transport.to_worker(1, PullRequest(1))
+
+
+def test_a_send_that_stays_blocked_past_the_deadline_fails_the_run(peers):
+    transport, _ = peers(1, timeout=0.2)  # the peer never reads
+    weights = np.zeros(1 << 20, dtype=np.float32)
+    with pytest.raises(RuntimeError, match=r"exceeded timeout=0\.2s"):
+        for _ in range(64):
+            transport.to_worker(0, PullReply(0, weights=weights))
 
 
 def test_the_queue_depth_counts_the_other_links_with_a_frame_waiting(peers):
