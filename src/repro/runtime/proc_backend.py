@@ -257,7 +257,7 @@ class SocketTransport:
         else:
             events = self._selector.select(remaining) if remaining > 0 else []
             if not events:
-                raise _timed_out(budget)
+                raise RuntimeError(f"proc backend exceeded timeout={budget}s")
             key = events[0][0]
             self._waiting = len(events) - 1
         conn, worker = key.fileobj, key.data
@@ -269,9 +269,7 @@ class SocketTransport:
             # broad on purpose: any escape (EOF, garbled frame, a decode
             # KeyError from a version-skewed child) must fail the run fast
             self._selector.unregister(conn)
-            if isinstance(exc, socket.timeout):
-                raise _timed_out(budget) from None
-            raise RuntimeError(self._describe_failure(worker, exc)) from exc
+            raise RuntimeError(self._describe_failure(worker, exc, budget)) from exc
         if isinstance(message, RunEnd):
             # the child's last frame of this run: stop reading its link, so
             # nothing after it is taken for part of this run
@@ -281,7 +279,9 @@ class SocketTransport:
         self.stats.count(worker, nbytes, wire_nbytes)
         return message
 
-    def _describe_failure(self, worker: int, exc: Exception) -> str:
+    def _describe_failure(self, worker: int, exc: Exception, budget: float) -> str:
+        if isinstance(exc, socket.timeout):
+            return f"proc backend exceeded timeout={budget}s"
         proc, code = self._procs[worker], None
         if proc is not None:
             with contextlib.suppress(subprocess.TimeoutExpired):
@@ -322,10 +322,8 @@ class SocketTransport:
         try:
             conn.settimeout(max(self._deadline - time.monotonic(), 1e-3))
             wire_nbytes = conn.send_message(message, delay=delay, nbytes=nbytes)
-        except socket.timeout:
-            raise _timed_out(self.timeout) from None
         except OSError as exc:
-            raise RuntimeError(self._describe_failure(worker, exc)) from exc
+            raise RuntimeError(self._describe_failure(worker, exc, self.timeout)) from exc
         self.stats.count(worker, nbytes, wire_nbytes)
 
     def comm_summary(self) -> Dict[str, float]:
@@ -354,10 +352,6 @@ class SocketTransport:
         for conn in self._conns:
             if conn is not None and not any(conn is kept for kept in keep):
                 conn.close()
-
-
-def _timed_out(budget: float) -> RuntimeError:
-    return RuntimeError(f"proc backend exceeded timeout={budget}s")
 
 
 # ---------------------------------------------------------------------- #
