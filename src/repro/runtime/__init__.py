@@ -11,10 +11,10 @@ ways from one experiment specification:
   the name registry, :class:`SimBackend` (virtual-time event loop),
   ``plan_and_run`` (the one plan-then-run path, which lets proc configure
   its children before the plan is built) and :func:`run_experiment`.
-* :mod:`repro.runtime.thread_backend` — :class:`ThreadBackend`: a server
-  actor thread plus N worker threads with real wall-clock staleness, an
-  optional deterministic round-robin mode, and emulated link/compute
-  delays.
+* :mod:`repro.runtime.thread_backend` — :class:`ThreadBackend`: N worker
+  threads with real wall-clock staleness, the server actor run on the
+  calling thread, an optional deterministic round-robin mode, and
+  emulated link/compute delays.
 * :mod:`repro.runtime.proc_backend` / :mod:`repro.runtime.proc_worker` —
   :class:`ProcBackend`: the same server actor, run on the calling thread,
   but every worker is a real OS process speaking the
@@ -38,8 +38,9 @@ ways from one experiment specification:
   every backend (gossip reports included) enters the run through the
   dispatch.
 * :mod:`repro.runtime.server_actor` — the server actor loop the
-  concurrent backends share (inbox draining, evaluation cadence, the
-  done/Shutdown protocol); gossip thread mode runs it on its reports.
+  concurrent backends share, each on the thread that called its ``run``
+  (inbox draining, evaluation cadence, the done/Shutdown protocol);
+  gossip thread mode runs it on its reports.
 
 Quickstart::
 

@@ -19,8 +19,8 @@ never trained against).  Two drivers answer the cycle's ``EXCHANGE``:
   Everything derives from ``config.seed`` via name-keyed RNG streams, so
   two runs produce bit-identical curves.
 * worker threads — :class:`~repro.runtime.thread_backend.ThreadBackend`
-  runs ``ad-psgd`` on its own server actor, transport and
-  :class:`~repro.runtime.cycle.BlockingDriver`.  Its ``exchange``
+  runs ``ad-psgd`` on its own server actor (on the calling thread),
+  transport and :class:`~repro.runtime.cycle.BlockingDriver`.  Its ``exchange``
   (:func:`thread_wiring`) picks a neighbor
   (:meth:`~repro.cluster.topology.TopologyModel.partner`), meets a partner
   on the :class:`PairingBoard`, sends through

@@ -2,16 +2,21 @@
 
 One thread owns the :class:`~repro.core.server.ParameterServer` and is the
 only thread that ever calls its handlers — the math needs no locks because
-the actor loop serializes every message.  The thread and gossip runtimes
-start a thread for the loop (:func:`run_actor_threads`); proc runs it on
-the thread that called its ``run``, with an inbox that reads the worker
-sockets itself.  What each message *means* is
+the actor loop serializes every message.  Every concurrent backend runs
+the loop on the thread that called its ``run``, after starting its workers
+(threads for the thread backend, child processes for proc), and the loop
+ends the same way on both: once the budget is met,
+``wake_all_workers(Shutdown())`` tells every worker, and the inbox then
+yields that Shutdown behind whatever the workers already sent (a thread
+worker that fails queues the same Shutdown; a handler or a read that
+fails ends the loop at once).  The inbox also bounds the run: its
+``get()`` fails once the backend's ``timeout`` has passed.  What each
+message *means* is
 :func:`repro.runtime.cycle.dispatch`, shared with the simulator; this
 module keeps what is particular to a real, concurrent run: draining the
-inbox, the queue-depth gauge, the evaluation cadence, and the
-done/Shutdown protocol (:class:`RunControl`, :func:`run_actor_threads`).
-The loop is transport-agnostic: anything exposing the
-:class:`~repro.runtime.transport.InProcTransport` surface
+inbox, the queue-depth gauge, the evaluation cadence, and the run's shared
+state (:class:`RunControl`).  The loop is transport-agnostic: anything
+exposing the :class:`~repro.runtime.transport.InProcTransport` surface
 (``server_inbox`` / ``to_worker`` / ``wake_all_workers``) can feed it —
 in-process mailboxes for the thread backend, sockets for proc.  The
 inbox needs only ``get()`` (blocking) and ``approx_len()``.
@@ -21,13 +26,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from repro.analysis.lockorder import make_lock
 from repro.runtime.cycle import dispatch
 from repro.runtime.messages import Shutdown
 from repro.runtime.session import ExperimentSession
-from repro.runtime.transport import Mailbox
 
 
 class RunControl:
@@ -68,46 +72,6 @@ class RunControl:
         error = self.error
         if error is not None:
             raise error.with_traceback(error.__traceback__)
-
-
-def run_actor_threads(
-    ctl: RunControl,
-    hub: threading.Thread,
-    hub_inbox: Mailbox,
-    workers: Sequence[threading.Thread],
-    wake_workers: Callable[[], None],
-    timeout: float,
-    name: str,
-) -> float:
-    """Run one hub actor plus its worker threads to completion.
-
-    Starts the clock and every thread, waits for ``ctl.done`` (failing the
-    run after ``timeout`` real seconds), wakes and joins the workers, then
-    shuts the hub down through its inbox.  The first recorded failure is
-    re-raised; a thread that would not join is an error.  Returns the
-    elapsed run seconds.
-    """
-    ctl.start_clock()
-    hub.start()
-    for t in workers:
-        t.start()
-
-    if not ctl.done.wait(timeout=timeout):
-        ctl.fail(RuntimeError(f"{name} backend exceeded timeout={timeout}s"))
-    # wake any worker still blocked on its mailbox (normal completion
-    # already sent Shutdowns; duplicates are harmless)
-    wake_workers()
-    for t in workers:
-        t.join(timeout=30.0)
-    hub_inbox.put(Shutdown())
-    hub.join(timeout=30.0)
-    elapsed = ctl.clock()
-
-    ctl.raise_if_failed()
-    stuck = [t.name for t in (*workers, hub) if t.is_alive()]
-    if stuck:
-        raise RuntimeError(f"{name} backend failed to join threads: {stuck}")
-    return elapsed
 
 
 def server_actor_loop(session: ExperimentSession, transport, ctl: RunControl) -> None:

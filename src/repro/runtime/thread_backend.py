@@ -1,14 +1,24 @@
 """Real concurrent execution: a thread-based parameter-server runtime.
 
-Topology: one *server actor* thread
-(:func:`~repro.runtime.server_actor.server_actor_loop`) owns the
-:class:`~repro.core.server.ParameterServer`, plus ``M`` worker threads each
-driving the one worker cycle (:func:`repro.runtime.cycle.worker_cycle`,
-through a :class:`~repro.runtime.cycle.BlockingDriver`) over an
-:class:`~repro.runtime.transport.InProcTransport`.  Staleness here is
-*real*: it is however many gradients the server actor applied between a
-worker's pull and its push, as decided by genuine thread interleaving (and,
-optionally, by emulated link/compute delays).
+Topology: ``M`` worker threads, each driving the one worker cycle
+(:func:`repro.runtime.cycle.worker_cycle`, through a
+:class:`~repro.runtime.cycle.BlockingDriver`) over an
+:class:`~repro.runtime.transport.InProcTransport`, and the *server actor*
+(:func:`~repro.runtime.server_actor.server_actor_loop`), which owns the
+:class:`~repro.core.server.ParameterServer` and runs on the thread that
+called :meth:`ThreadBackend.run`, as on proc — a run starts ``M`` threads.
+Staleness here is *real*: it is however many gradients the server actor
+applied between a worker's pull and its push, as decided by genuine thread
+interleaving (and, optionally, by emulated link/compute delays).
+
+A worker learns that the run is over only from the Shutdown its next call
+to the server gets back, as a proc child does, so a run sends the same
+messages whichever thread wins a race at the end: a pull sent before the
+Shutdown arrives is counted, on thread as on proc.  A gossip worker makes
+no call to get it from: it stops at the budget, since a local step past it
+would move a replica the final consensus evaluation reads.  The run ends
+after its worker threads are joined; a failed worker, a failed handler or
+a run past ``timeout`` fails it with that error.
 
 Two scheduling modes:
 
@@ -42,7 +52,7 @@ from repro.analysis.lockorder import make_condition
 from repro.core.metrics import RunResult
 from repro.runtime.cycle import BlockingDriver
 from repro.runtime.messages import Shutdown
-from repro.runtime.server_actor import RunControl, run_actor_threads, server_actor_loop
+from repro.runtime.server_actor import RunControl, server_actor_loop
 from repro.runtime.session import ExperimentPlan, ExperimentSession
 from repro.runtime.transport import InProcTransport
 from repro.utils.logging import get_logger
@@ -65,11 +75,11 @@ class RoundRobinTurnstile:
     def _holder(self) -> Optional[int]:
         return self._order[self._turn] if self._order else None
 
-    def acquire(self, worker: int, done: threading.Event) -> bool:
-        """Block until it is ``worker``'s turn; False if the run ended."""
+    def acquire(self, worker: int, done: Optional[threading.Event] = None) -> bool:
+        """Block until it is ``worker``'s turn; False if ``done`` was set first."""
         with self._cond:
             while self._holder() != worker:
-                if done.is_set() or worker not in self._order:
+                if (done is not None and done.is_set()) or worker not in self._order:
                     return False
                 self._cond.wait(timeout=0.05)
             return True
@@ -159,6 +169,7 @@ class ThreadBackend:
             codec_name=codec,
             recorder=plan.recorder,
             clock=ctl.clock,
+            timeout=self.timeout,
         )
         turnstile = RoundRobinTurnstile(num_workers) if self.deterministic else None
         wiring = [{}] * num_workers
@@ -179,31 +190,46 @@ class ThreadBackend:
             for m in range(num_workers)
         ]
 
-        server_thread = threading.Thread(
-            target=server_actor_loop,
-            args=(session, transport, ctl),
-            name="repro-server",
-            daemon=True,
-        )
-        worker_threads = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(m, drivers[m], ctl, turnstile),
-                name=f"repro-worker-{m}",
-                daemon=True,
-            )
+        def work(m: int) -> None:
+            # a server-based worker stops only on the Shutdown its next call
+            # gets back (see the module docstring); a gossip worker has none
+            try:
+                while not (gossip and ctl.done.is_set()):
+                    if turnstile is not None:
+                        turnstile.acquire(m)
+                    try:
+                        if not drivers[m].run_cycle():
+                            break  # the server's Shutdown
+                    finally:
+                        if turnstile is not None:
+                            turnstile.release(m)
+            except BaseException as exc:
+                ctl.fail(exc)
+                transport.wake_all_workers(Shutdown())
+            finally:
+                if turnstile is not None:
+                    turnstile.retire(m)
+
+        threads = [
+            threading.Thread(target=work, args=(m,), name=f"repro-worker-{m}", daemon=True)
             for m in range(num_workers)
         ]
-
-        elapsed = run_actor_threads(
-            ctl,
-            server_thread,
-            transport.server_inbox,
-            worker_threads,
-            wake_workers=partial(transport.wake_all_workers, Shutdown()),
-            timeout=self.timeout,
-            name=name,
-        )
+        ctl.start_clock()
+        for t in threads:
+            t.start()
+        try:
+            # the server actor runs here; its inbox fails the run past the timeout
+            server_actor_loop(session, transport, ctl)
+        finally:
+            ctl.done.set()
+            transport.wake_all_workers(Shutdown())
+            for t in threads:
+                t.join(timeout=30.0)
+        elapsed = ctl.clock()
+        ctl.raise_if_failed()
+        stuck = [t.name for t in threads if t.is_alive()]
+        if stuck:
+            raise RuntimeError(f"{name} backend failed to join threads: {stuck}")
 
         session.ensure_final_eval(elapsed)
         logger.info(
@@ -217,27 +243,3 @@ class ThreadBackend:
             comm=transport.comm_summary(),
             codec=codec,
         )
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _worker_loop(
-        m: int,
-        driver: BlockingDriver,
-        ctl: RunControl,
-        turnstile: Optional[RoundRobinTurnstile],
-    ) -> None:
-        try:
-            while not ctl.done.is_set():
-                if turnstile is not None and not turnstile.acquire(m, ctl.done):
-                    break
-                try:
-                    if ctl.done.is_set() or not driver.run_cycle():
-                        break
-                finally:
-                    if turnstile is not None:
-                        turnstile.release(m)
-        except BaseException as exc:
-            ctl.fail(exc)
-        finally:
-            if turnstile is not None:
-                turnstile.retire(m)

@@ -4,10 +4,12 @@ One :class:`InProcTransport` owns a server mailbox plus one mailbox per
 worker.  Mailboxes are FIFO queues, which gives the same per-connection
 ordering guarantee the simulator relies on (a worker's next pull request is
 processed after its own gradient push, because the worker enqueues them
-from one thread in that order).  The gossip runtime uses the same fabric:
-the shared server actor reads the step reports from the server mailbox,
-and matched peers exchange weights through :meth:`InProcTransport.to_peer`
-into each other's worker mailboxes.
+from one thread in that order).  The transport is the server actor's
+inbox itself, like proc's socket transport: its ``get`` reads the server
+mailbox and fails the run once the backend's ``timeout`` has passed.  The
+gossip runtime uses the same fabric: the shared server actor reads the
+step reports from the server mailbox, and matched peers exchange weights
+through :meth:`InProcTransport.to_peer` into each other's worker mailboxes.
 
 Link emulation: when built with a :class:`~repro.cluster.network.
 NetworkModel` and a nonzero ``time_scale``, each message is charged
@@ -21,6 +23,7 @@ speed.
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import time
 from collections import deque
@@ -180,6 +183,7 @@ class InProcTransport:
         codec_name: str = "raw32",
         recorder=NULL_RECORDER,
         clock=None,
+        timeout: float = 600.0,
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
@@ -188,11 +192,16 @@ class InProcTransport:
         self.num_workers = int(num_workers)
         self.network = network
         self.time_scale = float(time_scale)
+        self.timeout = float(timeout)
         # trace sink + the backend's clock ("now" provider); the recorder
         # never reads time itself, so the no-op default costs one branch
         self.recorder = recorder
         self.clock = clock if clock is not None else (lambda: 0.0)
-        self.server_inbox = Mailbox()
+        #: the server actor's inbox: :meth:`get` reads ``_inbox``
+        self.server_inbox = self
+        self._inbox = Mailbox()
+        #: when reads stop
+        self._deadline = time.monotonic() + self.timeout
         self.worker_inboxes: List[Mailbox] = [Mailbox() for _ in range(self.num_workers)]
         self.stats = CommStats(self.num_workers)
         # Codec emulation: raw32 is the identity — messages pass by
@@ -215,6 +224,22 @@ class InProcTransport:
         """The unified :class:`CommStats` keys."""
         return self.stats.summary()
 
+    def get(self) -> Message:
+        """The next message for the server actor, in the order it was sent.
+
+        Fails once ``timeout`` seconds have passed since the transport was
+        built, even with a message waiting: the run is over time.
+        """
+        remaining = self._deadline - time.monotonic()
+        if remaining > 0:
+            with contextlib.suppress(queue.Empty):
+                return self._inbox.get(timeout=remaining)
+        raise RuntimeError(f"thread backend exceeded timeout={self.timeout}s")
+
+    def approx_len(self) -> int:
+        """Lock-free inbox depth for the trace's queue-depth gauge."""
+        return self._inbox.approx_len()
+
     # ------------------------------------------------------------------ #
     def to_server(self, worker: int, message: Message, nbytes: int = 0) -> None:
         """Worker -> server send; the emulated uplink delays the caller."""
@@ -236,7 +261,7 @@ class InProcTransport:
         delay = link_delay(self.network, self.time_scale, worker, wire)
         if delay > 0:
             time.sleep(delay)
-        self.server_inbox.put(message)
+        self._inbox.put(message)
 
     def to_worker(self, worker: int, message: Message, nbytes: int = 0) -> None:
         """Server -> worker send; the emulated downlink delays delivery.
@@ -275,6 +300,11 @@ class InProcTransport:
         self.worker_inboxes[receiver].put(message)
 
     def wake_all_workers(self, message: Message) -> None:
-        """Deliver ``message`` to every worker mailbox immediately."""
+        """Deliver ``message`` (Shutdown) to every worker mailbox immediately.
+
+        The server actor gets it too, behind what the workers already
+        sent, so its loop ends after draining them.
+        """
         for inbox in self.worker_inboxes:
             inbox.put(message)
+        self._inbox.put(message)
