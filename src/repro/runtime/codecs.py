@@ -1,7 +1,8 @@
 """Gradient codecs: pluggable array encodings for the wire data plane.
 
 A :class:`GradientCodec` turns one logical array into a self-describing
-*entry* (small JSON metadata) plus one or more contiguous numpy buffers
+*entry* (its encoding, shape and parts; :mod:`repro.runtime.wire` writes
+one fixed record per part) plus one or more contiguous numpy buffers
 ready for vectored socket writes, and :func:`decode_array` turns them
 back.  Entries are stateless to decode — a receiver never needs to know
 which codec the sender ran, only the entry — which is what lets the
@@ -46,8 +47,13 @@ ROLE_BN = "bn"
 TOPK_RATIO = 0.1
 
 #: dtypes an entry part may name — decode allocates from peer-controlled
-#: metadata, so this is a whitelist, not a convention
+#: metadata, so this is a whitelist, not a convention; a dtype's position
+#: here is its code on the wire
 PART_DTYPES = ("float32", "float16", "int32")
+
+#: the encodings an entry may name, each with the number of parts it
+#: ships; an encoding's position here is its code on the wire
+ENCODINGS = {"raw": 1, "f16": 1, "topk": 2}
 
 
 class CodecError(ValueError):

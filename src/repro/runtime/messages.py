@@ -27,10 +27,16 @@ These dataclasses are the only definition of the wire format:
 :mod:`repro.runtime.wire` derives its encoder and its strict decoder from
 their fields and annotations, so adding a frame means adding a dataclass
 here.  Annotations are therefore the schema the decoder enforces, and
-fields travel positionally: reordering or inserting a field changes the
-protocol and needs a ``PROTOCOL_VERSION`` bump.  Documents (a
+fields travel positionally, in a binary ``struct`` header whose layout
+follows :func:`dataclasses.fields` order: ``int`` as i64, ``float`` as
+f64, one presence byte per ``Optional`` (a payload dataclass inlined
+behind it), one count per list, and each array as a part record.  A
+frame's kind id is its class name's index in sorted order.  So
+reordering or inserting a field, or adding or renaming a frame class,
+changes the protocol and needs a ``PROTOCOL_VERSION`` bump.  Documents (a
 ``TrainingConfig``, a spec, a ``RunResult``) travel as ``dict`` fields
-that their senders made JSON-able; rebuilding them is the receiver's
+that their senders made JSON-able, in the frame's JSON blob with its
+``str``, ``bool`` and ``list`` fields; rebuilding them is the receiver's
 job.  Range checks live in ``__post_init__``, which the decoder runs.  An
 array in a field named ``grad`` (here or in a payload a message carries)
 travels under the gradient codec role, one named ``weights`` under the

@@ -2,42 +2,54 @@
 
 Every frame on a socket is::
 
-    [u32 frame length][u32 header length][header JSON][array part buffers]
+    [u32 frame length][header][part records][JSON blob][array part buffers]
 
-The header is a small JSON document carrying the frame's kind (its class
-name), its fields, an optional delivery ``delay`` (the emulated downlink
-occupancy the receiver sleeps out — the :class:`~repro.runtime.transport.
-Mailbox` contract), the sender's *logical* byte count (``nbytes`` — what
-the run's accounting charges, independent of compression), and one
-self-describing codec entry per array payload (:mod:`repro.runtime.codecs`).
-Array data travels as raw buffers appended after the header in entry
-order; nothing is ever pickled.
+The header is one little-endian ``struct`` whose layout is derived once
+per frame class, at import, from the :mod:`repro.runtime.messages`
+dataclasses (every :class:`~repro.runtime.messages.Frame` subclass but the
+:class:`~repro.runtime.messages.Message` base).  In order it holds:
 
-The codec is derived from the :mod:`repro.runtime.messages` dataclasses
-(every :class:`~repro.runtime.messages.Frame` subclass but the
-:class:`~repro.runtime.messages.Message` base), so adding a frame means
-adding a dataclass; there is no per-kind encoder.  A frame's fields travel
-as a JSON list in :func:`dataclasses.fields` order (so field order is part
-of the protocol), each written by its annotation:
+* the protocol version (u16) and the frame's kind id (u16: the index of
+  its class name among the sorted frame class names, so adding a frame is
+  a version bump, as adding a field is);
+* the delivery ``delay`` (f64: the emulated downlink occupancy the
+  receiver sleeps out, the :class:`~repro.runtime.transport.Mailbox`
+  contract) and the sender's *logical* byte count ``nbytes`` (u64: what
+  the run's accounting charges, independent of compression);
+* the number of part records (u32) and the byte length of the JSON blob
+  (u32, 0 when there is none);
+* the scalar fields in :func:`dataclasses.fields` order, a nested payload
+  dataclass (:class:`~repro.core.state.WorkerState`, :class:`~repro.core.
+  state.GradientPayload`, :class:`~repro.core.state.CompensationReply`)
+  inlined where its field stands: ``int`` as i64, ``float`` as f64, one
+  presence byte per ``Optional`` (an absent payload's scalars are zeros),
+  and one u32 count per variable-length list or tuple.
 
-* ``int``/``float`` scalars and ``None`` ride the header as they are, and
-  so do ``str``, ``bool``, ``list`` and ``dict`` values (JSON documents,
-  made JSON-able by the sender and checked only for their own type);
-* each ``np.ndarray`` becomes the index ``i`` of its codec entry.  Its
-  role is ``grad`` for a field named ``grad``, ``weights`` for one named
-  ``weights`` and BN statistics otherwise, so ``topk`` sparsifies
-  gradients only;
-* tuples and lists are JSON lists, and decode back to the type their
-  annotation names;
-* a nested payload dataclass (:class:`~repro.core.state.WorkerState`,
-  :class:`~repro.core.state.GradientPayload`, :class:`~repro.core.state.
-  CompensationReply`) becomes ``{name: [...fields]}``.
+Then comes one fixed record per array part (u8 encoding code, u8 dtype
+code, u64 element count, u64 element count of the array it belongs to),
+in field order; the codecs (:mod:`repro.runtime.codecs`) decide how many
+parts an array ships and number the encodings and dtypes.  Arrays travel
+as vectors: an array of any other rank is refused at encode.  The JSON
+blob is a list of the ``str``, ``bool``, ``list`` and ``dict`` values in
+field order.  Those are documents (a ``TrainingConfig``, a spec, a
+``RunResult``, trace rows) whose size varies with their content whatever
+the encoding, and only the per-run frames (the proc handshake,
+:class:`~repro.runtime.messages.RunConfig`, :class:`~repro.runtime.
+messages.RunEnd` and the fleet frames) have such fields.  So every
+per-message frame's length is a function of its kind, its codec and its
+array sizes, and every frame has one header format.  Array data follows
+as raw buffers in record order; nothing is ever pickled.  Adding a frame
+means adding a dataclass; there is no per-kind encoder.  An array in a
+field named ``grad`` travels under the gradient codec role, one named
+``weights`` under the weights role and any other as BN statistics, so
+``topk`` sparsifies gradients only.
 
-Decoding is strict.  It accepts only the frame class names and, in each
-payload slot, only the dataclass the annotation names; it refuses extra
-fields and missing required ones, and checks every value against its
-field's annotation.  Anything malformed raises :class:`WireError`, never another
-exception, so a reader can treat that one type as "this peer is broken".
+Decoding is strict.  It accepts only known kind ids and dtype codes, a
+presence byte of 0 or 1 (with zeros behind a 0), counts the payload
+covers, blob values of their field's type and a frame with no unclaimed
+byte; anything else raises :class:`WireError`, never another exception,
+so a reader can treat that one type as "this peer is broken".  An ``int``
+outside i64 fails at encode with :class:`WireError` too.
 
 The data plane is zero-copy in both directions:
 
@@ -52,16 +64,16 @@ The data plane is zero-copy in both directions:
   codec does not already own, so a decoded message never aliases the
   receive buffer.
 
-There is one frame flavor: the cycle's messages, the proc handshake and
-run-end report, and the fleet's campaign frames all ride this codec, and
-:func:`encode_message` / :func:`decode` are exact inverses for every type
-(``tests/runtime/test_wire.py`` round-trips each one and fuzzes the
-decoder).
+:func:`encode_message` and :func:`decode` are exact inverses for every
+frame type (``tests/runtime/test_wire.py`` round-trips each one and
+fuzzes the decoder).
 
-Version negotiation: the header carries ``v`` and :func:`decode` runs the
-single :func:`check_protocol_version` path, so an older peer — proc child
-or fleet agent alike — is rejected with a reason on its first frame
-rather than failing opaquely mid-run.
+Version negotiation: every header starts with the version, and
+:func:`decode` runs the single :func:`check_protocol_version` path, so an
+older peer (proc child or fleet agent alike) is rejected with a reason on
+its first frame rather than failing opaquely mid-run.  A v5-or-older
+frame (``[u32 header length][JSON header]``) is recognised by its ``{``
+and refused by the version its JSON names.
 """
 
 from __future__ import annotations
@@ -71,8 +83,8 @@ import json
 import socket
 import struct
 import typing
-from dataclasses import MISSING
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -93,8 +105,10 @@ from repro.runtime.messages import Frame, Message
 #: v3 = fields derived structurally from the message dataclasses;
 #: v4 = ``WeightExchange.step`` and ``GossipReport.local_step`` dropped;
 #: v5 = the proc handshake, the run-end report and the fleet frames are
-#: typed frames too (no control documents, no separate fleet version)
-PROTOCOL_VERSION = 5
+#: typed frames too (no control documents, no separate fleet version);
+#: v6 = a binary header whose layout is derived per frame class (no JSON
+#: header; documents ride a JSON blob)
+PROTOCOL_VERSION = 6
 
 #: refuse frames beyond this size — enforced on *both* ends: a corrupt
 #: length prefix must not trigger a gigabyte allocation, and an oversized
@@ -102,6 +116,13 @@ PROTOCOL_VERSION = 5
 MAX_FRAME_BYTES = 1 << 30
 
 _LEN = struct.Struct(">I")
+#: what every header starts with: the protocol version and the kind id
+_HEAD = struct.Struct("<HH")
+#: one array part: encoding code, dtype code, element count, array size
+_PART = struct.Struct("<BBQQ")
+#: an encoding's or a part dtype's wire code is its index here
+_ENCODINGS = list(codecs_mod.ENCODINGS)
+_DTYPES = [np.dtype(name) for name in codecs_mod.PART_DTYPES]
 
 
 class WireError(RuntimeError):
@@ -123,130 +144,116 @@ def check_protocol_version(got: Any, want: int) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# the derived codec: one (encode, decode) pair per field annotation, built
-# once at import.  Encoders append (role, array) to ``arrays``; decoders
-# read ``arrays`` and copy each one whose ``owned`` flag says it is a view
-# of the receive buffer.
+# the derived codec: one _Field per annotation, built once at import.
+# Encoders take ``(value, scalars, arrays, blob)`` and append to the
+# header's struct values, the (role, array) pairs and the JSON documents;
+# decoders take iterators ``(scalars, arrays, blob)`` over the same three
+# streams, whose arrays are ``(array, owned)`` pairs, and read them in order.
 # ---------------------------------------------------------------------- #
 #: array roles by field name; every other array is BN statistics
 _ROLES = {"grad": ROLE_GRAD, "weights": ROLE_WEIGHTS}
 
 
+class _Field:
+    """One annotation's wire form: its struct codes, its encoder and decoder."""
+
+    def __init__(self, fmt: str, encode: Callable, decode: Callable) -> None:
+        self.fmt, self.encode, self.decode = fmt, encode, decode
+
+
 def _expect(kind: type, node: Any) -> Any:
-    if type(node) is not kind:  # exact: a bool is not an int on the wire
+    if type(node) is not kind:  # exact: a bool is not an int in a document
         raise WireError(f"expected {kind.__name__}, got {node!r}")
     return node
 
 
-def _dec_int(node: Any, *_) -> int:
-    return _expect(int, node)
+def _dec_array(scalars: Any, arrays: Any, blob: Any) -> np.ndarray:
+    array, owned = next(arrays)
+    return array if owned else np.array(array)  # copy a view of the receive buffer
 
 
-def _dec_float(node: Any, *_) -> float:
-    # the sender held an int, as float(...) accepted; a huge one overflows
-    if type(node) is int and abs(node) < 1e308:
-        return float(node)
-    return _expect(float, node)
-
-
-def _dec_array(index: Any, arrays: List[np.ndarray], owned: List[bool]) -> np.ndarray:
-    if type(index) is not int or not 0 <= index < len(arrays):
-        raise WireError(f"expected an array index, got {index!r}")
-    # a borrowed array is a view of the receive buffer: copy it
-    return arrays[index] if owned[index] else np.array(arrays[index])
-
-
-def _field_codec(annotation: Any, role: str) -> Tuple[Callable, Callable]:
-    """(encode, decode) for one annotation; ``role`` tags its arrays."""
-    if annotation is int:
-        return (lambda value, arrays: int(value)), _dec_int
-    if annotation is float:
-        return (lambda value, arrays: float(value)), _dec_float
-    if annotation in (str, bool, list, dict):  # JSON leaves: documents, trace rows
-        return (lambda value, arrays: annotation(value)), (
-            lambda node, *_: _expect(annotation, node)
-        )
+def _field(annotation: Any, role: str) -> _Field:
+    """The wire form of one annotation; ``role`` tags its arrays."""
+    if annotation in (int, float):  # struct fixes the type on decode
+        code = "q" if annotation is int else "d"
+        return _Field(code, lambda v, s, a, b: s.append(annotation(v)), lambda s, a, b: next(s))
+    if annotation in (str, bool, list, dict):  # documents, trace rows
+        return _Field("", lambda v, s, a, b: b.append(annotation(v)),
+                      lambda s, a, b: _expect(annotation, next(b)))
     if annotation is np.ndarray:
-
-        def enc_array(value, arrays):
-            arrays.append((role, value))
-            return len(arrays) - 1
-
-        return enc_array, _dec_array
+        return _Field("", lambda v, s, a, b: a.append((role, v)), _dec_array)
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin is Union and len(args) == 2 and args[1] is type(None):
-        enc, dec = _field_codec(args[0], role)
-        return (
-            lambda value, arrays: None if value is None else enc(value, arrays),
-            lambda node, arrays, owned: None if node is None else dec(node, arrays, owned),
-        )
+        inner = _field(args[0], role)
+        absent = [0] + [0.0 if code == "d" else 0 for code in inner.fmt]
+
+        def enc_optional(value, scalars, arrays, blob):
+            if value is None:
+                return scalars.extend(absent)
+            scalars.append(1)
+            inner.encode(value, scalars, arrays, blob)
+
+        def dec_optional(scalars, arrays, blob):
+            present = next(scalars)
+            if present == 1:
+                return inner.decode(scalars, arrays, blob)
+            if present != 0:
+                raise WireError(f"bad presence byte {present}")
+            if any([next(scalars) for _ in inner.fmt]):
+                raise WireError("an absent value's scalars are not zeros")
+            return None
+
+        return _Field("B" + inner.fmt, enc_optional, dec_optional)
     if origin is list or (origin is tuple and args[-1:] == (Ellipsis,)):
-        enc, dec = _field_codec(args[0], role)
-        return (
-            lambda value, arrays: [enc(v, arrays) for v in value],
-            lambda node, arrays, owned: origin(
-                [dec(v, arrays, owned) for v in _expect(list, node)]
-            ),
-        )
+        item = _field(args[0], role)
+        if item.fmt:  # a count would not fix the header's layout
+            raise TypeError(f"no wire form for a list of scalars: {annotation!r}")
+
+        def enc_list(value, scalars, arrays, blob):
+            scalars.append(len(value))
+            for v in value:
+                item.encode(v, scalars, arrays, blob)
+
+        return _Field("I", enc_list,
+                      lambda s, a, b: origin([item.decode(s, a, b) for _ in range(next(s))]))
     if origin is tuple:  # fixed length, e.g. one BN layer's (mean, var)
-        items = [_field_codec(arg, role) for arg in args]
-
-        def enc_fixed(value, arrays):
-            return [enc(v, arrays) for (enc, _), v in zip(items, value)]
-
-        def dec_fixed(node, arrays, owned):
-            if len(_expect(list, node)) != len(items):
-                raise WireError(f"expected {len(items)} items, got {node!r}")
-            return tuple([dec(v, arrays, owned) for (_, dec), v in zip(items, node)])
-
-        return enc_fixed, dec_fixed
+        return _record(tuple, [(itemgetter(i), _field(t, role)) for i, t in enumerate(args)])
     if dataclasses.is_dataclass(annotation):
-        spec = _Spec(annotation)
-
-        def enc_payload(value, arrays):
-            return {spec.name: spec.encode(value, arrays)}
-
-        def dec_payload(node, arrays, owned):
-            if type(node) is not dict or len(node) != 1 or spec.name not in node:
-                raise WireError(f"expected a {spec.name} payload, got {node!r}")
-            return spec.decode(node[spec.name], arrays, owned)
-
-        return enc_payload, dec_payload
+        hints = typing.get_type_hints(annotation)
+        return _record(annotation, [
+            (attrgetter(f.name), _field(hints[f.name], _ROLES.get(f.name, ROLE_BN)))
+            for f in dataclasses.fields(annotation)
+        ])
     raise TypeError(f"no wire form for annotation {annotation!r}")
 
 
-class _Spec:
-    """One dataclass's wire schema: a codec per field, in field order.
+def _record(cls: type, items: List[Tuple[Callable, _Field]]) -> _Field:
+    """Fields read by their getters and built back by ``cls``: a tuple by
+    position, a dataclass by attribute."""
+    build = (lambda *values: values) if cls is tuple else cls
 
-    Fields travel positionally, as a JSON list in :func:`dataclasses.fields`
-    order.  Fields without a default lead (dataclasses require it), so a
-    frame may omit only a tail of defaulted fields.
-    """
+    def encode(value, scalars, arrays, blob):
+        if cls is tuple and len(value) != len(items):
+            raise WireError(f"expected {len(items)} items, got {len(value)}")
+        for get, item in items:
+            item.encode(get(value), scalars, arrays, blob)
 
-    def __init__(self, cls: type) -> None:
-        hints = typing.get_type_hints(cls)
-        fields = dataclasses.fields(cls)
-        self.cls = cls
-        self.name = cls.__name__
-        codecs = [_field_codec(hints[f.name], _ROLES.get(f.name, ROLE_BN)) for f in fields]
-        self.encoders = [(f.name, enc) for f, (enc, _) in zip(fields, codecs)]
-        self.decoders = [dec for _, dec in codecs]
-        self.required = sum(f.default is f.default_factory is MISSING for f in fields)
-
-    def encode(self, obj: Any, arrays: List[Tuple[str, np.ndarray]]) -> List[Any]:
-        return [enc(getattr(obj, name), arrays) for name, enc in self.encoders]
-
-    def decode(self, values: Any, arrays: List[np.ndarray], owned: List[bool]) -> Any:
-        if not self.required <= len(_expect(list, values)) <= len(self.decoders):
-            raise WireError(
-                f"{self.name} takes {self.required} to {len(self.decoders)} fields, "
-                f"got {len(values)}"
-            )
-        args = [dec(v, arrays, owned) for dec, v in zip(self.decoders, values)]
+    def decode(scalars, arrays, blob):
+        values = [item.decode(scalars, arrays, blob) for _, item in items]
         try:
-            return self.cls(*args)
+            return build(*values)
         except (TypeError, ValueError) as exc:  # __post_init__ checks, e.g. a NaN loss
-            raise WireError(f"invalid {self.name}: {exc}")
+            raise WireError(f"invalid {cls.__name__}: {exc}")
+
+    return _Field("".join(item.fmt for _, item in items), encode, decode)
+
+
+class _Spec:
+    """One frame class's wire schema: its kind id and header struct."""
+
+    def __init__(self, kind: int, cls: type) -> None:
+        self.kind, self.cls, self.name, self.field = kind, cls, cls.__name__, _field(cls, ROLE_BN)
+        self.head = struct.Struct("<HHdQII" + self.field.fmt)
 
 
 def _frame_classes(base: type = Frame) -> List[type]:
@@ -257,29 +264,25 @@ def _frame_classes(base: type = Frame) -> List[type]:
     return found
 
 
-#: every frame, by kind (its class name)
-_FRAMES = {cls.__name__: _Spec(cls) for cls in _frame_classes()}
-_BY_CLASS = {spec.cls: spec for spec in _FRAMES.values()}
+#: every frame, by kind id (the index of its class name in sorted order)
+_FRAMES = [
+    _Spec(kind, cls)
+    for kind, cls in enumerate(sorted(_frame_classes(), key=attrgetter("__name__")))
+]
+_BY_CLASS = {spec.cls: spec for spec in _FRAMES}
 
 
 # ---------------------------------------------------------------------- #
 # frame encode/decode
 # ---------------------------------------------------------------------- #
-def _message_parts(message: Frame, codec: Optional[GradientCodec]):
-    """(kind, fields, entries, buffers) for one frame."""
+def _flatten(message: Frame) -> Tuple[_Spec, list, list, list]:
+    """A frame's spec and its (scalars, role-tagged arrays, blob) streams."""
     spec = _BY_CLASS.get(type(message))
     if spec is None:
         raise WireError(f"no wire codec for {type(message).__name__}")
-    role_arrays: List[Tuple[str, np.ndarray]] = []
-    fields = spec.encode(message, role_arrays)
-    codec = codec or RAW32
-    entries: List[Dict[str, Any]] = []
-    buffers: List[np.ndarray] = []
-    for role, array in role_arrays:
-        entry, bufs = codec.encode(role, array)
-        entries.append(entry)
-        buffers.extend(bufs)
-    return spec.name, fields, entries, buffers
+    scalars, arrays, blob = [], [], []
+    spec.field.encode(message, scalars, arrays, blob)
+    return spec, scalars, arrays, blob
 
 
 def encode_message_into(
@@ -290,16 +293,28 @@ def encode_message_into(
 ) -> Tuple[bytes, List[np.ndarray]]:
     """Serialize one frame without joining the payload.
 
-    Returns ``(prefix, buffers)``: the prefix is the header-length word
-    plus the header JSON; the buffers are the codec's contiguous arrays,
-    ready for a vectored send.  ``nbytes`` is the sender's logical byte
-    count, carried in the header so both ends account identically.
+    Returns ``(prefix, buffers)``: the prefix is the header, the part
+    records and the JSON blob; the buffers are the codec's contiguous
+    arrays, ready for a vectored send.  ``nbytes`` is the sender's logical
+    byte count, carried in the header so both ends account identically.
     """
-    kind, fields, entries, buffers = _message_parts(message, codec)
-    header = {"v": PROTOCOL_VERSION, "kind": kind, "delay": float(delay),
-              "nbytes": int(nbytes), "fields": fields, "arrays": entries}
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return _LEN.pack(len(header_bytes)) + header_bytes, buffers
+    spec, scalars, role_arrays, blob = _flatten(message)
+    parts, buffers = [], []
+    for role, array in role_arrays:
+        entry, bufs = (codec or RAW32).encode(role, array)
+        if len(entry["shape"]) != 1:
+            raise WireError(f"arrays cross the wire as vectors, got shape {entry['shape']}")
+        code, (size,) = _ENCODINGS.index(entry["enc"]), entry["shape"]
+        parts += [_PART.pack(code, _DTYPES.index(p["dtype"]), p["n"], size) for p in entry["parts"]]
+        buffers += bufs
+    doc = json.dumps(blob, separators=(",", ":")).encode("utf-8") if blob else b""
+    try:
+        head = spec.head.pack(
+            PROTOCOL_VERSION, spec.kind, delay, nbytes, len(parts), len(doc), *scalars
+        )
+    except struct.error as exc:  # e.g. an int outside i64
+        raise WireError(f"cannot encode {spec.name}: {exc}")
+    return b"".join([head, *parts, doc]), buffers
 
 
 def encode_message(
@@ -314,38 +329,29 @@ def encode_message(
     return b"".join([prefix] + [memoryview(b).cast("B") for b in buffers])
 
 
-def _decode_arrays(
-    view: memoryview, entries: Any, copy: bool
-) -> Tuple[List[np.ndarray], List[bool]]:
-    """Split the payload region into per-entry arrays (views when
-    ``copy=False``) and decode each entry's encoding."""
-    arrays: List[np.ndarray] = []
-    owned: List[bool] = []
-    offset = 0
+def _decode_arrays(view: memoryview, records: Any, offset: int, copy: bool) -> List[Any]:
+    """Each array's parts, read from ``offset`` on (views when
+    ``copy=False``) and decoded by its encoding: ``(array, owned)`` pairs."""
+    arrays, parts = [], []  # parts: the current array's, until it has all of them
     try:
-        for entry in entries:
-            parts: List[np.ndarray] = []
-            for part in entry["parts"]:
-                if part["dtype"] not in codecs_mod.PART_DTYPES:
-                    raise WireError(f"disallowed array part dtype {part['dtype']!r}")
-                dtype = np.dtype(part["dtype"])
-                nbytes = _dec_int(part["n"]) * dtype.itemsize
-                if not 0 <= nbytes <= view.nbytes - offset:
-                    raise WireError(
-                        f"array payload truncated: expected {nbytes} bytes, "
-                        f"got {view.nbytes - offset}"
-                    )
-                parts.append(np.frombuffer(view, dtype=dtype, count=part["n"], offset=offset))
-                offset += nbytes
-            array, own = decode_array(entry, parts, copy=copy)
-            arrays.append(array)
-            owned.append(own)
-    except (LookupError, TypeError, ValueError, OverflowError) as exc:
-        # metadata of the wrong shape; CodecError is a ValueError
-        raise WireError(f"malformed array entry: {exc!r}")
-    if offset != view.nbytes:
-        raise WireError(f"frame carries {view.nbytes - offset} unclaimed payload byte(s)")
-    return arrays, owned
+        for code, dtype, n, size in records:
+            if code >= len(_ENCODINGS) or dtype >= len(_DTYPES):
+                raise WireError(f"unknown encoding code {code} or disallowed dtype code {dtype}")
+            if parts and (code, size) != first:
+                raise WireError(f"an array's part records disagree: {first} vs {(code, size)}")
+            if n * _DTYPES[dtype].itemsize > view.nbytes - offset:
+                raise WireError(f"array payload truncated: {n} x {_DTYPES[dtype]} past the frame")
+            parts.append(np.frombuffer(view, dtype=_DTYPES[dtype], count=n, offset=offset))
+            offset, first = offset + parts[-1].nbytes, (code, size)
+            if len(parts) == codecs_mod.ENCODINGS[_ENCODINGS[code]]:
+                entry = {"enc": _ENCODINGS[code], "shape": (size,)}
+                arrays.append(decode_array(entry, parts, copy))
+                parts = []
+    except (LookupError, TypeError, ValueError) as exc:  # CodecError is a ValueError
+        raise WireError(f"malformed array: {exc!r}")
+    if parts or offset != view.nbytes:
+        raise WireError(f"frame ends mid-array or carries {view.nbytes - offset} unclaimed byte(s)")
+    return arrays
 
 
 def decode_frame(
@@ -359,36 +365,46 @@ def decode_frame(
     :class:`WireError`.
     """
     view = memoryview(payload)
-    if view.nbytes < _LEN.size:
-        raise WireError(f"frame too short for a header length ({view.nbytes} bytes)")
-    (header_len,) = _LEN.unpack_from(view)
-    if header_len > view.nbytes - _LEN.size:
-        raise WireError(f"header length {header_len} exceeds frame size {view.nbytes}")
+    if view.nbytes < _HEAD.size:
+        raise WireError(f"frame too short for a header ({view.nbytes} bytes)")
+    version, kind = _HEAD.unpack_from(view)
+    if version != PROTOCOL_VERSION and bytes(view[4:5]) == b"{":  # v5 or older: JSON
+        try:
+            version = json.loads(bytes(view[4 : 4 + _LEN.unpack_from(view)[0]])).get("v")
+        except (ValueError, AttributeError, RecursionError) as exc:
+            raise WireError(f"unparseable JSON frame header: {exc}")
+    check_protocol_version(version, PROTOCOL_VERSION)
+    if kind >= len(_FRAMES):
+        raise WireError(f"unknown frame kind {kind}")
+    spec = _FRAMES[kind]
+    if view.nbytes < spec.head.size:
+        raise WireError(f"truncated {spec.name} header: {view.nbytes} of {spec.head.size} bytes")
+    head = spec.head.unpack_from(view)
+    offset = spec.head.size + head[4] * _PART.size
+    if offset + head[5] > view.nbytes:
+        raise WireError(f"{head[4]} part record(s) and a {head[5]}-byte blob run past the frame")
+    records = _PART.iter_unpack(view[spec.head.size : offset]) if head[4] else ()
+    blob = []
+    if head[5]:
+        try:
+            blob = _expect(list, json.loads(bytes(view[offset : offset + head[5]])))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+            raise WireError(f"unparseable JSON blob: {exc}")
+    arrays, blob = iter(_decode_arrays(view, records, offset + head[5], copy)), iter(blob)
     try:
-        header = json.loads(bytes(view[_LEN.size : _LEN.size + header_len]).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
-        raise WireError(f"unparseable frame header: {exc}")
-    if type(header) is not dict:
-        raise WireError(f"frame header must be an object, got {type(header).__name__}")
-    check_protocol_version(header.get("v"), PROTOCOL_VERSION)
-    kind = header.get("kind")
-    spec = _FRAMES.get(kind) if type(kind) is str else None
-    if spec is None:
-        raise WireError(f"unknown frame kind {kind!r}")
-    delay = _dec_float(header.get("delay", 0.0))
-    nbytes = _dec_int(header.get("nbytes", 0))
-    arrays, owned = _decode_arrays(
-        view[_LEN.size + header_len :], header.get("arrays", []), copy
-    )
-    return spec.decode(header.get("fields"), arrays, owned), delay, nbytes
+        frame = spec.field.decode(iter(head[6:]), arrays, blob)
+    except StopIteration:
+        raise WireError(f"{spec.name} claims more arrays or documents than it carries")
+    if any(True for _ in arrays) or any(True for _ in blob):  # anything left unread
+        raise WireError(f"{spec.name} carries unclaimed arrays or documents")
+    return frame, head[2], head[3]
 
 
 def decode(
     payload: Union[bytes, bytearray, memoryview], copy: bool = True
 ) -> Tuple[Frame, float]:
     """:func:`decode_frame` without the byte accounting: ``(frame, delay)``."""
-    obj, delay, _ = decode_frame(payload, copy=copy)
-    return obj, delay
+    return decode_frame(payload, copy=copy)[:2]
 
 
 def codec_roundtrip_message(
@@ -401,20 +417,17 @@ def codec_roundtrip_message(
     wire byte count (the logical ``nbytes`` with each array's float32
     footprint swapped for its encoded footprint).
     """
-    kind, fields, entries, buffers = _message_parts(message, codec)
-    arrays: List[np.ndarray] = []
+    spec, scalars, role_arrays, blob = _flatten(message)
+    arrays = []
     wire_nbytes = int(nbytes)
-    cursor = 0
-    for entry in entries:
-        parts = buffers[cursor : cursor + len(entry["parts"])]
-        cursor += len(entry["parts"])
-        array, _ = decode_array(entry, parts, copy=False)
-        arrays.append(array)
+    for role, array in role_arrays:
+        entry, buffers = codec.encode(role, array)
+        decoded, _ = decode_array(entry, buffers, copy=False)
+        arrays.append((decoded, True))
         # logical accounting charges float32 per element; swap that for
         # the encoded footprint to get what a socket would carry
-        wire_nbytes += entry_nbytes(entry) - 4 * codecs_mod._shape_size(entry["shape"])
-    decoded = _FRAMES[kind].decode(fields, arrays, [True] * len(arrays))
-    return decoded, max(0, wire_nbytes)
+        wire_nbytes += entry_nbytes(entry) - 4 * decoded.size
+    return spec.field.decode(iter(scalars), iter(arrays), iter(blob)), max(0, wire_nbytes)
 
 
 # ---------------------------------------------------------------------- #
@@ -510,8 +523,7 @@ class FrameConnection:
 
     def recv(self) -> Tuple[Frame, float]:
         """Read and decode the next frame: ``(frame, delay)``."""
-        obj, delay, _, _ = self.recv_info()
-        return obj, delay
+        return self.recv_info()[:2]
 
     def recv_info(
         self,

@@ -12,9 +12,9 @@ from repro.core import TrainingConfig
 from repro.experiments import Campaign, CampaignEvents, Grid, ResultStore, Sweep
 from repro.experiments.spec import ExperimentSpec
 from repro.fleet import FleetAgent, FleetError, FleetExecutor
-from repro.runtime import wire
 from repro.runtime.messages import FleetHello, Job, JobResult, Welcome
 from repro.runtime.wire import FrameConnection
+from tests.runtime.test_wire import raw_frame
 
 
 def spirals_factory(**kw):
@@ -160,19 +160,10 @@ def test_unreachable_agent_is_skipped_but_all_unreachable_raises(agents):
         Campaign(specs, executor=lonely).run()
 
 
-def _send_raw(conn, kind, fields):
-    """Send a frame with hand-written fields, as a skewed peer would."""
-    header = json.dumps(
-        {"v": wire.PROTOCOL_VERSION, "kind": kind, "delay": 0.0, "nbytes": 0,
-         "fields": fields, "arrays": []}
-    ).encode("utf-8")
-    conn.send_frame(wire._LEN.pack(len(header)) + header)
-
-
-def _serve_fake_agent(listener, on_job=None, slots=1):
-    """Accept one scheduler, welcome it with ``slots`` (any JSON value) and
-    answer every Job with ``on_job(conn, job)``; returns an Event set on
-    the link's EOF."""
+def _serve_fake_agent(listener, on_job=None, welcome=None):
+    """Accept one scheduler, welcome it with the ``welcome`` frame (a
+    well-formed one by default) and answer every Job with ``on_job(conn,
+    job)``; returns an Event set on the link's EOF."""
     closed = threading.Event()
 
     def serve():
@@ -180,7 +171,7 @@ def _serve_fake_agent(listener, on_job=None, slots=1):
         conn = FrameConnection(sock)
         try:
             conn.recv()  # hello
-            _send_raw(conn, "Welcome", [slots, "skewed"])
+            conn.send_frame(welcome or raw_frame("Welcome", 1, blob=["skewed"]))
             while True:
                 frame = conn.recv()[0]
                 if on_job is not None and isinstance(frame, Job):
@@ -215,13 +206,18 @@ def test_undecodable_result_faults_the_agent_not_the_campaign(agents):
         listener.close()
 
 
-@pytest.mark.parametrize("slots", ["two", [2]], ids=["str", "list"])
-def test_malformed_welcome_skips_the_agent_not_the_campaign(agents, slots):
-    """A welcome whose slot count is not an int is that agent's fault: it is
-    reported unavailable and its half-open link is closed, and the campaign
-    runs on the healthy agent."""
+@pytest.mark.parametrize(
+    "welcome",
+    [raw_frame("Welcome", 0, blob=["skewed"]), raw_frame("Welcome", 1, blob=[[2]])],
+    ids=["no-slots", "list-agent"],
+)
+def test_malformed_welcome_skips_the_agent_not_the_campaign(agents, welcome):
+    """A welcome that does not decode (no usable slot count, or an agent
+    name that is not a str) is that agent's fault: it is reported
+    unavailable and its half-open link is closed, and the campaign runs on
+    the healthy agent."""
     listener = socket.create_server(("127.0.0.1", 0))
-    closed = _serve_fake_agent(listener, slots=slots)
+    closed = _serve_fake_agent(listener, welcome=welcome)
     try:
         events = RecordingEvents()
         specs = Grid(seed=[0]).specs(spirals_factory)
@@ -234,12 +230,13 @@ def test_malformed_welcome_skips_the_agent_not_the_campaign(agents, slots):
         listener.close()
 
 
-def test_non_integer_heartbeat_marks_the_agent_dead(agents):
-    """Under obs the scheduler records every heartbeat's ``n``; one that is
-    not an int must fault that agent (its cell requeued), not the campaign."""
+def test_undecodable_heartbeat_marks_the_agent_dead(agents):
+    """Under obs the scheduler records every heartbeat's ``n``; a heartbeat
+    whose header is cut short of it must fault that agent (its cell
+    requeued), not the campaign."""
 
     def bad_heartbeat(conn, job):
-        _send_raw(conn, "Heartbeat", ["x"])
+        conn.send_frame(raw_frame("Heartbeat", 7)[:-1])
 
     listener = socket.create_server(("127.0.0.1", 0))
     _serve_fake_agent(listener, on_job=bad_heartbeat)

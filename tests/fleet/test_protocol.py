@@ -20,6 +20,7 @@ from repro.runtime.messages import (
 )
 from repro.runtime.wire import ProtocolMismatch, WireError, decode, encode_message
 from repro.utils.serialization import to_jsonable
+from tests.runtime.test_wire import raw_frame
 
 
 def make_spec(**overrides):
@@ -47,8 +48,8 @@ def roundtrip(frame):
     return decode(encode_message(frame))[0]
 
 
-def raw(header):
-    """A frame with a hand-written header, as a skewed peer would send it."""
+def legacy(header):
+    """A v5-or-older frame: [u32 header length][JSON header]."""
     body = json.dumps(header).encode("utf-8")
     return wire._LEN.pack(len(body)) + body
 
@@ -66,31 +67,35 @@ class TestFrames:
 
     def test_version_mismatch_rejected(self):
         with pytest.raises(ProtocolMismatch, match="protocol mismatch"):
-            decode(raw(header("FleetHello", [], v=wire.PROTOCOL_VERSION + 1)))
+            decode(raw_frame("FleetHello", version=wire.PROTOCOL_VERSION + 1))
 
     def test_v1_frame_rejected(self):
         # the first fleet schema: flat keys, "fleet" kind, v=1
         with pytest.raises(ProtocolMismatch, match="peer speaks v1"):
-            decode(raw(header("control", {"fleet": "hello", "v": 1}, v=1)))
+            decode(legacy(header("control", {"fleet": "hello", "v": 1}, v=1)))
 
     def test_welcome_without_slots_rejected(self):
         with pytest.raises(ValueError, match="slots"):
             Welcome(0, "h:1")
-        for slots in (0, "two", [2], 2.0, True):
-            with pytest.raises(WireError):
-                decode(raw(header("Welcome", [slots, "h:1"])))
+        # the header makes ``slots`` an i64, so an unusable count is the
+        # one way a skewed agent can get it wrong
+        for slots in (0, -1):
+            with pytest.raises(WireError, match="usable slots"):
+                decode(raw_frame("Welcome", slots, blob=["h:1"]))
+        with pytest.raises(WireError, match="expected str"):
+            decode(raw_frame("Welcome", 2, blob=[2]))
 
     def test_junk_rejected(self):
         with pytest.raises(WireError, match="unknown frame kind"):
-            decode(raw(header("launch_missiles", [])))
-        with pytest.raises(WireError, match="unknown frame kind"):
-            decode(raw(header("control", {"ctl": "hello", "cv": 2, "body": {}})))
-        with pytest.raises(WireError, match="JobResult takes 2 to 2 fields"):
-            decode(raw(header("JobResult", [{}])))  # no job id
+            decode(wire._HEAD.pack(wire.PROTOCOL_VERSION, len(wire._FRAMES)) + bytes(32))
+        with pytest.raises(WireError):  # a JSON header is no frame, whatever its "v"
+            decode(legacy(header("control", {"ctl": "hello", "cv": 2, "body": {}})))
+        with pytest.raises(WireError, match="JobResult claims more"):
+            decode(raw_frame("JobResult", blob=["3"]))  # no result
         with pytest.raises(WireError, match="expected str"):
-            decode(raw(header("JobResult", [3, {}])))
+            decode(raw_frame("JobResult", blob=[3, {}]))
         with pytest.raises(WireError, match="expected dict"):
-            decode(raw(header("Job", ["1", "spec"])))
+            decode(raw_frame("Job", blob=["1", "spec", False]))
 
     def test_job_spec_roundtrip_preserves_key_and_tags(self):
         spec = make_spec(seed=11)

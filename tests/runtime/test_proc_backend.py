@@ -175,6 +175,23 @@ def test_fp16_codec_shrinks_proc_wire_traffic():
     )
 
 
+@pytest.mark.parametrize("codec", ["raw32", "fp16"])
+def test_two_identical_single_worker_runs_report_the_same_comm(codec):
+    """A frame's length is a function of its kind, codec and array sizes,
+    not of the clock readings and losses it carries, so two runs of one
+    config put the same bytes on the wire.  M = 1 keeps the message count
+    free of scheduling."""
+    cfg = TrainingConfig.tiny(
+        algorithm="asgd", num_workers=1, epochs=2, seed=7, comm_codec=codec
+    )
+    first, second = [
+        {key: run_proc(cfg)[1].comm[key] for key in ("messages", "wire_bytes")}
+        for _ in range(2)
+    ]
+    assert first["wire_bytes"] > 0
+    assert first == second
+
+
 def test_topk_codec_completes_on_proc():
     cfg = TrainingConfig.tiny(
         algorithm="lc-asgd", num_workers=2, epochs=1, seed=1, comm_codec="topk"

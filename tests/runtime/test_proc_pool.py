@@ -250,14 +250,14 @@ def test_child_compute_time_reaches_the_parent_timer():
     assert result.timers["loss_pred_ms"] > 0
 
 
-def test_a_hello_with_a_list_worker_is_rejected_as_a_stray(empty_pool, monkeypatch):
-    """A peer that knows the token but names its worker with a list is a
-    stray connection: it is closed, and the real child still joins the run."""
-    import json
+def test_an_undecodable_hello_is_rejected_as_a_stray(empty_pool, monkeypatch):
+    """A peer that knows the token but sends it as a list is a stray
+    connection: it is closed, and the real child still joins the run."""
     import secrets
     import socket
 
     from repro.runtime import wire
+    from tests.runtime.test_wire import raw_frame
 
     token = "0123456789abcdef" * 2
     monkeypatch.setattr(secrets, "token_hex", lambda nbytes=None: token)
@@ -269,11 +269,7 @@ def test_a_hello_with_a_list_worker_is_rejected_as_a_stray(empty_pool, monkeypat
             socket.create_connection(("127.0.0.1", port), timeout=30.0)
         )
         try:
-            header = json.dumps(
-                {"v": wire.PROTOCOL_VERSION, "kind": "Hello", "delay": 0.0, "nbytes": 0,
-                 "fields": [[0], token], "arrays": []}
-            ).encode("utf-8")
-            conn.send_frame(wire._LEN.pack(len(header)) + header)
+            conn.send_frame(raw_frame("Hello", 0, blob=[[token]]))
             conn.recv()
         except Exception:
             closed.set()

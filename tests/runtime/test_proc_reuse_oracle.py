@@ -15,10 +15,12 @@ byte-equal whether the cell runs
 and an obs-off run must match after an obs-on one.  With one worker the
 cycle is strictly serial, so every loss and staleness value repeats bit for
 bit across processes.  Of ``comm`` only ``messages`` and ``logical_bytes``
-are compared: the wire-byte keys count the JSON headers, whose wall-clock
-floats (``sent_at``, ``t_comm``) print to a varying number of digits, so they
-differ between two fresh processes too (5083323 and 5083449 wire bytes for
-two fresh ``asgd_raw32`` runs, each 145 messages and 5103616 logical bytes).
+are compared.  Up to protocol v5 the wire-byte keys varied between two fresh
+processes (JSON headers printed wall-clock floats to a varying number of
+digits: 5083323 and 5083449 wire bytes for two fresh ``asgd_raw32`` runs).
+Since v6 they are a function of the spec (``test_proc_backend.py`` pins
+that), and they stay out so that a fingerprint reads the same across
+protocol versions.
 
 An M=2 run after an M=1 run checks invariants only, since two children race.
 

@@ -4,6 +4,7 @@ malformed frames raise WireError and nothing else."""
 import dataclasses
 import json
 import socket
+import struct
 import threading
 import typing
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.state import CompensationReply, GradientPayload, WorkerState
-from repro.runtime.codecs import make_codec
+from repro.runtime.codecs import ENCODINGS, PART_DTYPES, make_codec
 from repro.runtime import messages as messages_mod
 from repro.runtime.messages import (
     Busy,
@@ -195,108 +196,237 @@ def test_every_message_type_round_trips(message):
     _assert_equal(message, decoded)
 
 
+#: every concrete frame class
+FRAMES = {
+    cls
+    for cls in vars(messages_mod).values()
+    if isinstance(cls, type) and issubclass(cls, Frame) and cls not in (Frame, Message)
+}
+#: every frame class name, sorted: a frame's kind id is its index here
+KINDS = sorted(cls.__name__ for cls in FRAMES)
+
+
 def test_every_message_type_has_a_round_trip_case():
     # the codec is derived from the dataclasses, so this is what catches a
     # new frame type (message, handshake, run-end or fleet) that nobody
     # round-tripped
-    concrete = {
-        cls
-        for cls in vars(messages_mod).values()
-        if isinstance(cls, type) and issubclass(cls, Frame) and cls not in (Frame, Message)
-    }
-    assert concrete == {type(m) for m in _messages()}
+    assert FRAMES == {type(m) for m in _messages()}
 
 
-def _split(frame):
-    """(header dict, array payload bytes) of an encoded message frame."""
-    end = wire._LEN.size + wire._LEN.unpack_from(frame)[0]
-    return json.loads(frame[wire._LEN.size : end]), frame[end:]
+def _spec(kind):
+    (spec,) = [spec for spec in wire._FRAMES if spec.name == kind]
+    return spec
 
 
-def _header(frame):
-    return _split(frame)[0]
+def raw_frame(kind, *scalars, parts=(), blob=None, body=b"", version=None, nparts=None):
+    """A frame with hand-written header values, as a skewed peer would send it.
+
+    ``scalars`` are the kind's fields' scalars in header order, ``parts``
+    its ``(encoding, dtype, n, size)`` records and ``blob`` its JSON blob
+    (none when None).
+    """
+    spec = _spec(kind)
+    doc = b"" if blob is None else json.dumps(blob).encode("utf-8")
+    head = spec.head.pack(
+        wire.PROTOCOL_VERSION if version is None else version,
+        spec.kind,
+        0.0,
+        0,
+        len(parts) if nparts is None else nparts,
+        len(doc),
+        *scalars,
+    )
+    return head + b"".join(wire._PART.pack(*part) for part in parts) + doc + body
 
 
-def _position(cls, name):
-    return [f.name for f in dataclasses.fields(cls)].index(name)
+def _parse(frame):
+    """(spec, header values, part records, blob, array bytes) of one frame."""
+    spec = wire._FRAMES[wire._HEAD.unpack_from(frame)[1]]
+    head = list(spec.head.unpack_from(frame))
+    offset = spec.head.size + head[4] * wire._PART.size
+    records = [list(r) for r in wire._PART.iter_unpack(frame[spec.head.size : offset])]
+    blob = json.loads(frame[offset : offset + head[5]]) if head[5] else None
+    return spec, head, records, blob, frame[offset + head[5] :]
+
+
+def _pack(spec, head, records, blob, body, blob_len=None):
+    """Inverse of :func:`_parse`; the blob length is recomputed unless given."""
+    doc = b"" if blob is None else json.dumps(blob).encode("utf-8")
+    head[5] = len(doc) if blob_len is None else blob_len
+    return spec.head.pack(*head) + b"".join(wire._PART.pack(*r) for r in records) + doc + body
+
+
+def test_a_pull_request_is_the_documented_struct():
+    # version, kind id, delay, nbytes, part records, blob length, then the fields
+    frame = encode_message(PullRequest(3, sent_at=1.5), delay=0.25, nbytes=64)
+    kind = KINDS.index("PullRequest")
+    assert frame == struct.pack("<HHdQIIqd", wire.PROTOCOL_VERSION, kind, 0.25, 64, 0, 0, 3, 1.5)
+
+
+def _message_frames(f, i):
+    """One frame of every message kind: scalars from ``f()`` (floats) and
+    ``i()`` (ints), arrays of fixed sizes."""
+    weights, grad = np.linspace(0.0, 1.0, 40), np.linspace(-1.0, 1.0, 40)
+    bn = [(np.ones(4), np.full(4, 2.0))]
+    state = WorkerState(i(), f(), bn, t_comm=f(), t_comp=f(), pull_version=i())
+    payload = GradientPayload(i(), grad, i(), loss=f(), nbytes=i())
+    return [
+        PullRequest(i(), sent_at=f()),
+        PullReply(i(), weights=weights, version=i(), request_sent_at=f()),
+        StatePush(i(), state=state),
+        CompensationMessage(i(), reply=CompensationReply(i(), f(), i(), f())),
+        GradientPush(i(), payload=payload),
+        CombinedPush(i(), state=state, payload=payload),
+        WeightExchange(i(), weights=weights, bn_stats=tuple(bn)),
+        GossipReport(i(), loss=f(), staleness=i()),
+        Shutdown(i()),
+    ]
+
+
+_WIDE_FLOATS = st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1 / 3]
+) | st.floats(allow_nan=False, allow_infinity=False)
+_WIDE_INTS = st.sampled_from([-1, -(2**63), 2**63 - 1]) | st.integers(-(2**63), 2**63 - 1)
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_a_message_frame_length_is_a_function_of_kind_codec_and_array_sizes(data):
+    zeros = _message_frames(lambda: 0.0, lambda: 0)
+    drawn = _message_frames(lambda: data.draw(_WIDE_FLOATS), lambda: data.draw(_WIDE_INTS))
+    assert {type(m) for m in zeros} == {cls for cls in FRAMES if issubclass(cls, Message)}
+    delay, nbytes = data.draw(_WIDE_FLOATS), data.draw(st.integers(0, 2**64 - 1))
+    for name in ("raw32", "fp16", "topk"):
+        for base, message in zip(zeros, drawn):
+            frame = encode_message(message, delay=delay, nbytes=nbytes, codec=make_codec(name))
+            assert len(frame) == len(encode_message(base, codec=make_codec(name))), message
+
+
+def _array_names(value, name=""):
+    """The field name of every array in ``value``, in field order."""
+    if isinstance(value, np.ndarray):
+        yield name
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _array_names(getattr(value, f.name), f.name)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _array_names(item, name)
+
+
+def _encodings(frame):
+    """The encoding of each array a frame carries, in order."""
+    records, names = _parse(frame)[2], []
+    while records:
+        names.append(list(ENCODINGS)[records[0][0]])
+        records = records[ENCODINGS[names[-1]] :]
+    return names
 
 
 @pytest.mark.parametrize("message", _messages(), ids=lambda m: type(m).__name__)
 def test_topk_compresses_the_grad_field_only(message):
-    header = _header(encode_message(message, codec=make_codec("topk")))
-    grads = set()
-    if hasattr(message, "payload"):
-        payload = header["fields"][_position(type(message), "payload")]["GradientPayload"]
-        grads.add(payload[_position(GradientPayload, "grad")])
-    encodings = [entry["enc"] for entry in header["arrays"]]
-    assert encodings == ["topk" if i in grads else "raw" for i in range(len(encodings))]
-    assert bool(grads) == isinstance(message, (GradientPush, CombinedPush))
+    names = list(_array_names(message))
+    assert _encodings(encode_message(message, codec=make_codec("topk"))) == [
+        "topk" if name == "grad" else "raw" for name in names
+    ]
+    assert ("grad" in names) == isinstance(message, (GradientPush, CombinedPush))
+
+
+_PULL = encode_message(PullRequest(0, sent_at=1.0))
 
 
 @pytest.mark.parametrize(
-    "fields, match",
+    "frame, match",
     [
-        ([0, 1.0, 1], "PullRequest takes 1 to 2 fields, got 3"),  # an unknown field
-        ([], "PullRequest takes 1 to 2 fields, got 0"),  # worker is required
-        ([0, "soon"], "expected float"),
-        ([True], "expected int"),
-        ({"worker": 0}, "expected list"),
+        (_PULL + bytes(8), "8 unclaimed byte"),  # an unknown field
+        (_PULL[:-8], "truncated PullRequest header"),  # a field short
+        (raw_frame("PullReply", 0, 2, -1, 0.0), "bad presence byte 2"),
+        (raw_frame("StatePush", 1, 0, 0, 0.5, 0, 0.0, 0.0, 0), "absent value's scalars"),
+        (raw_frame("StatePush", 1, 1, 1, float("nan"), 0, 0.0, 0.0, 0), "non-finite loss"),
+        (raw_frame("Hello", 3, blob=[3]), "expected str"),
+        (raw_frame("RunConfig", 1, 0.0, 0.0, blob=[{}, 1]), "expected bool"),  # not an int
+        (raw_frame("Hello", 3, blob=["t", "u"]), "unclaimed arrays or documents"),
+        (raw_frame("Hello", 3, blob=[]), "claims more arrays or documents"),
+        (raw_frame("Hello", 3, blob={"token": "t"}), "expected list"),
     ],
+    ids=["extra-field", "short-field", "presence", "absent-not-zero", "post-init",
+         "blob-type", "blob-bool", "blob-extra", "blob-missing", "blob-object"],
 )
-def test_decode_is_strict_about_fields(fields, match):
-    frame = encode_message(PullRequest(0, sent_at=1.0))
-    header = _header(frame)
-    header["fields"] = fields
+def test_decode_is_strict_about_fields(frame, match):
     with pytest.raises(WireError, match=match):
-        decode(_frame(header))
+        decode(frame)
 
 
-def test_decode_accepts_only_whitelisted_payload_types():
-    header = _header(encode_message(StatePush(1, state=_state(bn_layers=0))))
-    state = header["fields"][_position(StatePush, "state")]
-    state["PullRequest"] = state.pop("WorkerState")  # a real class, not this payload
-    with pytest.raises(WireError, match="expected a WorkerState payload"):
-        decode(_frame(header))
+@pytest.mark.parametrize(
+    "message", [PullReply(0, version=2**63), PullRequest(-(2**63) - 1), Heartbeat(2**64)]
+)
+def test_an_int_outside_i64_fails_at_encode_with_wire_error(message):
+    with pytest.raises(WireError, match="cannot encode"):
+        encode_message(message)
+
+
+def test_arrays_cross_the_wire_as_vectors():
+    with pytest.raises(WireError, match="as vectors"):
+        encode_message(PullReply(0, weights=np.ones((2, 3))))
+
+
+def _grad_push(*parts, body=bytes(16), nparts=None):
+    """A GradientPush of a 4-element grad with hand-written part records."""
+    return raw_frame("GradientPush", 1, 1, 1, 4, 0.9, 16, parts=parts, body=body, nparts=nparts)
+
+
+def test_decode_accepts_only_whitelisted_kinds_encodings_and_dtypes():
+    # the kind id names the frame, and the annotations name its payloads:
+    # nothing on the wire can make a payload slot decode to another class
+    decoded, _ = decode(encode_message(StatePush(1, state=_state(bn_layers=0))))
+    assert type(decoded.state) is WorkerState
+    decoded, _ = decode(_grad_push((0, 0, 4, 4)))
+    assert type(decoded.payload) is GradientPayload and decoded.payload.grad.shape == (4,)
+    with pytest.raises(WireError, match=f"unknown frame kind {len(KINDS)}"):
+        decode(wire._HEAD.pack(wire.PROTOCOL_VERSION, len(KINDS)) + bytes(64))
+    with pytest.raises(WireError, match="disallowed dtype code 3"):
+        decode(_grad_push((0, len(PART_DTYPES), 4, 4)))
+    with pytest.raises(WireError, match="unknown encoding code 3"):
+        decode(_grad_push((len(ENCODINGS), 0, 4, 4)))
 
 
 def test_decode_rejects_garbage():
+    with pytest.raises(WireError, match="too short"):
+        decode(b"\x00")
     with pytest.raises(WireError):
-        decode(b"\x00")  # too short for a header length
+        decode(b"\x00\x00\x00\xffgarbage")
     with pytest.raises(WireError):
-        decode(b"\x00\x00\x00\xffgarbage")  # header length beyond frame
-    with pytest.raises(WireError):
-        decode(encode_message(PullRequest(0))[:-1] + b"")  # fine, full...
-    # wrong protocol version
-    version = f'"v":{wire.PROTOCOL_VERSION}'.encode()
-    bad = encode_message(Hello(0, token="t")).replace(version, b'"v":9')
-    with pytest.raises(WireError, match="protocol mismatch"):
-        decode(bad)
+        decode(encode_message(PullRequest(0))[:-1])
+    with pytest.raises(ProtocolMismatch, match="peer speaks v9"):
+        decode(raw_frame("Hello", 0, blob=["t"], version=9))
 
 
-def _frame(header, body=b""):
+def _legacy(header):
+    """A v5-or-older frame: [u32 header length][JSON header]."""
     raw = json.dumps(header).encode("utf-8")
-    return wire._LEN.pack(len(raw)) + raw + body
-
-
-def _with_header(message, **changes):
-    header, body = _split(encode_message(message))
-    header.update(changes)
-    return _frame(header, body)
+    return wire._LEN.pack(len(raw)) + raw
 
 
 @pytest.mark.parametrize(
     "frame",
     [
-        _with_header(PullRequest(0), fields=[]),  # no worker
-        _with_header(PullRequest(0), fields=["x", 0.0]),
-        _with_header(PullRequest(0), fields={"worker": 0, "sent_at": 0.0}),
-        _frame(dict(_header(encode_message(GradientPush(1, payload=_payload()))), arrays=[])),
-        _with_header(GradientPush(1, payload=_payload(n=4)), arrays=3),
-        _with_header(PullRequest(0), kind=["PullRequest"]),
-        _frame([wire.PROTOCOL_VERSION, "PullRequest"]),
+        _PULL[: wire._HEAD.size],  # nothing past the kind
+        _grad_push(body=b""),  # the payload claims a grad the frame lacks
+        _grad_push((0, 0, 4, 4), nparts=3),  # records past the frame
+        _grad_push((2, 2, 1, 4), body=bytes(4)),  # one of topk's two parts
+        _grad_push((2, 2, 1, 4), (2, 0, 1, 5), body=bytes(8)),  # parts disagree
+        _grad_push((0, 0, 5, 4), body=bytes(20)),  # a raw count that is not its size
+        _grad_push((0, 0, 2**61, 2**61)),  # a count past the payload
+        raw_frame("StatePush", 1, 1, 1, 0.5, 2**32 - 1, 0.0, 0.0, 0),  # BN pairs past it
+        raw_frame("RunEnd", 0, 2**31, blob=[{}]),  # trace rows past the blob
+        raw_frame("Hello", 3, blob=["t"])[:-1],  # a blob past the frame
+        raw_frame("Hello", 3, blob=["t"])[:-2] + b"]]",  # an unparseable blob
+        _legacy([wire.PROTOCOL_VERSION, "PullRequest"]),  # a JSON header of a list
+        _legacy({"v": wire.PROTOCOL_VERSION, "kind": "PullRequest", "fields": [0]}),
     ],
-    ids=["missing-worker", "str-worker", "object-fields", "no-arrays", "int-arrays",
-         "list-kind", "list-header"],
+    ids=["no-fields", "no-arrays", "records-past", "topk-half", "parts-disagree",
+         "raw-count", "count-past", "bn-count-past", "rows-past", "blob-past",
+         "blob-garbage", "json-list-header", "json-current-version"],
 )
 def test_malformed_headers_raise_wire_error(frame):
     with pytest.raises(WireError):
@@ -339,6 +469,16 @@ _json = st.recursive(
     max_leaves=10,
 )
 
+#: any value a struct code can hold
+_STRUCT_VALUES = {
+    "B": st.integers(0, 2**8 - 1),
+    "H": st.integers(0, 2**16 - 1),
+    "I": st.integers(0, 2**32 - 1),
+    "Q": st.integers(0, 2**64 - 1),
+    "q": st.integers(-(2**63), 2**63 - 1),
+    "d": st.floats(),
+}
+
 
 def _nodes(node, path=()):
     """Every (path, value) in a JSON tree, the root included."""
@@ -366,22 +506,35 @@ def _replace(tree, path, value):
 @st.composite
 def _fuzzed_frames(draw):
     frame = draw(st.sampled_from(_FUZZ_FRAMES))
-    how = draw(st.sampled_from(["truncate", "replace", "key"]))
-    if how == "truncate":
-        return frame[: draw(st.integers(0, len(frame) - 1))]
-    header, body = _split(frame)
-    nodes = list(_nodes(header))
-    if how == "replace":
-        path, _ = draw(st.sampled_from(nodes))
-        header = _replace(header, path, draw(_json))
-    else:
-        dicts = [(path, node) for path, node in nodes if isinstance(node, dict) and node]
-        path, node = draw(st.sampled_from(dicts))
-        key = draw(st.sampled_from(sorted(node)))
-        value = node.pop(key)
-        if draw(st.booleans()):  # rename instead of delete
-            node[draw(st.text(max_size=8))] = value
-    return _frame(header, body)
+    spec, head, records, blob, body = _parse(frame)
+    how = draw(st.sampled_from(["header", "record", "blob", "flip"]))
+    if how == "header":  # any value in any header slot, counts and blob length too
+        slot = draw(st.integers(0, len(head) - 1))
+        head[slot] = draw(_STRUCT_VALUES[spec.head.format[1 + slot]])
+        return _pack(spec, head, records, blob, body, head[5])
+    if how == "record" and records:
+        record = draw(st.sampled_from(records))
+        slot = draw(st.integers(0, 3))
+        record[slot] = draw(_STRUCT_VALUES["BBQQ"[slot]])
+    elif how == "blob" and blob is not None:
+        nodes = list(_nodes(blob))
+        if draw(st.booleans()):
+            path, _ = draw(st.sampled_from(nodes))
+            blob = _replace(blob, path, draw(_json))
+        else:  # drop or rename a key, or drop a list item
+            parents = [node for _, node in nodes if isinstance(node, (dict, list)) and node]
+            if parents:
+                node = draw(st.sampled_from(parents))
+                key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else
+                                           list(range(len(node)))))
+                value = node.pop(key)
+                if isinstance(node, dict) and draw(st.booleans()):
+                    node[draw(st.text(max_size=8))] = value
+    else:  # flip the bits of one byte before the array data
+        at = draw(st.integers(0, len(frame) - len(body) - 1))
+        flipped = frame[at] ^ draw(st.integers(1, 255))
+        return frame[:at] + bytes([flipped]) + frame[at + 1 :]
+    return _pack(spec, head, records, blob, body)
 
 
 @given(_fuzzed_frames())
@@ -395,6 +548,13 @@ def test_fuzzed_frames_decode_or_raise_wire_error(frame):
     assert isinstance(obj, Frame) and _fields_conform(obj)
 
 
+@pytest.mark.parametrize("frame", _FUZZ_FRAMES, ids=range(len(_FUZZ_FRAMES)))
+def test_every_truncation_raises_wire_error(frame):
+    for end in range(len(frame)):
+        with pytest.raises(WireError):
+            wire.decode_frame(frame[:end], copy=False)
+
+
 def test_v1_peer_rejected_with_reason():
     # a handcrafted frame exactly as a v1 sender would emit it: the single
     # check_protocol_version path must name both versions in the error
@@ -406,6 +566,13 @@ def test_v1_peer_rejected_with_reason():
         ProtocolMismatch, match=rf"peer speaks v1, we speak v{wire.PROTOCOL_VERSION}"
     ):
         decode(frame)
+
+
+def test_v5_peer_rejected_with_reason():
+    # a PullRequest exactly as a v5 sender encoded it: its header is JSON
+    header = b'{"v":5,"kind":"PullRequest","delay":0.0,"nbytes":0,"fields":[0,1.25],"arrays":[]}'
+    with pytest.raises(ProtocolMismatch, match="peer speaks v5, we speak v6"):
+        decode(wire._LEN.pack(len(header)) + header)
 
 
 def test_decode_rejects_truncated_arrays():
