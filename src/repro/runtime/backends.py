@@ -6,7 +6,9 @@ completely different schedulers:
 
 * ``sim`` — the deterministic virtual-time event loop
   (:class:`~repro.core.trainer.DistributedTrainer`); staleness comes from
-  simulated timing, runs reproduce bit-for-bit.
+  simulated timing, runs reproduce bit-for-bit.  Its server runs the same
+  :func:`~repro.runtime.server_actor.server_actor_loop` as thread and
+  proc, over an inbox that is the event queue.
 * ``thread`` — the real concurrent runtime
   (:class:`~repro.runtime.thread_backend.ThreadBackend`); staleness comes
   from genuine thread interleaving and the clock is the wall clock.

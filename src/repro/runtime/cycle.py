@@ -29,10 +29,11 @@ server handler, logs the update it applied, and names the replies to send.
 
 Drivers decide what an effect costs.  The sim driver
 (:class:`~repro.core.trainer.DistributedTrainer`) turns effects into
-:class:`~repro.cluster.simulator.Simulator` events; :class:`BlockingDriver`
-runs them over blocking ``send``/``recv`` callables for worker threads
+:class:`~repro.cluster.simulator.Simulator` events, whose deliveries fill
+its event-queue inbox; :class:`BlockingDriver` runs them over blocking
+``send``/``recv`` callables for worker threads
 (:mod:`~repro.runtime.thread_backend`) and worker processes
-(:mod:`~repro.runtime.proc_worker`); the server side of both is
+(:mod:`~repro.runtime.proc_worker`); the server side of all three is
 :func:`~repro.runtime.server_actor.server_actor_loop`.  AD-PSGD has no
 server: its reports still go through the dispatch, and its exchanges are
 answered by the gossip sim's rounds or, on worker threads, by a

@@ -1,32 +1,34 @@
-"""The server actor: the concurrent backends' driver of Algorithm 2.
+"""The server actor: every server-based backend's driver of Algorithm 2.
 
 One thread owns the :class:`~repro.core.server.ParameterServer` and is the
 only thread that ever calls its handlers — the math needs no locks because
-the actor loop serializes every message.  Every concurrent backend runs
-the loop on the thread that called its ``run``, after starting its workers
-(threads for the thread backend, child processes for proc), and the loop
-ends the same way on both: once the budget is met,
-``wake_all_workers(Shutdown())`` tells every worker, and the inbox then
-yields that Shutdown behind whatever the workers already sent (a thread
-worker that fails queues the same Shutdown; a handler or a read that
-fails ends the loop at once).  The inbox also bounds the run: its
-``get()`` fails once the backend's ``timeout`` has passed.  What each
-message *means* is
-:func:`repro.runtime.cycle.dispatch`, shared with the simulator; this
-module keeps what is particular to a real, concurrent run: draining the
-inbox, the queue-depth gauge, the evaluation cadence, and the run's shared
-state (:class:`RunControl`).  The loop is transport-agnostic: anything
-exposing the :class:`~repro.runtime.transport.InProcTransport` surface
+the actor loop serializes every message.  Every server-based backend runs
+the loop on the thread that called its ``run``: the thread backend after
+starting its worker threads, proc after starting its child processes, and
+the sim (:class:`~repro.core.trainer.DistributedTrainer`) over an inbox
+that is its event queue.  The loop ends the same way on all three: once
+the budget is met, ``wake_all_workers(Shutdown())`` tells every worker,
+and the inbox then yields that Shutdown behind whatever the workers
+already sent (a thread worker that fails queues the same Shutdown; a
+handler or a read that fails ends the loop at once).  The inbox also
+bounds the run: its ``get()`` fails once the backend's ``timeout`` has
+passed (the sim's, once its event budget is spent).  What each message
+*means* is :func:`repro.runtime.cycle.dispatch`; this module keeps what
+is particular to serving a run: draining the inbox, the queue-depth
+gauge, the evaluation cadence, and the run's shared state
+(:class:`RunControl`).  The loop is transport-agnostic: anything exposing
+the :class:`~repro.runtime.transport.InProcTransport` surface
 (``server_inbox`` / ``to_worker`` / ``wake_all_workers``) can feed it —
-in-process mailboxes for the thread backend, sockets for proc.  The
-inbox needs only ``get()`` (blocking) and ``approx_len()``.
+in-process mailboxes for the thread backend, sockets for proc, virtual
+links for the sim.  The inbox needs only ``get()`` (blocking) and
+``approx_len()``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.analysis.lockorder import make_lock
 from repro.runtime.cycle import dispatch
@@ -35,18 +37,23 @@ from repro.runtime.session import ExperimentSession
 
 
 class RunControl:
-    """Shared run state: the wall clock, the done flag, the first error."""
+    """Shared run state: the run's clock, the done flag, the first error.
 
-    def __init__(self) -> None:
+    ``clock`` is the run's time: the sim passes its virtual now; without
+    one, ``clock()`` reads real seconds since :meth:`start_clock`.
+    """
+
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.done = threading.Event()
         self._start = 0.0
+        self.clock = clock or self._wall_clock
         self._error: Optional[BaseException] = None  # guarded-by: _error_lock
         self._error_lock = make_lock("RunControl._error_lock")
 
     def start_clock(self) -> None:
         self._start = time.perf_counter()
 
-    def clock(self) -> float:
+    def _wall_clock(self) -> float:
         """Real seconds since the run started."""
         return time.perf_counter() - self._start
 

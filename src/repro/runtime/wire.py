@@ -61,8 +61,8 @@ The data plane is zero-copy in both directions:
   per-connection buffer via ``recv_into`` and returns a read-only view
   of it (valid until the next read); :func:`decode` builds arrays as
   ``np.frombuffer`` views with ``copy=False`` and copies each one the
-  codec does not already own, so a decoded message never aliases the
-  receive buffer.
+  codec does not already own (a gradient straight to the float64 its
+  payload keeps), so a decoded message never aliases the receive buffer.
 
 :func:`encode_message` and :func:`decode` are exact inverses for every
 frame type (``tests/runtime/test_wire.py`` round-trips each one and
@@ -167,11 +167,6 @@ def _expect(kind: type, node: Any) -> Any:
     return node
 
 
-def _dec_array(scalars: Any, arrays: Any, blob: Any) -> np.ndarray:
-    array, owned = next(arrays)
-    return array if owned else np.array(array)  # copy a view of the receive buffer
-
-
 def _field(annotation: Any, role: str) -> _Field:
     """The wire form of one annotation; ``role`` tags its arrays."""
     if annotation in (int, float):  # struct fixes the type on decode
@@ -181,7 +176,14 @@ def _field(annotation: Any, role: str) -> _Field:
         return _Field("", lambda v, s, a, b: b.append(annotation(v)),
                       lambda s, a, b: _expect(annotation, next(b)))
     if annotation is np.ndarray:
-        return _Field("", lambda v, s, a, b: a.append((role, v)), _dec_array)
+        # a gradient's view is copied once, straight to its payload's float64
+        dtype = np.float64 if role == ROLE_GRAD else None
+
+        def dec_array(scalars, arrays, blob):
+            array, owned = next(arrays)
+            return array if owned else np.array(array, dtype=dtype)  # copy the view
+
+        return _Field("", lambda v, s, a, b: a.append((role, v)), dec_array)
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin is Union and len(args) == 2 and args[1] is type(None):
         inner = _field(args[0], role)

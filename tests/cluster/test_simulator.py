@@ -1,8 +1,13 @@
-"""Virtual-time simulator semantics."""
+"""Virtual-time simulator semantics: ``schedule`` and ``step``."""
 
 import pytest
 
 from repro.cluster.simulator import Simulator
+
+
+def run_all(sim):
+    while sim.step():
+        pass
 
 
 def test_clock_advances_monotonically():
@@ -10,9 +15,20 @@ def test_clock_advances_monotonically():
     seen = []
     sim.schedule(2.0, lambda: seen.append(sim.now))
     sim.schedule(1.0, lambda: seen.append(sim.now))
-    sim.run()
+    run_all(sim)
     assert seen == [1.0, 2.0]
     assert sim.now == 2.0
+
+
+def test_step_runs_one_event_and_reports_an_empty_queue():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(1))
+    sim.schedule(2.0, lambda: seen.append(2))
+    assert sim.step() and seen == [1] and sim.now == 1.0
+    assert sim.step() and seen == [1, 2] and sim.now == 2.0
+    assert not sim.step()
+    assert sim.now == 2.0 and sim.processed_events == 2
 
 
 def test_nested_scheduling():
@@ -24,47 +40,8 @@ def test_nested_scheduling():
         sim.schedule(0.5, lambda: seen.append(("second", sim.now)))
 
     sim.schedule(1.0, first)
-    sim.run()
+    run_all(sim)
     assert seen == [("first", 1.0), ("second", 1.5)]
-
-
-def test_until_stops_before_future_events():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, lambda: seen.append(1))
-    sim.schedule(5.0, lambda: seen.append(5))
-    sim.run(until=2.0)
-    assert seen == [1]
-    assert sim.now == 2.0
-
-
-def test_stop_requests_exit():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, lambda: (seen.append(1), sim.stop()))
-    sim.schedule(2.0, lambda: seen.append(2))
-    sim.run()
-    assert seen == [1]
-
-
-def test_stop_when_predicate():
-    sim = Simulator()
-    seen = []
-    for t in (1.0, 2.0, 3.0):
-        sim.schedule(t, lambda t=t: seen.append(t))
-    sim.run(stop_when=lambda: len(seen) >= 2)
-    assert seen == [1.0, 2.0]
-
-
-def test_max_events_guard():
-    sim = Simulator()
-
-    def loop():
-        sim.schedule(0.0, loop)
-
-    sim.schedule(0.0, loop)
-    with pytest.raises(RuntimeError, match="max_events"):
-        sim.run(max_events=100)
 
 
 def test_schedule_validation():
@@ -72,16 +49,16 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         sim.schedule(-1.0, lambda: None)
     sim.schedule(1.0, lambda: None)
-    sim.run()
+    run_all(sim)
     with pytest.raises(ValueError):
-        sim.schedule_at(0.5, lambda: None)
+        sim.schedule(-0.5, lambda: None)
 
 
 def test_processed_events_counter():
     sim = Simulator()
     for t in range(5):
         sim.schedule(float(t), lambda: None)
-    sim.run()
+    run_all(sim)
     assert sim.processed_events == 5
 
 
@@ -89,5 +66,5 @@ def test_zero_delay_runs_at_current_time():
     sim = Simulator()
     seen = []
     sim.schedule(1.0, lambda: sim.schedule(0.0, lambda: seen.append(sim.now)))
-    sim.run()
+    run_all(sim)
     assert seen == [1.0]

@@ -66,6 +66,15 @@ def test_each_server_handler_is_called_from_one_function(handler):
     assert _callers(handler, exclude=["core/server.py"]) == {("runtime/cycle.py", "dispatch")}
 
 
+def test_every_server_based_backend_dispatches_through_the_one_server_loop():
+    # sim, thread and proc serve through server_actor_loop; the gossip sim's
+    # rounds log their reports without one (fleet's dispatch() is its own)
+    assert _callers("dispatch", exclude=["fleet"]) == {
+        ("runtime/server_actor.py", "server_actor_loop"),
+        ("runtime/gossip_backend.py", "run_rounds"),
+    }
+
+
 def test_every_applied_update_enters_the_run_through_dispatch():
     assert _callers("record_update") == {("runtime/cycle.py", "dispatch")}
     # ``ClusterTrace.record`` is the only ``x.record(...)`` in src/repro
