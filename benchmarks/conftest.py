@@ -9,14 +9,19 @@ session and memoized; the first bench that needs it pays the cost.
 
 from __future__ import annotations
 
+import statistics
+import time
 from typing import Callable, Dict, Tuple
 
+import numpy as np
 import pytest
 
 from repro.bench.workloads import cifar_workload, imagenet_workload
 from repro.core.config import PredictorConfig, TrainingConfig
 from repro.core.metrics import RunResult
+from repro.core.state import GradientPayload
 from repro.core.trainer import DistributedTrainer
+from repro.runtime import ExperimentPlan
 
 _CACHE: Dict[str, object] = {}
 
@@ -44,6 +49,9 @@ PREDICTOR_BUDGET_MS = 2.6
 #: figures above: there the median sits above this bound on both sides.
 PAPER_WIDTH_BUDGET_MS = 3.0
 PAPER_WIDTH_UPDATES = 320
+#: Tables 2-3: dc-asgd's server cost per update is the median of this many
+#: timed ``ParameterServer.handle_gradient`` calls
+DC_ASGD_CALLS = 256
 
 
 def cached(key: str, factory: Callable[[], object]):
@@ -90,6 +98,30 @@ def paper_width_run(workload: Callable[..., TrainingConfig]) -> RunResult:
         "lc-asgd", 16, predictor=PredictorConfig(), max_updates=PAPER_WIDTH_UPDATES
     )
     return cached(f"paper-width-{config.dataset}", lambda: _run(config))
+
+
+def dc_asgd_server_ms(workload: Callable[..., TrainingConfig], workers: int = 16) -> float:
+    """Median ms of one dc-asgd ``ParameterServer.handle_gradient`` on ``workload``.
+
+    Zheng et al.'s compensation is one element-wise expression over the
+    parameters, the floor for a cheap server-side compensation, so Tables
+    2-3 print it beside lc-asgd's predictor cost.  The workers push in
+    turn, each after its own pull (untimed), so every timed call
+    compensates a gradient against a backup, as in a run.
+    """
+    server = ExperimentPlan.from_config(workload("dc-asgd", workers), build_workers=False).server
+    grads = np.random.default_rng(0).standard_normal((workers, server.params.size)) * 1e-3
+    for worker in range(workers):
+        server.handle_pull(worker)
+    times = []
+    for call in range(DC_ASGD_CALLS):
+        worker = call % workers
+        payload = GradientPayload(worker, grads[worker], server.pull_versions[worker])
+        start = time.perf_counter()
+        server.handle_gradient(payload)
+        times.append(time.perf_counter() - start)
+        server.handle_pull(worker)
+    return 1e3 * statistics.median(times)
 
 
 def overhead_row(label, run: RunResult, total_ms: float, ref: Dict[str, float]) -> list:

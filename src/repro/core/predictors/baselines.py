@@ -79,10 +79,13 @@ class LinearTrendLossPredictor(LossPredictorBase):
     def observe(self, loss: float) -> None:
         self._history.append(float(loss))
 
-    def _fit(self) -> Optional[np.ndarray]:
+    def _fit(self, newest: Optional[float] = None) -> Optional[np.ndarray]:
+        """The least-squares line, with ``newest`` in place of the newest loss if given."""
         if len(self._history) < 3:
             return None
         y = np.array(self._history, dtype=np.float64)
+        if newest is not None:
+            y[-1] = newest
         x = np.arange(len(y), dtype=np.float64)
         return np.polyfit(x, y, deg=1)
 
@@ -94,9 +97,10 @@ class LinearTrendLossPredictor(LossPredictorBase):
         return max(float(np.polyval(coeffs, len(self._history))), 0.0)
 
     def predict_delay(self, loss: float, k: int) -> float:
+        """The fitted line's next ``k`` values, fitted with ``loss`` as the newest loss."""
         if k <= 0:
             return 0.0
-        coeffs = self._fit()
+        coeffs = self._fit(float(loss))
         if coeffs is None:
             return float(loss) * k
         n = len(self._history)

@@ -23,13 +23,19 @@ kernel: ``tests/core/test_series_lstm_bits.py`` keeps a frozen copy of it
 and runs both over one seeded stream with ``np.array_equal``.  The two
 differ only in the Python around the same BLAS and ufunc calls:
 
-* **Views built once.**  A hidden-16 cell step is one GEMV and ten ufunc
-  calls of ~0.4 µs each, so the ~0.1 µs it takes to slice a gate row or a
-  time step out of a buffer is a visible share.  The per-step views over
-  the fixed scratch buffers (gate block and its four gates, previous
-  state, cell, tanh(cell) and hidden state; the backward pass's
-  equivalents) are built into tuples once, and the time loops unpack
-  them.  They are built on first use, not in ``__init__``: the predictors
+* **Views built once, ufuncs called bare.**  A hidden-16 cell step is one
+  GEMV and nine ufunc calls of ≈ 0.3 µs each, so the ≈ 0.1 µs it takes to
+  slice a gate row or a time step out of a buffer is a visible share, and
+  so is ``np.multiply(a, b, out=c)`` against a locally bound
+  ``mul(a, b, c)``.  The per-step views over the fixed scratch buffers
+  (gate block and its four gates, previous state, cell, tanh(cell) and
+  hidden state; BPTT's equivalents) are built into tuples once.  So is,
+  once per window length, everything a pass and its BPTT slice out before
+  their time loops (input, gate, hidden and output rows; BPTT's gate,
+  cell, ``local``, ``dc_dh`` and ``flat`` slices and reshapes, and its
+  steps in the order it walks them).  The rollout's :meth:`advance` runs
+  the pass's own cell loop, one step long, over views of its scratch
+  built once.  All of these are built on first use: the predictors
   are constructed per run, and many never run a long window.
 * **The sigmoid's ½ folded into the weights.**  The gate pre-activations
   go through ``tanh(0.5 z)`` on the i, f, o rows.  Scaling by 0.5 or 1.0
@@ -44,6 +50,10 @@ differ only in the Python around the same BLAS and ufunc calls:
   ``_FOLD_FLOATS_PER_STEP``): the hidden-16 predictors fold, the paper's
   64/128 do not.  :meth:`backward` and :meth:`advance` always read the
   unscaled :attr:`params`.
+* **BPTT's last step peeled.**  It has no later step to carry back, so it
+  runs before the time loop, and each step in the loop first carries the
+  step after it back through that step's forget gate and ``w_hh``: the
+  same products in the same order, with no branch per step.
 
 A pass runs one window.  Moving a product between a GEMV and a GEMM (a
 layer wavefront, or one GEMM over stacked windows) is *not* bit-identical:
@@ -75,13 +85,27 @@ State = List[np.ndarray]
 _MAX_GRAD_NORM = 1.0
 
 #: fold the sigmoid's ½ into a scaled copy of θ only if θ has at most this
-#: many floats per window step.  The copy costs ≈ 0.35–0.45 ns per float per
-#: pass; it saves one ≈ 0.4 µs ufunc call per cell step, two cell steps (one
-#: per layer) per window step: break-even at ≈ 2 000 floats per step (2-core
-#: Xeon, OpenBLAS 0.3.31).  Hidden 16 over a 10-step window is 328 per step
-#: and folds; the paper's hidden 64 over 16 steps (3 124) and 128 over 8
-#: (24 912) would pay more for the copy than the fold saves.
+#: many floats per window step.  The fold saves one positional ufunc call,
+#: ≈ 0.35–0.45 µs, per cell step, two cell steps (one per layer) per window
+#: step.  The copy costs ≈ 0.15–0.25 ns per float per pass while θ fits in L2
+#: and ≈ 0.45 ns at hidden 128: break-even near 3 000 floats per step at
+#: hidden 16 and 2 000 at hidden 128 (2-core Xeon, OpenBLAS 0.3.31).  At the
+#: paper's hidden 64 over 16 steps (3 124 per step) a folded pass only ties
+#: (205 against 206 µs), and a pass + BPTT + step is ≈ 2 % slower folded: the
+#: copy's 200 KB also crowd BPTT out of the cache.  So hidden 16 over 10 or 5
+#: steps (328, 682 per step) folds, and the paper's 64/16 and 128 over 8
+#: (24 912) do not.
 _FOLD_FLOATS_PER_STEP = 2000
+
+#: ``np.dot`` without its ``__array_function__`` dispatch: the same C function,
+#: ≈ 0.15 µs less per call (of ≈ 0.7 µs for a hidden-16 GEMV).  NumPy's
+#: dispatchers expose it as ``_implementation``; without it, ``np.dot`` itself.
+_dot = getattr(np.dot, "_implementation", np.dot)
+
+
+def _pass_weights(params: List[np.ndarray]) -> list:
+    """Per layer ``(w_ih.T, w_hh, bias)``, as a pass reads them."""
+    return [(params[3 * layer].T, *params[3 * layer + 1 : 3 * layer + 3]) for layer in range(2)]
 
 
 class SeriesLSTM:
@@ -166,10 +190,13 @@ class SeriesLSTM:
         self._vec = [np.empty(hs, dtype=np.float32) for _ in range(4)]
         self._wide = np.empty(4 * hs, dtype=np.float32)
         self._recurrent = np.empty(4 * hs, dtype=np.float32)
-        # built on first use (module docstring): per layer the forward and
-        # backward passes' per-step views, and θ with the i, f, o rows halved
-        self._forward_views: Optional[list] = None
-        self._backward_views: Optional[list] = None
+        # built on first use (module docstring): per-step views (with the
+        # weights as a pass reads them and the rollout's views), per window
+        # length the views a pass and its BPTT read, and θ with the i, f, o
+        # rows halved
+        self._step_views: Optional[tuple] = None
+        self._pass_views: List[Optional[tuple]] = [None] * (steps + 1)
+        self._bptt_views: List[Optional[tuple]] = [None] * (steps + 1)
         self._scaled_theta: Optional[np.ndarray] = None
         self._steps = 0  # length of the last pass; 0 before the first
 
@@ -181,15 +208,15 @@ class SeriesLSTM:
             offset += size
         return views
 
-    def _halved_params(self) -> List[np.ndarray]:
-        """θ with the i, f, o rows of both layers halved, refreshed from :attr:`params`."""
+    def _halved_weights(self) -> list:
+        """:func:`_pass_weights` of θ with the i, f, o rows halved, refreshed from ``params``."""
         if self._scaled_theta is None:
             self._row_scale = np.ones_like(self._theta)
             for view in self._carve(self._row_scale)[:6]:  # both layers' w_ih, w_hh, bias
                 view.T[...] = self._scale
             self._scaled_theta = np.empty_like(self._theta)
-            self._halved = self._carve(self._scaled_theta)
-        np.multiply(self._theta, self._row_scale, out=self._scaled_theta)
+            self._halved = _pass_weights(self._carve(self._scaled_theta))
+        np.multiply(self._theta, self._row_scale, self._scaled_theta)
         return self._halved
 
     # ------------------------------------------------------------------ #
@@ -205,73 +232,81 @@ class SeriesLSTM:
         steps = len(x)
         if not 0 < steps <= self.max_steps:
             raise ValueError(f"window of {steps} steps, kernel sized for 1..{self.max_steps}")
-        if self._forward_views is None:
-            self._forward_views = self._build_forward_views()
+        inputs, layers, y, head_w, head_b = self._pass_views[steps] or self._build_pass_views(steps)
         if self._theta.size <= _FOLD_FLOATS_PER_STEP * self.max_steps:
-            params, pre = self._halved_params(), None  # the halved weights already scale z
+            weights, pre = self._halved_weights(), None  # the halved weights already scale z
         else:
-            params, pre = self.params, self._scale
-        inputs = self._x[:steps]
+            weights, pre = self._weights, self._scale
+        dot, add = _dot, np.add
         inputs[...] = x
-        for layer in range(2):
-            w_ih, w_hh, bias = params[3 * layer : 3 * layer + 3]
-            gates = self._gates[layer][:steps]
-            np.dot(inputs, w_ih.T, out=gates)
-            gates += bias
-            self._forward_layer(self._forward_views[layer][:steps], w_hh, pre)
-            inputs = self._h[layer][:steps]
-        y = self._y[:steps]
-        np.dot(inputs, self.params[6][0], out=y)
-        y += self.params[7]
+        for (w_ih_t, w_hh, bias), (gates, views, hidden) in zip(weights, layers):
+            dot(inputs, w_ih_t, gates)
+            add(gates, bias, gates)
+            self._forward_layer(views, w_hh, pre)
+            inputs = hidden
+        dot(inputs, head_w, y)
+        add(y, head_b, y)
         self._steps = steps
         return y
 
-    def _build_forward_views(self) -> list:
+    def _build_step_views(self) -> tuple:
+        """Per layer and step: the forward cell's views, BPTT's, and its forget gate and flat dz.
+
+        Builds the pass's unscaled weights and the rollout's views with them.
+        """
         hs, zero = self.hidden_size, self._zero
-        return [
-            [
-                (z, *z.reshape(4, hs), hidden[t - 1] if t else zero, cells[t - 1] if t else zero,
-                 cells[t], tanh_cells[t], hidden[t])
-                for t, z in enumerate(gates)
-            ]
-            for gates, cells, tanh_cells, hidden in zip(self._gates, self._c, self._tanh_c, self._h)
-        ]
+        self._weights = _pass_weights(self.params)
+        self._rollout_views = (self._wide, *self._wide.reshape(4, hs))  # z and its four gates
+        self._step_views = tuple(
+            (
+                [(z, *z.reshape(4, hs), hidden[t - 1] if t else zero, cells[t - 1] if t else zero,
+                  cells[t], tanh_cells[t], hidden[t]) for t, z in enumerate(gates)],
+                [(dh_out[t], self._dc_dh[t], dz, self._local[t], self._local[t, 3], dz[3])
+                 for t, dz in enumerate(self._dgates)],
+                [(gates[t, hs : 2 * hs], dz.reshape(-1)) for t, dz in enumerate(self._dgates)],
+            )
+            for gates, cells, tanh_cells, hidden, dh_out
+            in zip(self._gates, self._c, self._tanh_c, self._h, self._dh_out)
+        )
+        return self._step_views
+
+    def _build_pass_views(self, steps: int) -> tuple:
+        """``forward``'s views of a ``steps``-long window.
+
+        Its input rows; per layer its gate rows, per-step cell views and
+        hidden rows; its outputs and the head's weight and bias.
+        """
+        per_step = self._step_views or self._build_step_views()
+        layers = tuple(
+            (gates[:steps], tuple(cell[:steps]), hidden[:steps])
+            for gates, (cell, _, _), hidden in zip(self._gates, per_step, self._h)
+        )
+        views = (self._x[:steps], layers, self._y[:steps], self.params[6][0], self.params[7])
+        self._pass_views[steps] = views
+        return views
 
     def _forward_layer(self, views, w_hh, pre) -> None:
-        # _cell, inlined, with its first multiply skipped when the halved
-        # weights already gave z its halved i, f, o rows
+        """The cell over ``views``, a pass's steps or a rollout's one step.
+
+        ``z`` holds the input projection plus bias and is overwritten by
+        the gates; ``c`` may be ``c_prev`` itself.  ``pre`` halves the i, f,
+        o rows of ``z`` first, unless the halved weights already did.
+        """
+        dot, add, mul, tanh = _dot, np.add, np.multiply, np.tanh
         scale, shift, tmp, recurrent = self._scale, self._shift, self._vec[0], self._recurrent
         for z, i, f, g, o, h_prev, c_prev, c, tanh_c, h in views:
-            np.dot(w_hh, h_prev, out=recurrent)
-            z += recurrent
+            dot(w_hh, h_prev, recurrent)
+            add(z, recurrent, z)
             if pre is not None:
-                z *= pre
-            np.tanh(z, out=z)
-            z *= scale
-            z += shift
-            np.multiply(i, g, out=tmp)
-            np.multiply(f, c_prev, out=c)
-            c += tmp
-            np.tanh(c, out=tanh_c)
-            np.multiply(o, tanh_c, out=h)
-
-    def _cell(self, z, c_prev, c, tanh_c, h) -> None:
-        """One cell step from gate pre-activations ``z`` (overwritten in place).
-
-        Writes the new cell state, its tanh and the new hidden state into
-        ``c``, ``tanh_c`` and ``h``; ``c`` may be ``c_prev`` itself.
-        """
-        hs = self.hidden_size
-        scale, tmp = self._scale, self._vec[0]
-        z *= scale
-        np.tanh(z, out=z)
-        z *= scale
-        z += self._shift
-        np.multiply(z[:hs], z[2 * hs : 3 * hs], out=tmp)
-        np.multiply(z[hs : 2 * hs], c_prev, out=c)
-        c += tmp
-        np.tanh(c, out=tanh_c)
-        np.multiply(z[3 * hs :], tanh_c, out=h)
+                mul(z, pre, z)
+            tanh(z, z)
+            mul(z, scale, z)
+            add(z, shift, z)
+            mul(i, g, tmp)
+            mul(f, c_prev, c)
+            add(c, tmp, c)
+            tanh(c, tanh_c)
+            mul(o, tanh_c, h)
 
     def final_state(self, step: int) -> State:
         """Fresh ``[h, c]`` of both layers after step ``step`` (from 0) of the last pass."""
@@ -292,83 +327,88 @@ class SeriesLSTM:
             raise ValueError("backward before any forward pass")
         if len(dy) != steps:
             raise ValueError(f"dy has {len(dy)} steps, the cached window {steps}")
-        if self._backward_views is None:
-            self._backward_views = self._build_backward_views()
+        dy32, dy_col, top, dh_top, layers = self._bptt_views[steps] or self._build_bptt_views(steps)
         grads = self.grads
-        dy32 = self._dy[:steps]
         dy32[...] = dy
-        np.dot(dy32, self._h[1][:steps], out=grads[6][0])
+        _dot(dy32, top, grads[6][0])
         grads[7][0] = dy32.sum()
-        np.multiply(dy32[:, None], self.params[6], out=self._dh_out[1][:steps])
-        self._backward_layer(1, self._h[0][:steps], self._dh_out[0][:steps])
-        self._backward_layer(0, self._x[:steps], None)
+        np.multiply(dy_col, self.params[6], dh_top)
+        for views in layers:
+            self._backward_layer(*views)
 
-    def _build_backward_views(self) -> list:
-        hs = self.hidden_size
-        return [
-            [(dh_out[t], self._dc_dh[t], dz, self._local[t], self._local[t, 3], dz[3],
-              gates[t, hs : 2 * hs], dz.reshape(-1))
-             for t, dz in enumerate(self._dgates)]
-            for dh_out, gates in zip(self._dh_out, self._gates)
-        ]
+    def _build_bptt_views(self, steps: int) -> tuple:
+        """``backward``'s views for a ``steps``-long window, the upper layer first."""
+        hs, last = self.hidden_size, steps - 1
+        local, dc_dh = self._local[:steps], self._dc_dh[:steps]
+        flat = self._dgates[:steps].reshape(steps, 4 * hs)
+        layers = []
+        for layer in (1, 0):
+            gates = self._gates[layer][:steps].reshape(steps, 4, hs)
+            cells, hidden = self._c[layer][:steps], self._h[layer][:steps]
+            _, at, after = self._step_views[layer]
+            layers.append((
+                *self.params[3 * layer : 3 * layer + 2], *self.grads[3 * layer : 3 * layer + 3],
+                gates, gates[:, 0], gates[:, 2], gates[:, 3], local, local[:, 0], local[:, 2],
+                local[1:, 1], cells[:-1], local[0, 1], local[:, 3], self._tanh_c[layer][:steps], dc_dh,
+                at[last], tuple(at[t] + after[t + 1] for t in range(last - 1, -1, -1)),
+                flat, flat.T, flat[1:].T if steps > 1 else None, hidden[:-1],
+                self._x[:steps] if layer == 0 else self._h[0][:steps],
+                self._dh_out[0][:steps] if layer == 1 else None,
+            ))
+        dy32 = self._dy[:steps]
+        views = (dy32, dy32[:, None], self._h[1][:steps], self._dh_out[1][:steps], layers)
+        self._bptt_views[steps] = views
+        return views
 
-    def _backward_layer(self, layer, inputs, d_inputs) -> None:
-        """BPTT through one layer; ``_dh_out[layer]`` holds dL/dh from above, per step."""
-        w_ih, w_hh, _ = self.params[3 * layer : 3 * layer + 3]
-        g_ih, g_hh, g_bias = self.grads[3 * layer : 3 * layer + 3]
-        hs = self.hidden_size
-        steps = len(inputs)
-        views = self._backward_views[layer]
-        gates = self._gates[layer][:steps].reshape(steps, 4, hs)
-        cells, tanh_cells = self._c[layer][:steps], self._tanh_c[layer][:steps]
-        hidden = self._h[layer][:steps]
-        i_gate, g_gate, o_gate = gates[:, 0], gates[:, 2], gates[:, 3]
+    def _backward_layer(
+        self, w_ih, w_hh, g_ih, g_hh, g_bias, gates, i_gate, g_gate, o_gate, local, local_i, cell_row,
+        local_f, c_prev, local_f0, local_o, tanh_cells, dc_dh, last, earlier, flat, flat_t, rec_t,
+        h_prev, inputs, d_inputs,
+    ) -> None:
+        """BPTT through one layer, over its views from :meth:`_build_bptt_views`.
 
+        ``_dh_out[layer]`` holds dL/dh from above, per step.
+        """
+        add, sub, mul, dot = np.add, np.subtract, np.multiply, _dot
         # everything that depends on the forward activations alone, for all
         # steps at once: local[t] turns (dc, dc, dc, dh) into gate gradients
-        local = self._local[:steps]
-        np.subtract(1.0, gates, out=local)
-        local *= gates  # s(1-s) on the sigmoid rows
-        cell_row = local[:, 2]
-        np.multiply(g_gate, g_gate, out=cell_row)
-        np.subtract(1.0, cell_row, out=cell_row)  # 1 - tanh^2 on the cell row
-        cell_row *= i_gate
-        local[:, 0] *= g_gate
-        local[1:, 1] *= cells[:-1]
-        local[0, 1] = 0.0  # c_prev is zero at the first step
-        local[:, 3] *= tanh_cells
-        dc_dh = self._dc_dh[:steps]  # dc/dh through h = o * tanh(c)
-        np.multiply(tanh_cells, tanh_cells, out=dc_dh)
-        np.subtract(1.0, dc_dh, out=dc_dh)
-        dc_dh *= o_gate
+        sub(1.0, gates, local)
+        mul(local, gates, local)  # s(1-s) on the sigmoid rows
+        mul(g_gate, g_gate, cell_row)
+        sub(1.0, cell_row, cell_row)  # 1 - tanh^2 on the cell row
+        mul(cell_row, i_gate, cell_row)
+        mul(local_i, g_gate, local_i)
+        mul(local_f, c_prev, local_f)
+        local_f0[...] = 0.0  # c_prev is zero at the first step
+        mul(local_o, tanh_cells, local_o)
+        mul(tanh_cells, tanh_cells, dc_dh)  # dc/dh through h = o * tanh(c)
+        sub(1.0, dc_dh, dc_dh)
+        mul(dc_dh, o_gate, dc_dh)
 
+        # the last step has no gradient from later steps; every other step
+        # first carries the step after it back through its forget gate and w_hh
         dh, dc, dc_next, dh_rec = self._vec
-        last = steps - 1
-        for t in range(last, -1, -1):
-            dh_above, dc_dh_t, dz, local_t, local_o, dz_o, f_t, dz_flat = views[t]
-            if t == last:
-                dh_t = dh_above
-                np.multiply(dh_t, dc_dh_t, out=dc)
-            else:
-                dh_t = dh
-                np.add(dh_above, dh_rec, out=dh_t)
-                np.multiply(dh_t, dc_dh_t, out=dc)
-                dc += dc_next
-            np.multiply(local_t, dc, out=dz)
-            np.multiply(local_o, dh_t, out=dz_o)
-            if t:
-                np.multiply(dc, f_t, out=dc_next)
-                np.dot(dz_flat, w_hh, out=dh_rec)
+        dh_above, dc_dh_t, dz, local_t, local_o_t, dz_o = last
+        mul(dh_above, dc_dh_t, dc)
+        mul(local_t, dc, dz)
+        mul(local_o_t, dh_above, dz_o)
+        for dh_above, dc_dh_t, dz, local_t, local_o_t, dz_o, f_next, dz_next in earlier:
+            mul(dc, f_next, dc_next)
+            dot(dz_next, w_hh, dh_rec)
+            add(dh_above, dh_rec, dh)
+            mul(dh, dc_dh_t, dc)
+            add(dc, dc_next, dc)
+            mul(local_t, dc, dz)
+            mul(local_o_t, dh, dz_o)
 
-        flat = self._dgates[:steps].reshape(steps, 4 * hs)
-        np.dot(flat.T, inputs, out=g_ih)
-        if steps > 1:
-            np.dot(flat[1:].T, hidden[:-1], out=g_hh)
+        dot(flat_t, inputs, g_ih)
+        if rec_t is not None:
+            dot(rec_t, h_prev, g_hh)
         else:
             g_hh[...] = 0.0
-        np.sum(flat, axis=0, out=g_bias)
+        add.reduce(flat, 0, None, g_bias)  # np.sum(flat, axis=0) without its wrapper
         if d_inputs is not None:
-            np.dot(flat, w_ih, out=d_inputs)
+            dot(flat, w_ih, d_inputs)
 
     def step(self) -> None:
         """Momentum SGD on :attr:`grads` with ``optim.SGD``'s global norm clip."""
@@ -398,18 +438,17 @@ class SeriesLSTM:
 
     def advance(self, state: State, x: Sequence[float]) -> float:
         """Feed one ``(input_size,)`` step, updating ``state`` in place; returns the output."""
-        z, recurrent, tanh_c = self._wide, self._recurrent, self._vec[1]
+        if self._step_views is None:
+            self._build_step_views()
+        z, i, f, g, o = self._rollout_views
+        dot, add, tanh_c = _dot, np.add, self._vec[1]
         inp = np.asarray(x, dtype=np.float32)
-        for layer in range(2):
-            w_ih, w_hh, bias = self.params[3 * layer : 3 * layer + 3]
-            h, c = state[2 * layer], state[2 * layer + 1]
-            np.dot(w_ih, inp, out=z)
-            z += bias
-            np.dot(w_hh, h, out=recurrent)
-            z += recurrent
-            self._cell(z, c, c, tanh_c, h)
+        for (w_ih_t, w_hh, bias), h, c in zip(self._weights, state[0::2], state[1::2]):
+            dot(w_ih_t.T, inp, z)
+            add(z, bias, z)
+            self._forward_layer(((z, i, f, g, o, h, c, c, tanh_c, h),), w_hh, self._scale)
             inp = h
-        return float(np.dot(self.params[6][0], inp) + self.params[7][0])
+        return float(dot(self.params[6][0], inp) + self.params[7][0])
 
     def rollout_from(self, state: State, last: float, k: int) -> List[float]:
         """``k`` autoregressive forecasts after feeding ``last`` into a copy of ``state``."""

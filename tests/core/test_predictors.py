@@ -297,3 +297,17 @@ def test_the_newest_loss_is_fed_once(variant):
             assert delay == pytest.approx(forecast, rel=1e-5)
         else:
             assert delay == forecast
+
+
+@pytest.mark.parametrize("variant", ["lstm", "ema", "last", "linear"])
+def test_delay_sensitivity_reads_the_loss(variant):
+    """``delay_sensitivity`` is non-zero once the predictor has history.
+
+    The "sensitivity" coupling scales its correction by it, so a baseline
+    whose ``predict_delay`` ignored ``loss`` would switch the coupling off.
+    """
+    kwargs = {"hidden_size": 8, "window": 5, "seed": 0} if variant == "lstm" else {}
+    p = make_loss_predictor(variant, **kwargs)
+    for loss in (2.0, 1.8, 1.7, 1.5, 1.45):
+        p.observe(loss)
+        assert p.delay_sensitivity(loss, 3) != 0.0

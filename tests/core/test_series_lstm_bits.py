@@ -307,6 +307,44 @@ def test_rollouts_after_training_are_bit_identical(hidden, max_steps):
             assert kernel.rollout_from(state, last, k) == frozen.rollout_from(ref_state, last, k)
 
 
+@pytest.mark.parametrize("fold", [True, False])
+@pytest.mark.parametrize("hidden, input_size, max_steps", [(16, 1, 10), (16, 3, 5), (64, 1, 16), (128, 3, 8)])
+def test_shuffled_window_lengths_with_a_rollout_before_each_backward(
+    hidden, input_size, max_steps, fold, monkeypatch
+):
+    """Window lengths in every order, a rollout between each pass and its backward.
+
+    The kernel builds its views once per window length, so a length is
+    re-read after longer and shorter passes.  The rollout runs where
+    ``LSTMLossPredictor`` runs it, after the pass that BPTT then reads, on
+    scratch that the pass and BPTT also use.
+    """
+    monkeypatch.setattr(series_lstm, "_FOLD_FLOATS_PER_STEP", 10**9 if fold else 0)
+    kernel, frozen = make_pair(hidden, input_size, max_steps, seed=hidden + 11)
+    rng = np.random.default_rng(hidden + input_size + 11)
+    lengths = np.concatenate([rng.permutation(np.arange(1, max_steps + 1)) for _ in range(3)])
+    for steps in lengths:
+        x = rng.standard_normal((steps, input_size)).astype(np.float32)
+        assert np.array_equal(kernel.forward(x), frozen.forward(x))
+        t = int(rng.integers(steps))
+        state = kernel.final_state(t)
+        ref_state = [buf[layer][t].copy() for layer in range(2) for buf in (frozen._h, frozen._c)]
+        if input_size == 1:
+            last, k = float(rng.standard_normal()), int(rng.integers(1, 8))
+            assert kernel.rollout_from(state, last, k) == frozen.rollout_from(ref_state, last, k)
+        else:
+            x_next = rng.standard_normal(input_size).astype(np.float32)
+            assert kernel.advance(state, x_next) == frozen.advance(ref_state, x_next)
+        dy = (rng.standard_normal(steps) * 10.0 ** rng.uniform(-2, 1)).astype(np.float32)
+        kernel.backward(dy)
+        frozen.backward(dy)
+        for live, ref in zip(kernel.grads, frozen.grads):
+            assert np.array_equal(live, ref)
+        kernel.step()
+        frozen.step()
+        assert_same(kernel, frozen)
+
+
 def test_weights_changed_after_forward_are_read_by_the_next_forward():
     """``step`` between two forwards, and a write into ``params``, both show up."""
     kernel, frozen = make_pair(16, 1, 6, seed=3)
