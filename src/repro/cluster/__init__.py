@@ -9,7 +9,6 @@ simulator reproduces it with controllable heterogeneity, jitter and
 straggler injection.
 """
 
-from repro.cluster.event import Event, EventQueue
 from repro.cluster.network import LinkModel, NetworkModel
 from repro.cluster.node import ComputeModel, StragglerModel
 from repro.cluster.simulator import Simulator
@@ -25,8 +24,6 @@ from repro.cluster.topology import (
 from repro.cluster.trace import ClusterTrace
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "Simulator",
     "LinkModel",
     "NetworkModel",

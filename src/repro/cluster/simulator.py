@@ -11,16 +11,22 @@ decides when to :meth:`Simulator.step`, and when the run is over.
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.cluster.event import EventQueue
+import heapq
+import itertools
+from typing import Callable, List, Tuple
 
 
 class Simulator:
-    """Discrete-event executor with a monotonically advancing clock."""
+    """Discrete-event executor with a monotonically advancing clock.
+
+    Events are ``(time, seq, action)`` heap tuples: ties in virtual time
+    run in insertion order (``seq``), whatever the float coincidences, and
+    ``action`` is never compared.
+    """
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
+        self._seq = itertools.count()
         self._now = 0.0
         self._processed = 0
 
@@ -38,14 +44,13 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
-        self._queue.push(self._now + delay, action)
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), action))
 
     def step(self) -> bool:
         """Run the earliest event at its virtual time; False when none is left."""
-        if not self._queue:
+        if not self._heap:
             return False
-        event = self._queue.pop()
-        self._now = event.time
-        event.action()
+        self._now, _, action = heapq.heappop(self._heap)
+        action()
         self._processed += 1
         return True

@@ -33,7 +33,9 @@ differ only in the Python around the same BLAS and ufunc calls:
   once per window length, everything a pass and its BPTT slice out before
   their time loops (input, gate, hidden and output rows; BPTT's gate,
   cell, ``local``, ``dc_dh`` and ``flat`` slices and reshapes, and its
-  steps in the order it walks them).  The rollout's :meth:`advance` runs
+  steps in the order it walks them).  The ``local``, ``dc_dh`` and ``flat``
+  slices are built once for both layers, and a window's walk is a slice of
+  one per-layer list of joined steps built with the per-step views.  The rollout's :meth:`advance` runs
   the pass's own cell loop, one step long, over views of its scratch
   built once.  All of these are built on first use: the predictors
   are constructed per run, and many never run a long window.
@@ -268,6 +270,11 @@ class SeriesLSTM:
             for gates, cells, tanh_cells, hidden, dh_out
             in zip(self._gates, self._c, self._tanh_c, self._h, self._dh_out)
         )
+        # per layer, BPTT's step views and each step's joined with the next
+        # step's forget gate and dz: a window's walk is a slice of the latter
+        self._bptt_steps = tuple(
+            (at, [at[t] + after[t + 1] for t in range(len(at) - 1)]) for _, at, after in self._step_views
+        )
         return self._step_views
 
     def _build_pass_views(self, steps: int) -> tuple:
@@ -339,19 +346,22 @@ class SeriesLSTM:
     def _build_bptt_views(self, steps: int) -> tuple:
         """``backward``'s views for a ``steps``-long window, the upper layer first."""
         hs, last = self.hidden_size, steps - 1
-        local, dc_dh = self._local[:steps], self._dc_dh[:steps]
+        local = self._local[:steps]
         flat = self._dgates[:steps].reshape(steps, 4 * hs)
+        # the same scratch serves both layers
+        local_views = (local, local[:, 0], local[:, 2], local[1:, 1])
+        dc_views = (local[0, 1], local[:, 3])
+        flat_views = (flat, flat.T, flat[1:].T if steps > 1 else None)
         layers = []
         for layer in (1, 0):
             gates = self._gates[layer][:steps].reshape(steps, 4, hs)
             cells, hidden = self._c[layer][:steps], self._h[layer][:steps]
-            _, at, after = self._step_views[layer]
+            at, chain = self._bptt_steps[layer]
             layers.append((
                 *self.params[3 * layer : 3 * layer + 2], *self.grads[3 * layer : 3 * layer + 3],
-                gates, gates[:, 0], gates[:, 2], gates[:, 3], local, local[:, 0], local[:, 2],
-                local[1:, 1], cells[:-1], local[0, 1], local[:, 3], self._tanh_c[layer][:steps], dc_dh,
-                at[last], tuple(at[t] + after[t + 1] for t in range(last - 1, -1, -1)),
-                flat, flat.T, flat[1:].T if steps > 1 else None, hidden[:-1],
+                gates, gates[:, 0], gates[:, 2], gates[:, 3], *local_views, cells[:-1], *dc_views,
+                self._tanh_c[layer][:steps], self._dc_dh[:steps], at[last], chain[:last][::-1],
+                *flat_views, hidden[:-1],
                 self._x[:steps] if layer == 0 else self._h[0][:steps],
                 self._dh_out[0][:steps] if layer == 1 else None,
             ))

@@ -4,6 +4,14 @@ The benches that sweep 5 algorithms x 3 worker counts x 2 BN modes use an
 MLP (optionally with BatchNorm1d, so Async-BN is still exercised) because a
 scaled ResNet would take hours in pure NumPy; the examples also run the
 ResNets directly.
+
+Every worker step on an MLP runs :meth:`MLP.train_forward` and
+:meth:`MLP.train_backward`, a fused NumPy kernel pinned bit for bit to the
+autograd path.  It is written at its NumPy call floor: ufuncs and their
+reductions called directly, in place where the step owns the array, the
+flat gradient's length and the batch's row index kept on the model, and
+the ReLU as ``F.relu_with_mask``'s branch-free AND (``np.where``
+mispredicts on every fresh batch's mask).
 """
 
 from __future__ import annotations
@@ -60,6 +68,11 @@ class MLP(Module):
         self.body = Sequential(*layers, Linear(sizes[-2], sizes[-1], rng=gen))
         # the kernel's walk over ``body``: (linear, batch norm or None) per hidden layer
         self._hidden = tuple(hidden)
+        # the kernel's flat gradient length (counted on first use: a count
+        # here would be redone once the next module is built) and its last
+        # batch's row index
+        self._size = 0
+        self._rows = np.arange(0)
 
     def forward(self, x: Tensor) -> Tensor:
         """Classify flattened input; accepts (N, D) or (N, C, H, W)."""
@@ -74,19 +87,25 @@ class MLP(Module):
         """:meth:`Module.train_forward` as one NumPy pass, bit-identical to it.
 
         The floating-point operations and their order are those of
-        ``F.linear``, ``F.batch_norm``, ``relu`` and ``F.cross_entropy``;
-        only the graph objects are gone.  Each BN layer records its batch
-        statistics (and its EMA, unless external) exactly as in ``forward``.
+        ``F.linear``, ``F.batch_norm``, ``Tensor.relu`` and
+        ``F.cross_entropy``; only the graph objects are gone.  Batch norm,
+        ReLU and the log-softmax run through the same array helpers as those
+        (``F.batch_stats``, ``F.batch_norm_affine``, ``F.relu_with_mask``,
+        ``F.class_log_probs``); the rest calls ufuncs directly and works in
+        place in the step's own temporaries.  Each BN layer records its
+        batch statistics (and its EMA, unless external) exactly as in
+        ``forward``.
         """
         self.train()
         x = np.asarray(inputs)
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
+        add = np.add
         saved = []
         for linear, norm in self._hidden:
             h = x @ linear.weight.data.T
             if linear.bias is not None:
-                h = h + linear.bias.data
+                add(h, linear.bias.data, h)
             bn_saved = None
             if norm is not None:
                 count = h.shape[0]
@@ -96,14 +115,21 @@ class MLP(Module):
                 )
                 norm.record_batch_stats(mean, var)
                 bn_saved = (x_hat, inv_std, count)
-            mask = h > 0
+            out, mask = F.relu_with_mask(h)
             saved.append((x, bn_saved, mask))
-            x = np.where(mask, h, 0.0).astype(h.dtype, copy=False)
+            x = out
         head = self.body[-1]
-        logits = x @ head.weight.data.T + head.bias.data
+        logits = x @ head.weight.data.T
+        add(logits, head.bias.data, logits)
         targets, logp = F.class_log_probs(logits, targets)
-        rows = np.arange(targets.shape[0])
-        loss = np.asarray((-logp[rows, targets]).mean(), dtype=logits.dtype)
+        n = targets.shape[0]
+        rows = self._rows
+        if rows.shape[0] != n:
+            rows = self._rows = np.arange(n)
+        picked = logp[rows, targets]
+        np.negative(picked, picked)
+        # ndarray.mean's arithmetic: the sum in the logits' dtype, divided in float64, rounded back
+        loss = logits.dtype.type(add.reduce(picked) / np.float64(n))
         return float(loss), (saved, x, logp, rows, targets)
 
     def train_backward(self, pending, seed: float) -> np.ndarray:
@@ -113,21 +139,25 @@ class MLP(Module):
         order, filled from the last parameter back.
         """
         saved, x, logp, rows, targets = pending
+        mul, reduce = np.multiply, np.add.reduce
         # cross_entropy's backward: (softmax - onehot) * (seed / n)
-        base = np.exp(logp)
-        base[rows, targets] -= 1.0
-        g = (base * (np.asarray(seed, dtype=logp.dtype) / rows.shape[0])).astype(logp.dtype, copy=False)
-        flat = np.empty(self.num_parameters(), dtype=np.float64)
+        g = np.exp(logp)
+        g[rows, targets] -= 1.0
+        mul(g, logp.dtype.type(seed) / rows.shape[0], g)
+        if not self._size:
+            self._size = self.num_parameters()
+        flat = np.empty(self._size, dtype=np.float64)
         head = self.body[-1]
         end = _put_linear_grads(flat, flat.size, head, x, g)
         w = head.weight.data
         for (linear, norm), (x, bn_saved, mask) in zip(reversed(self._hidden), reversed(saved)):
-            g = (g @ w) * mask
+            g = g @ w
+            mul(g, mask, g)
             if norm is not None:
                 x_hat, inv_std, count = bn_saved
                 g64 = g.astype(np.float64)
-                end = _put(flat, end, norm.beta, g64.sum(axis=_AXES))
-                end = _put(flat, end, norm.gamma, (g64 * x_hat).sum(axis=_AXES))
+                end = _put(flat, end, norm.beta, reduce(g64, 0))
+                end = _put(flat, end, norm.gamma, reduce(mul(g64, x_hat), 0))
                 dx = F.batch_norm_input_grad(g64, x_hat, inv_std, norm.gamma.data, _AXES, _VIEW, count, True)
                 g = dx.astype(g.dtype, copy=False)
             end = _put_linear_grads(flat, end, linear, x, g)
@@ -152,5 +182,5 @@ def _put(flat: np.ndarray, end: int, param: Parameter, grad: np.ndarray) -> int:
 def _put_linear_grads(flat: np.ndarray, end: int, linear: Linear, x: np.ndarray, g: np.ndarray) -> int:
     """``F.linear``'s bias and weight gradients for input ``x``, output gradient ``g``."""
     if linear.bias is not None:
-        end = _put(flat, end, linear.bias, g.sum(axis=0))
+        end = _put(flat, end, linear.bias, np.add.reduce(g, 0))
     return _put(flat, end, linear.weight, (x.T @ g).T)

@@ -14,6 +14,18 @@ numerically fragile:
   scatter / uniform spread backward.
 * :func:`batch_norm` — returns batch mean/var so the distributed layer can
   ship them to the parameter server (Algorithm 1, lines 6-7).
+* :func:`relu_with_mask` — ``np.where(x > 0, x, 0.0)`` bit for bit, as a
+  bitwise AND: ``np.where`` picks each element by a branch, which
+  mispredicts on every fresh batch's mask.
+
+The array-level helpers (:func:`relu_with_mask`, :func:`class_log_probs`,
+:func:`batch_stats`, :func:`batch_norm_affine`, :func:`batch_norm_input_grad`)
+are shared with the fused MLP training kernel
+(:meth:`repro.nn.mlp.MLP.train_forward`), so both run the same operations
+in the same order.  They call ufuncs and their reductions directly, with
+positional outputs into temporaries they own, instead of the
+``ndarray.sum``/``max``/operator wrappers: on the worker's small arrays the
+wrappers cost as much as the arithmetic.
 
 Every backward here is covered by central-difference gradient checks in
 ``tests/tensor/test_gradcheck.py``.
@@ -41,6 +53,7 @@ __all__ = [
     "global_avg_pool2d",
     "batch_norm",
     "dropout",
+    "relu_with_mask",
 ]
 
 
@@ -79,6 +92,30 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
+#: the same-width integer view :func:`relu_with_mask` ANDs each float dtype through
+_RELU_BITS = {np.dtype(np.float32): np.int32, np.dtype(np.float64): np.int64}
+
+
+def relu_with_mask(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(np.where(x > 0, x, 0.0) as x.dtype, x > 0)``, bit for bit, with no branch.
+
+    ``np.where`` picks every element by a branch, which mispredicts on
+    each fresh batch's mask.  For float32 and float64 ``x`` the output is
+    instead ``x``'s bits ANDed with the mask sign-extended to the same
+    width (all ones where ``x > 0``, zero elsewhere): ``x`` where ``x > 0``
+    and +0.0 everywhere else, -0.0, NaN and -inf included.  Any other dtype
+    (and a 0-d ``x``) takes ``np.where``.  ``x`` is not written.
+    """
+    mask = x > 0
+    bits = _RELU_BITS.get(x.dtype)
+    if bits is None or not x.ndim:
+        return np.where(mask, x, 0.0).astype(x.dtype, copy=False), mask
+    out = mask.astype(bits)
+    np.negative(out, out)
+    np.bitwise_and(out, x.view(bits), out)
+    return out.view(x.dtype), mask
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along ``axis``."""
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -114,18 +151,20 @@ def class_log_probs(logits: np.ndarray, targets) -> Tuple[np.ndarray, np.ndarray
 
     The array-level front half of :func:`cross_entropy`, shared with the
     fused MLP training kernel (:meth:`repro.nn.mlp.MLP.train_forward`).
+    int64 ``targets`` are used as given, not copied; ``logits`` is not written.
     """
-    targets = np.asarray(targets).astype(np.int64).reshape(-1)
+    targets = np.asarray(targets).astype(np.int64, copy=False).reshape(-1)
     if logits.ndim != 2:
         raise ValueError(f"cross_entropy expects 2-D logits, got shape {logits.shape}")
     n, num_classes = logits.shape
     if targets.shape[0] != n:
         raise ValueError(f"targets length {targets.shape[0]} != batch size {n}")
-    if targets.min() < 0 or targets.max() >= num_classes:
+    if np.minimum.reduce(targets) < 0 or np.maximum.reduce(targets) >= num_classes:
         raise ValueError("targets out of range for the logit width")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return targets, shifted - logsumexp
+    shifted = np.subtract(logits, np.maximum.reduce(logits, 1, None, None, True))
+    total = np.add.reduce(np.exp(shifted), 1, None, None, True)
+    np.subtract(shifted, np.log(total, total), shifted)  # shifted - logsumexp
+    return targets, shifted
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
@@ -363,39 +402,51 @@ def batch_stats(x: np.ndarray, axes, view, count: int) -> Tuple[np.ndarray, np.n
     step (sum / n; sum of squared deviations from that mean / n), minus the
     second centring pass ``var`` would make on its own.
     """
-    mean = np.add.reduce(x, axis=axes, dtype=np.float64) / count
-    centred = x - mean.reshape(view)
-    var = np.add.reduce(centred * centred, axis=axes) / count
+    add, div = np.add, np.true_divide
+    # one exact widening serves the sum and the centring (same sums, same order)
+    centred = x.astype(np.float64)
+    mean = add.reduce(centred, axes)
+    div(mean, count, mean)
+    np.subtract(centred, mean.reshape(view), centred)
+    var = add.reduce(np.multiply(centred, centred), axes)
+    div(var, count, var)
     return mean, var, centred
 
 
 def batch_norm_affine(centred, var, gamma, beta, view, eps: float, dtype) -> Tuple[np.ndarray, ...]:
-    """``(gamma * x_hat + beta as dtype, x_hat, inv_std)`` from centred input."""
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centred * inv_std.reshape(view)
-    out = gamma.reshape(view) * x_hat
-    out += beta.reshape(view)
+    """``(gamma * x_hat + beta as dtype, x_hat, inv_std)`` from centred input.
+
+    ``x_hat`` is written over ``centred``.
+    """
+    inv_std = np.add(var, eps)
+    np.sqrt(inv_std, inv_std)
+    np.true_divide(1.0, inv_std, inv_std)
+    x_hat = np.multiply(centred, inv_std.reshape(view), centred)
+    out = np.multiply(gamma.reshape(view), x_hat)
+    np.add(out, beta.reshape(view), out)
     return out.astype(dtype), x_hat, inv_std
 
 
 def batch_norm_input_grad(g, x_hat, inv_std, gamma, axes, view, count: int, training: bool) -> np.ndarray:
     """The float64 input gradient for float64 upstream gradient ``g``.
 
-    Built in place in one product and one scratch array; the operations and
-    their order are those of
-    ``inv_std * (gxh - sum_gxh / count - x_hat * sum_gxh_xh / count)``.
+    Built in place in ``g`` (the caller's to give up) and one scratch array;
+    the operations and their order are those of
+    ``inv_std * (gxh - sum_gxh / count - x_hat * sum_gxh_xh / count)``
+    with ``gxh = g * gamma``, ``gamma`` widened to float64.
     """
-    gxh = g * gamma.reshape(view).astype(np.float64)
+    add, sub, mul, div = np.add, np.subtract, np.multiply, np.true_divide
+    gxh = mul(g, gamma.reshape(view), g)
     if training:
         # d/dx of normalization with batch statistics
-        sum_gxh = gxh.sum(axis=axes, keepdims=True)
-        scratch = gxh * x_hat
-        sum_gxh_xh = scratch.sum(axis=axes, keepdims=True)
-        gxh -= sum_gxh / count
-        np.multiply(x_hat, sum_gxh_xh, out=scratch)
-        scratch /= count
-        gxh -= scratch
-    gxh *= inv_std.reshape(view)
+        sum_gxh = add.reduce(gxh, axes, None, None, True)
+        scratch = mul(gxh, x_hat)
+        sum_gxh_xh = add.reduce(scratch, axes, None, None, True)
+        sub(gxh, div(sum_gxh, count, sum_gxh), gxh)
+        mul(x_hat, sum_gxh_xh, scratch)
+        div(scratch, count, scratch)
+        sub(gxh, scratch, gxh)
+    mul(gxh, inv_std.reshape(view), gxh)
     return gxh
 
 

@@ -441,9 +441,8 @@ class Tensor:
         return out
 
     def relu(self) -> "Tensor":
-        """Elementwise rectified linear unit."""
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, 0.0).astype(self.data.dtype, copy=False)
+        """Elementwise rectified linear unit (:func:`~repro.tensor.functional.relu_with_mask`)."""
+        out_data, mask = relu_with_mask(self.data)
 
         def _backward() -> None:
             self._accumulate(out.grad * mask)
@@ -690,3 +689,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     out = Tensor._make(out_data, tuple(tensors), _backward)
     return out
+
+
+# last: ``functional`` imports ``Tensor`` from this module
+from repro.tensor.functional import relu_with_mask  # noqa: E402

@@ -1,6 +1,11 @@
-"""Virtual-time simulator semantics: ``schedule`` and ``step``."""
+"""Virtual-time simulator semantics: ``schedule`` and ``step``.
+
+Events run in ``(time, insertion order)`` order (hypothesis-verified).
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.simulator import Simulator
 
@@ -68,3 +73,42 @@ def test_zero_delay_runs_at_current_time():
     sim.schedule(1.0, lambda: sim.schedule(0.0, lambda: seen.append(sim.now)))
     run_all(sim)
     assert seen == [1.0]
+
+
+def test_orders_by_time():
+    sim = Simulator()
+    order = []
+    sim.schedule(3.0, lambda: order.append("c"))
+    sim.schedule(1.0, lambda: order.append("a"))
+    sim.schedule(2.0, lambda: order.append("b"))
+    run_all(sim)
+    assert order == ["a", "b", "c"]
+
+
+def test_ties_broken_by_insertion_order():
+    sim = Simulator()
+    order = []
+    for name in "abcde":
+        sim.schedule(1.0, lambda n=name: order.append(n))
+    run_all(sim)
+    assert order == list("abcde")
+
+
+def test_negative_delay_refused_and_nothing_scheduled():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="delay must be >= 0"):
+        sim.schedule(-1e-9, lambda: None)
+    assert not sim.step() and sim.processed_events == 0
+
+
+@given(st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=200))
+@settings(max_examples=50, deadline=None)
+def test_step_order_is_sorted_stable(delays):
+    """Events run sorted by time; equal times keep insertion order."""
+    sim = Simulator()
+    ran = []
+    for i, delay in enumerate(delays):
+        sim.schedule(delay, lambda i=i: ran.append((sim.now, i)))
+    run_all(sim)
+    assert ran == sorted((delay, i) for i, delay in enumerate(delays))
+    assert sim.processed_events == len(delays)
