@@ -35,9 +35,9 @@ differ only in the Python around the same BLAS and ufunc calls:
   cell, ``local``, ``dc_dh`` and ``flat`` slices and reshapes, and its
   steps in the order it walks them).  The ``local``, ``dc_dh`` and ``flat``
   slices are built once for both layers, and a window's walk is a slice of
-  one per-layer list of joined steps built with the per-step views.  The rollout's :meth:`advance` runs
-  the pass's own cell loop, one step long, over views of its scratch
-  built once.  All of these are built on first use: the predictors
+  one per-layer list of joined steps built with the per-step views.  The
+  rollout's :meth:`advance` runs the pass's own cell loop, one step long,
+  over views of its scratch built once.  All of these are built on first use: the predictors
   are constructed per run, and many never run a long window.
 * **The sigmoid's ½ folded into the weights.**  The gate pre-activations
   go through ``tanh(0.5 z)`` on the i, f, o rows.  Scaling by 0.5 or 1.0
@@ -346,11 +346,11 @@ class SeriesLSTM:
     def _build_bptt_views(self, steps: int) -> tuple:
         """``backward``'s views for a ``steps``-long window, the upper layer first."""
         hs, last = self.hidden_size, steps - 1
-        local = self._local[:steps]
+        # the same scratch serves both layers, so its views are shared
+        local, dc_dh = self._local[:steps], self._dc_dh[:steps]
+        local_rows = (local, local[:, 0], local[:, 2], local[1:, 1])
+        local_f0, local_o = local[0, 1], local[:, 3]
         flat = self._dgates[:steps].reshape(steps, 4 * hs)
-        # the same scratch serves both layers
-        local_views = (local, local[:, 0], local[:, 2], local[1:, 1])
-        dc_views = (local[0, 1], local[:, 3])
         flat_views = (flat, flat.T, flat[1:].T if steps > 1 else None)
         layers = []
         for layer in (1, 0):
@@ -359,8 +359,8 @@ class SeriesLSTM:
             at, chain = self._bptt_steps[layer]
             layers.append((
                 *self.params[3 * layer : 3 * layer + 2], *self.grads[3 * layer : 3 * layer + 3],
-                gates, gates[:, 0], gates[:, 2], gates[:, 3], *local_views, cells[:-1], *dc_views,
-                self._tanh_c[layer][:steps], self._dc_dh[:steps], at[last], chain[:last][::-1],
+                gates, gates[:, 0], gates[:, 2], gates[:, 3], *local_rows, cells[:-1], local_f0, local_o,
+                self._tanh_c[layer][:steps], dc_dh, at[last], chain[:last][::-1],
                 *flat_views, hidden[:-1],
                 self._x[:steps] if layer == 0 else self._h[0][:steps],
                 self._dh_out[0][:steps] if layer == 1 else None,
